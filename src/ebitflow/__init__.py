@@ -8,6 +8,7 @@ Pauli noise with stabilizer methods, and compose networks hierarchically.
 from .errors import (
     EbitflowError,
     InfeasibleTarget,
+    InvariantViolation,
     MalformedFlow,
     MissingModel,
     NegativeTarget,

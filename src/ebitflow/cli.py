@@ -72,7 +72,11 @@ def _read_input(path: str) -> tuple[str, str]:
         raw = p.read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read input file {path}: {exc}") from exc
-    return raw.decode("utf-8"), hashlib.sha256(raw).hexdigest()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input file {path} is not UTF-8: {exc}") from exc
+    return text, hashlib.sha256(raw).hexdigest()
 
 
 def _milli_text(milli: int) -> str:

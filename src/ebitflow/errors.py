@@ -33,6 +33,10 @@ class ScheduleViolation(EbitflowError):
     """A schedule reuses a qubit after measurement or references unknown state."""
 
 
+class InvariantViolation(EbitflowError):
+    """An internal invariant failed: a solver or simulator state is inconsistent."""
+
+
 class TooLarge(EbitflowError):
     """Instance exceeds the exact-computation regime."""
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
-from .errors import InfeasibleTarget, MalformedFlow, NegativeTarget
+from .errors import InfeasibleTarget, InvariantViolation, MalformedFlow, NegativeTarget
 from .netgraph import MILLI, Edge, EdgeKey, NetworkGraph, NodeId, edge_key, min_cut
 
 Arc = tuple[NodeId, NodeId]
@@ -226,9 +226,8 @@ def _cancel_cycles(arc_flow: dict[Arc, int], g: NetworkGraph) -> None:
             return
         arcs = list(zip(cycle, cycle[1:] + cycle[:1]))
         bottleneck = min(arc_flow[arc] for arc in arcs)
-        assert (
-            sum(g.edge_between(*arc).unit_cost for arc in arcs) == 0
-        ), "positive-cost cycle in an optimal flow"
+        if sum(g.edge_between(*arc).unit_cost for arc in arcs) != 0:
+            raise InvariantViolation("positive-cost cycle in an optimal flow")
         for arc in arcs:
             arc_flow[arc] -= bottleneck
             if arc_flow[arc] == 0:
@@ -325,7 +324,8 @@ def min_cost_flow(g: NetworkGraph, target: int) -> FlowSolution:
     net = sum(f for (a, _), f in arc_flow.items() if a == g.source) - sum(
         f for (_, b), f in arc_flow.items() if b == g.source
     )
-    assert net == target, "solver delivered a different net flow than requested"
+    if net != target:
+        raise InvariantViolation("solver delivered a different net flow than requested")
     return FlowSolution(
         graph=g, arc_flow=dict(sorted(arc_flow.items())), net_flow=net, total_cost=total_cost
     )
@@ -362,7 +362,8 @@ def best_unit_price_target(g: NetworkGraph) -> tuple[int, FlowSolution]:
         price = Fraction(sol.total_cost, target)
         if best is None or price < best[0]:
             best = (price, target, sol)
-    assert best is not None
+    if best is None:
+        raise InvariantViolation("price scan visited no target")
     return best[1], best[2]
 
 

@@ -19,7 +19,13 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import MalformedFlow, ParseError, ValidationError, YieldShortfall
+from .errors import (
+    InvariantViolation,
+    MalformedFlow,
+    ParseError,
+    ValidationError,
+    YieldShortfall,
+)
 from .mincostflow import FlowSolution
 from .netgraph import EdgeKey, NetworkGraph, NodeId, edge_key
 from .yields import YieldFunction
@@ -77,7 +83,8 @@ def decompose_flow(sol: FlowSolution) -> tuple[PathBundle, ...]:
             if residual[a] == 0:
                 del residual[a]
         bundles.append(PathBundle(path=tuple(path), multiplicity=width))
-    assert sum(b.multiplicity for b in bundles) == sol.net_flow
+    if sum(b.multiplicity for b in bundles) != sol.net_flow:
+        raise InvariantViolation("path bundles do not sum to the net flow")
     return tuple(bundles)
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Mapping
 
-from .errors import MissingModel, ParseError, ValidationError
+from .errors import InvariantViolation, MissingModel, ParseError, ValidationError
 from .netgraph import EdgeKey, NetworkGraph, as_fraction, undirected_max_flow
 
 _ENUM_NODE_LIMIT = 12
@@ -117,7 +117,8 @@ def asymptotic_rate(g: NetworkGraph, models: Mapping[EdgeKey, ChannelModel]) -> 
     )
     if len(g.nodes) <= _ENUM_NODE_LIMIT:
         cut = _enumerate_min_cut(g, weights)
-        assert abs(float(cut) - float(flow)) <= _TOL, "max-flow disagrees with min-cut"
+        if not abs(float(cut) - float(flow)) <= _TOL:
+            raise InvariantViolation("max-flow disagrees with min-cut")
         return float(cut)
     return float(flow)
 

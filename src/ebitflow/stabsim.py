@@ -1,8 +1,9 @@
 """Stabilizer-circuit simulation of swap schedules under Pauli noise.
 
-The simulator executes a ``SwapSchedule`` on a binary symplectic tableau
-(destabilizer/stabilizer rows with phase bits), which keeps every operation
-polynomial in the qubit count. Supported noise:
+The simulator executes a ``SwapSchedule`` on Aaronson-Gottesman tableaus
+(arXiv:quant-ph/0406196): destabilizer and stabilizer generators with sign
+bits, so every operation stays polynomial in the qubit count. Supported
+noise:
 
 * ``swap_depolarize_p``: before each Bell measurement, with this probability
   a uniformly random two-qubit Pauli (identity included) hits the two
@@ -12,6 +13,24 @@ polynomial in the qubit count. Supported noise:
   two-qubit state. A pair wrong with probability q sits at trace distance
   (3/4) q from the ideal pair, so a trace-distance budget d converts to a
   replacement probability of (4/3) d.
+
+Layout. Each tableau is bit-packed into Python ints, one int per qubit
+column and one for the signs (see ``StabilizerState``). A schedule is
+compiled once into a list of operations on small tableaus, one per group
+of qubits that interact: qubits tied by a pair creation, a Bell
+measurement or a delivery check share a tableau. Path copies share no
+qubits, so a 198-qubit schedule of nine copies runs as nine 22-qubit
+tableaus; their product is the joint state.
+
+Determinism. A run draws from one generator, ``numpy.random.default_rng``
+of the given seed; ``fidelity_estimate`` seeds one per trial with
+``(seed, trial)``. Draws happen in instruction order: per created pair with
+a positive error probability one ``random()`` and, on a hit, one
+``integers(4)``; per Bell measurement with positive swap noise one
+``random()`` and, on a hit, two ``integers(4)``; then one ``integers(2)``
+for each of its two outcomes that is random. Splitting the state into
+copies changes none of these draws, so results depend only on
+(schedule, noise, seed).
 
 Besides Monte-Carlo estimation this module computes exact delivered-state
 error for small schedules: every Pauli-noise branch delivers a product of
@@ -33,7 +52,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ScheduleViolation, TooLarge, ValidationError
+from .errors import InvariantViolation, ScheduleViolation, TooLarge, ValidationError
 from .netgraph import EdgeKey, NetworkGraph, as_fraction
 from .pathplan import (
     BellMeasure,
@@ -53,103 +72,162 @@ class StabilizerState:
     """Pure stabilizer state on ``n`` qubits, initially all-zeros.
 
     Rows 0..n-1 of the tableau hold destabilizers, rows n..2n-1 hold
-    stabilizers. ``r`` holds the phase exponent of each generator mod 4
-    (generators stay at 0 or 2, meaning +1 or -1).
+    stabilizers. The tableau is stored by column: bit ``i`` of ``x[q]``
+    (of ``z[q]``) is set when generator ``i`` has an X (a Z) part on qubit
+    ``q``, and bit ``i`` of ``r`` when generator ``i`` has sign -1. Gates
+    and Pauli flips are a few integer operations; a measurement walks the
+    ``n`` columns once. Destabilizer signs are never read, so they are not
+    kept exact.
     """
+
+    __slots__ = ("n", "x", "z", "r")
 
     def __init__(self, n: int) -> None:
         if n < 0:
             raise ValidationError("qubit count must be non-negative")
         self.n = n
-        self.x = np.zeros((2 * n, n), dtype=np.int8)
-        self.z = np.zeros((2 * n, n), dtype=np.int8)
-        self.r = np.zeros(2 * n, dtype=np.int64)
-        for i in range(n):
-            self.x[i, i] = 1
-            self.z[n + i, i] = 1
+        self.x = [1 << q for q in range(n)]
+        self.z = [1 << (n + q) for q in range(n)]
+        self.r = 0
 
     def h(self, q: int) -> None:
-        self.r = (self.r + 2 * (self.x[:, q] * self.z[:, q]).astype(np.int64)) % 4
-        self.x[:, q], self.z[:, q] = self.z[:, q].copy(), self.x[:, q].copy()
+        x, z = self.x, self.z
+        self.r ^= x[q] & z[q]
+        x[q], z[q] = z[q], x[q]
 
     def cnot(self, control: int, target: int) -> None:
-        sign = (
-            self.x[:, control]
-            * self.z[:, target]
-            * (self.x[:, target] ^ self.z[:, control] ^ 1)
-        )
-        self.r = (self.r + 2 * sign.astype(np.int64)) % 4
-        self.x[:, target] ^= self.x[:, control]
-        self.z[:, control] ^= self.z[:, target]
+        x, z = self.x, self.z
+        xc, zt = x[control], z[target]
+        self.r ^= xc & zt & ~(x[target] ^ z[control])
+        x[target] ^= xc
+        z[control] ^= zt
 
     def apply_x(self, q: int) -> None:
-        self.r = (self.r + 2 * self.z[:, q].astype(np.int64)) % 4
+        self.r ^= self.z[q]
 
     def apply_z(self, q: int) -> None:
-        self.r = (self.r + 2 * self.x[:, q].astype(np.int64)) % 4
+        self.r ^= self.x[q]
 
     def apply_y(self, q: int) -> None:
-        self.r = (self.r + 2 * (self.x[:, q] ^ self.z[:, q]).astype(np.int64)) % 4
-
-    @staticmethod
-    def _phase_exponent(x1, z1, x2, z2) -> int:
-        """Exponent of i contributed by multiplying Pauli row 1 into row 2."""
-        g = np.zeros(x1.shape, dtype=np.int64)
-        both = (x1 == 1) & (z1 == 1)
-        g[both] = z2[both].astype(np.int64) - x2[both]
-        only_x = (x1 == 1) & (z1 == 0)
-        g[only_x] = z2[only_x].astype(np.int64) * (2 * x2[only_x].astype(np.int64) - 1)
-        only_z = (x1 == 0) & (z1 == 1)
-        g[only_z] = x2[only_z].astype(np.int64) * (1 - 2 * z2[only_z].astype(np.int64))
-        return int(g.sum())
-
-    def _rowsum(self, h: int, i: int) -> None:
-        """Multiply generator ``i`` into generator ``h``."""
-        self.r[h] = (
-            self.r[h]
-            + self.r[i]
-            + self._phase_exponent(self.x[i], self.z[i], self.x[h], self.z[h])
-        ) % 4
-        self.x[h] ^= self.x[i]
-        self.z[h] ^= self.z[i]
+        self.r ^= self.x[q] ^ self.z[q]
 
     def measure(self, q: int, rng: np.random.Generator) -> int:
         """Measure qubit ``q`` in the computational basis; returns 0 or 1."""
-        n = self.n
-        pivot = None
-        for row in range(n, 2 * n):
-            if self.x[row, q]:
-                pivot = row
-                break
-        if pivot is not None:
-            for row in range(2 * n):
-                if row != pivot and self.x[row, q]:
-                    self._rowsum(row, pivot)
-            self.x[pivot - n] = self.x[pivot]
-            self.z[pivot - n] = self.z[pivot]
-            self.r[pivot - n] = self.r[pivot]
-            self.x[pivot] = 0
-            self.z[pivot] = 0
-            outcome = int(rng.integers(2))
-            self.z[pivot, q] = 1
-            self.r[pivot] = 2 * outcome
-            return outcome
-        # Outcome determined: accumulate the stabilizer product selected by
-        # the destabilizers that touch q with an X.
-        xs = np.zeros(n, dtype=np.int8)
-        zs = np.zeros(n, dtype=np.int8)
-        rs = 0
+        n, x, z = self.n, self.x, self.z
+        col = x[q]
+        anti = col >> n
+        if not anti:
+            # Outcome determined: the stabilizers paired with the
+            # destabilizers that carry an X on q multiply to +-Z_q.
+            return self._product(col << n)[2]
+        # Outcome random: the first stabilizer anticommuting with Z_q is the
+        # pivot. Multiply it into every other row anticommuting with Z_q,
+        # move it to its destabilizer slot and replace it with +-Z_q.
+        d = (anti & -anti).bit_length() - 1
+        p = n + d
+        others = col ^ (1 << p)
+        moved = (1 << p) | (1 << d)
+        keep = ~moved
+        # Bit-sliced mod-4 counters (c1 c0) of each row's phase exponent,
+        # summed over the pivot's support with the g function of
+        # Aaronson-Gottesman: an X, Y or Z pivot entry adds +1 or -1 by the
+        # row's entry on that qubit.
+        c0 = c1 = 0
         for j in range(n):
-            if self.x[j, q]:
-                rs = (
-                    rs
-                    + self.r[n + j]
-                    + self._phase_exponent(self.x[n + j], self.z[n + j], xs, zs)
-                ) % 4
-                xs ^= self.x[n + j]
-                zs ^= self.z[n + j]
-        assert rs in (0, 2)
-        return 0 if rs == 0 else 1
+            xj, zj = x[j], z[j]
+            if not (xj | zj) & moved:
+                continue
+            px, pz = xj >> p & 1, zj >> p & 1
+            if px or pz:
+                if px and pz:
+                    up, down = others & zj & ~xj, others & xj & ~zj
+                elif px:
+                    up, down = others & zj & xj, others & zj & ~xj
+                else:
+                    up, down = others & xj & ~zj, others & xj & zj
+                carry = c0 & up
+                c0 ^= up
+                c1 ^= carry
+                borrow = down & ~c0
+                c0 ^= down
+                c1 ^= borrow
+                if px:
+                    xj ^= others
+                if pz:
+                    zj ^= others
+            x[j] = (xj & keep) | (px << d)
+            z[j] = (zj & keep) | (pz << d)
+        if (c0 & others) >> n:
+            raise InvariantViolation(
+                f"stabilizer sign became imaginary measuring q{q}: corrupted tableau"
+            )
+        r = self.r ^ c1
+        sign_p = r >> p & 1
+        if sign_p:
+            r ^= others
+        outcome = int(rng.integers(2))
+        self.r = (r & keep) | (sign_p << d) | (outcome << p)
+        # Also multiply the new +-Z_q into every destabilizer with a Z on q
+        # (their signs are never read), so rows stay short.
+        z[q] = (z[q] >> n | 1 << d) << n
+        return outcome
+
+    def _product(self, rows: int) -> tuple[int, int, int]:
+        """Product of the commuting generators in the row bitmask ``rows``.
+
+        Returns its X and Z parts as qubit bitmasks and its sign bit. In
+        X^x Z^z form a generator with sign bit s is i^(2s + |x & z|) X^x Z^z;
+        moving each X part left past the Z parts of earlier rows costs
+        (-1)^(z_k . x_l), and the product's own |x & z| leaves again.
+
+        Raises:
+            InvariantViolation: If the phase comes out imaginary, which
+                commuting generators cannot give: the tableau is corrupted.
+        """
+        e = 2 * (self.r & rows).bit_count()
+        prod_x = prod_z = 0
+        bit = 1
+        for xj, zj in zip(self.x, self.z):
+            xj &= rows
+            zj &= rows
+            if xj and zj:
+                e += (xj & zj).bit_count()
+                t = xj
+                while t:
+                    low = t & -t
+                    e += 2 * (zj & (low - 1)).bit_count()
+                    t ^= low
+            if xj and xj.bit_count() & 1:
+                prod_x |= bit
+            if zj and zj.bit_count() & 1:
+                prod_z |= bit
+            bit <<= 1
+        e -= (prod_x & prod_z).bit_count()
+        if e & 1:
+            raise InvariantViolation(
+                "stabilizer product has an imaginary phase: corrupted tableau"
+            )
+        return prod_x, prod_z, e >> 1 & 1
+
+    def _expectation(self, px: int, pz: int) -> int:
+        """``expectation`` for a Pauli given as qubit bitmasks."""
+        x, z = self.x, self.z
+        anti = 0
+        support = px | pz
+        while support:
+            low = support & -support
+            j = low.bit_length() - 1
+            if pz & low:
+                anti ^= x[j]
+            if px & low:
+                anti ^= z[j]
+            support ^= low
+        if anti >> self.n:
+            return 0
+        prod_x, prod_z, sign = self._product(anti << self.n)
+        if (prod_x, prod_z) != (px, pz):
+            return 0
+        return 1 - 2 * sign
 
     def expectation(self, xs: Sequence[int], zs: Sequence[int]) -> int:
         """Expectation of the +1-phase Pauli with X part ``xs``, Z part ``zs``.
@@ -157,40 +235,14 @@ class StabilizerState:
         Returns +1 or -1 when the Pauli (up to sign) is in the stabilizer
         group, 0 otherwise.
         """
-        n = self.n
-        px = np.asarray(xs, dtype=np.int8)
-        pz = np.asarray(zs, dtype=np.int8)
-        stab_x, stab_z = self.x[n:], self.z[n:]
-        anti = ((stab_x & pz).sum(axis=1) + (stab_z & px).sum(axis=1)) % 2
-        if anti.any():
-            return 0
-        acc_x = np.zeros(n, dtype=np.int8)
-        acc_z = np.zeros(n, dtype=np.int8)
-        acc_r = 0
-        for j in range(n):
-            overlap = int((self.x[j] & pz).sum() + (self.z[j] & px).sum()) % 2
-            if overlap:
-                acc_r = (
-                    acc_r
-                    + self.r[n + j]
-                    + self._phase_exponent(self.x[n + j], self.z[n + j], acc_x, acc_z)
-                ) % 4
-                acc_x ^= self.x[n + j]
-                acc_z ^= self.z[n + j]
-        if not (np.array_equal(acc_x, px) and np.array_equal(acc_z, pz)):
-            return 0
-        assert acc_r in (0, 2)
-        return 1 if acc_r == 0 else -1
+        px = sum(1 << j for j, b in enumerate(xs) if b)
+        pz = sum(1 << j for j, b in enumerate(zs) if b)
+        return self._expectation(px, pz)
 
     def pair_expectations(self, qa: int, qb: int) -> tuple[int, int]:
         """Signs of XX and ZZ on a qubit pair (+1, -1, or 0 each)."""
-        xs = np.zeros(self.n, dtype=np.int8)
-        zs = np.zeros(self.n, dtype=np.int8)
-        xs[qa] = xs[qb] = 1
-        xx = self.expectation(xs, np.zeros(self.n, dtype=np.int8))
-        zs[qa] = zs[qb] = 1
-        zz = self.expectation(np.zeros(self.n, dtype=np.int8), zs)
-        return xx, zz
+        both = (1 << qa) | (1 << qb)
+        return self._expectation(both, 0), self._expectation(0, both)
 
 
 @dataclass(frozen=True)
@@ -268,7 +320,6 @@ class RunResult:
     outcomes: tuple[tuple[int, int], ...]
     corrections: tuple[tuple[int, str], ...]
     pairs: tuple[PairOutcome, ...]
-    state: StabilizerState
 
     @property
     def all_passed(self) -> bool:
@@ -276,6 +327,175 @@ class RunResult:
 
 
 _PAULI_NAMES = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "XZ"}
+
+# Operation codes of a compiled schedule.
+_PAIR, _SWAP, _FIX = range(3)
+
+
+@dataclass(frozen=True)
+class _Program:
+    """A schedule checked once and lowered to operations on small tableaus.
+
+    Attributes:
+        sizes: Qubit count of each tableau.
+        ops: ``(_PAIR, tableau, left, right, error_p)`` with ``error_p``
+            None when the edge has no pair noise, ``(_SWAP, tableau, left,
+            right, slot)``, ``(_FIX, tableau, qubit, slots)``; qubits are
+            local to their tableau, slots index the outcome list.
+        swap_p: Depolarizing probability before each Bell measurement.
+        n_outcomes: Distinct measurement indices, in sorted order.
+        fix_qubits: Schedule qubit of each correction, in instruction order.
+        checks: Per delivery, its tableau and local source and sink qubits.
+    """
+
+    sizes: tuple[int, ...]
+    ops: tuple[tuple, ...]
+    swap_p: float
+    n_outcomes: int
+    fix_qubits: tuple[int, ...]
+    checks: tuple[tuple[int, int, int], ...]
+
+
+def _compile(sched: SwapSchedule, noise: NoiseModel) -> _Program:
+    """Check a schedule in instruction order and compile it for execution.
+
+    Raises:
+        ScheduleViolation: As ``run_schedule`` documents.
+    """
+    n = sched.n_qubits
+    created: set[int] = set()
+    measured: set[int] = set()
+    indices: set[int] = set()
+    # Operations on schedule qubits, and the qubit pairs that must share a
+    # tableau: those of a two-qubit operation or a delivery check.
+    raw: list[tuple] = []
+    ties: list[tuple[int, int]] = []
+
+    def require_live(q: int, action: str) -> None:
+        if q not in created:
+            raise ScheduleViolation(f"{action} on qubit q{q} before creation")
+        if q in measured:
+            raise ScheduleViolation(f"{action} on already measured qubit q{q}")
+
+    for ins in sched.instructions:
+        if isinstance(ins, CreateBellPair):
+            for q in (ins.qubit_left, ins.qubit_right):
+                if not 0 <= q < n:
+                    raise ScheduleViolation(
+                        f"qubit q{q} outside the schedule's {n} qubits"
+                    )
+                if q in created:
+                    raise ScheduleViolation(f"qubit q{q} created twice")
+                created.add(q)
+            q_err = noise.pair_error.get(ins.edge, Fraction(0))
+            error_p = float(q_err) if q_err > 0 else None
+            raw.append((_PAIR, ins.qubit_left, ins.qubit_right, error_p))
+            ties.append((ins.qubit_left, ins.qubit_right))
+        elif isinstance(ins, BellMeasure):
+            require_live(ins.qubit_left, "measurement")
+            require_live(ins.qubit_right, "measurement")
+            measured.add(ins.qubit_left)
+            measured.add(ins.qubit_right)
+            indices.add(ins.index)
+            raw.append((_SWAP, ins.qubit_left, ins.qubit_right, ins.index))
+            ties.append((ins.qubit_left, ins.qubit_right))
+        elif isinstance(ins, PauliCorrect):
+            require_live(ins.qubit, "correction")
+            for src in ins.sources:
+                if src not in indices:
+                    raise ScheduleViolation(f"correction reads unknown outcome m{src}")
+            raw.append((_FIX, ins.qubit, ins.sources))
+        else:
+            raise ScheduleViolation(f"unknown instruction {ins!r}")
+    for d in sched.deliveries:
+        require_live(d.source_qubit, "delivery check")
+        require_live(d.sink_qubit, "delivery check")
+        ties.append((d.source_qubit, d.sink_qubit))
+
+    parent = list(range(n))
+
+    def find(q: int) -> int:
+        while parent[q] != q:
+            parent[q] = parent[parent[q]]
+            q = parent[q]
+        return q
+
+    for a, b in ties:
+        parent[find(a)] = find(b)
+    tableau_of: dict[int, int] = {}
+    layout: dict[int, tuple[int, int]] = {}
+    sizes: list[int] = []
+    for q in sorted(created):
+        root = find(q)
+        if root not in tableau_of:
+            tableau_of[root] = len(sizes)
+            sizes.append(0)
+        t = tableau_of[root]
+        layout[q] = (t, sizes[t])
+        sizes[t] += 1
+
+    slot = {index: i for i, index in enumerate(sorted(indices))}
+    ops = []
+    for op in raw:
+        t, a = layout[op[1]]
+        if op[0] == _PAIR:
+            ops.append((_PAIR, t, a, layout[op[2]][1], op[3]))
+        elif op[0] == _SWAP:
+            ops.append((_SWAP, t, a, layout[op[2]][1], slot[op[3]]))
+        else:
+            ops.append((_FIX, t, a, tuple(slot[src] for src in op[2])))
+    return _Program(
+        sizes=tuple(sizes),
+        ops=tuple(ops),
+        swap_p=float(noise.swap_depolarize_p),
+        n_outcomes=len(slot),
+        fix_qubits=tuple(op[1] for op in raw if op[0] == _FIX),
+        checks=tuple(
+            (*layout[d.source_qubit], layout[d.sink_qubit][1]) for d in sched.deliveries
+        ),
+    )
+
+
+def _execute(
+    prog: _Program, rng: np.random.Generator
+) -> tuple[list[StabilizerState], list[tuple[int, int]], list[tuple[int, int]]]:
+    """Run a compiled schedule once: the final tableaus, the outcome of
+    every measurement slot, and the (X, Z) frame of every correction."""
+    tabs = [StabilizerState(size) for size in prog.sizes]
+    outcomes: list = [None] * prog.n_outcomes
+    frames = []
+    swap_p = prog.swap_p
+    for op in prog.ops:
+        kind = op[0]
+        if kind == _PAIR:
+            _, t, a, b, error_p = op
+            st = tabs[t]
+            st.h(a)
+            st.cnot(a, b)
+            if error_p is not None and rng.random() < error_p:
+                _apply_pauli(st, b, int(rng.integers(4)))
+        elif kind == _SWAP:
+            _, t, a, b, s = op
+            st = tabs[t]
+            if swap_p > 0 and rng.random() < swap_p:
+                _apply_pauli(st, a, int(rng.integers(4)))
+                _apply_pauli(st, b, int(rng.integers(4)))
+            st.cnot(a, b)
+            st.h(a)
+            outcomes[s] = (st.measure(a, rng), st.measure(b, rng))
+        else:
+            _, t, q, slots = op
+            frame_x = frame_z = 0
+            for s in slots:
+                a, b = outcomes[s]
+                frame_z ^= a
+                frame_x ^= b
+            if frame_x:
+                tabs[t].apply_x(q)
+            if frame_z:
+                tabs[t].apply_z(q)
+            frames.append((frame_x, frame_z))
+    return tabs, outcomes, frames
 
 
 def run_schedule(
@@ -289,70 +509,16 @@ def run_schedule(
     happen in instruction order from a single seeded generator.
 
     Raises:
-        ScheduleViolation: On double creation, gates or corrections on
-            measured qubits, re-measurement, or unknown measurement sources.
+        ScheduleViolation: On double creation, qubits outside the schedule,
+            gates or corrections on measured qubits, re-measurement, or
+            unknown measurement sources.
     """
-    noise = noise or NoiseModel.zero()
     rng = np.random.default_rng(seed)
-    state = StabilizerState(sched.n_qubits)
-    created: set[int] = set()
-    measured: set[int] = set()
-    outcomes: dict[int, tuple[int, int]] = {}
-    corrections: list[tuple[int, str]] = []
-    p_swap = float(noise.swap_depolarize_p)
-
-    def require_live(q: int, action: str) -> None:
-        if q not in created:
-            raise ScheduleViolation(f"{action} on qubit q{q} before creation")
-        if q in measured:
-            raise ScheduleViolation(f"{action} on already measured qubit q{q}")
-
-    for ins in sched.instructions:
-        if isinstance(ins, CreateBellPair):
-            for q in (ins.qubit_left, ins.qubit_right):
-                if q in created:
-                    raise ScheduleViolation(f"qubit q{q} created twice")
-                created.add(q)
-            state.h(ins.qubit_left)
-            state.cnot(ins.qubit_left, ins.qubit_right)
-            q_err = noise.pair_error.get(ins.edge, Fraction(0))
-            if q_err > 0 and rng.random() < float(q_err):
-                _apply_pauli(state, ins.qubit_right, int(rng.integers(4)))
-        elif isinstance(ins, BellMeasure):
-            require_live(ins.qubit_left, "measurement")
-            require_live(ins.qubit_right, "measurement")
-            if p_swap > 0 and rng.random() < p_swap:
-                _apply_pauli(state, ins.qubit_left, int(rng.integers(4)))
-                _apply_pauli(state, ins.qubit_right, int(rng.integers(4)))
-            state.cnot(ins.qubit_left, ins.qubit_right)
-            state.h(ins.qubit_left)
-            a = state.measure(ins.qubit_left, rng)
-            b = state.measure(ins.qubit_right, rng)
-            outcomes[ins.index] = (a, b)
-            measured.add(ins.qubit_left)
-            measured.add(ins.qubit_right)
-        elif isinstance(ins, PauliCorrect):
-            require_live(ins.qubit, "correction")
-            frame_x = frame_z = 0
-            for src in ins.sources:
-                if src not in outcomes:
-                    raise ScheduleViolation(f"correction reads unknown outcome m{src}")
-                a, b = outcomes[src]
-                frame_z ^= a
-                frame_x ^= b
-            if frame_x:
-                state.apply_x(ins.qubit)
-            if frame_z:
-                state.apply_z(ins.qubit)
-            corrections.append((ins.qubit, _PAULI_NAMES[(frame_x, frame_z)]))
-        else:
-            raise ScheduleViolation(f"unknown instruction {ins!r}")
-
+    prog = _compile(sched, noise or NoiseModel.zero())
+    tabs, outcomes, frames = _execute(prog, rng)
     pairs = []
-    for d in sched.deliveries:
-        require_live(d.source_qubit, "delivery check")
-        require_live(d.sink_qubit, "delivery check")
-        xx, zz = state.pair_expectations(d.source_qubit, d.sink_qubit)
+    for d, (t, a, b) in zip(sched.deliveries, prog.checks):
+        xx, zz = tabs[t].pair_expectations(a, b)
         pairs.append(
             PairOutcome(
                 copy=d.copy,
@@ -362,12 +528,12 @@ def run_schedule(
                 zz_sign=zz,
             )
         )
-    ordered = tuple(outcomes[i] for i in sorted(outcomes))
     return RunResult(
-        outcomes=ordered,
-        corrections=tuple(corrections),
+        outcomes=tuple(outcomes),
+        corrections=tuple(
+            (q, _PAULI_NAMES[frame]) for q, frame in zip(prog.fix_qubits, frames)
+        ),
         pairs=tuple(pairs),
-        state=state,
     )
 
 
@@ -430,14 +596,14 @@ def fidelity_estimate(
     """
     if trials <= 0:
         raise ValidationError("trials must be positive")
-    noise = noise or NoiseModel.zero()
-    passes = [0] * len(sched.deliveries)
+    prog = _compile(sched, noise or NoiseModel.zero())
+    passes = [0] * len(prog.checks)
     all_pass = 0
     for trial in range(trials):
-        result = run_schedule(sched, noise, seed=(seed, trial))
+        tabs, _, _ = _execute(prog, np.random.default_rng((seed, trial)))
         ok_all = True
-        for i, pair in enumerate(result.pairs):
-            if pair.passed:
+        for i, (t, a, b) in enumerate(prog.checks):
+            if tabs[t].pair_expectations(a, b) == (1, 1):
                 passes[i] += 1
             else:
                 ok_all = False

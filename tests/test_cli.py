@@ -341,6 +341,15 @@ class TestExitCodes:
         err = json.loads(proc.stderr)
         assert err["error"]["type"] == "ParseError"
 
+    def test_non_utf8_input(self, docs):
+        path = os.path.join(docs["root"], "utf16.json")
+        with open(path, "wb") as fh:
+            fh.write(b"\xff\xfe{\x00}\x00")
+        proc = run_cli("mincut", "--input", path)
+        assert proc.returncode == 3
+        err = json.loads(proc.stderr)
+        assert err["error"]["type"] == "ParseError"
+
     def test_missing_file(self, docs):
         proc = run_cli("mincut", "--input", os.path.join(docs["root"], "nope.json"))
         assert proc.returncode == 3

@@ -1,11 +1,17 @@
 """Tableau simulator, noise model, and exact-error machinery."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from oracles import (
+    ReferenceTableau,
+    reference_fidelity_estimate,
+    reference_run_schedule,
+)
 
 from ebitflow import (
     EXACT_QUBIT_LIMIT,
@@ -14,6 +20,7 @@ from ebitflow import (
     CreateBellPair,
     Delivery,
     ErrorBudget,
+    InvariantViolation,
     NetworkGraph,
     NoiseModel,
     PathBundle,
@@ -24,12 +31,15 @@ from ebitflow import (
     TooLarge,
     ValidationError,
     build_swap_schedule,
+    decompose_flow,
     estimate_operation_error,
     exact_operation_error,
     exact_pass_probability,
     exact_trace_distance,
     fidelity_estimate,
     generation_error_budget,
+    min_cost_flow,
+    min_cut,
     run_schedule,
     wilson_interval,
 )
@@ -108,6 +118,16 @@ class TestStabilizerState:
         xx, zz = state.pair_expectations(0, 1)
         assert (xx, zz) == (-1, 1) or (xx, zz) == (1, -1)
         assert zz == -1
+
+    def test_corrupted_tableau_raises_typed_error(self):
+        # Both destabilizers carry an X on qubit 0, so measuring it
+        # multiplies both stabilizers, X_1 and Z_1. They anticommute, which
+        # no sound tableau allows, and their product has an imaginary phase.
+        state = StabilizerState(2)
+        state.x[:] = [0b0011, 0b0100]
+        state.z[:] = [0, 0b1000]
+        with pytest.raises(InvariantViolation):
+            state.measure(0, RNG)
 
 
 class TestNoiseModel:
@@ -246,6 +266,15 @@ class TestScheduleViolations:
         with pytest.raises(ScheduleViolation):
             run_schedule(sched)
 
+    def test_qubit_outside_schedule(self):
+        sched = SwapSchedule(
+            instructions=(CreateBellPair("s", "t", 0, 2, 0),),
+            deliveries=(),
+            qubit_nodes=("s", "t"),
+        )
+        with pytest.raises(ScheduleViolation):
+            run_schedule(sched)
+
     def test_delivery_of_measured_qubit(self):
         sched = SwapSchedule(
             instructions=(
@@ -258,6 +287,103 @@ class TestScheduleViolations:
         )
         with pytest.raises(ScheduleViolation):
             run_schedule(sched)
+
+
+@st.composite
+def noisy_schedules(draw):
+    """A ladder of 1-9 disjoint paths of 1-12 hops, or up to 9 pairs routed
+    through a small grid, with random per-edge pair errors and swap noise."""
+    copies = draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        bundles = []
+        for c in range(copies):
+            hops = draw(st.integers(1, 12))
+            path = ("s", *(f"p{c}_{j}" for j in range(1, hops)), "t")
+            bundles.append(PathBundle(path=path, multiplicity=1))
+        sched = build_swap_schedule(bundles)
+    else:
+        rows, cols = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+        node = lambda i, j: f"g{i}_{j}"
+        cap = st.integers(1, 5)
+        cost = st.integers(1, 3).map(lambda c: 1000 * c)
+        edges = []
+        for i in range(rows):
+            edges.append(("s", node(i, 0), draw(cap), draw(cost)))
+            edges.append((node(i, cols - 1), "t", draw(cap), draw(cost)))
+            for j in range(cols):
+                if j + 1 < cols:
+                    edges.append((node(i, j), node(i, j + 1), draw(cap), draw(cost)))
+                if i + 1 < rows:
+                    edges.append((node(i, j), node(i + 1, j), draw(cap), draw(cost)))
+        g = NetworkGraph.from_edge_list(edges, "s", "t")
+        target = min(copies, min_cut(g))
+        sched = build_swap_schedule(decompose_flow(min_cost_flow(g, target)))
+    keys = sorted(
+        {ins.edge for ins in sched.instructions if isinstance(ins, CreateBellPair)}
+    )
+    pair_error = {key: Fraction(draw(st.integers(0, 12)), 12) for key in keys}
+    p = draw(st.sampled_from([Fraction(0), Fraction(1, 20), Fraction(1, 4), Fraction(1)]))
+    return sched, NoiseModel(swap_depolarize_p=p, pair_error=pair_error)
+
+
+class TestAgainstReferenceTableau:
+    """The bit-packed per-copy simulator reproduces the joint int8 tableau
+    of ``tests/oracles.py`` draw for draw."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_clifford_circuits_match(self, seed):
+        # Long circuits: short ones rarely give a generator the Y patterns
+        # on which the phase rules of the two tableaus could differ.
+        n = 2 + seed % 4
+        rnd = random.Random(seed)
+        fast, ref = StabilizerState(n), ReferenceTableau(n)
+        fast_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(200):
+            name = rnd.choice(["h", "apply_x", "apply_y", "apply_z", "measure", "cnot"])
+            if name == "cnot":
+                control, target = rnd.sample(range(n), 2)
+                fast.cnot(control, target)
+                ref.cnot(control, target)
+            elif name == "measure":
+                q = rnd.randrange(n)
+                assert fast.measure(q, fast_rng) == ref.measure(q, ref_rng)
+            else:
+                q = rnd.randrange(n)
+                getattr(fast, name)(q)
+                getattr(ref, name)(q)
+        # Equal expectations on every Pauli: the two states are the same.
+        for code in range(4**n):
+            xs = [code >> (2 * q) & 1 for q in range(n)]
+            zs = [code >> (2 * q + 1) & 1 for q in range(n)]
+            assert fast.expectation(xs, zs) == ref.expectation(xs, zs)
+
+    @given(noisy_schedules(), st.integers(0, 2**32), st.integers(1, 3))
+    def test_runs_and_estimates_match(self, case, seed, trials):
+        sched, noise = case
+        assert run_schedule(sched, noise, seed=seed) == reference_run_schedule(
+            sched, noise, seed=seed
+        )
+        assert fidelity_estimate(
+            sched, noise, trials=trials, seed=seed
+        ) == reference_fidelity_estimate(sched, noise, trials=trials, seed=seed)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tableaus_follow_interactions_not_copy_labels(self, seed):
+        # A relay whose two pairs claim different copies: the measurement
+        # still ties them into one tableau.
+        sched = SwapSchedule(
+            instructions=(
+                CreateBellPair("s", "r", 0, 1, 0),
+                CreateBellPair("r", "t", 2, 3, 1),
+                BellMeasure("r", 1, 2, 0),
+                PauliCorrect("t", 3, (0,)),
+            ),
+            deliveries=(Delivery(0, 0, 3),),
+            qubit_nodes=("s", "r", "r", "t"),
+        )
+        noise = NoiseModel(swap_depolarize_p=Fraction(1, 2))
+        result = run_schedule(sched, noise, seed=seed)
+        assert result == reference_run_schedule(sched, noise, seed=seed)
 
 
 class TestExactErrors:
