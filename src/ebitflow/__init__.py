@@ -21,17 +21,14 @@ from .errors import (
 )
 from .netgraph import (
     MILLI,
-    DiGraph,
     Edge,
     EdgeKey,
     NetworkDocument,
     NetworkGraph,
     NodeId,
     as_fraction,
-    build_graph,
     cost_to_milli,
     edge_key,
-    induce_digraph,
     load_network,
     min_cut,
     parse_document,
@@ -39,9 +36,9 @@ from .netgraph import (
 )
 from .mincostflow import (
     FlowSolution,
-    best_unit_price_target,
     min_cost_flow,
     min_cost_max_flow,
+    price_curve,
     solution_dot,
     solution_report,
     unit_price,
@@ -87,7 +84,6 @@ from .concat import (
     HierarchicalNetwork,
     LowerUsePlan,
     aggregate_level,
-    effective_capacity,
     effective_min_cut,
     flatten,
     load_hierarchical,

@@ -31,10 +31,12 @@ from .errors import EbitflowError, InfeasibleTarget, NegativeTarget, ParseError
 from .mincostflow import (
     min_cost_flow,
     min_cost_max_flow,
+    price_curve,
     solution_dot,
     solution_report,
+    unit_price,
 )
-from .netgraph import MILLI, as_fraction, load_network, min_cut
+from .netgraph import MILLI, _milli_text, as_fraction, load_network, min_cut
 from .pathplan import (
     build_swap_schedule,
     decompose_flow,
@@ -79,14 +81,14 @@ def _read_input(path: str) -> tuple[str, str]:
     return text, hashlib.sha256(raw).hexdigest()
 
 
-def _milli_text(milli: int) -> str:
-    return f"{milli // MILLI}.{milli % MILLI:03d}"
-
-
 def _price_text(price: Fraction | None) -> str:
     if price is None:
         return "n/a"
-    return f"{float(price) / MILLI:.3f}"
+    try:
+        return f"{float(price) / MILLI:.3f}"
+    except OverflowError:
+        # Beyond float range: exact to the milli-unit instead.
+        return _milli_text(round(price))
 
 
 def _frac(value: Fraction) -> str:
@@ -131,36 +133,28 @@ def _cmd_maxflow(args) -> tuple[dict, str, str | None]:
 
 def _cmd_price_scan(args) -> tuple[dict, str, str | None]:
     docu = load_network(args.input_text, default_gen_error=args.delta_default)
-    g = docu.graph
-    capacity = min_cut(g)
-    if capacity == 0:
-        raise InfeasibleTarget("clients are disconnected; no positive target exists")
-    curve = []
-    best: tuple[Fraction, int] | None = None
-    for target in range(1, capacity + 1):
-        sol = min_cost_flow(g, target)
-        price = Fraction(sol.total_cost, target)
-        curve.append(
-            {
-                "target": target,
-                "total_cost_milli": sol.total_cost,
-                "unit_price_milli": _frac(price),
-            }
-        )
-        if best is None or price < best[0]:
-            best = (price, target)
+    curve, best_target = price_curve(docu.graph)
+    best_price = unit_price(curve[best_target - 1])
+    rows = [
+        {
+            "target": sol.net_flow,
+            "total_cost_milli": sol.total_cost,
+            "unit_price_milli": _frac(unit_price(sol)),
+        }
+        for sol in curve
+    ]
     result = {
-        "curve": curve,
-        "best_target": best[1],
-        "best_unit_price_milli": _frac(best[0]),
+        "curve": rows,
+        "best_target": best_target,
+        "best_unit_price_milli": _frac(best_price),
     }
     lines = [
         f"target {row['target']}: cost {_milli_text(row['total_cost_milli'])}, "
         f"unit price {_price_text(Fraction(row['unit_price_milli']))}"
-        for row in curve
+        for row in rows
     ]
     lines.append(
-        f"best target: {best[1]} at unit price {_price_text(best[0])}"
+        f"best target: {best_target} at unit price {_price_text(best_price)}"
     )
     return result, "\n".join(lines) + "\n", None
 

@@ -29,14 +29,19 @@ Hierarchical documents extend the flat network format: every edge carries a
         "threshold": 0.1      # optional bound on the lower network's own error
     }}
 
-Nesting depth is unbounded; traversals use explicit stacks.
+Resolving, aggregating and lower-use planning walk the hierarchy with
+explicit stacks. Parsing (``parse_hierarchical``) and the CLI's lower-plan
+rendering recurse once per level, which stays far below Python's
+recursion limit: the JSON decoder refuses nesting deeper than that limit
+(about 1000 containers, and each level nests four, so about 246 levels),
+and the loader reports that as a ParseError.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -47,6 +52,8 @@ from .netgraph import (
     EdgeKey,
     NetworkGraph,
     NodeId,
+    _load_json,
+    _parse_nodes,
     as_fraction,
     cost_to_milli,
     min_cut,
@@ -203,10 +210,10 @@ class HierarchicalNetwork:
                 return e
         raise KeyError(key)
 
-
-def effective_capacity(edge: HierEdge) -> int:
-    """Distilled pairs available from one edge at its use bound."""
-    return edge.yield_fn.cap()
+    @cached_property
+    def _resolved(self) -> "_Resolved":
+        # The whole hierarchy is resolved once and shared by every query.
+        return _resolve(self)
 
 
 @dataclass(frozen=True)
@@ -294,7 +301,7 @@ def _resolve(net: HierarchicalNetwork) -> _Resolved:
 
 def flatten(net: HierarchicalNetwork) -> NetworkGraph:
     """The equivalent flat network of a hierarchical one."""
-    return _resolve(net).flat[id(net)]
+    return net._resolved.flat[id(net)]
 
 
 def effective_min_cut(net: HierarchicalNetwork) -> int:
@@ -394,7 +401,7 @@ def plan_lower_uses(
         YieldShortfall: An edge cannot reach its pairs within its use bound.
         ThresholdViolation: A lower network's error exceeds the threshold.
     """
-    resolved = _resolve(net)
+    resolved = net._resolved
     created: list[dict] = []
     roots: list[dict] = []
     stack: list[tuple[HierarchicalNetwork, FlowSolution, int, list[dict]]] = [
@@ -447,7 +454,7 @@ def plan_lower_uses(
 def total_lower_cost(net: HierarchicalNetwork, sol: FlowSolution) -> int:
     """Cost of running the lower networks for every top-level active edge:
     use count times lower per-use cost, summed, in milli-units."""
-    resolved = _resolve(net)
+    resolved = net._resolved
     total = 0
     for key in sorted(sol.active_edges):
         edge = net.edge_by_key(key)
@@ -514,9 +521,7 @@ def parse_hierarchical(doc: Mapping) -> HierarchicalNetwork:
     missing = {"nodes", "edges", "source", "sink"} - set(doc)
     if missing:
         raise ParseError(f"missing fields {sorted(missing)}")
-    nodes = doc["nodes"]
-    if not isinstance(nodes, Sequence) or isinstance(nodes, (str, bytes)):
-        raise ParseError("nodes: expected an array of labels")
+    nodes = _parse_nodes(doc["nodes"])
     hier_edges = []
     for i, entry in enumerate(edges):
         where = f"edges[{i}]"
@@ -550,15 +555,4 @@ def parse_hierarchical(doc: Mapping) -> HierarchicalNetwork:
 
 def load_hierarchical(source: str | Path) -> HierarchicalNetwork:
     """Load a hierarchical network from a JSON file or JSON text."""
-    text = source
-    path = Path(source)
-    try:
-        if path.is_file():
-            text = path.read_text()
-    except OSError:
-        pass
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    return parse_hierarchical(doc)
+    return parse_hierarchical(_load_json(source))

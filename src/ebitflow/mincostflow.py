@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import Mapping
 
 from .errors import InfeasibleTarget, InvariantViolation, MalformedFlow, NegativeTarget
-from .netgraph import MILLI, Edge, EdgeKey, NetworkGraph, NodeId, edge_key, min_cut
+from .netgraph import EdgeKey, NetworkGraph, NodeId, _milli_text, edge_key, min_cut
 
 Arc = tuple[NodeId, NodeId]
 
@@ -343,12 +343,12 @@ def unit_price(sol: FlowSolution) -> Fraction | None:
     return Fraction(sol.total_cost, sol.net_flow)
 
 
-def best_unit_price_target(g: NetworkGraph) -> tuple[int, FlowSolution]:
-    """Scan all feasible positive targets for the lowest cost per pair.
+def price_curve(g: NetworkGraph) -> tuple[tuple[FlowSolution, ...], int]:
+    """Minimum-cost solutions for every feasible positive target.
 
     Returns:
-        The target with the smallest unit price and its solution. Ties are
-        resolved toward the smallest target.
+        The solutions for targets 1 through the min-cut, in order, and the
+        target with the lowest unit price. Ties go to the smallest target.
 
     Raises:
         InfeasibleTarget: If the network cannot deliver a single pair.
@@ -356,15 +356,9 @@ def best_unit_price_target(g: NetworkGraph) -> tuple[int, FlowSolution]:
     capacity = min_cut(g)
     if capacity == 0:
         raise InfeasibleTarget("clients are disconnected; no positive target exists")
-    best: tuple[Fraction, int, FlowSolution] | None = None
-    for target in range(1, capacity + 1):
-        sol = min_cost_flow(g, target)
-        price = Fraction(sol.total_cost, target)
-        if best is None or price < best[0]:
-            best = (price, target, sol)
-    if best is None:
-        raise InvariantViolation("price scan visited no target")
-    return best[1], best[2]
+    curve = tuple(min_cost_flow(g, target) for target in range(1, capacity + 1))
+    best = min(curve, key=unit_price)
+    return curve, best.net_flow
 
 
 def validate_flow(sol: FlowSolution) -> None:
@@ -422,17 +416,13 @@ def solution_dot(sol: FlowSolution) -> str:
     """Graphviz rendering with `used/capacity @ cost` edge labels."""
     g = sol.graph
     lines = ["graph network {"]
-    lines.append(f'  label="net_flow={sol.net_flow} cost={_milli_str(sol.total_cost)}";')
+    lines.append(f'  label="net_flow={sol.net_flow} cost={_milli_text(sol.total_cost)}";')
     for n in g.nodes:
         shape = ' [shape=doublecircle]' if n in (g.source, g.sink) else ""
         lines.append(f'  "{n}"{shape};')
     for e in g.edges:
         used = sol.undirected_flow[e.key]
-        label = f"{used}/{e.capacity} @ {_milli_str(e.unit_cost)}"
+        label = f"{used}/{e.capacity} @ {_milli_text(e.unit_cost)}"
         lines.append(f'  "{e.a}" -- "{e.b}" [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _milli_str(milli: int) -> str:
-    return f"{milli // MILLI}.{milli % MILLI:03d}"

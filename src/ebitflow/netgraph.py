@@ -34,6 +34,7 @@ bounds; their costs and deltas must agree.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -47,6 +48,12 @@ EdgeKey = tuple[NodeId, NodeId]
 
 # Costs are integers in milli-cost units: 1 cost unit = 1000 milli.
 MILLI = 1000
+
+
+def _milli_text(milli: int) -> str:
+    """A milli-unit amount in cost units with three decimals."""
+    return f"{milli // MILLI}.{milli % MILLI:03d}"
+
 
 _EDGE_FIELDS_REQUIRED = frozenset({"a", "b", "capacity", "cost"})
 _EDGE_FIELDS_OPTIONAL = frozenset({"delta", "max_uses", "channel", "yield"})
@@ -62,13 +69,16 @@ def as_fraction(value: object, what: str = "value") -> Fraction:
     """Convert a JSON number or a string like ``"2/3"`` to an exact Fraction.
 
     Floats are interpreted through their decimal representation, so the
-    ``0.001`` a user writes in a file means exactly 1/1000.
+    ``0.001`` a user writes in a file means exactly 1/1000. Infinities and
+    NaN are rejected.
     """
     if isinstance(value, bool):
         raise ParseError(f"{what}: expected a number, got a boolean")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ParseError(f"{what}: not a finite number: {value!r}")
         return Fraction(str(value))
     if isinstance(value, str):
         try:
@@ -222,14 +232,6 @@ class NetworkGraph:
 
 
 @dataclass(frozen=True)
-class DiGraph:
-    """Directed graph induced by a network: one arc per orientation of each edge."""
-
-    nodes: tuple[NodeId, ...]
-    arcs: tuple[tuple[NodeId, NodeId], ...]
-
-
-@dataclass(frozen=True)
 class NetworkDocument:
     """A parsed network file: the graph plus raw per-edge annotations."""
 
@@ -318,6 +320,16 @@ def _merge_parallel(key: EdgeKey, entries: Sequence[dict]) -> dict:
     return merged
 
 
+def _parse_nodes(raw: object) -> list[NodeId]:
+    """The ``nodes`` field of a document: an array of non-empty strings."""
+    if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
+        raise ParseError("nodes: expected an array of labels")
+    for n in raw:
+        if not isinstance(n, str) or not n:
+            raise ParseError(f"nodes: labels must be non-empty strings: {n!r}")
+    return list(raw)
+
+
 def parse_document(
     doc: Mapping, *, default_gen_error: Fraction | None = None
 ) -> NetworkDocument:
@@ -343,14 +355,9 @@ def parse_document(
     missing = _DOC_FIELDS - set(doc)
     if missing:
         raise ParseError(f"missing fields {sorted(missing)}")
-    if not isinstance(doc["nodes"], Sequence) or isinstance(doc["nodes"], (str, bytes)):
-        raise ParseError("nodes: expected an array of labels")
+    nodes = _parse_nodes(doc["nodes"])
     if not isinstance(doc["edges"], Sequence) or isinstance(doc["edges"], (str, bytes)):
         raise ParseError("edges: expected an array of edge objects")
-    nodes = list(doc["nodes"])
-    for n in nodes:
-        if not isinstance(n, str) or not n:
-            raise ParseError(f"nodes: labels must be non-empty strings: {n!r}")
     if len(set(nodes)) != len(nodes):
         raise ValidationError("duplicate node labels")
     node_set = set(nodes)
@@ -397,15 +404,12 @@ def parse_document(
     return NetworkDocument(graph=graph, channels=channels, yields=yields)
 
 
-def build_graph(doc: Mapping) -> NetworkGraph:
-    """Build a validated NetworkGraph from a decoded network document."""
-    return parse_document(doc).graph
+def _load_json(source: str | Path) -> object:
+    """Decode a JSON file, or JSON text when ``source`` names no file.
 
-
-def load_network(
-    source: str | Path, *, default_gen_error: Fraction | None = None
-) -> NetworkDocument:
-    """Load and parse a network document from a JSON file or JSON text."""
+    Every decoding failure is a ParseError, including nesting too deep for
+    the decoder and integer literals beyond Python's digit limit.
+    """
     text = source
     path = Path(source)
     try:
@@ -414,19 +418,16 @@ def load_network(
     except OSError:
         pass
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
-    return parse_document(doc, default_gen_error=default_gen_error)
 
 
-def induce_digraph(g: NetworkGraph) -> DiGraph:
-    """Both orientations of every edge, as an explicit directed graph."""
-    arcs = []
-    for e in g.edges:
-        arcs.append((e.a, e.b))
-        arcs.append((e.b, e.a))
-    return DiGraph(nodes=g.nodes, arcs=tuple(sorted(arcs)))
+def load_network(
+    source: str | Path, *, default_gen_error: Fraction | None = None
+) -> NetworkDocument:
+    """Load and parse a network document from a JSON file or JSON text."""
+    return parse_document(_load_json(source), default_gen_error=default_gen_error)
 
 
 def undirected_max_flow(
@@ -475,29 +476,40 @@ def undirected_max_flow(
                     queue.append(v)
         if level[t] < 0:
             return flow
+        # Depth-first augmentation along the level graph with an explicit
+        # stack; it[u] is u's current arc, kept across augmenting paths.
         it = [0] * n
-
-        def augment(u, limit):
+        path = [s]
+        arcs: list[int] = []
+        limits = [total]
+        while path:
+            u = path[-1]
             if u == t:
-                return limit
-            while it[u] < len(adj[u]):
-                aid = adj[u][it[u]]
-                v = to[aid]
-                if res[aid] > tol and level[v] == level[u] + 1:
-                    pushed = augment(v, min(limit, res[aid]))
-                    if pushed > tol:
-                        res[aid] -= pushed
-                        res[aid ^ 1] += pushed
-                        return pushed
+                pushed = limits[-1]
+                for aid in arcs:
+                    res[aid] -= pushed
+                    res[aid ^ 1] += pushed
+                flow += pushed
+                del path[1:], arcs[:], limits[1:]
+                continue
+            out = adj[u]
+            next_level = level[u] + 1
+            while it[u] < len(out):
+                aid = out[it[u]]
+                if res[aid] > tol and level[to[aid]] == next_level:
+                    path.append(to[aid])
+                    arcs.append(aid)
+                    limits.append(min(limits[-1], res[aid]))
+                    break
                 it[u] += 1
-            level[u] = -1
-            return 0
-
-        while True:
-            pushed = augment(s, total)
-            if pushed <= tol:
-                break
-            flow += pushed
+            else:
+                # Dead end: no augmenting path continues through u.
+                level[u] = -1
+                path.pop()
+                if arcs:
+                    arcs.pop()
+                    limits.pop()
+                    it[path[-1]] += 1
 
 
 def min_cut(g: NetworkGraph) -> int:

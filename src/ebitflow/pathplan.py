@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
     YieldShortfall,
 )
-from .mincostflow import FlowSolution
+from .mincostflow import FlowSolution, validate_flow
 from .netgraph import EdgeKey, NetworkGraph, NodeId, edge_key
 from .yields import YieldFunction
 
@@ -63,10 +63,10 @@ def decompose_flow(sol: FlowSolution) -> tuple[PathBundle, ...]:
     sum to the net flow and the per-edge path counts reproduce the flow.
 
     Raises:
-        MalformedFlow: If the flow violates conservation, runs an unknown
-            arc, carries opposing flow, or strands flow on no s-t path.
+        MalformedFlow: If the flow fails ``validate_flow`` or strands flow
+            on no s-t path.
     """
-    _check_decomposable(sol)
+    validate_flow(sol)
     residual: dict[tuple[NodeId, NodeId], int] = {
         arc: f for arc, f in sol.arc_flow.items() if f > 0
     }
@@ -86,29 +86,6 @@ def decompose_flow(sol: FlowSolution) -> tuple[PathBundle, ...]:
     if sum(b.multiplicity for b in bundles) != sol.net_flow:
         raise InvariantViolation("path bundles do not sum to the net flow")
     return tuple(bundles)
-
-
-def _check_decomposable(sol: FlowSolution) -> None:
-    g = sol.graph
-    balance: dict[NodeId, int] = {n: 0 for n in g.nodes}
-    for (a, b), f in sol.arc_flow.items():
-        if f < 0:
-            raise MalformedFlow(f"negative flow on arc {(a, b)}")
-        if edge_key(a, b) not in g.edge_map:
-            raise MalformedFlow(f"flow on unknown edge {edge_key(a, b)}")
-        balance[a] -= f
-        balance[b] += f
-    for n in g.nodes:
-        expected = 0
-        if n == g.source:
-            expected = -sol.net_flow
-        elif n == g.sink:
-            expected = sol.net_flow
-        if balance[n] != expected:
-            raise MalformedFlow(f"conservation violated at node {n!r}")
-    for key in g.edge_map:
-        if sol.arc_flow.get(key, 0) > 0 and sol.arc_flow.get((key[1], key[0]), 0) > 0:
-            raise MalformedFlow(f"opposing flow on edge {key}")
 
 
 def _fewest_hops_lexicographic(

@@ -48,6 +48,13 @@ class ChannelModel:
                 raise ValidationError("pure-loss channel takes no Q")
         if self.use_rate <= 0:
             raise ValidationError("use_rate must be positive")
+        # Rates are computed in floating point from here on.
+        try:
+            weight = float(self.use_rate) * float(channel_capacity(self))
+        except (OverflowError, ValueError) as exc:
+            raise ValidationError(f"channel parameters out of float range: {exc}") from exc
+        if math.isinf(weight):
+            raise ValidationError("channel weight overflows a float")
 
 
 def channel_capacity(model: ChannelModel):

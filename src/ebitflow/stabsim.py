@@ -34,9 +34,10 @@ copies changes none of these draws, so results depend only on
 
 Besides Monte-Carlo estimation this module computes exact delivered-state
 error for small schedules: every Pauli-noise branch delivers a product of
-Bell states, so the output mixture is diagonal in the Bell-product basis
-and trace distances reduce to exact rational arithmetic over per-site
-branch weights.
+Bell states, so the output mixture is diagonal in the Bell-product basis,
+and because every noise site mixes its copy's Bell label uniformly the
+pass probability has a closed form in exact rationals (see
+``exact_pass_probability``).
 
 Trace distance here is (1/2) the trace norm of the difference, so the
 distance between a Bell state and the maximally mixed two-qubit state
@@ -392,6 +393,10 @@ def _compile(sched: SwapSchedule, noise: NoiseModel) -> _Program:
             raw.append((_PAIR, ins.qubit_left, ins.qubit_right, error_p))
             ties.append((ins.qubit_left, ins.qubit_right))
         elif isinstance(ins, BellMeasure):
+            if ins.qubit_left == ins.qubit_right:
+                raise ScheduleViolation(
+                    f"Bell measurement m{ins.index} on one qubit q{ins.qubit_left}"
+                )
             require_live(ins.qubit_left, "measurement")
             require_live(ins.qubit_right, "measurement")
             measured.add(ins.qubit_left)
@@ -510,9 +515,12 @@ def run_schedule(
 
     Raises:
         ScheduleViolation: On double creation, qubits outside the schedule,
-            gates or corrections on measured qubits, re-measurement, or
-            unknown measurement sources.
+            a Bell measurement of one qubit with itself, gates or
+            corrections on measured qubits, re-measurement, or unknown
+            measurement sources.
+        ValidationError: On a negative seed.
     """
+    _require_seed(seed)
     rng = np.random.default_rng(seed)
     prog = _compile(sched, noise or NoiseModel.zero())
     tabs, outcomes, frames = _execute(prog, rng)
@@ -535,6 +543,12 @@ def run_schedule(
         ),
         pairs=tuple(pairs),
     )
+
+
+def _require_seed(seed: int | Sequence[int]) -> None:
+    # numpy rejects negative seed words with a bare ValueError.
+    if np.any(np.asarray(seed) < 0):
+        raise ValidationError(f"seed must be non-negative, got {seed}")
 
 
 def _apply_pauli(state: StabilizerState, q: int, which: int) -> None:
@@ -596,6 +610,7 @@ def fidelity_estimate(
     """
     if trials <= 0:
         raise ValidationError("trials must be positive")
+    _require_seed(seed)
     prog = _compile(sched, noise or NoiseModel.zero())
     passes = [0] * len(prog.checks)
     all_pass = 0
@@ -646,28 +661,6 @@ def _copy_sites(sched: SwapSchedule) -> dict[int, tuple[list[EdgeKey], int]]:
     return sites
 
 
-def _mixing_site(q: Fraction) -> dict[tuple[int, int], Fraction]:
-    # With probability q the pair picks a uniformly random Bell label.
-    quarter = q / 4
-    return {
-        (0, 0): 1 - 3 * quarter,
-        (1, 0): quarter,
-        (0, 1): quarter,
-        (1, 1): quarter,
-    }
-
-
-def _convolve(
-    d1: Mapping[tuple[int, int], Fraction], d2: Mapping[tuple[int, int], Fraction]
-) -> dict[tuple[int, int], Fraction]:
-    out: dict[tuple[int, int], Fraction] = {}
-    for (x1, z1), p1 in d1.items():
-        for (x2, z2), p2 in d2.items():
-            key = (x1 ^ x2, z1 ^ z2)
-            out[key] = out.get(key, Fraction(0)) + p1 * p2
-    return out
-
-
 def exact_pass_probability(
     sched: SwapSchedule,
     noise: NoiseModel | None = None,
@@ -677,28 +670,25 @@ def exact_pass_probability(
 ) -> Fraction:
     """Exact probability that every delivered pair passes its Bell check.
 
-    Each noise site contributes an independent Bell-label flip distribution
-    on its path copy: a uniformly random Pauli on qubits that feed a Bell
-    measurement flips the delivered label's X and Z bits uniformly, and a
-    replaced pair does the same. Flips add over GF(2), so per-copy branch
-    weights are an XOR-convolution across sites, and copies multiply.
+    Each noise site on a path copy mixes the delivered Bell label
+    uniformly: with probability q a replaced pair picks a random label,
+    and a uniformly random Pauli on qubits that feed a Bell measurement
+    flips the label's X and Z bits uniformly. A uniform label stays
+    uniform whatever the other sites do, so a copy keeps its ideal label
+    unless some site mixes it, and passes with probability
+    P + (1 - P) / 4, where P is the product of (1 - q) over its sites.
+    Copies are independent, so their probabilities multiply.
     """
     noise = noise or NoiseModel.zero()
     prob = Fraction(1)
-    sites = _copy_sites(sched)
-    for copy in sorted(sites):
-        edges, bsms = sites[copy]
-        dist: dict[tuple[int, int], Fraction] = {(0, 0): Fraction(1)}
+    for edges, bsms in _copy_sites(sched).values():
+        unmixed = Fraction(1)
         if include_pair_error:
             for edge in edges:
-                q = noise.pair_error.get(edge, Fraction(0))
-                if q > 0:
-                    dist = _convolve(dist, _mixing_site(q))
-        if include_swap_error and noise.swap_depolarize_p > 0:
-            site = _mixing_site(noise.swap_depolarize_p)
-            for _ in range(bsms):
-                dist = _convolve(dist, site)
-        prob *= dist.get((0, 0), Fraction(0))
+                unmixed *= 1 - noise.pair_error.get(edge, Fraction(0))
+        if include_swap_error:
+            unmixed *= (1 - noise.swap_depolarize_p) ** bsms
+        prob *= unmixed + (1 - unmixed) / 4
     return prob
 
 

@@ -2,10 +2,11 @@
 
 Everything here is deliberately naive: exhaustive subset scans and
 depth-first searches with no shared code or ideas with the package
-implementations, so an agreement between the two is meaningful. The one
-exception is the reference stabilizer simulator at the end: the package's
-earlier numpy tableau, kept as the slow path its bit-packed replacement
-must reproduce draw for draw.
+implementations, so an agreement between the two is meaningful. The
+exceptions are the reference stabilizer simulator and the XOR convolution
+at the end: the package's earlier numpy tableau, kept as the slow path its
+bit-packed replacement must reproduce draw for draw, and its earlier exact
+pass probability, which the closed form must equal exactly.
 """
 
 from fractions import Fraction
@@ -488,3 +489,43 @@ def reference_fidelity_estimate(
             )
         )
     return FidelityEstimate(trials=trials, pairs=tuple(stats), all_pass_count=all_pass)
+
+
+def convolved_pass_probability(
+    sched: SwapSchedule,
+    noise: NoiseModel,
+    *,
+    include_pair_error: bool = True,
+    include_swap_error: bool = True,
+) -> Fraction:
+    """Exact all-pass probability by brute force over Bell labels: per path
+    copy, the XOR-convolution of every noise site's label distribution
+    (with probability q the label becomes uniformly random)."""
+
+    def mixing(q: Fraction) -> dict:
+        return {(0, 0): 1 - 3 * q / 4, (1, 0): q / 4, (0, 1): q / 4, (1, 1): q / 4}
+
+    def convolve(d1: dict, d2: dict) -> dict:
+        out: dict = {}
+        for (x1, z1), p1 in d1.items():
+            for (x2, z2), p2 in d2.items():
+                key = (x1 ^ x2, z1 ^ z2)
+                out[key] = out.get(key, Fraction(0)) + p1 * p2
+        return out
+
+    copy_of: dict[int, int] = {}
+    labels: dict[int, dict] = {}
+    for ins in sched.instructions:
+        if isinstance(ins, CreateBellPair):
+            copy_of[ins.qubit_left] = copy_of[ins.qubit_right] = ins.copy
+            dist = labels.setdefault(ins.copy, {(0, 0): Fraction(1)})
+            if include_pair_error:
+                q = noise.pair_error.get(ins.edge, Fraction(0))
+                labels[ins.copy] = convolve(dist, mixing(q))
+        elif isinstance(ins, BellMeasure) and include_swap_error:
+            copy = copy_of[ins.qubit_left]
+            labels[copy] = convolve(labels[copy], mixing(noise.swap_depolarize_p))
+    prob = Fraction(1)
+    for dist in labels.values():
+        prob *= dist[(0, 0)]
+    return prob

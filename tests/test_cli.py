@@ -1,6 +1,8 @@
-"""End-to-end command-line checks via subprocess."""
+"""End-to-end command-line checks, via subprocess and in process."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,8 +10,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ebitflow
+from ebitflow import cli, concat
 
 CHAIN_DOC = {
     "nodes": ["s", "r", "t"],
@@ -120,6 +124,55 @@ def run_cli(*args, env_extra=None):
 def report(proc):
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+def call_main(*argv):
+    """Exit code, stdout and stderr of one in-process ``cli.main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_json_error(err, kind=None):
+    """A failed command writes exactly one JSON error object to stderr."""
+    doc = json.loads(err)
+    assert set(doc) == {"error"}, err
+    if kind is not None:
+        assert doc["error"]["type"] == kind, err
+
+
+def chain_doc(hops):
+    nodes = [f"n{i}" for i in range(hops + 1)]
+    return {
+        "nodes": nodes,
+        "edges": [
+            {"a": a, "b": b, "capacity": 2, "cost": 1}
+            for a, b in zip(nodes, nodes[1:])
+        ],
+        "source": nodes[0],
+        "sink": nodes[-1],
+    }
+
+
+def nested_hierarchy(depth):
+    """JSON text of a two-node hierarchy whose single edge wraps ``depth``
+    levels; built as text because json.dumps itself stops at ~1000 levels."""
+    text = json.dumps(
+        {
+            "nodes": ["A", "B"],
+            "edges": [{"a": "A", "b": "B", "capacity": 2, "cost": 1}],
+            "source": "A",
+            "sink": "B",
+        }
+    )
+    for _ in range(depth):
+        text = (
+            '{"nodes": ["A", "B"], "edges": [{"a": "A", "b": "B", "lower": '
+            f'{{"network": {text}, "yield": {{"kind": "identity"}}, '
+            '"max_uses": 2, "delta_target": 0}}], "source": "A", "sink": "B"}'
+        )
+    return text
 
 
 class TestEnvelope:
@@ -367,6 +420,84 @@ class TestExitCodes:
         err = json.loads(proc.stderr)
         assert err["error"]["type"] == "NegativeTarget"
 
+    def test_negative_seed_fails_simulate_only(self, docs):
+        proc = run_cli("simulate", "--input", docs["chain"], "--target", "1", "--seed", "-1")
+        assert proc.returncode == 3
+        err = json.loads(proc.stderr)
+        assert err["error"]["type"] == "ValidationError"
+        assert report(run_cli("mincut", "--input", docs["chain"], "--seed", "-1"))["seed"] == -1
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 100_000 + "]" * 100_000,
+            json.dumps(CHAIN_DOC).replace('"capacity": 3', '"capacity": 1' + "0" * 5000),
+            json.dumps(CHAIN_DOC).replace('"cost": 1.0', '"cost": 1e400', 1),
+            json.dumps(CHAIN_DOC).replace('"cost": 1.0', '"cost": NaN', 1),
+        ],
+        ids=["deep-nesting", "long-integer", "infinite-cost", "nan-cost"],
+    )
+    def test_undecodable_numbers_and_nesting(self, tmp_path, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        code, out, err = call_main("mincut", "--input", str(path))
+        assert (code, out) == (3, "")
+        assert_json_error(err, "ParseError")
+
+    def test_hierarchy_nested_past_the_decoder_limit(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(nested_hierarchy(300))
+        code, _, err = call_main("concat", "--input", str(path), "--target", "1")
+        assert code == 3
+        assert_json_error(err, "ParseError")
+
+    def test_deep_hierarchy_below_the_decoder_limit(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(nested_hierarchy(150))
+        code, out, err = call_main(
+            "concat", "--input", str(path), "--target", "1", "--format", "text"
+        )
+        assert code == 0, err
+        assert out.startswith("level: 150\n")
+
+
+class TestLongChain:
+    """Max-flow must not depend on Python's recursion limit."""
+
+    @pytest.fixture(scope="class")
+    def chain_path(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("chain") / "chain10000.json"
+        path.write_text(json.dumps(chain_doc(10_000)))
+        return str(path)
+
+    def test_mincut(self, chain_path):
+        code, out, err = call_main("mincut", "--input", chain_path)
+        assert code == 0, err
+        assert json.loads(out)["result"] == {"min_cut": 2}
+
+    def test_flow(self, chain_path):
+        code, out, err = call_main("flow", "--input", chain_path, "--target", "2")
+        assert code == 0, err
+        result = json.loads(out)["result"]
+        assert result["net_flow"] == 2
+        assert result["total_cost_milli"] == 2 * 10_000 * 1000
+
+
+def test_concat_resolves_the_hierarchy_once(docs, monkeypatch):
+    calls = []
+    resolve = concat._resolve
+
+    def counting(net):
+        calls.append(net)
+        return resolve(net)
+
+    monkeypatch.setattr(concat, "_resolve", counting)
+    code, _, err = call_main(
+        "concat", "--input", docs["hier"], "--target", "2", "--noise-p", "1/100"
+    )
+    assert code == 0, err
+    assert len(calls) == 1
+
 
 class TestDeterminism:
     def test_simulate_runs_are_byte_identical(self, docs):
@@ -391,3 +522,79 @@ class TestDeterminism:
     def test_concat_runs_are_byte_identical(self, docs):
         args = ("concat", "--input", docs["hier"], "--target", "2")
         assert run_cli(*args).stdout == run_cli(*args).stdout
+
+
+SIM_DOC = {
+    **CHAIN_DOC,
+    "edges": [dict(e, delta=0.01) for e in CHAIN_DOC["edges"]],
+}
+
+# Per command: a fixed valid argv and a document it accepts.
+FUZZ_CASES = {
+    "mincut": ((), CHAIN_DOC),
+    "flow": (("--target", "1"), CHAIN_DOC),
+    "maxflow": ((), CHAIN_DOC),
+    "price-scan": ((), CHAIN_DOC),
+    "plan": (("--target", "1"), CHAIN_DOC),
+    "simulate": (("--target", "1", "--trials", "5", "--noise-p", "1/10"), SIM_DOC),
+    "concat": (("--target", "1", "--noise-p", "1/10"), HIER_DOC),
+    "rate": ((), CHANNEL_DOC),
+}
+
+
+def value_paths(doc, prefix=()):
+    """Paths to every value below the root of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from value_paths(value, prefix + (key,))
+
+
+def replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+FUZZ_VALUES = st.one_of(
+    st.booleans(),
+    st.sampled_from([10**30, -(10**30), 10**4000]),
+    st.recursive(st.just([]), lambda inner: st.lists(inner, max_size=3), max_leaves=8),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def fuzz_inputs(draw, doc):
+    """Random bytes, or ``doc`` with one value swapped for a random one."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    path = draw(st.sampled_from(sorted(value_paths(doc), key=repr)))
+    return json.dumps(replaced(doc, path, draw(FUZZ_VALUES))).encode()
+
+
+class TestFuzz:
+    """Every input gets a report or a JSON error, never a traceback."""
+
+    @pytest.mark.parametrize("command", sorted(FUZZ_CASES))
+    @settings(
+        derandomize=True,
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_cli_contract(self, tmp_path, command, data):
+        args, doc = FUZZ_CASES[command]
+        path = tmp_path / "input.json"
+        path.write_bytes(data.draw(fuzz_inputs(doc)))
+        code, out, err = call_main(command, "--input", str(path), *args)
+        assert code in (0, 3, 4)
+        if code:
+            assert_json_error(err)
+        else:
+            json.loads(out)

@@ -19,7 +19,6 @@ from ebitflow import (
     aggregate_level,
     build_swap_schedule,
     decompose_flow,
-    effective_capacity,
     effective_min_cut,
     exact_operation_error,
     flatten,
@@ -199,7 +198,7 @@ class TestEffectiveCapacity:
         e = HierEdge(
             a="A", b="B", lower=phys("A", "B", 7, 1000), yield_fn=YieldFunction.identity(7)
         )
-        assert effective_capacity(e) == 7
+        assert e.yield_fn.cap() == 7
 
     def test_linear_floor(self):
         e = HierEdge(
@@ -208,7 +207,7 @@ class TestEffectiveCapacity:
             lower=phys("A", "B", 9, 1000),
             yield_fn=YieldFunction.linear_floor(Fraction(1, 3), 10),
         )
-        assert effective_capacity(e) == 3
+        assert e.yield_fn.cap() == 3
 
     def test_table(self):
         e = HierEdge(
@@ -217,7 +216,7 @@ class TestEffectiveCapacity:
             lower=phys("A", "B", 9, 1000),
             yield_fn=YieldFunction.table([(1, 0), (5, 2), (9, 4)]),
         )
-        assert effective_capacity(e) == 4
+        assert e.yield_fn.cap() == 4
 
 
 class TestEffectiveMinCut:

@@ -10,10 +10,10 @@ from ebitflow import (
     MalformedFlow,
     NegativeTarget,
     NetworkGraph,
-    best_unit_price_target,
     min_cost_flow,
     min_cost_max_flow,
     min_cut,
+    price_curve,
     solution_dot,
     solution_report,
     unit_price,
@@ -105,23 +105,25 @@ class TestUnitPrice:
 
     def test_best_target_single_edge(self):
         g = NetworkGraph.from_edge_list([("s", "t", 5, 3000)], "s", "t")
-        target, sol = best_unit_price_target(g)
+        curve, target = price_curve(g)
+        sol = curve[target - 1]
         assert target == 1
         assert unit_price(sol) == 3000
 
     def test_best_target_avoids_costly_second_route(self):
-        target, sol = best_unit_price_target(TWO_ROUTE)
+        curve, target = price_curve(TWO_ROUTE)
+        sol = curve[target - 1]
         assert target == 1
         assert sol.total_cost == 2000
 
     def test_best_target_tie_takes_smallest(self):
-        target, _ = best_unit_price_target(DIAMOND)
+        _, target = price_curve(DIAMOND)
         assert target == 1
 
     def test_best_target_disconnected(self):
         g = NetworkGraph.from_edge_list([], "s", "t", extra_nodes=["s", "t"])
         with pytest.raises(InfeasibleTarget):
-            best_unit_price_target(g)
+            price_curve(g)
 
 
 class TestValidation:

@@ -11,10 +11,8 @@ from ebitflow import (
     ParseError,
     ValidationError,
     as_fraction,
-    build_graph,
     cost_to_milli,
     edge_key,
-    induce_digraph,
     load_network,
     min_cut,
     parse_document,
@@ -106,7 +104,7 @@ MINIMAL_DOC = {
 
 class TestParsing:
     def test_minimal_document(self):
-        g = build_graph(MINIMAL_DOC)
+        g = parse_document(MINIMAL_DOC).graph
         assert len(g.nodes) == 2
         assert len(g.edges) == 1
         assert g.edges[0].capacity == 5
@@ -120,7 +118,7 @@ class TestParsing:
             "sink": "t",
         }
         with pytest.raises(ValidationError):
-            build_graph(doc)
+            parse_document(doc).graph
 
     def test_six_node_eight_edge_fixture(self):
         nodes = ["s", "u", "v", "w", "x", "t"]
@@ -136,34 +134,34 @@ class TestParsing:
             "source": "s",
             "sink": "t",
         }
-        g = build_graph(doc)
+        g = parse_document(doc).graph
         assert len(g.nodes) == 6
         assert len(g.edges) == 8
 
     def test_unknown_fields_rejected(self):
         doc = dict(MINIMAL_DOC, extra=1)
         with pytest.raises(ParseError):
-            build_graph(doc)
+            parse_document(doc).graph
         doc = dict(MINIMAL_DOC)
         doc["edges"] = [dict(doc["edges"][0], weird=2)]
         with pytest.raises(ParseError):
-            build_graph(doc)
+            parse_document(doc).graph
 
     def test_missing_fields_rejected(self):
         doc = {k: v for k, v in MINIMAL_DOC.items() if k != "sink"}
         with pytest.raises(ParseError):
-            build_graph(doc)
+            parse_document(doc).graph
 
     def test_unknown_endpoint_rejected(self):
         doc = dict(MINIMAL_DOC)
         doc["edges"] = [{"a": "s", "b": "q", "capacity": 1, "cost": 0}]
         with pytest.raises(ValidationError):
-            build_graph(doc)
+            parse_document(doc).graph
 
     def test_source_equals_sink_rejected(self):
         doc = dict(MINIMAL_DOC, sink="s")
         with pytest.raises(ValidationError):
-            build_graph(doc)
+            parse_document(doc).graph
 
     def test_parallel_entries_merge(self):
         doc = {
@@ -175,7 +173,7 @@ class TestParsing:
             "source": "s",
             "sink": "t",
         }
-        g = build_graph(doc)
+        g = parse_document(doc).graph
         assert len(g.edges) == 1
         assert g.edges[0].capacity == 5
         assert g.edges[0].max_uses == 9
@@ -191,7 +189,7 @@ class TestParsing:
             "sink": "t",
         }
         with pytest.raises(ValidationError):
-            build_graph(doc)
+            parse_document(doc).graph
 
     def test_parallel_delta_mismatch_rejected(self):
         doc = {
@@ -204,12 +202,12 @@ class TestParsing:
             "sink": "t",
         }
         with pytest.raises(ValidationError):
-            build_graph(doc)
+            parse_document(doc).graph
 
     def test_delta_parsed_exactly(self):
         doc = dict(MINIMAL_DOC)
         doc["edges"] = [dict(doc["edges"][0], delta=0.001)]
-        g = build_graph(doc)
+        g = parse_document(doc).graph
         assert g.edges[0].gen_error == Fraction(1, 1000)
 
     def test_delta_default_applied(self):
@@ -218,10 +216,10 @@ class TestParsing:
 
     def test_load_network_from_text_and_file(self, tmp_path):
         text = json.dumps(MINIMAL_DOC)
-        assert load_network(text).graph == build_graph(MINIMAL_DOC)
+        assert load_network(text).graph == parse_document(MINIMAL_DOC).graph
         f = tmp_path / "net.json"
         f.write_text(text)
-        assert load_network(f).graph == build_graph(MINIMAL_DOC)
+        assert load_network(f).graph == parse_document(MINIMAL_DOC).graph
 
     def test_invalid_json_rejected(self):
         with pytest.raises(ParseError):
@@ -240,25 +238,6 @@ class TestParsing:
         key = edge_key("s", "t")
         assert docu.channels[key]["kind"] == "explicit"
         assert docu.yields[key]["kind"] == "identity"
-
-
-class TestDigraph:
-    def test_single_edge(self):
-        d = induce_digraph(single())
-        assert set(d.arcs) == {("s", "t"), ("t", "s")}
-
-    def test_path_has_four_arcs(self):
-        assert len(induce_digraph(CHAIN).arcs) == 4
-
-    def test_empty_edges(self):
-        g = NetworkGraph.from_edge_list([], "s", "t", extra_nodes=["s", "t"])
-        assert induce_digraph(g).arcs == ()
-
-    def test_forgetting_orientation_recovers_edges(self):
-        d = induce_digraph(DIAMOND)
-        undirected = {edge_key(a, b) for a, b in d.arcs}
-        assert undirected == set(DIAMOND.edge_map)
-        assert len(d.arcs) == 2 * len(DIAMOND.edges)
 
 
 class TestMinCut:

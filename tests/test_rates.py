@@ -100,6 +100,22 @@ class TestParseChannel:
         with pytest.raises(ParseError):
             parse_channel({"kind": "pure-loss", "rate": 1})
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"kind": "explicit", "Q": 10**400, "rate": 1},
+            {"kind": "explicit", "Q": 0, "rate": 10**400},
+            {"kind": "explicit", "Q": 10**200, "rate": 10**200},
+            {"kind": "pure-loss", "eta": f"{10**400 - 1}/{10**400}", "rate": 1},
+        ],
+        ids=["huge-capacity", "huge-rate", "huge-weight", "eta-underflow"],
+    )
+    def test_values_beyond_float_range(self, raw):
+        # Rates are computed in floats; these used to raise OverflowError
+        # or a math domain error from inside the computation.
+        with pytest.raises(ValidationError):
+            parse_channel(raw)
+
 
 def single_edge():
     return NetworkGraph.from_edge_list([("s", "t", 1, 0)], "s", "t")

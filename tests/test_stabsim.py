@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 from oracles import (
     ReferenceTableau,
+    convolved_pass_probability,
     reference_fidelity_estimate,
     reference_run_schedule,
 )
@@ -275,6 +276,27 @@ class TestScheduleViolations:
         with pytest.raises(ScheduleViolation):
             run_schedule(sched)
 
+    def test_bell_measurement_of_one_qubit(self):
+        sched = SwapSchedule(
+            instructions=(
+                CreateBellPair("s", "r", 0, 1, 0),
+                CreateBellPair("r", "t", 2, 3, 0),
+                BellMeasure("r", 1, 1, 0),
+            ),
+            deliveries=(),
+            qubit_nodes=("s", "r", "r", "t"),
+        )
+        with pytest.raises(ScheduleViolation):
+            run_schedule(sched)
+
+    def test_negative_seed(self):
+        with pytest.raises(ValidationError):
+            run_schedule(RELAY, seed=-1)
+        with pytest.raises(ValidationError):
+            run_schedule(RELAY, seed=(3, -1))
+        with pytest.raises(ValidationError):
+            fidelity_estimate(RELAY, trials=1, seed=-1)
+
     def test_delivery_of_measured_qubit(self):
         sched = SwapSchedule(
             instructions=(
@@ -324,6 +346,19 @@ def noisy_schedules(draw):
     pair_error = {key: Fraction(draw(st.integers(0, 12)), 12) for key in keys}
     p = draw(st.sampled_from([Fraction(0), Fraction(1, 20), Fraction(1, 4), Fraction(1)]))
     return sched, NoiseModel(swap_depolarize_p=p, pair_error=pair_error)
+
+
+class TestClosedFormExact:
+    """The closed-form pass probability equals the XOR convolution of
+    per-site Bell-label distributions in ``tests/oracles.py`` exactly."""
+
+    @given(noisy_schedules(), st.booleans(), st.booleans())
+    def test_matches_convolution(self, case, pair, swap):
+        sched, noise = case
+        flags = {"include_pair_error": pair, "include_swap_error": swap}
+        assert exact_pass_probability(sched, noise, **flags) == (
+            convolved_pass_probability(sched, noise, **flags)
+        )
 
 
 class TestAgainstReferenceTableau:
