@@ -52,6 +52,7 @@ from .netgraph import (
     EdgeKey,
     NetworkGraph,
     NodeId,
+    _DOC_FIELDS,
     _load_json,
     _parse_nodes,
     as_fraction,
@@ -478,7 +479,9 @@ def _parse_lower(raw: Mapping, where: str) -> dict:
     if missing:
         raise ParseError(f"{where}: missing lower fields {sorted(missing)}")
     max_uses = raw.get("max_uses")
-    if max_uses is not None and (not isinstance(max_uses, int) or max_uses < 0):
+    if max_uses is not None and (
+        not isinstance(max_uses, int) or isinstance(max_uses, bool) or max_uses < 0
+    ):
         raise ParseError(f"{where}: max_uses must be a non-negative integer")
     out = {
         "network": raw["network"],
@@ -515,10 +518,10 @@ def parse_hierarchical(doc: Mapping) -> HierarchicalNetwork:
             "a network must be uniformly physical or uniformly wrapped; "
             "wrap single physical edges as two-node networks instead of mixing"
         )
-    unknown = set(doc) - {"nodes", "edges", "source", "sink"}
+    unknown = set(doc) - _DOC_FIELDS
     if unknown:
         raise ParseError(f"unknown fields {sorted(unknown)}")
-    missing = {"nodes", "edges", "source", "sink"} - set(doc)
+    missing = _DOC_FIELDS - set(doc)
     if missing:
         raise ParseError(f"missing fields {sorted(missing)}")
     nodes = _parse_nodes(doc["nodes"])

@@ -6,9 +6,13 @@ most ``capacity`` pairs in total across both directions and each delivered
 pair on an edge costs ``unit_cost`` milli-units?
 
 Algorithm: successive shortest augmenting paths with node potentials, so
-Dijkstra always sees non-negative reduced costs. Among equal-cost shortest
-paths the lexicographically smallest node-label sequence is chosen, which
-makes results reproducible across runs and platforms. After the target is
+Dijkstra always sees non-negative reduced costs. Each augmentation runs one
+Dijkstra and adds its distances to the potentials; the cheapest paths are
+then exactly the paths of zero-reduced-cost arcs, and among them the
+lexicographically smallest node-label sequence is chosen, which makes
+results reproducible across runs and platforms. When the sink becomes
+unreachable before the target is met, the flow is maximum, so the target
+exceeds the min-cut and no separate min-cut is computed. After the target is
 met the flow is canonicalized: opposing flow on an edge is cancelled and any
 remaining zero-cost support cycles are removed, so for every edge at most
 one direction carries flow.
@@ -67,7 +71,10 @@ class _Residual:
     """Residual digraph with one forward arc per edge orientation.
 
     Arc ``i`` and ``i ^ 1`` are mutual reverses. Forward arcs carry the edge
-    cost, reverse arcs its negation. ``res`` holds remaining capacity.
+    cost, reverse arcs its negation. ``res`` holds remaining capacity. An arc
+    is tight when it has remaining capacity and zero reduced cost; once the
+    potentials include a Dijkstra's distances from the source, the cheapest
+    source-sink paths are exactly the paths of tight arcs.
     """
 
     def __init__(self, g: NetworkGraph) -> None:
@@ -77,7 +84,6 @@ class _Residual:
         self.to: list[int] = []
         self.res: list[int] = []
         self.cost: list[int] = []
-        self.arc_ends: list[Arc] = []
         for e in g.edges:
             self._add(e.a, e.b, e.capacity, e.unit_cost)
             self._add(e.b, e.a, e.capacity, e.unit_cost)
@@ -88,12 +94,10 @@ class _Residual:
         self.to.append(ib)
         self.res.append(cap)
         self.cost.append(cost)
-        self.arc_ends.append((a, b))
         self.adj[ib].append(len(self.to))
         self.to.append(ia)
         self.res.append(0)
         self.cost.append(-cost)
-        self.arc_ends.append((b, a))
 
     def dijkstra(self, start: int, potential: list[int]) -> list[int | None]:
         """Shortest reduced-cost distance from ``start`` to every node."""
@@ -114,89 +118,60 @@ class _Residual:
                     heapq.heappush(heap, (nd, v))
         return dist
 
-    def dijkstra_to(self, goal: int, potential: list[int]) -> list[int | None]:
-        """Shortest reduced-cost distance from every node to ``goal``."""
-        radj: list[list[int]] = [[] for _ in self.nodes]
-        for u in range(len(self.nodes)):
-            for aid in self.adj[u]:
-                if self.res[aid] > 0:
-                    radj[self.to[aid]].append(aid)
-        dist: list[int | None] = [None] * len(self.nodes)
-        dist[goal] = 0
-        heap = [(0, goal)]
-        while heap:
-            d, v = heapq.heappop(heap)
-            if dist[v] is None or d > dist[v]:
-                continue
-            for aid in radj[v]:
-                u = self.index[self.arc_ends[aid][0]]
-                nd = d + self.cost[aid] + potential[u] - potential[v]
-                if dist[u] is None or nd < dist[u]:
-                    dist[u] = nd
-                    heapq.heappush(heap, (nd, u))
-        return dist
+    def tight(self, aid: int, potential: list[int]) -> bool:
+        """Whether arc ``aid`` has residual capacity and zero reduced cost."""
+        u, v = self.to[aid ^ 1], self.to[aid]
+        return self.res[aid] > 0 and self.cost[aid] + potential[u] - potential[v] == 0
 
     def lexicographic_shortest_path(
         self, s: int, t: int, potential: list[int]
-    ) -> list[int] | None:
+    ) -> list[int]:
         """Arc ids of the cheapest s-t path whose node-label sequence is
         lexicographically smallest among all cheapest simple paths.
 
-        Depth-first search restricted to arcs that lie on some cheapest
-        path, visiting neighbors in label order. Backtracking handles the
-        corner case where zero-cost cycles make the greedy walk dead-end.
+        Needs ``t`` reachable and this round's Dijkstra distances from ``s``
+        already in ``potential``. A search back from ``t`` (the arcs into
+        ``v`` are the partners of ``v``'s own arcs) marks the nodes with a
+        tight path to ``t``. A depth-first walk from ``s`` follows tight arcs
+        into marked nodes in label order, backtracking where zero-cost cycles
+        make the greedy walk dead-end.
         """
-        dist_s = self.dijkstra(s, potential)
-        if dist_s[t] is None:
-            return None
-        dist_t = self.dijkstra_to(t, potential)
-        total = dist_s[t]
+        reaches_t = {t}
+        frontier = [t]
+        while frontier:
+            v = frontier.pop()
+            for aid in self.adj[v]:
+                u = self.to[aid]
+                if u not in reaches_t and self.tight(aid ^ 1, potential):
+                    reaches_t.add(u)
+                    frontier.append(u)
 
-        def candidates(u: int, acc: int) -> list[tuple[str, int]]:
+        def candidates(u: int) -> list[tuple[int, int]]:
+            # (neighbor, first qualifying arc) pairs, largest label first.
             found: dict[int, int] = {}
             for aid in self.adj[u]:
-                if self.res[aid] <= 0:
-                    continue
                 v = self.to[aid]
-                if dist_t[v] is None or v in on_path:
-                    continue
-                rc = self.cost[aid] + potential[u] - potential[v]
-                if acc + rc + dist_t[v] == total and v not in found:
-                    found[v] = aid
-            return sorted(
-                ((self.nodes[v], aid) for v, aid in found.items()),
-                key=lambda item: item[0],
-            )
+                if v in reaches_t and v not in on_path and self.tight(aid, potential):
+                    found.setdefault(v, aid)
+            return sorted(found.items(), key=lambda vi: self.nodes[vi[0]], reverse=True)
 
         on_path = {s}
         path_arcs: list[int] = []
-        acc_costs = [0]
-        stack = [candidates(s, 0)]
-        while True:
-            node = s if not path_arcs else self.to[path_arcs[-1]]
-            if node == t:
-                return path_arcs
-            options = stack[-1]
-            if options:
-                _, aid = options.pop(0)
-                v = self.to[aid]
-                on_path.add(v)
+        stack = [candidates(s)]
+        while stack:
+            if stack[-1]:
+                v, aid = stack[-1].pop()
                 path_arcs.append(aid)
-                rc = (
-                    self.cost[aid]
-                    + potential[self.index[self.arc_ends[aid][0]]]
-                    - potential[v]
-                )
-                acc_costs.append(acc_costs[-1] + rc)
-                stack.append(candidates(v, acc_costs[-1]))
+                if v == t:
+                    return path_arcs
+                on_path.add(v)
+                stack.append(candidates(v))
             else:
                 # Dead end under the simple-path constraint; back out.
                 stack.pop()
-                if not path_arcs:
-                    return None
-                dropped = path_arcs.pop()
-                on_path.discard(self.to[dropped])
-                acc_costs.pop()
+                if path_arcs:
+                    on_path.discard(self.to[path_arcs.pop()])
+        raise InvariantViolation("no tight path to a reachable sink")
 
 
 def _cancel_cycles(arc_flow: dict[Arc, int], g: NetworkGraph) -> None:
@@ -283,38 +258,35 @@ def min_cost_flow(g: NetworkGraph, target: int) -> FlowSolution:
         raise NegativeTarget(f"target must be an integer, got {target!r}")
     if target < 0:
         raise NegativeTarget(f"target must be non-negative, got {target}")
-    capacity = min_cut(g)
-    if target > capacity:
-        raise InfeasibleTarget(
-            f"target {target} exceeds the source-sink min-cut {capacity}"
-        )
-
     residual = _Residual(g)
     s, t = residual.index[g.source], residual.index[g.sink]
     potential = [0] * len(residual.nodes)
     pushed = 0
     while pushed < target:
         dist = residual.dijkstra(s, potential)
-        path = residual.lexicographic_shortest_path(s, t, potential)
-        if path is None:
+        if dist[t] is None:
+            # No augmenting path is left, so the flow is maximum and
+            # ``pushed`` is the min-cut.
             raise InfeasibleTarget(
-                f"no augmenting path after {pushed} of {target} pairs"
+                f"target {target} exceeds the source-sink min-cut {pushed}"
             )
+        for v, d in enumerate(dist):
+            if d is not None:
+                potential[v] += d
+        path = residual.lexicographic_shortest_path(s, t, potential)
         bottleneck = min(residual.res[aid] for aid in path)
         bottleneck = min(bottleneck, target - pushed)
         for aid in path:
             residual.res[aid] -= bottleneck
             residual.res[aid ^ 1] += bottleneck
         pushed += bottleneck
-        for v in range(len(residual.nodes)):
-            if dist[v] is not None:
-                potential[v] += dist[v]
 
     arc_flow: dict[Arc, int] = {}
     for aid in range(0, len(residual.to), 2):
         f = residual.res[aid ^ 1]
         if f > 0:
-            a, b = residual.arc_ends[aid]
+            a = residual.nodes[residual.to[aid ^ 1]]
+            b = residual.nodes[residual.to[aid]]
             arc_flow[(a, b)] = arc_flow.get((a, b), 0) + f
     _cancel_cycles(arc_flow, g)
 

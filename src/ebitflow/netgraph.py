@@ -414,9 +414,11 @@ def _load_json(source: str | Path) -> object:
     path = Path(source)
     try:
         if path.is_file():
-            text = path.read_text()
+            text = path.read_text(encoding="utf-8")
     except OSError:
         pass
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input file {path} is not UTF-8: {exc}") from exc
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:

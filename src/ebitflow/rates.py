@@ -101,6 +101,7 @@ def asymptotic_rate(g: NetworkGraph, models: Mapping[EdgeKey, ChannelModel]) -> 
 
     Raises:
         MissingModel: If any edge lacks a channel model.
+        ValidationError: If the min-cut weight does not fit a float.
     """
     weights: dict[EdgeKey, object] = {}
     for e in g.edges:
@@ -123,11 +124,23 @@ def asymptotic_rate(g: NetworkGraph, models: Mapping[EdgeKey, ChannelModel]) -> 
         tol=tol,
     )
     if len(g.nodes) <= _ENUM_NODE_LIMIT:
-        cut = _enumerate_min_cut(g, weights)
-        if not abs(float(cut) - float(flow)) <= _TOL:
+        cut = _finite(_enumerate_min_cut(g, weights))
+        if not abs(cut - _finite(flow)) <= _TOL:
             raise InvariantViolation("max-flow disagrees with min-cut")
-        return float(cut)
-    return float(flow)
+        return cut
+    return _finite(flow)
+
+
+def _finite(weight) -> float:
+    """A cut weight as a float; one beyond float range is a ValidationError,
+    whether its exact sum overflows the conversion or its float sum is inf."""
+    try:
+        value = float(weight)
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):
+        raise ValidationError("the min-cut weight overflows a float")
+    return value
 
 
 def _enumerate_min_cut(g: NetworkGraph, weights: Mapping[EdgeKey, object]):

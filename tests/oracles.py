@@ -3,12 +3,15 @@
 Everything here is deliberately naive: exhaustive subset scans and
 depth-first searches with no shared code or ideas with the package
 implementations, so an agreement between the two is meaningful. The
-exceptions are the reference stabilizer simulator and the XOR convolution
-at the end: the package's earlier numpy tableau, kept as the slow path its
-bit-packed replacement must reproduce draw for draw, and its earlier exact
-pass probability, which the closed form must equal exactly.
+exceptions are the reference stabilizer simulator, the XOR convolution and
+the reference min-cost flow at the end: the package's earlier numpy
+tableau, kept as the slow path its bit-packed replacement must reproduce
+draw for draw, its earlier exact pass probability, which the closed form
+must equal exactly, and its earlier three-search min-cost flow, which the
+one-search solver must reproduce arc for arc.
 """
 
+import heapq
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
@@ -19,6 +22,10 @@ from ebitflow import (
     BellMeasure,
     CreateBellPair,
     FidelityEstimate,
+    FlowSolution,
+    InfeasibleTarget,
+    InvariantViolation,
+    NegativeTarget,
     NetworkGraph,
     NoiseModel,
     PairOutcome,
@@ -28,8 +35,11 @@ from ebitflow import (
     ScheduleViolation,
     SwapSchedule,
     ValidationError,
+    min_cut,
     wilson_interval,
 )
+from ebitflow.mincostflow import Arc, _cancel_cycles
+from ebitflow.netgraph import NodeId
 
 
 def cut_by_enumeration(g: NetworkGraph) -> int:
@@ -529,3 +539,215 @@ def convolved_pass_probability(
     for dist in labels.values():
         prob *= dist[(0, 0)]
     return prob
+
+
+# --- Reference min-cost flow ------------------------------------------------
+# The solver ``ebitflow.mincostflow.min_cost_flow`` used before it ran one
+# Dijkstra per augmentation: a second forward Dijkstra and a reverse one per
+# path search, and a Dinic min-cut before the first augmentation. Kept
+# unchanged so the one-search version can be pinned against it: same arcs,
+# same tie-break, same errors. The canonicalization after the loop is the
+# package's own ``_cancel_cycles``; both solvers share it, so the pin is on
+# the augmenting-path search.
+
+
+class _ReferenceResidual:
+    """Residual digraph with one forward arc per edge orientation.
+
+    Arc ``i`` and ``i ^ 1`` are mutual reverses. Forward arcs carry the edge
+    cost, reverse arcs its negation. ``res`` holds remaining capacity.
+    """
+
+    def __init__(self, g: NetworkGraph) -> None:
+        self.nodes = list(g.nodes)
+        self.index = {v: i for i, v in enumerate(self.nodes)}
+        self.adj: list[list[int]] = [[] for _ in self.nodes]
+        self.to: list[int] = []
+        self.res: list[int] = []
+        self.cost: list[int] = []
+        self.arc_ends: list[Arc] = []
+        for e in g.edges:
+            self._add(e.a, e.b, e.capacity, e.unit_cost)
+            self._add(e.b, e.a, e.capacity, e.unit_cost)
+
+    def _add(self, a: NodeId, b: NodeId, cap: int, cost: int) -> None:
+        ia, ib = self.index[a], self.index[b]
+        self.adj[ia].append(len(self.to))
+        self.to.append(ib)
+        self.res.append(cap)
+        self.cost.append(cost)
+        self.arc_ends.append((a, b))
+        self.adj[ib].append(len(self.to))
+        self.to.append(ia)
+        self.res.append(0)
+        self.cost.append(-cost)
+        self.arc_ends.append((b, a))
+
+    def dijkstra(self, start: int, potential: list[int]) -> list[int | None]:
+        """Shortest reduced-cost distance from ``start`` to every node."""
+        dist: list[int | None] = [None] * len(self.nodes)
+        dist[start] = 0
+        heap = [(0, start)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if dist[u] is None or d > dist[u]:
+                continue
+            for aid in self.adj[u]:
+                if self.res[aid] <= 0:
+                    continue
+                v = self.to[aid]
+                nd = d + self.cost[aid] + potential[u] - potential[v]
+                if dist[v] is None or nd < dist[v]:
+                    dist[v] = nd
+                    heapq.heappush(heap, (nd, v))
+        return dist
+
+    def dijkstra_to(self, goal: int, potential: list[int]) -> list[int | None]:
+        """Shortest reduced-cost distance from every node to ``goal``."""
+        radj: list[list[int]] = [[] for _ in self.nodes]
+        for u in range(len(self.nodes)):
+            for aid in self.adj[u]:
+                if self.res[aid] > 0:
+                    radj[self.to[aid]].append(aid)
+        dist: list[int | None] = [None] * len(self.nodes)
+        dist[goal] = 0
+        heap = [(0, goal)]
+        while heap:
+            d, v = heapq.heappop(heap)
+            if dist[v] is None or d > dist[v]:
+                continue
+            for aid in radj[v]:
+                u = self.index[self.arc_ends[aid][0]]
+                nd = d + self.cost[aid] + potential[u] - potential[v]
+                if dist[u] is None or nd < dist[u]:
+                    dist[u] = nd
+                    heapq.heappush(heap, (nd, u))
+        return dist
+
+    def lexicographic_shortest_path(
+        self, s: int, t: int, potential: list[int]
+    ) -> list[int] | None:
+        """Arc ids of the cheapest s-t path whose node-label sequence is
+        lexicographically smallest among all cheapest simple paths.
+
+        Depth-first search restricted to arcs that lie on some cheapest
+        path, visiting neighbors in label order. Backtracking handles the
+        corner case where zero-cost cycles make the greedy walk dead-end.
+        """
+        dist_s = self.dijkstra(s, potential)
+        if dist_s[t] is None:
+            return None
+        dist_t = self.dijkstra_to(t, potential)
+        total = dist_s[t]
+
+        def candidates(u: int, acc: int) -> list[tuple[str, int]]:
+            found: dict[int, int] = {}
+            for aid in self.adj[u]:
+                if self.res[aid] <= 0:
+                    continue
+                v = self.to[aid]
+                if dist_t[v] is None or v in on_path:
+                    continue
+                rc = self.cost[aid] + potential[u] - potential[v]
+                if acc + rc + dist_t[v] == total and v not in found:
+                    found[v] = aid
+            return sorted(
+                ((self.nodes[v], aid) for v, aid in found.items()),
+                key=lambda item: item[0],
+            )
+
+        on_path = {s}
+        path_arcs: list[int] = []
+        acc_costs = [0]
+        stack = [candidates(s, 0)]
+        while True:
+            node = s if not path_arcs else self.to[path_arcs[-1]]
+            if node == t:
+                return path_arcs
+            options = stack[-1]
+            if options:
+                _, aid = options.pop(0)
+                v = self.to[aid]
+                on_path.add(v)
+                path_arcs.append(aid)
+                rc = (
+                    self.cost[aid]
+                    + potential[self.index[self.arc_ends[aid][0]]]
+                    - potential[v]
+                )
+                acc_costs.append(acc_costs[-1] + rc)
+                stack.append(candidates(v, acc_costs[-1]))
+            else:
+                # Dead end under the simple-path constraint; back out.
+                stack.pop()
+                if not path_arcs:
+                    return None
+                dropped = path_arcs.pop()
+                on_path.discard(self.to[dropped])
+                acc_costs.pop()
+
+
+def reference_min_cost_flow(g: NetworkGraph, target: int) -> FlowSolution:
+    """Cheapest integral flow delivering exactly ``target`` pairs end to end.
+
+    Args:
+        g: The network.
+        target: Required net flow at the source, a non-negative integer.
+
+    Returns:
+        An optimal canonical FlowSolution (no opposing flow, no cycles).
+
+    Raises:
+        NegativeTarget: If ``target`` is negative.
+        InfeasibleTarget: If ``target`` exceeds the source-sink min-cut.
+    """
+    if not isinstance(target, int) or isinstance(target, bool):
+        raise NegativeTarget(f"target must be an integer, got {target!r}")
+    if target < 0:
+        raise NegativeTarget(f"target must be non-negative, got {target}")
+    capacity = min_cut(g)
+    if target > capacity:
+        raise InfeasibleTarget(
+            f"target {target} exceeds the source-sink min-cut {capacity}"
+        )
+
+    residual = _ReferenceResidual(g)
+    s, t = residual.index[g.source], residual.index[g.sink]
+    potential = [0] * len(residual.nodes)
+    pushed = 0
+    while pushed < target:
+        dist = residual.dijkstra(s, potential)
+        path = residual.lexicographic_shortest_path(s, t, potential)
+        if path is None:
+            raise InfeasibleTarget(
+                f"no augmenting path after {pushed} of {target} pairs"
+            )
+        bottleneck = min(residual.res[aid] for aid in path)
+        bottleneck = min(bottleneck, target - pushed)
+        for aid in path:
+            residual.res[aid] -= bottleneck
+            residual.res[aid ^ 1] += bottleneck
+        pushed += bottleneck
+        for v in range(len(residual.nodes)):
+            if dist[v] is not None:
+                potential[v] += dist[v]
+
+    arc_flow: dict[Arc, int] = {}
+    for aid in range(0, len(residual.to), 2):
+        f = residual.res[aid ^ 1]
+        if f > 0:
+            a, b = residual.arc_ends[aid]
+            arc_flow[(a, b)] = arc_flow.get((a, b), 0) + f
+    _cancel_cycles(arc_flow, g)
+
+    total_cost = sum(
+        g.edge_between(a, b).unit_cost * f for (a, b), f in arc_flow.items()
+    )
+    net = sum(f for (a, _), f in arc_flow.items() if a == g.source) - sum(
+        f for (_, b), f in arc_flow.items() if b == g.source
+    )
+    if net != target:
+        raise InvariantViolation("solver delivered a different net flow than requested")
+    return FlowSolution(
+        graph=g, arc_flow=dict(sorted(arc_flow.items())), net_flow=net, total_cost=total_cost
+    )

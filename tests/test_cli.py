@@ -444,6 +444,32 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert_json_error(err, "ParseError")
 
+    @pytest.mark.parametrize(
+        "channel",
+        [
+            {"kind": "explicit", "Q": 1e308, "rate": 1},
+            {"kind": "pure-loss", "eta": 0.5, "rate": 1e308},
+        ],
+        ids=["exact-sum", "float-sum"],
+    )
+    def test_cut_weight_beyond_float_range(self, tmp_path, channel):
+        # Each edge weight fits a float; the sum over two parallel paths
+        # does not.
+        doc = {
+            "nodes": ["s", "a", "b", "t"],
+            "edges": [
+                {"a": a, "b": b, "capacity": 1, "cost": 0, "channel": channel}
+                for a, b in [("s", "a"), ("a", "t"), ("s", "b"), ("b", "t")]
+            ],
+            "source": "s",
+            "sink": "t",
+        }
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = call_main("rate", "--input", str(path))
+        assert (code, out) == (3, "")
+        assert_json_error(err, "ValidationError")
+
     def test_hierarchy_nested_past_the_decoder_limit(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text(nested_hierarchy(300))

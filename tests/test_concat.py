@@ -683,6 +683,17 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_hierarchical(doc)
 
+    def test_boolean_max_uses_rejected(self):
+        lower = dict(HIER_DOC["edges"][0]["lower"], max_uses=True)
+        doc = {
+            "nodes": ["X", "Y"],
+            "source": "X",
+            "sink": "Y",
+            "edges": [{"a": "X", "b": "Y", "lower": lower}],
+        }
+        with pytest.raises(ParseError, match="max_uses"):
+            parse_hierarchical(doc)
+
     def test_three_level_document(self):
         level1 = {
             "nodes": ["X", "Y"],
@@ -738,3 +749,11 @@ class TestParsing:
         from_file = load_hierarchical(path)
         assert from_text.level == from_file.level == 1
         assert from_text.edges[0].unit_cost == from_file.edges[0].unit_cost
+
+    def test_load_non_utf8_file_rejected(self, tmp_path):
+        import json
+
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(HIER_DOC), encoding="utf-16")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            load_hierarchical(path)

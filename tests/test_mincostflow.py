@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ebitflow import (
     FlowSolution,
@@ -19,7 +19,7 @@ from ebitflow import (
     unit_price,
     validate_flow,
 )
-from oracles import min_cost_by_search, random_network
+from oracles import min_cost_by_search, random_network, reference_min_cost_flow
 
 CHAIN = NetworkGraph.from_edge_list(
     [("r", "s", 3, 1000), ("r", "t", 2, 1000)], "s", "t"
@@ -266,3 +266,45 @@ class TestZeroCostEdges:
         validate_flow(sol)
         assert sol.net_flow == 3
         assert sol.total_cost == 0
+
+
+@st.composite
+def tie_graphs(draw):
+    """Networks where many cheapest paths tie: costs mostly 0 (zero-cost
+    cycles) or 1, labels assigned to positions in a random order."""
+    n = draw(st.integers(2, 12))
+    labels = draw(st.permutations([f"n{i:02d}" for i in range(n)]))
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                cap = draw(st.integers(0, 4))
+                cost = draw(st.sampled_from([0, 0, 1, 2]))
+                edges.append((labels[i], labels[j], cap, cost))
+    return NetworkGraph.from_edge_list(edges, labels[0], labels[1], extra_nodes=labels)
+
+
+class TestAgainstReferenceSolver:
+    """The one-search solver reproduces the three-search solver it replaced."""
+
+    @settings(
+        derandomize=True,
+        max_examples=400,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(tie_graphs())
+    def test_same_solution_for_every_target(self, g):
+        for target in range(min_cut(g) + 2):
+            try:
+                expected = reference_min_cost_flow(g, target)
+            except InfeasibleTarget as exc:
+                with pytest.raises(InfeasibleTarget) as got:
+                    min_cost_flow(g, target)
+                assert type(got.value) is type(exc)
+                assert str(got.value) == str(exc)
+                continue
+            sol = min_cost_flow(g, target)
+            assert list(sol.arc_flow.items()) == list(expected.arc_flow.items())
+            assert sol.total_cost == expected.total_cost
+            assert sol.net_flow == expected.net_flow

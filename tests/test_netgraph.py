@@ -225,6 +225,12 @@ class TestParsing:
         with pytest.raises(ParseError):
             load_network("{not json")
 
+    def test_non_utf8_file_rejected(self, tmp_path):
+        f = tmp_path / "net.json"
+        f.write_text(json.dumps(MINIMAL_DOC), encoding="utf-16")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            load_network(f)
+
     def test_annotations_collected(self):
         doc = dict(MINIMAL_DOC)
         doc["edges"] = [
