@@ -62,9 +62,10 @@ _FORMATS = ("json", "text", "dot")
 _DOT_COMMANDS = frozenset({"flow", "maxflow"})
 
 
-def _default_format() -> str:
+def _default_format(command: str) -> str:
     env = os.environ.get("EBITFLOW_FORMAT")
-    return env if env in _FORMATS else "json"
+    usable = _FORMATS if command in _DOT_COMMANDS else ("json", "text")
+    return env if env in usable else "json"
 
 
 def _read_input(path: str) -> tuple[str, str]:
@@ -394,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format",
         choices=_FORMATS,
-        default=_default_format(),
         help="output format (default json; dot only for flow and maxflow)",
     )
     common.add_argument("--output", help="write the report here instead of stdout")
@@ -454,10 +454,13 @@ def _params(args) -> dict:
 
 
 def _emit(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text)
-    else:
+    if not output:
         sys.stdout.write(text)
+        return
+    try:
+        Path(output).write_text(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write output file {output}: {exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -465,28 +468,26 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.format == "dot" and args.command not in _DOT_COMMANDS:
         parser.error(f"dot output is not defined for {args.command}")
+    args.format = args.format or _default_format(args.command)
     try:
         args.input_text, digest = _read_input(args.input)
         result, text, dot = _HANDLERS[args.command](args)
+        if args.format == "json":
+            doc = {
+                "schema_version": SCHEMA_VERSION,
+                "tool": {"name": TOOL_NAME, "version": __version__},
+                "command": args.command,
+                "input_sha256": digest,
+                "seed": args.seed,
+                "params": _params(args),
+                "result": result,
+            }
+            text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        _emit(dot if args.format == "dot" else text, args.output)
     except (NegativeTarget, InfeasibleTarget) as exc:
         return _fail(exc, 4)
     except EbitflowError as exc:
         return _fail(exc, 3)
-    if args.format == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "tool": {"name": TOOL_NAME, "version": __version__},
-            "command": args.command,
-            "input_sha256": digest,
-            "seed": args.seed,
-            "params": _params(args),
-            "result": result,
-        }
-        _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.output)
-    elif args.format == "text":
-        _emit(text, args.output)
-    else:
-        _emit(dot, args.output)
     return 0
 
 

@@ -10,12 +10,12 @@ Dijkstra always sees non-negative reduced costs. Each augmentation runs one
 Dijkstra and adds its distances to the potentials; the cheapest paths are
 then exactly the paths of zero-reduced-cost arcs, and among them the
 lexicographically smallest node-label sequence is chosen, which makes
-results reproducible across runs and platforms. When the sink becomes
-unreachable before the target is met, the flow is maximum, so the target
-exceeds the min-cut and no separate min-cut is computed. After the target is
-met the flow is canonicalized: opposing flow on an edge is cancelled and any
-remaining zero-cost support cycles are removed, so for every edge at most
-one direction carries flow.
+results reproducible across runs and platforms. Path choice depends on the
+residual alone, not on the target, so one run passes every target's optimum
+and ends at the min-cut when the sink becomes unreachable; no entry point
+computes a separate min-cut. Each solution is canonicalized: opposing flow
+on an edge is cancelled and any remaining zero-cost support cycles are
+removed, so for every edge at most one direction carries flow.
 
 All entry points are pure functions; solutions are immutable.
 """
@@ -26,10 +26,11 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import InfeasibleTarget, InvariantViolation, MalformedFlow, NegativeTarget
-from .netgraph import EdgeKey, NetworkGraph, NodeId, _milli_text, edge_key, min_cut
+from .netgraph import EdgeKey, NetworkGraph, NodeId, _milli_text, edge_key
+from .netgraph import min_cut  # noqa: F401  bench/tracing.py patches this name
 
 Arc = tuple[NodeId, NodeId]
 
@@ -71,13 +72,15 @@ class _Residual:
     """Residual digraph with one forward arc per edge orientation.
 
     Arc ``i`` and ``i ^ 1`` are mutual reverses. Forward arcs carry the edge
-    cost, reverse arcs its negation. ``res`` holds remaining capacity. An arc
-    is tight when it has remaining capacity and zero reduced cost; once the
-    potentials include a Dijkstra's distances from the source, the cheapest
-    source-sink paths are exactly the paths of tight arcs.
+    cost, reverse arcs its negation. ``res`` holds remaining capacity and
+    ``pushed`` the pairs sent so far. An arc is tight when it has remaining
+    capacity and zero reduced cost; once the potentials include a Dijkstra's
+    distances from the source, the cheapest paths are the tight-arc paths.
     """
 
     def __init__(self, g: NetworkGraph) -> None:
+        self.graph = g
+        self.pushed = 0
         self.nodes = list(g.nodes)
         self.index = {v: i for i, v in enumerate(self.nodes)}
         self.adj: list[list[int]] = [[] for _ in self.nodes]
@@ -173,6 +176,50 @@ class _Residual:
                     on_path.discard(self.to[path_arcs.pop()])
         raise InvariantViolation("no tight path to a reachable sink")
 
+    def augmenting_paths(self) -> Iterator[tuple[list[int], int]]:
+        """Yield each cheapest source-sink path and its bottleneck until the
+        sink is unreachable; the caller pushes along a path before the next."""
+        s, t = self.index[self.graph.source], self.index[self.graph.sink]
+        potential = [0] * len(self.nodes)
+        while True:
+            dist = self.dijkstra(s, potential)
+            if dist[t] is None:
+                return
+            for v, d in enumerate(dist):
+                if d is not None:
+                    potential[v] += d
+            path = self.lexicographic_shortest_path(s, t, potential)
+            yield path, min(self.res[aid] for aid in path)
+
+    def push(self, path: list[int], amount: int) -> None:
+        for aid in path:
+            self.res[aid] -= amount
+            self.res[aid ^ 1] += amount
+        self.pushed += amount
+
+    def solution(self) -> FlowSolution:
+        """The canonical flow of everything pushed so far."""
+        g = self.graph
+        arc_flow: dict[Arc, int] = {}
+        for aid in range(0, len(self.to), 2):
+            f = self.res[aid ^ 1]
+            if f > 0:
+                a = self.nodes[self.to[aid ^ 1]]
+                b = self.nodes[self.to[aid]]
+                arc_flow[(a, b)] = arc_flow.get((a, b), 0) + f
+        _cancel_cycles(arc_flow, g)
+        total_cost = sum(
+            g.edge_between(a, b).unit_cost * f for (a, b), f in arc_flow.items()
+        )
+        net = sum(f for (a, _), f in arc_flow.items() if a == g.source) - sum(
+            f for (_, b), f in arc_flow.items() if b == g.source
+        )
+        if net != self.pushed:
+            raise InvariantViolation("solver delivered a different net flow than requested")
+        return FlowSolution(
+            graph=g, arc_flow=dict(sorted(arc_flow.items())), net_flow=net, total_cost=total_cost
+        )
+
 
 def _cancel_cycles(arc_flow: dict[Arc, int], g: NetworkGraph) -> None:
     """Remove opposing flow pairs and any remaining support cycles in place.
@@ -259,53 +306,24 @@ def min_cost_flow(g: NetworkGraph, target: int) -> FlowSolution:
     if target < 0:
         raise NegativeTarget(f"target must be non-negative, got {target}")
     residual = _Residual(g)
-    s, t = residual.index[g.source], residual.index[g.sink]
-    potential = [0] * len(residual.nodes)
-    pushed = 0
-    while pushed < target:
-        dist = residual.dijkstra(s, potential)
-        if dist[t] is None:
-            # No augmenting path is left, so the flow is maximum and
-            # ``pushed`` is the min-cut.
+    paths = residual.augmenting_paths()
+    while residual.pushed < target:
+        path, bottleneck = next(paths, (None, 0))
+        if path is None:
+            # No augmenting path is left, so the flow is maximum.
             raise InfeasibleTarget(
-                f"target {target} exceeds the source-sink min-cut {pushed}"
+                f"target {target} exceeds the source-sink min-cut {residual.pushed}"
             )
-        for v, d in enumerate(dist):
-            if d is not None:
-                potential[v] += d
-        path = residual.lexicographic_shortest_path(s, t, potential)
-        bottleneck = min(residual.res[aid] for aid in path)
-        bottleneck = min(bottleneck, target - pushed)
-        for aid in path:
-            residual.res[aid] -= bottleneck
-            residual.res[aid ^ 1] += bottleneck
-        pushed += bottleneck
-
-    arc_flow: dict[Arc, int] = {}
-    for aid in range(0, len(residual.to), 2):
-        f = residual.res[aid ^ 1]
-        if f > 0:
-            a = residual.nodes[residual.to[aid ^ 1]]
-            b = residual.nodes[residual.to[aid]]
-            arc_flow[(a, b)] = arc_flow.get((a, b), 0) + f
-    _cancel_cycles(arc_flow, g)
-
-    total_cost = sum(
-        g.edge_between(a, b).unit_cost * f for (a, b), f in arc_flow.items()
-    )
-    net = sum(f for (a, _), f in arc_flow.items() if a == g.source) - sum(
-        f for (_, b), f in arc_flow.items() if b == g.source
-    )
-    if net != target:
-        raise InvariantViolation("solver delivered a different net flow than requested")
-    return FlowSolution(
-        graph=g, arc_flow=dict(sorted(arc_flow.items())), net_flow=net, total_cost=total_cost
-    )
+        residual.push(path, min(bottleneck, target - residual.pushed))
+    return residual.solution()
 
 
 def min_cost_max_flow(g: NetworkGraph) -> FlowSolution:
     """Cheapest flow among those delivering the maximum feasible pairs."""
-    return min_cost_flow(g, min_cut(g))
+    residual = _Residual(g)
+    for path, bottleneck in residual.augmenting_paths():
+        residual.push(path, bottleneck)
+    return residual.solution()
 
 
 def unit_price(sol: FlowSolution) -> Fraction | None:
@@ -325,12 +343,16 @@ def price_curve(g: NetworkGraph) -> tuple[tuple[FlowSolution, ...], int]:
     Raises:
         InfeasibleTarget: If the network cannot deliver a single pair.
     """
-    capacity = min_cut(g)
-    if capacity == 0:
+    residual = _Residual(g)
+    curve: list[FlowSolution] = []
+    for path, bottleneck in residual.augmenting_paths():
+        # min_cost_flow(g, k) takes these paths and caps only its last push.
+        for _ in range(bottleneck):
+            residual.push(path, 1)
+            curve.append(residual.solution())
+    if not curve:
         raise InfeasibleTarget("clients are disconnected; no positive target exists")
-    curve = tuple(min_cost_flow(g, target) for target in range(1, capacity + 1))
-    best = min(curve, key=unit_price)
-    return curve, best.net_flow
+    return tuple(curve), min(curve, key=unit_price).net_flow
 
 
 def validate_flow(sol: FlowSolution) -> None:

@@ -1,6 +1,9 @@
 """The package's public surface and source-level rules."""
 
 import ast
+import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import ebitflow
@@ -116,3 +119,20 @@ def test_no_assert_statements_in_src():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def test_tracer_targets_resolve(monkeypatch):
+    """Every (module, attribute) the benchmark tracer patches exists, so a
+    refactor of ``src/`` cannot silently break ``bench/run.py --trace 1``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in tracing.TARGETS
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert tracing.TARGETS
+    assert missing == []

@@ -352,9 +352,10 @@ class TestFormats:
         )
         assert json.loads(proc.stdout)["result"] == {"min_cut": 2}
 
-    def test_bad_env_format_falls_back_to_json(self, docs):
+    @pytest.mark.parametrize("env_format", ["yaml", "dot"])
+    def test_bad_env_format_falls_back_to_json(self, docs, env_format):
         proc = run_cli(
-            "mincut", "--input", docs["chain"], env_extra={"EBITFLOW_FORMAT": "yaml"}
+            "mincut", "--input", docs["chain"], env_extra={"EBITFLOW_FORMAT": env_format}
         )
         assert proc.returncode == 0
         json.loads(proc.stdout)
@@ -406,6 +407,14 @@ class TestExitCodes:
     def test_missing_file(self, docs):
         proc = run_cli("mincut", "--input", os.path.join(docs["root"], "nope.json"))
         assert proc.returncode == 3
+
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_output(self, docs, tmp_path, where):
+        output = tmp_path / "nope" / "x.json" if where == "missing_dir" else tmp_path
+        proc = run_cli("mincut", "--input", docs["chain"], "--output", str(output))
+        assert proc.returncode == 3
+        assert_json_error(proc.stderr, "ParseError")
+        assert "cannot write output file" in json.loads(proc.stderr)["error"]["message"]
 
     def test_infeasible_target(self, docs):
         proc = run_cli("flow", "--input", docs["chain"], "--target", "99")

@@ -308,3 +308,52 @@ class TestAgainstReferenceSolver:
             assert list(sol.arc_flow.items()) == list(expected.arc_flow.items())
             assert sol.total_cost == expected.total_cost
             assert sol.net_flow == expected.net_flow
+
+    @settings(
+        derandomize=True,
+        max_examples=400,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(tie_graphs())
+    def test_single_run_entry_points_match_per_target_solves(self, g):
+        """``price_curve`` and ``min_cost_max_flow`` read their solutions off
+        one augmenting-path run; each must equal a separate solve."""
+        cut = min_cut(g)
+        assert_same(min_cost_max_flow(g), reference_min_cost_flow(g, cut))
+        if cut == 0:
+            with pytest.raises(InfeasibleTarget) as got:
+                price_curve(g)
+            assert type(got.value) is InfeasibleTarget
+            assert str(got.value) == "clients are disconnected; no positive target exists"
+            return
+        curve, best = price_curve(g)
+        expected = [reference_min_cost_flow(g, k) for k in range(1, cut + 1)]
+        assert len(curve) == len(expected)
+        for sol, ref in zip(curve, expected):
+            assert_same(sol, ref)
+        prices = [unit_price(ref) for ref in expected]
+        assert best == prices.index(min(prices)) + 1
+
+
+def assert_same(sol, expected):
+    assert list(sol.arc_flow.items()) == list(expected.arc_flow.items())
+    assert sol.total_cost == expected.total_cost
+    assert sol.net_flow == expected.net_flow
+
+
+class TestHugeCapacity:
+    """Whole bottlenecks are pushed at once, so a capacity of 10**9 costs
+    one augmentation, not 10**9."""
+
+    G = NetworkGraph.from_edge_list([("s", "t", 10**9, 7)], "s", "t")
+
+    def test_min_cost_flow(self):
+        sol = min_cost_flow(self.G, 10**9)
+        assert sol.arc_flow == {("s", "t"): 10**9}
+        assert sol.total_cost == 7 * 10**9
+
+    def test_min_cost_max_flow(self):
+        sol = min_cost_max_flow(self.G)
+        assert sol.net_flow == 10**9
+        assert sol.total_cost == 7 * 10**9
