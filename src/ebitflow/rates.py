@@ -15,8 +15,6 @@ from typing import Mapping
 from .errors import MissingModel, ParseError, ValidationError
 from .netgraph import EdgeKey, NetworkGraph, as_fraction, undirected_max_flow
 
-_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class ChannelModel:
@@ -94,8 +92,10 @@ def asymptotic_rate(g: NetworkGraph, models: Mapping[EdgeKey, ChannelModel]) -> 
     """Rate bound: min cut of the network under capacity-times-rate weights.
 
     Uses exact rational arithmetic when every weight is rational; otherwise
-    floating point with a 1e-9 tolerance. The cut weight is the value of a
-    Dinic max-flow (``undirected_max_flow``) at any network size.
+    floating point. The cut weight is the value of a Dinic max-flow
+    (``undirected_max_flow``) at any network size. Float runs take no
+    tolerance: a saturating push leaves exactly zero residual, so Dinic
+    terminates, and a weight of any magnitude counts toward the cut.
 
     Raises:
         MissingModel: If any edge lacks a channel model.
@@ -112,10 +112,9 @@ def asymptotic_rate(g: NetworkGraph, models: Mapping[EdgeKey, ChannelModel]) -> 
     exact = all(isinstance(w, Fraction) for w in weights.values())
     if not exact:
         weights = {k: float(w) for k, w in weights.items()}
-    tol = 0 if exact else _TOL
 
     flow = undirected_max_flow(
-        g.nodes, ((k[0], k[1], w) for k, w in weights.items()), g.source, g.sink, tol=tol
+        g.nodes, ((k[0], k[1], w) for k, w in weights.items()), g.source, g.sink
     )
     return _finite(flow)
 

@@ -202,3 +202,26 @@ class TestAsymptoticRate:
         lo = {("r", "s"): explicit(1), ("r", "t"): explicit(1)}
         hi = {("r", "s"): explicit(1), ("r", "t"): explicit(2)}
         assert asymptotic_rate(g, lo) <= asymptotic_rate(g, hi)
+
+
+class TestSmallFloatWeights:
+    """Float weights far below 1 count toward the cut at every magnitude."""
+
+    @pytest.mark.parametrize("eta", [Fraction(1, 10**10), Fraction(1, 10**14)])
+    def test_single_pure_loss_edge(self, eta):
+        model = pure_loss(eta)
+        rate = asymptotic_rate(single_edge(), {("s", "t"): model})
+        assert rate > 0
+        assert rate == pytest.approx(channel_capacity(model), rel=1e-12)
+
+    def test_chain_of_small_weights(self):
+        models = {("r", "s"): pure_loss(Fraction(1, 10**10)),
+                  ("r", "t"): pure_loss(Fraction(2, 10**10))}
+        expected = channel_capacity(models[("r", "s")])
+        assert asymptotic_rate(chain(), models) == pytest.approx(expected, rel=1e-12)
+
+    def test_chain_with_mixed_magnitudes(self):
+        models = {("r", "s"): pure_loss(Fraction(1, 2)),
+                  ("r", "t"): pure_loss(Fraction(1, 10**12), rate=3)}
+        expected = 3 * channel_capacity(models[("r", "t")])
+        assert asymptotic_rate(chain(), models) == pytest.approx(expected, rel=1e-12)
