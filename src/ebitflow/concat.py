@@ -16,6 +16,14 @@ flow machinery, and the per-edge generation errors of the active edges add
 into the level's error budget regardless of how large the lower networks
 are.
 
+Resolving a hierarchy solves each distinct lower network once. A lower
+solve is keyed by its flattened network with every label replaced by its
+rank among the sorted labels (plus the per-use target), so copies that
+differ by an order-preserving relabelling share one solve. The key keeps
+the order, not just the shape, because the solver breaks ties between
+equal-cost paths by comparing labels: the same shape with the sink sorting
+elsewhere among the interior labels can pick a different path.
+
 Hierarchical documents extend the flat network format: every edge carries a
 ``lower`` object instead of capacity and cost::
 
@@ -39,7 +47,7 @@ and the loader reports that as a ParseError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -114,14 +122,16 @@ class HierEdge:
         )
         if not 0 <= self.distill_error <= 1:
             raise ValidationError(f"edge {self.key}: distill_error outside [0, 1]")
-        if self.unit_cost is not None and (
-            not isinstance(self.unit_cost, int) or self.unit_cost < 0
-        ):
-            raise ValidationError(f"edge {self.key}: unit_cost must be >= 0")
-        if self.lower_target is not None and (
-            not isinstance(self.lower_target, int) or self.lower_target < 0
-        ):
-            raise ValidationError(f"edge {self.key}: lower_target must be >= 0")
+        # A bool is an int, but True would also hash like 1 in the lower
+        # solve key; reject it as netgraph.Edge does.
+        for name in ("unit_cost", "lower_target"):
+            value = getattr(self, name)
+            if value is not None and (
+                not isinstance(value, int) or isinstance(value, bool) or value < 0
+            ):
+                raise ValidationError(
+                    f"edge {self.key}: {name} must be a non-negative integer"
+                )
         # The flattened edge needs a finite capacity.
         self.yield_fn.cap()
 
@@ -219,9 +229,6 @@ class HierarchicalNetwork:
 
 @dataclass(frozen=True)
 class _EdgeInfo:
-    theta: int
-    pounds: int
-    lower_flat: NetworkGraph
     lower_target: int
     per_use_cost: int
     lower_solution: FlowSolution
@@ -234,12 +241,37 @@ class _Resolved:
     edges: Mapping[int, _EdgeInfo]  # id(edge) -> resolution
 
 
+def _lower_key(lower_flat: NetworkGraph, lower_target: int | None) -> tuple:
+    """Content key of a lower solve: ``lower_flat`` with every node replaced
+    by its rank among the sorted nodes, plus the per-use target."""
+    rank = {v: i for i, v in enumerate(lower_flat.nodes)}
+    return (
+        len(rank),
+        tuple(
+            (rank[e.a], rank[e.b], e.capacity, e.unit_cost, e.gen_error, e.max_uses)
+            for e in lower_flat.edges
+        ),
+        rank[lower_flat.source],
+        rank[lower_flat.sink],
+        lower_target,
+    )
+
+
 def _resolve(net: HierarchicalNetwork) -> _Resolved:
     """Flatten every nested network bottom-up, resolving default costs.
 
     The constant-efficiency default prices a distilled pair at the edge's
     use bound: ceil(max_uses * per_use_cost / capacity) milli-units, where
     per_use_cost is the lower network's minimum cost at its per-use target.
+
+    Each distinct lower solve runs once per call: solutions are kept under
+    ``_lower_key``, which ranks the labels of the flattened lower network
+    in sorted order, and a copy with the same key maps the first flow onto
+    its own labels. That is exact because the solver only compares labels
+    (its tie-break, cycle cancelling and the sorted ``arc_flow``), so an
+    order-preserving bijection maps one solution onto the other. Replacing
+    only the client labels would not do: which of two equal-cost paths
+    wins can depend on where the sink sorts among the interior labels.
     """
     networks: list[HierarchicalNetwork] = []
     queue = [net]
@@ -251,6 +283,7 @@ def _resolve(net: HierarchicalNetwork) -> _Resolved:
 
     flat: dict[int, NetworkGraph] = {}
     infos: dict[int, _EdgeInfo] = {}
+    solved: dict[tuple, _EdgeInfo] = {}
     for n in sorted(networks, key=lambda n: n.level):
         if n.level == 0:
             flat[id(n)] = n.base
@@ -258,29 +291,44 @@ def _resolve(net: HierarchicalNetwork) -> _Resolved:
         flat_edges = []
         for e in n.edges:
             lower_flat = flat[id(e.lower)]
+            key = _lower_key(lower_flat, e.lower_target)
+            first = solved.get(key)
+            if first is None:
+                target = e.lower_target
+                if target is None:
+                    target = min_cut(lower_flat)
+                lower_sol = min_cost_flow(lower_flat, target)
+                info = solved[key] = _EdgeInfo(
+                    lower_target=target,
+                    per_use_cost=lower_sol.total_cost,
+                    lower_solution=lower_sol,
+                    lower_generation=generation_error_budget(
+                        lower_flat, lower_sol.active_edges
+                    ),
+                )
+            else:
+                sol = first.lower_solution
+                label = dict(zip(sol.graph.nodes, lower_flat.nodes))
+                info = replace(
+                    first,
+                    lower_solution=FlowSolution(
+                        graph=lower_flat,
+                        arc_flow={
+                            (label[a], label[b]): f for (a, b), f in sol.arc_flow.items()
+                        },
+                        net_flow=sol.net_flow,
+                        total_cost=sol.total_cost,
+                    ),
+                )
+            infos[id(e)] = info
             theta = e.yield_fn.cap()
-            target = e.lower_target
-            if target is None:
-                target = min_cut(lower_flat)
-            lower_sol = min_cost_flow(lower_flat, target)
-            per_use = lower_sol.total_cost
+            per_use = info.per_use_cost
             if e.unit_cost is not None:
                 pounds = e.unit_cost
             elif theta == 0:
                 pounds = 0
             else:
                 pounds = -((-e.yield_fn.max_uses * per_use) // theta)
-            infos[id(e)] = _EdgeInfo(
-                theta=theta,
-                pounds=pounds,
-                lower_flat=lower_flat,
-                lower_target=target,
-                per_use_cost=per_use,
-                lower_solution=lower_sol,
-                lower_generation=generation_error_budget(
-                    lower_flat, lower_sol.active_edges
-                ),
-            )
             flat_edges.append(
                 Edge(
                     e.a,

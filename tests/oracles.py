@@ -3,12 +3,14 @@
 Everything here is deliberately naive: exhaustive subset scans and
 depth-first searches with no shared code or ideas with the package
 implementations, so an agreement between the two is meaningful. The
-exceptions are the reference stabilizer simulator, the XOR convolution and
-the reference min-cost flow at the end: the package's earlier numpy
-tableau, kept as the slow path its bit-packed replacement must reproduce
-draw for draw, its earlier exact pass probability, which the closed form
-must equal exactly, and its earlier three-search min-cost flow, which the
-one-search solver must reproduce arc for arc.
+exceptions are the reference stabilizer simulator, the XOR convolution,
+the reference min-cost flow and the reference hierarchical resolve at the
+end: the package's earlier numpy tableau, kept as the slow path its
+bit-packed replacement must reproduce draw for draw, its earlier exact
+pass probability, which the closed form must equal exactly, its earlier
+three-search min-cost flow, which the one-search solver must reproduce arc
+for arc, and its earlier resolve with one lower solve per edge, which the
+resolve that shares solves between relabelled copies must reproduce.
 """
 
 import heapq
@@ -20,9 +22,11 @@ import numpy as np
 
 from ebitflow import (
     BellMeasure,
+    Edge,
     CreateBellPair,
     FidelityEstimate,
     FlowSolution,
+    HierarchicalNetwork,
     InfeasibleTarget,
     InvariantViolation,
     NegativeTarget,
@@ -35,9 +39,12 @@ from ebitflow import (
     ScheduleViolation,
     SwapSchedule,
     ValidationError,
+    generation_error_budget,
+    min_cost_flow,
     min_cut,
     wilson_interval,
 )
+from ebitflow.concat import _EdgeInfo, _Resolved
 from ebitflow.mincostflow import Arc, _cancel_cycles
 from ebitflow.netgraph import NodeId
 
@@ -751,3 +758,62 @@ def reference_min_cost_flow(g: NetworkGraph, target: int) -> FlowSolution:
     return FlowSolution(
         graph=g, arc_flow=dict(sorted(arc_flow.items())), net_flow=net, total_cost=total_cost
     )
+
+
+def reference_resolve(net: HierarchicalNetwork) -> _Resolved:
+    """Flatten a hierarchy bottom-up with one lower solve per edge: a
+    ``min_cut`` when the edge sets no per-use target, then a
+    ``min_cost_flow``, shared with no other edge."""
+    networks: list[HierarchicalNetwork] = []
+    queue = [net]
+    while queue:
+        n = queue.pop()
+        networks.append(n)
+        queue.extend(e.lower for e in n.edges)
+
+    flat: dict[int, NetworkGraph] = {}
+    infos: dict[int, _EdgeInfo] = {}
+    for n in sorted(networks, key=lambda n: n.level):
+        if n.level == 0:
+            flat[id(n)] = n.base
+            continue
+        flat_edges = []
+        for e in n.edges:
+            lower_flat = flat[id(e.lower)]
+            theta = e.yield_fn.cap()
+            target = e.lower_target
+            if target is None:
+                target = min_cut(lower_flat)
+            lower_sol = min_cost_flow(lower_flat, target)
+            per_use = lower_sol.total_cost
+            if e.unit_cost is not None:
+                pounds = e.unit_cost
+            elif theta == 0:
+                pounds = 0
+            else:
+                pounds = -((-e.yield_fn.max_uses * per_use) // theta)
+            infos[id(e)] = _EdgeInfo(
+                lower_target=target,
+                per_use_cost=per_use,
+                lower_solution=lower_sol,
+                lower_generation=generation_error_budget(
+                    lower_flat, lower_sol.active_edges
+                ),
+            )
+            flat_edges.append(
+                Edge(
+                    e.a,
+                    e.b,
+                    capacity=theta,
+                    unit_cost=pounds,
+                    gen_error=e.distill_error,
+                    max_uses=e.yield_fn.max_uses,
+                )
+            )
+        flat[id(n)] = NetworkGraph(
+            nodes=n.nodes,
+            edges=tuple(flat_edges),
+            source=n.clients[0],
+            sink=n.clients[1],
+        )
+    return _Resolved(flat=flat, edges=infos)

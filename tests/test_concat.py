@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ebitflow import (
     Edge,
@@ -22,6 +23,7 @@ from ebitflow import (
     effective_min_cut,
     exact_operation_error,
     flatten,
+    generation_error_budget,
     load_hierarchical,
     min_cost_flow,
     min_cut,
@@ -30,7 +32,8 @@ from ebitflow import (
     total_lower_cost,
     NoiseModel,
 )
-from oracles import random_network
+from ebitflow import concat
+from oracles import random_network, reference_resolve
 
 
 def phys(a, b, cap, cost_milli, delta=0):
@@ -132,6 +135,17 @@ class TestHierEdge:
                 lower=phys("A", "B", 1, 1000),
                 yield_fn=YieldFunction.identity(1),
                 lower_target=-1,
+            )
+
+    @pytest.mark.parametrize("field", ["unit_cost", "lower_target"])
+    def test_boolean_cost_or_target_rejected(self, field):
+        with pytest.raises(ValidationError, match=field):
+            HierEdge(
+                a="A",
+                b="B",
+                lower=phys("A", "B", 1, 1000),
+                yield_fn=YieldFunction.identity(1),
+                **{field: True},
             )
 
 
@@ -757,3 +771,296 @@ class TestParsing:
         path.write_text(json.dumps(HIER_DOC), encoding="utf-16")
         with pytest.raises(ParseError, match="not UTF-8"):
             load_hierarchical(path)
+
+
+# Interior labels of level-0 and level-1 lower networks, and the labels of
+# the top level. They interleave, so two copies of one lower can place their
+# clients differently among its interior labels; the top labels come in
+# three pairs, so many copies also place them alike.
+INTERIOR = (("e", "m", "t"), ("d", "n", "s"))
+TOP_LABELS = ("a", "b", "g", "h", "x", "y")
+
+
+@st.composite
+def wraps(draw):
+    """The fields of one wrapped edge, and whether its lower runs b to a."""
+    if draw(st.booleans()):
+        yield_fn = YieldFunction.identity(draw(st.integers(1, 3)))
+    else:
+        yield_fn = YieldFunction.linear_floor(Fraction(1, 2), draw(st.integers(1, 4)))
+    return {
+        "yield_fn": yield_fn,
+        "unit_cost": draw(st.sampled_from([None, None, 0, 1500])),
+        "lower_target": draw(st.sampled_from([None, None, None, None, 0, 1])),
+        "distill_error": draw(st.sampled_from([Fraction(0), Fraction(1, 100)])),
+        "flip": draw(st.booleans()),
+    }
+
+
+@st.composite
+def templates(draw, level):
+    """A lower-network shape on slots: 0 and 1 are the clients, 2 and up
+    the interior. Level 0 has physical edges with many equal-cost paths;
+    level 1 wraps copies of one level-0 shape."""
+    size = 2 + draw(st.integers(0, 3))
+    pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    chosen = [p for p in pairs if draw(st.booleans())] or [(0, 1)]
+    if level == 0:
+        edges = [
+            (
+                i,
+                j,
+                draw(st.integers(0, 3)),
+                draw(st.sampled_from([0, 0, 1000, 2000])),
+                draw(st.sampled_from([Fraction(0), Fraction(1, 100), Fraction(1, 50)])),
+            )
+            for i, j in chosen
+        ]
+        return {"level": 0, "size": size, "edges": edges}
+    lower = draw(templates(0))
+    edges = [(i, j, draw(wraps())) for i, j in chosen]
+    return {"level": 1, "size": size, "edges": edges, "lower": lower}
+
+
+def wrapped_edge(a, b, wrap, template):
+    x, y = (b, a) if wrap["flip"] else (a, b)
+    fields = {k: v for k, v in wrap.items() if k != "flip"}
+    return HierEdge(a=a, b=b, lower=instantiate(template, x, y), **fields)
+
+
+def instantiate(template, x, y):
+    """A copy of ``template`` with clients ``x`` (source) and ``y`` (sink)."""
+    labels = [x, y, *INTERIOR[template["level"]][: template["size"] - 2]]
+    if template["level"] == 0:
+        g = NetworkGraph.from_edge_list(
+            [(labels[i], labels[j], *rest) for i, j, *rest in template["edges"]],
+            x,
+            y,
+            extra_nodes=labels,
+        )
+        return HierarchicalNetwork.from_graph(g)
+    return HierarchicalNetwork.build(
+        [
+            wrapped_edge(labels[i], labels[j], wrap, template["lower"])
+            for i, j, wrap in template["edges"]
+        ],
+        x,
+        y,
+        extra_nodes=labels,
+    )
+
+
+@st.composite
+def variants(draw, template):
+    """``template`` with one field of one edge redrawn, so that copies can
+    differ in a single capacity, cost, error or use bound."""
+    edges = list(template["edges"])
+    k = draw(st.integers(0, len(edges) - 1))
+    i, j, *fields = edges[k]
+    if template["level"] == 0:
+        which = draw(st.integers(0, 2))
+        fields[which] = draw(
+            (
+                st.integers(0, 3),
+                st.sampled_from([0, 1000, 2000]),
+                st.sampled_from([Fraction(0), Fraction(1, 100), Fraction(1, 50)]),
+            )[which]
+        )
+    else:
+        field = draw(st.sampled_from(["yield_fn", "unit_cost", "distill_error"]))
+        fields = [{**fields[0], field: draw(wraps())[field]}]
+    edges[k] = (i, j, *fields)
+    return {**template, "edges": edges}
+
+
+@st.composite
+def shared_lower_hierarchies(draw):
+    """A hierarchy of depth 2 or 3 whose top edges wrap copies of one lower
+    network or of a few one-field variants of it, under client labels that
+    sort in different places."""
+    template = draw(templates(draw(st.integers(0, 1))))
+    shapes = [template, *draw(st.lists(variants(template), min_size=1, max_size=2))]
+    nodes = draw(st.lists(st.sampled_from(TOP_LABELS), min_size=2, max_size=6, unique=True))
+    pairs = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1 :]]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=8, unique=True))
+    edges = [
+        wrapped_edge(a, b, draw(wraps()), draw(st.sampled_from(shapes)))
+        for a, b in chosen
+    ]
+    return HierarchicalNetwork.build(edges, nodes[0], nodes[1], extra_nodes=nodes)
+
+
+def networks_of(net):
+    out, stack = [], [net]
+    while stack:
+        n = stack.pop()
+        out.append(n)
+        stack.extend(e.lower for e in n.edges)
+    return out
+
+
+def direct_lower_solve(lower_flat):
+    return min_cost_flow(lower_flat, min_cut(lower_flat))
+
+
+class TestSharedLowerSolves:
+    """Relabelled copies of one lower network share its solve, and every
+    edge still gets exactly the resolution of a solve of its own."""
+
+    @settings(
+        derandomize=True,
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(shared_lower_hierarchies())
+    def test_same_resolution_as_one_solve_per_edge(self, net):
+        try:
+            expected = reference_resolve(net)
+        except InfeasibleTarget as exc:
+            with pytest.raises(InfeasibleTarget) as got:
+                concat._resolve(net)
+            assert str(got.value) == str(exc)
+            return
+        resolved = concat._resolve(net)
+        for n in networks_of(net):
+            assert resolved.flat[id(n)] == expected.flat[id(n)]
+            for e in n.edges:
+                got, want = resolved.edges[id(e)], expected.edges[id(e)]
+                assert got.per_use_cost == want.per_use_cost
+                assert got.lower_target == want.lower_target
+                assert got.lower_generation == want.lower_generation
+                sol, ref = got.lower_solution, want.lower_solution
+                assert sol.graph == ref.graph
+                assert list(sol.arc_flow.items()) == list(ref.arc_flow.items())
+                assert sol.net_flow == ref.net_flow
+                assert sol.total_cost == ref.total_cost
+
+    @staticmethod
+    def count_solves(monkeypatch):
+        calls = {"min_cut": 0, "min_cost_flow": 0}
+        for name in calls:
+            real = getattr(concat, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(concat, name, counted)
+        return calls
+
+    def test_tie_break_depends_on_where_the_sink_sorts(self, monkeypatch):
+        # s-a-t and s-a-b-t cost the same; the walk takes the smaller label
+        # after a, so the sink's place relative to b picks the path.
+        def tie_lower(sink):
+            g = NetworkGraph.from_edge_list(
+                [
+                    ("s", "a", 1, 1000, 0),
+                    ("a", sink, 1, 2000, Fraction(1, 10)),
+                    ("a", "b", 1, 1000, Fraction(1, 100)),
+                    ("b", sink, 1, 1000, Fraction(1, 100)),
+                ],
+                "s",
+                sink,
+            )
+            return HierarchicalNetwork.from_graph(g)
+
+        after_b = HierEdge(
+            a="s", b="t", lower=tie_lower("t"), yield_fn=YieldFunction.identity(1)
+        )
+        before_b = HierEdge(
+            a="s", b="ab", lower=tie_lower("ab"), yield_fn=YieldFunction.identity(1)
+        )
+        net = HierarchicalNetwork.build([after_b, before_b], "s", "t")
+        calls = self.count_solves(monkeypatch)
+        resolved = net._resolved
+        assert calls == {"min_cut": 2, "min_cost_flow": 2}
+        for edge, via, generation in (
+            (after_b, ("a", "b"), Fraction(1, 50)),
+            (before_b, ("a", "ab"), Fraction(1, 10)),
+        ):
+            info = resolved.edges[id(edge)]
+            lower_flat = edge.lower.base
+            direct = direct_lower_solve(lower_flat)
+            assert via in info.lower_solution.arc_flow
+            assert list(info.lower_solution.arc_flow.items()) == list(
+                direct.arc_flow.items()
+            )
+            assert info.lower_generation == generation_error_budget(
+                lower_flat, direct.active_edges
+            ) == generation
+
+    @staticmethod
+    def relabelled_chain(n, last_target=None, last_edge=(1, 1000, 0)):
+        """Top chain n0 - n1 - ... of ``n`` edges, each wrapping a copy of one
+        diamond. Even edges put the interior labels between the clients,
+        odd ones after both, so there are two distinct lower keys. The last
+        copy takes ``last_target`` and, on one of its edges, the capacity,
+        unit cost and generation error ``last_edge``."""
+        edges = []
+        for i in range(n):
+            x, y = f"n{i}", f"n{i + 1}"
+            mid = [f"{x}m0", f"{x}m1"] if i % 2 == 0 else [f"z{x}m0", f"z{x}m1"]
+            g = NetworkGraph.from_edge_list(
+                [
+                    (x, mid[0], 2, 1000),
+                    (x, mid[1], 1, 1000),
+                    (mid[0], mid[1], 1, 0),
+                    (mid[0], y, *(last_edge if i == n - 1 else (1, 1000, 0))),
+                    (mid[1], y, 2, 1000),
+                ],
+                x,
+                y,
+            )
+            edges.append(
+                HierEdge(
+                    a=x,
+                    b=y,
+                    lower=HierarchicalNetwork.from_graph(g),
+                    yield_fn=YieldFunction.identity(3),
+                    lower_target=last_target if i == n - 1 else None,
+                )
+            )
+        return HierarchicalNetwork.build(edges, "n0", f"n{n}")
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_one_solve_per_distinct_lower(self, monkeypatch, n):
+        net = self.relabelled_chain(n)
+        calls = self.count_solves(monkeypatch)
+        resolved = net._resolved
+        distinct = min(n, 2)
+        assert calls == {"min_cut": distinct, "min_cost_flow": distinct}
+        for e in net.edges:
+            info = resolved.edges[id(e)]
+            direct = direct_lower_solve(e.lower.base)
+            assert info.lower_target == 3
+            assert info.lower_solution.graph is e.lower.base
+            assert list(info.lower_solution.arc_flow.items()) == list(
+                direct.arc_flow.items()
+            )
+
+    @pytest.mark.parametrize(
+        "last_edge", [(2, 1000, 0), (1, 3000, 0), (1, 1000, Fraction(1, 10))]
+    )
+    def test_copies_differing_in_one_field_solve_apart(self, monkeypatch, last_edge):
+        # Edges 0 and 2 order their labels alike; edge 2 differs in the
+        # capacity, the cost or the error of one edge.
+        net = self.relabelled_chain(3, last_edge=last_edge)
+        calls = self.count_solves(monkeypatch)
+        resolved = net._resolved
+        assert calls == {"min_cut": 3, "min_cost_flow": 3}
+        for e in net.edges:
+            info = resolved.edges[id(e)]
+            direct = direct_lower_solve(e.lower.base)
+            assert info.per_use_cost == direct.total_cost
+            assert info.lower_generation == generation_error_budget(
+                e.lower.base, direct.active_edges
+            )
+            assert list(info.lower_solution.arc_flow.items()) == list(
+                direct.arc_flow.items()
+            )
+
+    def test_explicit_target_above_lower_cut_still_infeasible(self):
+        net = self.relabelled_chain(5, last_target=4)
+        with pytest.raises(InfeasibleTarget, match="target 4 exceeds"):
+            flatten(net)
