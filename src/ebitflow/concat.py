@@ -47,11 +47,11 @@ and the loader reports that as a ParseError.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Sequence
 
 from .errors import ParseError, ThresholdViolation, TooLarge, ValidationError
 from .mincostflow import FlowSolution, min_cost_flow
@@ -62,11 +62,11 @@ from .netgraph import (
     NodeId,
     _DOC_FIELDS,
     _load_json,
+    _parse_flat,
     _parse_nodes,
     as_fraction,
     cost_to_milli,
     min_cut,
-    parse_document,
 )
 from .pathplan import build_swap_schedule, decompose_flow
 from .stabsim import (
@@ -558,10 +558,16 @@ def parse_hierarchical(doc: Mapping) -> HierarchicalNetwork:
     edges = doc.get("edges")
     if not isinstance(edges, Sequence) or isinstance(edges, (str, bytes)):
         raise ParseError("edges: expected an array of edge objects")
-    wrapped = [isinstance(e, Mapping) and "lower" in e for e in edges]
-    if not any(wrapped):
-        return HierarchicalNetwork.from_graph(parse_document(doc).graph)
-    if not all(wrapped):
+    # One object check per edge, shared with the flat parse.
+    objects = wrapped = 0
+    for e in edges:
+        if isinstance(e, Mapping):
+            objects += 1
+            wrapped += "lower" in e
+    if not wrapped:
+        flat = _parse_flat(doc, None, entries_checked=objects == len(edges))
+        return HierarchicalNetwork.from_graph(flat.graph)
+    if wrapped < len(edges):
         raise ValidationError(
             "a network must be uniformly physical or uniformly wrapped; "
             "wrap single physical edges as two-node networks instead of mixing"

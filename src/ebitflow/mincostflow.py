@@ -23,10 +23,10 @@ All entry points are pure functions; solutions are immutable.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Mapping
 
 from .errors import InfeasibleTarget, InvariantViolation, MalformedFlow, NegativeTarget
 from .netgraph import EdgeKey, NetworkGraph, NodeId, _milli_text, edge_key

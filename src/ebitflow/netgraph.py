@@ -28,18 +28,20 @@ field is required and unknown fields are rejected. ``cost`` is given in cost uni
 is stored internally in milli-cost units (scaled by 1000); fractional costs
 must be exact at that precision. Listing the same node pair more than once
 merges the entries into one edge by summing capacities and channel-use
-bounds; their costs and deltas must agree.
+bounds; each entry must be a valid edge on its own, and their costs and
+deltas must agree.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
 
 from .errors import ParseError, ValidationError
 
@@ -49,6 +51,9 @@ EdgeKey = tuple[NodeId, NodeId]
 # Costs are integers in milli-cost units: 1 cost unit = 1000 milli.
 MILLI = 1000
 
+# The generation error of an edge that states none; one shared instance.
+_ZERO = Fraction(0)
+
 
 def _milli_text(milli: int) -> str:
     """A milli-unit amount in cost units with three decimals."""
@@ -57,6 +62,7 @@ def _milli_text(milli: int) -> str:
 
 _EDGE_FIELDS_REQUIRED = frozenset({"a", "b", "capacity", "cost"})
 _EDGE_FIELDS_OPTIONAL = frozenset({"delta", "max_uses", "channel", "yield"})
+_EDGE_FIELDS = _EDGE_FIELDS_REQUIRED | _EDGE_FIELDS_OPTIONAL
 _DOC_FIELDS = frozenset({"nodes", "edges", "source", "sink"})
 
 
@@ -91,15 +97,27 @@ def as_fraction(value: object, what: str = "value") -> Fraction:
 
 
 def cost_to_milli(value: object, what: str = "cost") -> int:
-    """Convert a cost in cost units to integer milli-units, exactly or not at all."""
-    frac = as_fraction(value, what) * MILLI
-    if frac.denominator != 1:
-        raise ValidationError(
-            f"{what}: {value!r} is not representable in whole milli-cost units"
-        )
-    if frac < 0:
+    """Convert a cost in cost units to integer milli-units, exactly or not at all.
+
+    A float means the decimal it prints as, as in ``as_fraction``; its exact
+    ratio comes from that decimal without building a Fraction.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        milli = value * MILLI
+    else:
+        if isinstance(value, float) and math.isfinite(value):
+            num, den = Decimal(repr(value)).as_integer_ratio()
+        else:
+            frac = as_fraction(value, what)
+            num, den = frac.numerator, frac.denominator
+        milli, rest = divmod(num * MILLI, den)
+        if rest:
+            raise ValidationError(
+                f"{what}: {value!r} is not representable in whole milli-cost units"
+            )
+    if milli < 0:
         raise ValidationError(f"{what}: must be non-negative, got {value!r}")
-    return int(frac)
+    return milli
 
 
 @dataclass(frozen=True)
@@ -119,7 +137,7 @@ class Edge:
     b: NodeId
     capacity: int
     unit_cost: int
-    gen_error: Fraction = Fraction(0)
+    gen_error: Fraction = _ZERO
     max_uses: int | None = None
 
     def __post_init__(self) -> None:
@@ -137,9 +155,12 @@ class Edge:
             raise ValidationError(f"edge {self.key}: unit_cost must be an integer")
         if self.unit_cost < 0:
             raise ValidationError(f"edge {self.key}: negative unit_cost")
-        if not isinstance(self.gen_error, Fraction):
-            object.__setattr__(self, "gen_error", as_fraction(self.gen_error))
-        if not 0 <= self.gen_error <= 1:
+        gen_error = self.gen_error
+        if not isinstance(gen_error, Fraction):
+            gen_error = as_fraction(gen_error)
+            object.__setattr__(self, "gen_error", gen_error)
+        # 0 <= p/q <= 1 with q > 0, compared as ints rather than Fractions.
+        if not 0 <= gen_error.numerator <= gen_error.denominator:
             raise ValidationError(f"edge {self.key}: gen_error outside [0, 1]")
         if self.max_uses is not None:
             if not isinstance(self.max_uses, int) or isinstance(self.max_uses, bool):
@@ -240,13 +261,13 @@ class NetworkDocument:
     yields: Mapping[EdgeKey, Mapping[str, object]] = field(default_factory=dict)
 
 
-def _parse_edge_entry(entry: object, index: int) -> tuple[EdgeKey, dict]:
-    if not isinstance(entry, Mapping):
-        raise ParseError(f"edges[{index}]: expected an object")
-    unknown = set(entry) - _EDGE_FIELDS_REQUIRED - _EDGE_FIELDS_OPTIONAL
+def _parse_edge_entry(entry: Mapping, index: int) -> tuple[EdgeKey, dict]:
+    """The fields of one edge object; the caller has checked it is an object."""
+    names = set(entry)
+    unknown = names - _EDGE_FIELDS
     if unknown:
         raise ParseError(f"edges[{index}]: unknown fields {sorted(unknown)}")
-    missing = _EDGE_FIELDS_REQUIRED - set(entry)
+    missing = _EDGE_FIELDS_REQUIRED - names
     if missing:
         raise ParseError(f"edges[{index}]: missing fields {sorted(missing)}")
     a, b = entry["a"], entry["b"]
@@ -263,19 +284,18 @@ def _parse_edge_entry(entry: object, index: int) -> tuple[EdgeKey, dict]:
         "channel": None,
         "yield_spec": None,
     }
-    if "delta" in entry:
-        delta = as_fraction(entry["delta"], f"edges[{index}].delta")
-        fields["gen_error"] = delta
-    if "max_uses" in entry:
+    if "delta" in names:
+        fields["gen_error"] = as_fraction(entry["delta"], f"edges[{index}].delta")
+    if "max_uses" in names:
         mu = entry["max_uses"]
         if not isinstance(mu, int) or isinstance(mu, bool):
             raise ParseError(f"edges[{index}].max_uses: must be an integer")
         fields["max_uses"] = mu
-    if "channel" in entry:
+    if "channel" in names:
         if not isinstance(entry["channel"], Mapping):
             raise ParseError(f"edges[{index}].channel: expected an object")
         fields["channel"] = dict(entry["channel"])
-    if "yield" in entry:
+    if "yield" in names:
         if not isinstance(entry["yield"], Mapping):
             raise ParseError(f"edges[{index}].yield: expected an object")
         fields["yield_spec"] = dict(entry["yield"])
@@ -287,8 +307,16 @@ def _parse_edge_entry(entry: object, index: int) -> tuple[EdgeKey, dict]:
 def _merge_parallel(key: EdgeKey, entries: Sequence[dict]) -> dict:
     # Parallel channels between the same pair act as a single channel, so
     # capacities and use bounds add; price and error budget must be uniform.
-    merged = dict(entries[0])
-    for other in entries[1:]:
+    # Each entry must be a valid edge on its own before it joins the sum, or
+    # a negative capacity or use bound would hide inside a valid-looking one.
+    merged = entries[0]
+    for other in entries:
+        if other["capacity"] < 0:
+            raise ValidationError(f"edge {key}: negative capacity")
+        if other["max_uses"] is not None and other["max_uses"] < 1:
+            raise ValidationError(f"edge {key}: max_uses must be positive")
+        if other is merged:
+            continue
         if other["unit_cost"] != merged["unit_cost"]:
             raise ValidationError(
                 f"parallel edges {key} disagree on cost; cannot merge"
@@ -349,6 +377,14 @@ def parse_document(
     """
     if not isinstance(doc, Mapping):
         raise ParseError("network document must be an object")
+    return _parse_flat(doc, default_gen_error, entries_checked=False)
+
+
+def _parse_flat(
+    doc: Mapping, default_gen_error: Fraction | None, *, entries_checked: bool
+) -> NetworkDocument:
+    """``parse_document`` of an object; ``entries_checked`` says the caller
+    has already found every entry of ``doc["edges"]`` to be an object."""
     unknown = set(doc) - _DOC_FIELDS
     if unknown:
         raise ParseError(f"unknown fields {sorted(unknown)}")
@@ -356,46 +392,52 @@ def parse_document(
     if missing:
         raise ParseError(f"missing fields {sorted(missing)}")
     nodes = _parse_nodes(doc["nodes"])
-    if not isinstance(doc["edges"], Sequence) or isinstance(doc["edges"], (str, bytes)):
+    raw_edges = doc["edges"]
+    if not isinstance(raw_edges, Sequence) or isinstance(raw_edges, (str, bytes)):
         raise ParseError("edges: expected an array of edge objects")
-    if len(set(nodes)) != len(nodes):
-        raise ValidationError("duplicate node labels")
     node_set = set(nodes)
+    if len(node_set) != len(nodes):
+        raise ValidationError("duplicate node labels")
 
-    grouped: dict[EdgeKey, list[dict]] = {}
-    order: list[EdgeKey] = []
-    for i, entry in enumerate(doc["edges"]):
+    # One field dict per node pair, in order of first appearance; a pair
+    # listed again also collects all its entries for merging.
+    by_key: dict[EdgeKey, dict] = {}
+    repeated: dict[EdgeKey, list[dict]] = {}
+    for i, entry in enumerate(raw_edges):
+        if not entries_checked and not isinstance(entry, Mapping):
+            raise ParseError(f"edges[{i}]: expected an object")
         key, fields = _parse_edge_entry(entry, i)
         if key[0] not in node_set or key[1] not in node_set:
             raise ValidationError(f"edges[{i}]: unknown endpoint in {key}")
-        if key not in grouped:
-            order.append(key)
-        grouped.setdefault(key, []).append(fields)
+        first = by_key.setdefault(key, fields)
+        if first is not fields:
+            repeated.setdefault(key, [first]).append(fields)
 
     if default_gen_error is None:
-        default_gen_error = Fraction(0)
+        default_gen_error = _ZERO
     edges = []
     channels: dict[EdgeKey, Mapping[str, object]] = {}
     yields: dict[EdgeKey, Mapping[str, object]] = {}
-    for key in order:
-        merged = _merge_parallel(key, grouped[key])
-        gen_error = merged["gen_error"]
+    for key, fields in by_key.items():
+        if key in repeated:
+            fields = _merge_parallel(key, repeated[key])
+        gen_error = fields["gen_error"]
         if gen_error is None:
             gen_error = default_gen_error
         edges.append(
             Edge(
                 key[0],
                 key[1],
-                merged["capacity"],
-                merged["unit_cost"],
+                fields["capacity"],
+                fields["unit_cost"],
                 gen_error,
-                merged["max_uses"],
+                fields["max_uses"],
             )
         )
-        if merged["channel"] is not None:
-            channels[key] = merged["channel"]
-        if merged["yield_spec"] is not None:
-            yields[key] = merged["yield_spec"]
+        if fields["channel"] is not None:
+            channels[key] = fields["channel"]
+        if fields["yield_spec"] is not None:
+            yields[key] = fields["yield_spec"]
 
     source, sink = doc["source"], doc["sink"]
     if not isinstance(source, str) or not isinstance(sink, str):

@@ -16,8 +16,8 @@ that parses back losslessly, see ``serialize_schedule``.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 from .errors import (
     InvariantViolation,

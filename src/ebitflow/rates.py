@@ -8,9 +8,9 @@ cut under capacity-times-use-rate weights: the value of one Dinic max-flow.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .errors import MissingModel, ParseError, ValidationError
 from .netgraph import EdgeKey, NetworkGraph, as_fraction, undirected_max_flow

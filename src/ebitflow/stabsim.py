@@ -47,11 +47,9 @@ is 3/4.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .errors import InvariantViolation, ScheduleViolation, TooLarge, ValidationError
 from .netgraph import EdgeKey, NetworkGraph, as_fraction
@@ -520,6 +518,8 @@ def run_schedule(
             measurement sources.
         ValidationError: On a negative seed.
     """
+    import numpy as np  # only simulation needs numpy; keeps CLI start-up lean
+
     _require_seed(seed)
     rng = np.random.default_rng(seed)
     prog = _compile(sched, noise or NoiseModel.zero())
@@ -546,6 +546,8 @@ def run_schedule(
 
 
 def _require_seed(seed: int | Sequence[int]) -> None:
+    import numpy as np
+
     # numpy rejects negative seed words with a bare ValueError.
     if np.any(np.asarray(seed) < 0):
         raise ValidationError(f"seed must be non-negative, got {seed}")
@@ -608,6 +610,8 @@ def fidelity_estimate(
     (seed, trial index), so estimates are reproducible and trials could be
     distributed without changing results.
     """
+    import numpy as np  # only simulation needs numpy; keeps CLI start-up lean
+
     if trials <= 0:
         raise ValidationError("trials must be positive")
     _require_seed(seed)

@@ -12,9 +12,9 @@ uses. Three kinds are supported:
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 from .errors import ParseError, ValidationError, YieldShortfall
 from .netgraph import as_fraction

@@ -10,13 +10,16 @@ bit-packed replacement must reproduce draw for draw, its earlier exact
 pass probability, which the closed form must equal exactly, its earlier
 three-search min-cost flow, which the one-search solver must reproduce arc
 for arc, and its earlier resolve with one lower solve per edge, which the
-resolve that shares solves between relabelled copies must reproduce.
+resolve that shares solves between relabelled copies must reproduce, and
+its earlier document parsers, whose Fraction-based cost conversion and
+per-entry field dicts the lean parsers must reproduce value for value and
+error for error.
 """
 
 import heapq
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -30,8 +33,10 @@ from ebitflow import (
     InfeasibleTarget,
     InvariantViolation,
     NegativeTarget,
+    NetworkDocument,
     NetworkGraph,
     NoiseModel,
+    ParseError,
     PairOutcome,
     PairStats,
     PauliCorrect,
@@ -44,9 +49,19 @@ from ebitflow import (
     min_cut,
     wilson_interval,
 )
-from ebitflow.concat import _EdgeInfo, _Resolved
+from ebitflow.concat import HierEdge, _EdgeInfo, _Resolved, _parse_lower
 from ebitflow.mincostflow import Arc, _cancel_cycles
-from ebitflow.netgraph import NodeId
+from ebitflow.netgraph import (
+    MILLI,
+    EdgeKey,
+    NodeId,
+    _DOC_FIELDS,
+    _EDGE_FIELDS_OPTIONAL,
+    _EDGE_FIELDS_REQUIRED,
+    _parse_nodes,
+    as_fraction,
+    edge_key,
+)
 
 
 def cut_by_enumeration(g: NetworkGraph) -> int:
@@ -817,3 +832,198 @@ def reference_resolve(net: HierarchicalNetwork) -> _Resolved:
             sink=n.clients[1],
         )
     return _Resolved(flat=flat, edges=infos)
+
+
+def reference_cost_to_milli(value: object, what: str = "cost") -> int:
+    """Convert a cost in cost units to integer milli-units through one exact
+    Fraction per value."""
+    frac = as_fraction(value, what) * MILLI
+    if frac.denominator != 1:
+        raise ValidationError(
+            f"{what}: {value!r} is not representable in whole milli-cost units"
+        )
+    if frac < 0:
+        raise ValidationError(f"{what}: must be non-negative, got {value!r}")
+    return int(frac)
+
+
+def _reference_parse_edge_entry(entry: object, index: int) -> tuple[EdgeKey, dict]:
+    if not isinstance(entry, Mapping):
+        raise ParseError(f"edges[{index}]: expected an object")
+    unknown = set(entry) - _EDGE_FIELDS_REQUIRED - _EDGE_FIELDS_OPTIONAL
+    if unknown:
+        raise ParseError(f"edges[{index}]: unknown fields {sorted(unknown)}")
+    missing = _EDGE_FIELDS_REQUIRED - set(entry)
+    if missing:
+        raise ParseError(f"edges[{index}]: missing fields {sorted(missing)}")
+    a, b = entry["a"], entry["b"]
+    if not isinstance(a, str) or not isinstance(b, str):
+        raise ParseError(f"edges[{index}]: endpoints must be strings")
+    capacity = entry["capacity"]
+    if not isinstance(capacity, int) or isinstance(capacity, bool):
+        raise ParseError(f"edges[{index}]: capacity must be an integer")
+    fields = {
+        "capacity": capacity,
+        "unit_cost": reference_cost_to_milli(entry["cost"], f"edges[{index}].cost"),
+        "gen_error": None,
+        "max_uses": None,
+        "channel": None,
+        "yield_spec": None,
+    }
+    if "delta" in entry:
+        fields["gen_error"] = as_fraction(entry["delta"], f"edges[{index}].delta")
+    if "max_uses" in entry:
+        mu = entry["max_uses"]
+        if not isinstance(mu, int) or isinstance(mu, bool):
+            raise ParseError(f"edges[{index}].max_uses: must be an integer")
+        fields["max_uses"] = mu
+    if "channel" in entry:
+        if not isinstance(entry["channel"], Mapping):
+            raise ParseError(f"edges[{index}].channel: expected an object")
+        fields["channel"] = dict(entry["channel"])
+    if "yield" in entry:
+        if not isinstance(entry["yield"], Mapping):
+            raise ParseError(f"edges[{index}].yield: expected an object")
+        fields["yield_spec"] = dict(entry["yield"])
+    if a == b:
+        raise ValidationError(f"edges[{index}]: self-loop at node {a!r}")
+    return edge_key(a, b), fields
+
+
+def _reference_merge_parallel(key: EdgeKey, entries: Sequence[dict]) -> dict:
+    # Sums capacities and use bounds before any sign check, so a negative
+    # entry can hide inside a valid-looking sum; the lean parser rejects it.
+    merged = dict(entries[0])
+    for other in entries[1:]:
+        if other["unit_cost"] != merged["unit_cost"]:
+            raise ValidationError(f"parallel edges {key} disagree on cost; cannot merge")
+        if other["gen_error"] != merged["gen_error"]:
+            raise ValidationError(f"parallel edges {key} disagree on delta; cannot merge")
+        merged["capacity"] += other["capacity"]
+        if merged["max_uses"] is None or other["max_uses"] is None:
+            merged["max_uses"] = None
+        else:
+            merged["max_uses"] += other["max_uses"]
+        if merged["channel"] is None:
+            merged["channel"] = other["channel"]
+        elif other["channel"] is not None and other["channel"] != merged["channel"]:
+            raise ValidationError(f"parallel edges {key} disagree on channel annotation")
+        if merged["yield_spec"] is None:
+            merged["yield_spec"] = other["yield_spec"]
+        elif other["yield_spec"] is not None and other["yield_spec"] != merged["yield_spec"]:
+            raise ValidationError(f"parallel edges {key} disagree on yield annotation")
+    return merged
+
+
+def reference_parse_document(
+    doc: Mapping, *, default_gen_error: Fraction | None = None
+) -> NetworkDocument:
+    """Parse a flat network document with a field dict per edge entry, every
+    entry grouped by node pair and every group merged, even of one entry."""
+    if not isinstance(doc, Mapping):
+        raise ParseError("network document must be an object")
+    unknown = set(doc) - _DOC_FIELDS
+    if unknown:
+        raise ParseError(f"unknown fields {sorted(unknown)}")
+    missing = _DOC_FIELDS - set(doc)
+    if missing:
+        raise ParseError(f"missing fields {sorted(missing)}")
+    nodes = _parse_nodes(doc["nodes"])
+    if not isinstance(doc["edges"], Sequence) or isinstance(doc["edges"], (str, bytes)):
+        raise ParseError("edges: expected an array of edge objects")
+    if len(set(nodes)) != len(nodes):
+        raise ValidationError("duplicate node labels")
+    node_set = set(nodes)
+
+    grouped: dict[EdgeKey, list[dict]] = {}
+    order: list[EdgeKey] = []
+    for i, entry in enumerate(doc["edges"]):
+        key, fields = _reference_parse_edge_entry(entry, i)
+        if key[0] not in node_set or key[1] not in node_set:
+            raise ValidationError(f"edges[{i}]: unknown endpoint in {key}")
+        if key not in grouped:
+            order.append(key)
+        grouped.setdefault(key, []).append(fields)
+
+    if default_gen_error is None:
+        default_gen_error = Fraction(0)
+    edges = []
+    channels: dict[EdgeKey, Mapping[str, object]] = {}
+    yields: dict[EdgeKey, Mapping[str, object]] = {}
+    for key in order:
+        merged = _reference_merge_parallel(key, grouped[key])
+        gen_error = merged["gen_error"]
+        if gen_error is None:
+            gen_error = default_gen_error
+        edges.append(
+            Edge(
+                key[0],
+                key[1],
+                merged["capacity"],
+                merged["unit_cost"],
+                gen_error,
+                merged["max_uses"],
+            )
+        )
+        if merged["channel"] is not None:
+            channels[key] = merged["channel"]
+        if merged["yield_spec"] is not None:
+            yields[key] = merged["yield_spec"]
+
+    source, sink = doc["source"], doc["sink"]
+    if not isinstance(source, str) or not isinstance(sink, str):
+        raise ParseError("source and sink must be strings")
+    graph = NetworkGraph(tuple(nodes), tuple(edges), source, sink)
+    return NetworkDocument(graph=graph, channels=channels, yields=yields)
+
+
+def reference_parse_hierarchical(doc: Mapping) -> HierarchicalNetwork:
+    """Parse a hierarchical document, every flat level through
+    ``reference_parse_document``, checking each edge for being an object
+    both here and there."""
+    if not isinstance(doc, Mapping):
+        raise ParseError("network document must be an object")
+    edges = doc.get("edges")
+    if not isinstance(edges, Sequence) or isinstance(edges, (str, bytes)):
+        raise ParseError("edges: expected an array of edge objects")
+    wrapped = [isinstance(e, Mapping) and "lower" in e for e in edges]
+    if not any(wrapped):
+        return HierarchicalNetwork.from_graph(reference_parse_document(doc).graph)
+    if not all(wrapped):
+        raise ValidationError(
+            "a network must be uniformly physical or uniformly wrapped; "
+            "wrap single physical edges as two-node networks instead of mixing"
+        )
+    unknown = set(doc) - _DOC_FIELDS
+    if unknown:
+        raise ParseError(f"unknown fields {sorted(unknown)}")
+    missing = _DOC_FIELDS - set(doc)
+    if missing:
+        raise ParseError(f"missing fields {sorted(missing)}")
+    nodes = _parse_nodes(doc["nodes"])
+    hier_edges = []
+    for i, entry in enumerate(edges):
+        where = f"edges[{i}]"
+        unknown = set(entry) - {"a", "b", "lower"}
+        if unknown:
+            raise ParseError(f"{where}: unknown fields {sorted(unknown)}")
+        if {"a", "b", "lower"} - set(entry):
+            raise ParseError(f"{where}: needs a, b and lower")
+        a, b = entry["a"], entry["b"]
+        if not isinstance(a, str) or not isinstance(b, str):
+            raise ParseError(f"{where}: endpoints must be strings")
+        fields = _parse_lower(entry["lower"], where)
+        lower_net = reference_parse_hierarchical(fields.pop("network"))
+        hier_edges.append(HierEdge(a=a, b=b, lower=lower_net, **fields))
+    source, sink = doc.get("source"), doc.get("sink")
+    if not isinstance(source, str) or not isinstance(sink, str):
+        raise ParseError("source and sink must be strings")
+    levels = {e.lower.level for e in hier_edges}
+    if len(levels) > 1:
+        raise ValidationError(f"edges wrap networks of different levels {sorted(levels)}")
+    return HierarchicalNetwork(
+        level=hier_edges[0].lower.level + 1,
+        nodes=tuple(nodes),
+        edges=tuple(hier_edges),
+        clients=(source, sink),
+    )

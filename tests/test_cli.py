@@ -559,6 +559,53 @@ class TestDeterminism:
         assert run_cli(*args).stdout == run_cli(*args).stdout
 
 
+# Imports the CLI in a fresh interpreter, then runs one command that does
+# not simulate and one that does; prints whether numpy was loaded at each
+# step and the simulate report.
+LAZY_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import ebitflow, ebitflow.cli
+seen = ["numpy" in sys.modules]
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    ebitflow.cli.main(["mincut", "--input", sys.argv[1]])
+seen.append("numpy" in sys.modules)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = ebitflow.cli.main(sys.argv[2:])
+seen.append("numpy" in sys.modules)
+print(json.dumps({"numpy_loaded": seen, "code": code, "stdout": out.getvalue()}))
+"""
+
+
+class TestLazyNumpy:
+    def test_only_simulation_imports_numpy(self, docs):
+        args = (
+            "simulate",
+            "--input",
+            docs["chain"],
+            "--target",
+            "2",
+            "--trials",
+            "20",
+            "--noise-p",
+            "0.25",
+            "--seed",
+            "3",
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", LAZY_NUMPY_PROBE, docs["chain"], *args],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        probe = json.loads(proc.stdout)
+        assert probe["numpy_loaded"] == [False, False, True]
+        code, out, err = call_main(*args)
+        assert code == 0, err
+        assert (probe["code"], probe["stdout"]) == (code, out)
+
+
 SIM_DOC = {
     **CHAIN_DOC,
     "edges": [dict(e, delta=0.01) for e in CHAIN_DOC["edges"]],

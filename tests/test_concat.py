@@ -1,5 +1,6 @@
 """Hierarchical composition: flattening, aggregation, and lower-use plans."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ from ebitflow import (
     NoiseModel,
 )
 from ebitflow import concat
-from oracles import random_network, reference_resolve
+from oracles import random_network, reference_parse_hierarchical, reference_resolve
 
 
 def phys(a, b, cap, cost_milli, delta=0):
@@ -1064,3 +1065,91 @@ class TestSharedLowerSolves:
         net = self.relabelled_chain(5, last_target=4)
         with pytest.raises(InfeasibleTarget, match="target 4 exceeds"):
             flatten(net)
+
+
+SHAPES = {
+    "diamond": (("u", "v"), (("x", "u"), ("u", "y"), ("x", "v"), ("v", "y"))),
+    "chain2": (("m",), (("x", "m"), ("m", "y"))),
+}
+
+
+def base_grid(rng, k):
+    """A k x k grid between clients "@x" and "@y" with capacities and
+    milli-unit decimal costs, as the benchmark's hierarchies use."""
+    cell = [[f"b{i}_{j}" for j in range(k)] for i in range(k)]
+    edges = []
+    for i in range(k):
+        edges.append({"a": "@x", "b": cell[i][0], "capacity": 2, "cost": rng.randint(1, 2000) / 1000})
+        edges.append({"a": cell[i][-1], "b": "@y", "capacity": 2, "cost": rng.randint(1, 2000) / 1000})
+        for j in range(k):
+            for ni, nj in ((i, j + 1), (i + 1, j)):
+                if ni < k and nj < k:
+                    edges.append(
+                        {
+                            "a": cell[i][j],
+                            "b": cell[ni][nj],
+                            "capacity": rng.randint(1, 6),
+                            "cost": rng.randint(1, 2000) / 1000,
+                        }
+                    )
+    nodes = ["@x", "@y"] + [n for row in cell for n in row]
+    return {"nodes": nodes, "edges": edges, "source": "@x", "sink": "@y"}
+
+
+def benchmark_like_hierarchy(rng, depth, shape, k):
+    """Every wrapped level has ``shape``; every bottom network is one base
+    grid relabelled at its clients."""
+    base_text = json.dumps(base_grid(rng, k))
+    params = {
+        level: {
+            "yield": {"kind": "linear-floor", "rate": rng.choice(("1/2", "2/3", "1"))},
+            "max_uses": rng.randint(6, 10),
+            "delta_target": f"{rng.randint(1, 9)}/1000",
+        }
+        for level in range(1, depth + 1)
+    }
+    inner, pairs = SHAPES[shape]
+
+    def build(level, x, y):
+        if level == 0:
+            return json.loads(
+                base_text.replace('"@x"', json.dumps(x)).replace('"@y"', json.dumps(y))
+            )
+        label = {"x": x, "y": y, **{n: f"L{level}{n}" for n in inner}}
+        return {
+            "nodes": [label[n] for n in ("x", *inner, "y")],
+            "edges": [
+                {
+                    "a": label[a],
+                    "b": label[b],
+                    "lower": {"network": build(level - 1, label[a], label[b]), **params[level]},
+                }
+                for a, b in pairs
+            ],
+            "source": x,
+            "sink": y,
+        }
+
+    return build(depth, "A", "Z")
+
+
+class TestAgainstReferenceParser:
+    """Loading a hierarchy gives, level by level, the network that the
+    reference parser builds from Fraction-based flat parses."""
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_benchmark_like_hierarchies(self, depth, shape):
+        rng = random.Random(f"{depth}{shape}")
+        for k in (2, 3):
+            doc = benchmark_like_hierarchy(rng, depth, shape, k)
+            got = load_hierarchical(json.dumps(doc))
+            want = reference_parse_hierarchical(doc)
+            assert got.level == depth
+            got_levels, want_levels = networks_of(got), networks_of(want)
+            assert len(got_levels) == len(want_levels)
+            for g, w in zip(got_levels, want_levels):
+                assert g.level == w.level
+                assert g.base == w.base
+                assert g.edges == w.edges
+            assert got == want

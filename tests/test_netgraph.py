@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ebitflow import (
     Edge,
@@ -16,9 +16,16 @@ from ebitflow import (
     load_network,
     min_cut,
     parse_document,
+    parse_hierarchical,
     undirected_max_flow,
 )
-from oracles import cut_by_enumeration, random_network
+from oracles import (
+    cut_by_enumeration,
+    random_network,
+    reference_cost_to_milli,
+    reference_parse_document,
+    reference_parse_hierarchical,
+)
 
 
 def single(cap=5, cost=1000):
@@ -67,6 +74,14 @@ class TestEdge:
     def test_max_uses_positive(self):
         with pytest.raises(ValidationError):
             Edge("a", "b", 1, 0, 0, 0)
+
+    @given(st.fractions(min_value=Fraction(-3), max_value=Fraction(3), max_denominator=7))
+    def test_gen_error_range_matches_fraction_comparison(self, value):
+        if 0 <= value <= 1:
+            assert Edge("a", "b", 1, 0, value).gen_error == value
+        else:
+            with pytest.raises(ValidationError, match=r"gen_error outside \[0, 1\]"):
+                Edge("a", "b", 1, 0, value)
 
 
 class TestUnits:
@@ -328,3 +343,195 @@ class TestMinCutProperties:
         triples = [(e.a, e.b, e.capacity) for e in g.edges]
         flow = undirected_max_flow(g.nodes, triples, g.source, g.sink)
         assert flow == min_cut(g)
+
+
+class TestParallelEntriesCheckedBeforeMerge:
+    """A parallel entry that would be invalid as an edge of its own is
+    rejected, even when the merged sum would look valid."""
+
+    BAD = {"a": "s", "b": "t", "capacity": -1, "cost": 1, "max_uses": -3}
+    GOOD = {"a": "t", "b": "s", "capacity": 2, "cost": 1, "max_uses": 4}
+
+    def parse(self, *entries):
+        doc = {"nodes": ["s", "t"], "edges": list(entries), "source": "s", "sink": "t"}
+        return parse_document(doc)
+
+    @pytest.mark.parametrize("order", ["bad-first", "good-first"])
+    def test_negative_capacity_entry(self, order):
+        entries = (self.BAD, self.GOOD) if order == "bad-first" else (self.GOOD, self.BAD)
+        with pytest.raises(ValidationError) as got:
+            self.parse(*entries)
+        with pytest.raises(ValidationError) as edge:
+            Edge("s", "t", -1, 1000)
+        assert str(got.value) == str(edge.value) == "edge ('s', 't'): negative capacity"
+
+    @pytest.mark.parametrize("order", ["bad-first", "good-first"])
+    def test_max_uses_below_one_entry(self, order):
+        bad = dict(self.BAD, capacity=1, max_uses=0)
+        entries = (bad, self.GOOD) if order == "bad-first" else (self.GOOD, bad)
+        with pytest.raises(ValidationError) as got:
+            self.parse(*entries)
+        with pytest.raises(ValidationError) as edge:
+            Edge("s", "t", 1, 1000, 0, 0)
+        assert str(got.value) == str(edge.value) == "edge ('s', 't'): max_uses must be positive"
+
+    def test_valid_entries_still_merge(self):
+        g = self.parse(dict(self.BAD, capacity=1, max_uses=1), self.GOOD).graph
+        assert (g.edges[0].capacity, g.edges[0].max_uses) == (3, 5)
+
+
+def outcome(fn, *args):
+    """The value of ``fn(*args)``, or the type and message of what it raised."""
+    try:
+        return ("value", fn(*args))
+    except Exception as exc:  # noqa: BLE001 - compared, never swallowed
+        return (type(exc), str(exc))
+
+
+COST_SPECIALS = [
+    -0.0, 0.0, 0.0005, 1e-4, 1e15, 1e16, 1e300, 5e-324, 1.7976931348623157e308,
+    float("nan"), float("inf"), float("-inf"), 0.001, 1.234, -1.5, -0.0005,
+    123456.789, 1e-3, 2.5e-3, 1e22, 1.5e16, 9007199254740993.0,
+]
+
+COST_VALUES = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.integers(),
+    st.booleans(),
+    st.sampled_from(COST_SPECIALS),
+    st.floats(),
+    st.integers(-(10**9), 10**9).map(lambda n: n / 1000),
+    st.builds(lambda n, d: f"{n}/{d}", st.integers(-5000, 5000), st.integers(0, 3000)),
+    st.sampled_from(["3/2", "1/3", "-2", "1.5", "1e3", " 2 ", "abc", "", "1/0", "nan", "inf"]),
+    st.fractions(max_denominator=10**4),
+    st.sampled_from([None, [], {}, "0x10"]),
+)
+
+LABELS = ["a", "b", "c", "d"]
+PAIRS = [(a, b) for a in LABELS for b in LABELS if a != b]
+CHANNELS = [
+    {"kind": "pure-loss", "eta": 0.5, "rate": 1},
+    {"kind": "explicit", "Q": 2, "rate": 1},
+]
+YIELDS = [{"kind": "identity"}, {"kind": "linear-floor", "rate": "1/2"}]
+NON_OBJECTS = [[], "edge", 3, None, ["a", "b"]]
+
+# True about one draw in twelve; a middle value, since hypothesis favours
+# the ends of a range.
+rarely = st.integers(0, 11).map(lambda n: n == 5)
+
+
+@st.composite
+def edge_entries(draw, cost, delta):
+    """One edge object that mostly shares the document's cost and delta, so
+    that repeated pairs often merge; sometimes corrupted."""
+    a, b = draw(st.sampled_from(PAIRS))
+    if draw(rarely):
+        b = a
+    entry = {
+        "a": a,
+        "b": b,
+        "capacity": draw(st.integers(-1, 4)),
+        "cost": draw(COST_VALUES) if draw(rarely) else cost,
+    }
+    if delta is not None:
+        entry["delta"] = draw(COST_VALUES) if draw(rarely) else delta
+    if draw(st.booleans()):
+        entry["max_uses"] = draw(st.integers(-1, 4))
+    if draw(st.booleans()):
+        entry["channel"] = draw(st.sampled_from(CHANNELS))
+    if draw(st.booleans()):
+        entry["yield"] = draw(st.sampled_from(YIELDS))
+    if not draw(rarely):
+        return entry
+    corruption = draw(st.sampled_from(["non-object", "unknown", "missing", "value"]))
+    if corruption == "non-object":
+        return draw(st.sampled_from(NON_OBJECTS))
+    if corruption == "unknown":
+        entry[draw(st.sampled_from(["extra", "lower"]))] = 1
+    elif corruption == "missing":
+        del entry[draw(st.sampled_from(sorted(entry)))]
+    else:
+        field = draw(st.sampled_from(sorted(entry)))
+        entry[field] = draw(st.one_of(COST_VALUES, st.sampled_from(["z", 1.5, True, {}])))
+    return entry
+
+
+@st.composite
+def flat_documents(draw):
+    """Documents over four labels with up to nine edge entries, so node
+    pairs repeat often; sometimes malformed at the top level."""
+    cost = draw(st.sampled_from([0, 1, 0.5, 1.25, "3/2", 0.001, 2.0]))
+    delta = draw(st.sampled_from([None, 0, 0.01, "1/100", 1, "3/2"]))
+    source, sink = draw(st.sampled_from(PAIRS))
+    doc = {
+        "nodes": list(LABELS),
+        "edges": draw(st.lists(edge_entries(cost, delta), max_size=9)),
+        "source": source,
+        "sink": sink,
+    }
+    if draw(rarely):
+        doc["nodes"] = draw(st.lists(st.sampled_from(LABELS + ["z", ""]), max_size=5))
+    if draw(rarely):
+        doc[draw(st.sampled_from(["extra", "sink", "edges"]))] = draw(
+            st.sampled_from([1, None, "a", "ab"])
+        )
+    return doc
+
+
+def merge_hidden_messages(doc):
+    """The errors of parallel entries that are invalid on their own and that
+    the reference parser summed before checking."""
+    groups: dict = {}
+    for e in doc["edges"] if isinstance(doc["edges"], list) else ():
+        if isinstance(e, dict) and isinstance(e.get("a"), str) and isinstance(e.get("b"), str):
+            groups.setdefault(edge_key(e["a"], e["b"]), []).append(e)
+    messages = set()
+    for key, entries in groups.items():
+        if len(entries) < 2:
+            continue
+        for e in entries:
+            cap, mu = e.get("capacity"), e.get("max_uses")
+            if isinstance(cap, int) and cap < 0:
+                messages.add(f"edge {key}: negative capacity")
+            if isinstance(mu, int) and mu < 1:
+                messages.add(f"edge {key}: max_uses must be positive")
+    return messages
+
+
+class TestAgainstReferenceParser:
+    """The lean parser returns what the Fraction-based reference returns, or
+    raises the same exception type with the same message."""
+
+    @settings(derandomize=True, max_examples=1500, deadline=None)
+    @given(COST_VALUES)
+    def test_cost_to_milli(self, value):
+        assert outcome(cost_to_milli, value) == outcome(reference_cost_to_milli, value)
+
+    @pytest.mark.parametrize("value", COST_SPECIALS, ids=repr)
+    def test_cost_to_milli_special_floats(self, value):
+        assert outcome(cost_to_milli, value) == outcome(reference_cost_to_milli, value)
+
+    def test_cost_to_milli_small_ints_and_milli_decimals(self):
+        for n in range(-3000, 3001):
+            for value in (n, n / 1000, n / 10_000):
+                assert outcome(cost_to_milli, value) == outcome(
+                    reference_cost_to_milli, value
+                ), value
+
+    @settings(
+        derandomize=True,
+        max_examples=600,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(flat_documents())
+    def test_parse_document(self, doc):
+        for parse, reference in (
+            (parse_document, reference_parse_document),
+            (parse_hierarchical, reference_parse_hierarchical),
+        ):
+            got, want = outcome(parse, doc), outcome(reference, doc)
+            if got != want:
+                assert got[0] is ValidationError, (got, want)
+                assert got[1] in merge_hidden_messages(doc), (got, want)
