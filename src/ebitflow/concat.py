@@ -268,7 +268,8 @@ def _resolve(net: HierarchicalNetwork) -> _Resolved:
     ``_lower_key``, which ranks the labels of the flattened lower network
     in sorted order, and a copy with the same key maps the first flow onto
     its own labels. That is exact because the solver only compares labels
-    (its tie-break, cycle cancelling and the sorted ``arc_flow``), so an
+    (its tie-break, cycle cancelling and the sorted ``arc_flow``); inside
+    the search it sees only their sorted ranks, heap keys included, so an
     order-preserving bijection maps one solution onto the other. Replacing
     only the client labels would not do: which of two equal-cost paths
     wins can depend on where the sink sorts among the interior labels.

@@ -7,15 +7,16 @@ pair on an edge costs ``unit_cost`` milli-units?
 
 Algorithm: successive shortest augmenting paths with node potentials, so
 Dijkstra always sees non-negative reduced costs. Each augmentation runs one
-Dijkstra and adds its distances to the potentials; the cheapest paths are
-then exactly the paths of zero-reduced-cost arcs, and among them the
-lexicographically smallest node-label sequence is chosen, which makes
-results reproducible across runs and platforms. Path choice depends on the
-residual alone, not on the target, so one run passes every target's optimum
-and ends at the min-cut when the sink becomes unreachable; no entry point
-computes a separate min-cut. Each solution is canonicalized: opposing flow
-on an edge is cancelled and any remaining zero-cost support cycles are
-removed, so for every edge at most one direction carries flow.
+Dijkstra, stopped once the sink is settled, and adds its distances, capped
+at the sink's, to the potentials; the cheapest paths are then exactly the
+paths of zero-reduced-cost arcs, and among them the lexicographically
+smallest node-label sequence is chosen, which makes results reproducible
+across runs and platforms. Path choice depends on the residual alone, not
+on the target, so one run passes every target's optimum and ends at the
+min-cut when the sink becomes unreachable; no entry point computes a
+separate min-cut. Each solution is canonicalized: opposing flow on an edge
+is cancelled and any remaining zero-cost support cycles are removed, so for
+every edge at most one direction carries flow.
 
 All entry points are pure functions; solutions are immutable.
 """
@@ -76,6 +77,11 @@ class _Residual:
     ``pushed`` the pairs sent so far. An arc is tight when it has remaining
     capacity and zero reduced cost; once the potentials include a Dijkstra's
     distances from the source, the cheapest paths are the tight-arc paths.
+
+    Node ``i`` is the ``i``-th label in sorted order, so comparing indices
+    compares labels. ``NetworkGraph`` sorts its edges by key, so every
+    ``adj[u]`` runs in (head label, arc id) order, with the two arcs to one
+    head adjacent; the path walk relies on that order instead of sorting.
     """
 
     def __init__(self, g: NetworkGraph) -> None:
@@ -87,44 +93,53 @@ class _Residual:
         self.to: list[int] = []
         self.res: list[int] = []
         self.cost: list[int] = []
+        adj, to, res, cost, index = self.adj, self.to, self.res, self.cost, self.index
         for e in g.edges:
-            self._add(e.a, e.b, e.capacity, e.unit_cost)
-            self._add(e.b, e.a, e.capacity, e.unit_cost)
+            # Arcs k..k+3: a->b, its reverse, b->a, its reverse.
+            k, ia, ib, c = len(to), index[e.a], index[e.b], e.unit_cost
+            adj[ia] += (k, k + 3)
+            adj[ib] += (k + 1, k + 2)
+            to += (ib, ia, ia, ib)
+            res += (e.capacity, 0, e.capacity, 0)
+            cost += (c, -c, c, -c)
 
-    def _add(self, a: NodeId, b: NodeId, cap: int, cost: int) -> None:
-        ia, ib = self.index[a], self.index[b]
-        self.adj[ia].append(len(self.to))
-        self.to.append(ib)
-        self.res.append(cap)
-        self.cost.append(cost)
-        self.adj[ib].append(len(self.to))
-        self.to.append(ia)
-        self.res.append(0)
-        self.cost.append(-cost)
+    def dijkstra(
+        self, s: int, t: int, potential: list[int]
+    ) -> tuple[list[int], list[int | None]] | None:
+        """Reduced-cost Dijkstra from ``s`` that stops once ``t`` is settled.
 
-    def dijkstra(self, start: int, potential: list[int]) -> list[int | None]:
-        """Shortest reduced-cost distance from ``start`` to every node."""
-        dist: list[int | None] = [None] * len(self.nodes)
-        dist[start] = 0
-        heap = [(0, start)]
+        Returns the settled nodes in settling order, ``t`` last, and the
+        distances, exact for the settled nodes; None if ``t`` is unreachable.
+        The heap holds ``d * n + v``, which orders like ``(d, v)`` since the
+        reduced costs are non-negative.
+        """
+        n = len(self.nodes)
+        adj, res, to, cost = self.adj, self.res, self.to, self.cost
+        heappush, heappop = heapq.heappush, heapq.heappop
+        dist: list[int | None] = [None] * n
+        done = [False] * n
+        settled: list[int] = []
+        dist[s] = 0
+        heap = [s]
         while heap:
-            d, u = heapq.heappop(heap)
-            if dist[u] is None or d > dist[u]:
+            u = heappop(heap) % n
+            if done[u]:
                 continue
-            for aid in self.adj[u]:
-                if self.res[aid] <= 0:
-                    continue
-                v = self.to[aid]
-                nd = d + self.cost[aid] + potential[u] - potential[v]
-                if dist[v] is None or nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        return dist
-
-    def tight(self, aid: int, potential: list[int]) -> bool:
-        """Whether arc ``aid`` has residual capacity and zero reduced cost."""
-        u, v = self.to[aid ^ 1], self.to[aid]
-        return self.res[aid] > 0 and self.cost[aid] + potential[u] - potential[v] == 0
+            done[u] = True
+            settled.append(u)
+            if u == t:
+                return settled, dist
+            base = dist[u] + potential[u]
+            for aid in adj[u]:
+                if res[aid] > 0:
+                    v = to[aid]
+                    if not done[v]:
+                        nd = base + cost[aid] - potential[v]
+                        dv = dist[v]
+                        if dv is None or nd < dv:
+                            dist[v] = nd
+                            heappush(heap, nd * n + v)
+        return None
 
     def lexicographic_shortest_path(
         self, s: int, t: int, potential: list[int]
@@ -132,33 +147,51 @@ class _Residual:
         """Arc ids of the cheapest s-t path whose node-label sequence is
         lexicographically smallest among all cheapest simple paths.
 
-        Needs ``t`` reachable and this round's Dijkstra distances from ``s``
+        Needs ``t`` reachable and this round's capped distances from ``s``
         already in ``potential``. A search back from ``t`` (the arcs into
-        ``v`` are the partners of ``v``'s own arcs) marks the nodes with a
-        tight path to ``t``. A depth-first walk from ``s`` follows tight arcs
-        into marked nodes in label order, backtracking where zero-cost cycles
-        make the greedy walk dead-end.
+        ``v`` are the partners of ``v``'s own arcs) marks every node, settled
+        or not, with a tight path to ``t``. A depth-first walk from ``s``
+        follows tight arcs into marked nodes in label order, backtracking
+        where zero-cost cycles make the greedy walk dead-end.
         """
-        reaches_t = {t}
+        n = len(self.nodes)
+        adj, res, to, cost = self.adj, self.res, self.to, self.cost
+        reaches_t = [False] * n
+        reaches_t[t] = True
         frontier = [t]
         while frontier:
             v = frontier.pop()
-            for aid in self.adj[v]:
-                u = self.to[aid]
-                if u not in reaches_t and self.tight(aid ^ 1, potential):
-                    reaches_t.add(u)
+            pv = potential[v]
+            for aid in adj[v]:
+                u, back = to[aid], aid ^ 1
+                if not reaches_t[u] and res[back] > 0 and cost[back] + potential[u] == pv:
+                    reaches_t[u] = True
                     frontier.append(u)
 
-        def candidates(u: int) -> list[tuple[int, int]]:
-            # (neighbor, first qualifying arc) pairs, largest label first.
-            found: dict[int, int] = {}
-            for aid in self.adj[u]:
-                v = self.to[aid]
-                if v in reaches_t and v not in on_path and self.tight(aid, potential):
-                    found.setdefault(v, aid)
-            return sorted(found.items(), key=lambda vi: self.nodes[vi[0]], reverse=True)
+        on_path = [False] * n
 
-        on_path = {s}
+        def candidates(u: int) -> list[tuple[int, int]]:
+            # (head, first tight arc) pairs, largest label first. ``adj[u]``
+            # runs in head-label order with a head's arcs adjacent, so the
+            # first qualifying arc of each head is the one kept.
+            found: list[tuple[int, int]] = []
+            last = -1
+            pu = potential[u]
+            for aid in adj[u]:
+                v = to[aid]
+                if (
+                    v != last
+                    and reaches_t[v]
+                    and not on_path[v]
+                    and res[aid] > 0
+                    and cost[aid] + pu == potential[v]
+                ):
+                    found.append((v, aid))
+                    last = v
+            found.reverse()
+            return found
+
+        on_path[s] = True
         path_arcs: list[int] = []
         stack = [candidates(s)]
         while stack:
@@ -167,27 +200,37 @@ class _Residual:
                 path_arcs.append(aid)
                 if v == t:
                     return path_arcs
-                on_path.add(v)
+                on_path[v] = True
                 stack.append(candidates(v))
             else:
                 # Dead end under the simple-path constraint; back out.
                 stack.pop()
                 if path_arcs:
-                    on_path.discard(self.to[path_arcs.pop()])
+                    on_path[to[path_arcs.pop()]] = False
         raise InvariantViolation("no tight path to a reachable sink")
 
     def augmenting_paths(self) -> Iterator[tuple[list[int], int]]:
         """Yield each cheapest source-sink path and its bottleneck until the
-        sink is unreachable; the caller pushes along a path before the next."""
+        sink is unreachable; the caller pushes along a path before the next.
+
+        Each round's Dijkstra stops at the sink, at distance D. A settled
+        node's potential grows by its distance and every other node's by D
+        (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 9): that keeps
+        every residual reduced cost non-negative, and on the nodes within D
+        of the source, where all tight paths from it lie, the potentials
+        match those of a full Dijkstra, so the walk picks the same path.
+        """
         s, t = self.index[self.graph.source], self.index[self.graph.sink]
         potential = [0] * len(self.nodes)
         while True:
-            dist = self.dijkstra(s, potential)
-            if dist[t] is None:
+            found = self.dijkstra(s, t, potential)
+            if found is None:
                 return
-            for v, d in enumerate(dist):
-                if d is not None:
-                    potential[v] += d
+            settled, dist = found
+            far = dist[t]
+            potential = [p + far for p in potential]
+            for v in settled:
+                potential[v] += dist[v] - far
             path = self.lexicographic_shortest_path(s, t, potential)
             yield path, min(self.res[aid] for aid in path)
 
@@ -413,10 +456,15 @@ def solution_dot(sol: FlowSolution) -> str:
     lines.append(f'  label="net_flow={sol.net_flow} cost={_milli_text(sol.total_cost)}";')
     for n in g.nodes:
         shape = ' [shape=doublecircle]' if n in (g.source, g.sink) else ""
-        lines.append(f'  "{n}"{shape};')
+        lines.append(f"  {_dot_id(n)}{shape};")
     for e in g.edges:
         used = sol.undirected_flow[e.key]
         label = f"{used}/{e.capacity} @ {_milli_text(e.unit_cost)}"
-        lines.append(f'  "{e.a}" -- "{e.b}" [label="{label}"];')
+        lines.append(f'  {_dot_id(e.a)} -- {_dot_id(e.b)} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_id(label: NodeId) -> str:
+    """``label`` as a quoted DOT ID, with backslashes and quotes escaped."""
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from ebitflow import (
     unit_price,
     validate_flow,
 )
+from ebitflow.mincostflow import _Residual
 from oracles import min_cost_by_search, random_network, reference_min_cost_flow
 
 CHAIN = NetworkGraph.from_edge_list(
@@ -179,6 +181,26 @@ class TestReporting:
         assert "graph network {" in dot
         assert '"r" -- "s" [label="2/3 @ 1.000"]' in dot
         assert '"s" [shape=doublecircle]' in dot
+
+    def test_dot_escapes_quotes_and_backslashes(self):
+        g = NetworkGraph.from_edge_list(
+            [('s"x', "m", 1, 5), ("m", "t\\", 1, 0)], 's"x', "t\\"
+        )
+        dot = solution_dot(min_cost_flow(g, 1))
+        quoted = re.compile(r'"((?:[^"\\]|\\.)*)"')
+        nodes, edges = [], []
+        for line in dot.splitlines():
+            # Every quote is part of a complete quoted ID or label.
+            assert '"' not in quoted.sub("", line), line
+            ids = [re.sub(r"\\(.)", r"\1", m) for m in quoted.findall(line)]
+            if " -- " in line:
+                edges.append(tuple(ids[:2]))
+            elif line.endswith(";") and not line.lstrip().startswith("label="):
+                nodes.append(ids[0])
+        assert nodes == list(g.nodes)
+        assert edges == [e.key for e in g.edges]
+        assert '  "t\\\\" [shape=doublecircle];' in dot.splitlines()
+        assert '  "m" -- "s\\"x" [label="1/1 @ 0.005"];' in dot.splitlines()
 
 
 @st.composite
@@ -357,3 +379,98 @@ class TestHugeCapacity:
         sol = min_cost_max_flow(self.G)
         assert sol.net_flow == 10**9
         assert sol.total_cost == 7 * 10**9
+
+
+@st.composite
+def tie_grids(draw):
+    """k x k grids, k = 3..7, with tie-heavy costs and labels assigned to
+    cells in a random order; the clients sit on opposite sides, so each
+    round's search stops at the sink with nodes still unsettled."""
+    k = draw(st.integers(3, 7))
+    labels = draw(st.permutations([f"n{i:02d}" for i in range(k * k)]))
+    edges = []
+    for i in range(k):
+        for j in range(k):
+            for ni, nj in ((i, j + 1), (i + 1, j)):
+                if ni < k and nj < k:
+                    cap = draw(st.integers(0, 4))
+                    cost = draw(st.sampled_from([0, 0, 1, 2]))
+                    edges.append((labels[i * k + j], labels[ni * k + nj], cap, cost))
+    source = labels[draw(st.integers(0, k - 1)) * k]
+    sink = labels[draw(st.integers(0, k - 1)) * k + k - 1]
+    return NetworkGraph.from_edge_list(edges, source, sink, extra_nodes=labels)
+
+
+class TestGridsAgainstReferenceSolver:
+    """On larger grids the search stops at the sink with much of the graph
+    unsettled; every entry point still equals the full-search reference."""
+
+    @settings(
+        derandomize=True,
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(tie_grids())
+    def test_every_entry_point_matches_the_reference(self, g):
+        cut = min_cut(g)
+        expected = [reference_min_cost_flow(g, k) for k in range(cut + 1)]
+        for k, ref in enumerate(expected):
+            assert_same(min_cost_flow(g, k), ref)
+        with pytest.raises(InfeasibleTarget) as exc:
+            reference_min_cost_flow(g, cut + 1)
+        with pytest.raises(InfeasibleTarget) as got:
+            min_cost_flow(g, cut + 1)
+        assert str(got.value) == str(exc.value)
+        assert_same(min_cost_max_flow(g), expected[cut])
+        if cut == 0:
+            with pytest.raises(InfeasibleTarget):
+                price_curve(g)
+            return
+        curve, best = price_curve(g)
+        assert len(curve) == cut
+        for sol, ref in zip(curve, expected[1:]):
+            assert_same(sol, ref)
+        prices = [unit_price(ref) for ref in expected[1:]]
+        assert best == prices.index(min(prices)) + 1
+
+
+class TestEarlyStop:
+    def test_search_stops_at_the_sink(self):
+        # A chain s-m-t with a costly branch through z: z is never settled.
+        g = NetworkGraph.from_edge_list(
+            [("m", "s", 1, 1), ("m", "t", 1, 1), ("s", "z", 1, 100), ("t", "z", 1, 100)],
+            "s",
+            "t",
+        )
+        r = _Residual(g)
+        settled, dist = r.dijkstra(r.index["s"], r.index["t"], [0] * len(r.nodes))
+        assert [r.nodes[v] for v in settled] == ["s", "m", "t"]
+        assert dist[r.index["t"]] == 2
+
+    def test_unsettled_node_at_the_sink_distance_carries_the_path(self):
+        # Nodes a, b, c (the sink) and d all lie at distance 1 and settle in
+        # label order, so the search stops with d unsettled, yet s-a-d-c is
+        # the lexicographically smallest cheapest path.
+        g = NetworkGraph.from_edge_list(
+            [("a", "s", 1, 1), ("a", "d", 1, 0), ("c", "d", 1, 0), ("b", "s", 1, 1), ("b", "c", 1, 0)],
+            "s",
+            "c",
+        )
+        r = _Residual(g)
+        settled, _ = r.dijkstra(r.index["s"], r.index["c"], [0] * len(r.nodes))
+        assert r.index["d"] not in settled
+        sol = min_cost_flow(g, 1)
+        assert sol.arc_flow == {("a", "d"): 1, ("d", "c"): 1, ("s", "a"): 1}
+        assert_same(sol, reference_min_cost_flow(g, 1))
+        assert_same(min_cost_max_flow(g), reference_min_cost_flow(g, 2))
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(tie_graphs())
+    def test_arcs_run_in_head_label_order(self, g):
+        """The walk keeps the first tight arc per head in ``adj`` order and
+        relies on that order being (head label, arc id)."""
+        r = _Residual(g)
+        for arcs in r.adj:
+            keys = [(r.nodes[r.to[aid]], aid) for aid in arcs]
+            assert keys == sorted(keys)
