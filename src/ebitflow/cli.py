@@ -18,11 +18,13 @@ unsatisfiable pair target.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
 import sys
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -68,18 +70,21 @@ def _default_format(command: str) -> str:
     return env if env in usable else "json"
 
 
-def _read_input(path: str) -> tuple[str, str]:
-    """Input file text and its sha256 hex digest."""
-    p = Path(path)
+def _read_input(path: str) -> tuple[bytes, str]:
+    """Input file bytes, checked to be UTF-8, and their sha256 hex digest.
+
+    The loaders take the bytes as the document itself: text could also be
+    read as the name of another file.
+    """
     try:
-        raw = p.read_bytes()
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read input file {path}: {exc}") from exc
     try:
-        text = raw.decode("utf-8")
+        raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"input file {path} is not UTF-8: {exc}") from exc
-    return text, hashlib.sha256(raw).hexdigest()
+    return raw, hashlib.sha256(raw).hexdigest()
 
 
 def _price_text(price: Fraction | None) -> str:
@@ -112,28 +117,36 @@ def _flow_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_mincut(args) -> tuple[dict, str, str | None]:
-    docu = load_network(args.input_text, default_gen_error=args.delta_default)
+# Each handler returns the JSON result and, for --format text or dot, the
+# report in that format. ``main`` writes JSON reports itself; the text and
+# DOT renders run only when they are printed.
+
+
+def _cmd_mincut(args) -> tuple[dict, str | None]:
+    docu = load_network(args.input_bytes, default_gen_error=args.delta_default)
     cut = min_cut(docu.graph)
-    return {"min_cut": cut}, f"min-cut: {cut}\n", None
+    return {"min_cut": cut}, f"min-cut: {cut}\n"
 
 
-def _cmd_flow(args) -> tuple[dict, str, str | None]:
-    docu = load_network(args.input_text, default_gen_error=args.delta_default)
-    sol = min_cost_flow(docu.graph, args.target)
+def _flow_output(args, sol) -> tuple[dict, str | None]:
     report = solution_report(sol)
-    return report, _flow_text(report), solution_dot(sol)
+    if args.format == "dot":
+        return report, solution_dot(sol)
+    return report, _flow_text(report) if args.format == "text" else None
 
 
-def _cmd_maxflow(args) -> tuple[dict, str, str | None]:
-    docu = load_network(args.input_text, default_gen_error=args.delta_default)
-    sol = min_cost_max_flow(docu.graph)
-    report = solution_report(sol)
-    return report, _flow_text(report), solution_dot(sol)
+def _cmd_flow(args) -> tuple[dict, str | None]:
+    docu = load_network(args.input_bytes, default_gen_error=args.delta_default)
+    return _flow_output(args, min_cost_flow(docu.graph, args.target))
 
 
-def _cmd_price_scan(args) -> tuple[dict, str, str | None]:
-    docu = load_network(args.input_text, default_gen_error=args.delta_default)
+def _cmd_maxflow(args) -> tuple[dict, str | None]:
+    docu = load_network(args.input_bytes, default_gen_error=args.delta_default)
+    return _flow_output(args, min_cost_max_flow(docu.graph))
+
+
+def _cmd_price_scan(args) -> tuple[dict, str | None]:
+    docu = load_network(args.input_bytes, default_gen_error=args.delta_default)
     curve, best_target = price_curve(docu.graph)
     best_price = unit_price(curve[best_target - 1])
     rows = [
@@ -149,6 +162,8 @@ def _cmd_price_scan(args) -> tuple[dict, str, str | None]:
         "best_target": best_target,
         "best_unit_price_milli": _frac(best_price),
     }
+    if args.format == "json":
+        return result, None
     lines = [
         f"target {row['target']}: cost {_milli_text(row['total_cost_milli'])}, "
         f"unit price {_price_text(Fraction(row['unit_price_milli']))}"
@@ -157,15 +172,15 @@ def _cmd_price_scan(args) -> tuple[dict, str, str | None]:
     lines.append(
         f"best target: {best_target} at unit price {_price_text(best_price)}"
     )
-    return result, "\n".join(lines) + "\n", None
+    return result, "\n".join(lines) + "\n"
 
 
 def _document_yields(docu):
     return {key: parse_yield(raw) for key, raw in sorted(docu.yields.items())}
 
 
-def _cmd_plan(args) -> tuple[dict, str, str | None]:
-    docu = load_network(args.input_text, default_gen_error=args.delta_default)
+def _cmd_plan(args) -> tuple[dict, str | None]:
+    docu = load_network(args.input_bytes, default_gen_error=args.delta_default)
     sol = min_cost_flow(docu.graph, args.target)
     bundles = decompose_flow(sol)
     use_plan = plan_channel_uses(docu.graph, sol, _document_yields(docu) or None)
@@ -190,6 +205,8 @@ def _cmd_plan(args) -> tuple[dict, str, str | None]:
         "qubits": sched.n_qubits,
         "instruction_counts": sched.counts(),
     }
+    if args.format == "json":
+        return result, None
     lines = [f"net flow: {sol.net_flow}", "paths:"]
     for b in bundles:
         lines.append(f"  {' -> '.join(b.path)} (x{b.multiplicity})")
@@ -203,11 +220,11 @@ def _cmd_plan(args) -> tuple[dict, str, str | None]:
     lines.extend(f"  {ln}" for ln in schedule_text.splitlines())
     counts = " ".join(f"{k}={v}" for k, v in sorted(sched.counts().items()))
     lines.append(f"counts: {counts} qubits={sched.n_qubits}")
-    return result, "\n".join(lines) + "\n", None
+    return result, "\n".join(lines) + "\n"
 
 
-def _cmd_simulate(args) -> tuple[dict, str, str | None]:
-    docu = load_network(args.input_text, default_gen_error=args.delta_default)
+def _cmd_simulate(args) -> tuple[dict, str | None]:
+    docu = load_network(args.input_bytes, default_gen_error=args.delta_default)
     g = docu.graph
     sol = min_cost_flow(g, args.target)
     sched = build_swap_schedule(decompose_flow(sol))
@@ -239,16 +256,6 @@ def _cmd_simulate(args) -> tuple[dict, str, str | None]:
         },
         "exact": None,
     }
-    lines = [
-        f"pairs: {sol.net_flow}",
-        f"trials: {est.trials}",
-        f"all-pass: {est.all_pass_count}/{est.trials} ({est.all_pass_rate:.4f})",
-    ]
-    for s in est.pairs:
-        lines.append(
-            f"pair {s.copy}: {s.passes}/{s.trials} ({s.estimate:.4f}, "
-            f"95% CI {s.wilson_low:.4f}..{s.wilson_high:.4f})"
-        )
     if sched.n_qubits <= EXACT_QUBIT_LIMIT:
         pass_p = exact_pass_probability(sched, noise)
         trace = exact_trace_distance(sched, noise)
@@ -267,12 +274,29 @@ def _cmd_simulate(args) -> tuple[dict, str, str | None]:
             "error_bound": _frac(bound),
             "error_bound_float": float(bound),
         }
-        lines.append(f"exact pass probability: {float(pass_p):.6f} ({pass_p})")
-        lines.append(f"exact trace distance: {float(trace):.6f} ({trace})")
-        lines.append(f"operation error: {float(op_err):.6f} ({op_err})")
-        lines.append(f"generation budget: {float(gen):.6f} ({gen})")
-        lines.append(f"error bound: {float(bound):.6f} ({bound})")
-    return result, "\n".join(lines) + "\n", None
+    if args.format == "json":
+        return result, None
+    lines = [
+        f"pairs: {sol.net_flow}",
+        f"trials: {est.trials}",
+        f"all-pass: {est.all_pass_count}/{est.trials} ({est.all_pass_rate:.4f})",
+    ]
+    for s in est.pairs:
+        lines.append(
+            f"pair {s.copy}: {s.passes}/{s.trials} ({s.estimate:.4f}, "
+            f"95% CI {s.wilson_low:.4f}..{s.wilson_high:.4f})"
+        )
+    exact = result["exact"]
+    if exact is not None:
+        for label, key in (
+            ("exact pass probability", "pass_probability"),
+            ("exact trace distance", "trace_distance"),
+            ("operation error", "operation_error"),
+            ("generation budget", "generation_budget"),
+            ("error bound", "error_bound"),
+        ):
+            lines.append(f"{label}: {exact[key + '_float']:.6f} ({exact[key]})")
+    return result, "\n".join(lines) + "\n"
 
 
 def _plan_node_json(node) -> dict:
@@ -299,8 +323,8 @@ def _plan_node_text(node, indent: int, out: list) -> None:
         _plan_node_text(c, indent + 1, out)
 
 
-def _cmd_concat(args) -> tuple[dict, str, str | None]:
-    net = load_hierarchical(args.input_text)
+def _cmd_concat(args) -> tuple[dict, str | None]:
+    net = load_hierarchical(args.input_bytes)
     res = aggregate_level(net, args.target, swap_depolarize_p=args.noise_p)
     lower = plan_lower_uses(net, res.solution)
     lower_cost = total_lower_cost(net, res.solution)
@@ -320,6 +344,8 @@ def _cmd_concat(args) -> tuple[dict, str, str | None]:
         "lower_plan": [_plan_node_json(n) for n in lower],
         "total_lower_cost_milli": lower_cost,
     }
+    if args.format == "json":
+        return result, None
     lines = [
         f"level: {net.level}",
         f"net flow: {res.solution.net_flow}",
@@ -332,11 +358,11 @@ def _cmd_concat(args) -> tuple[dict, str, str | None]:
     for n in lower:
         _plan_node_text(n, 1, lines)
     lines.append(f"total lower cost: {_milli_text(lower_cost)}")
-    return result, "\n".join(lines) + "\n", None
+    return result, "\n".join(lines) + "\n"
 
 
-def _cmd_rate(args) -> tuple[dict, str, str | None]:
-    docu = load_network(args.input_text, default_gen_error=args.delta_default)
+def _cmd_rate(args) -> tuple[dict, str | None]:
+    docu = load_network(args.input_bytes, default_gen_error=args.delta_default)
     models = {key: parse_channel(raw) for key, raw in sorted(docu.channels.items())}
     rate = asymptotic_rate(docu.graph, models)
     edges = []
@@ -354,13 +380,15 @@ def _cmd_rate(args) -> tuple[dict, str, str | None]:
             }
         )
     result = {"rate_ebits": rate, "edges": edges}
+    if args.format == "json":
+        return result, None
     lines = [f"asymptotic rate: {rate:.9f} ebits"]
     for e in edges:
         lines.append(
             f"{e['a']}--{e['b']}: weight {e['weight']:.9f} "
             f"({e['use_rate']:.6g} uses x {e['capacity_per_use']:.9f} ebits/use)"
         )
-    return result, "\n".join(lines) + "\n", None
+    return result, "\n".join(lines) + "\n"
 
 
 _HANDLERS = {
@@ -382,7 +410,10 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing, usage errors
+    and ``--version`` leave it as it was."""
     parser = argparse.ArgumentParser(
         prog=TOOL_NAME,
         description="Plan and verify Bell-pair distribution over quantum networks.",
@@ -453,6 +484,105 @@ def _params(args) -> dict:
     return out
 
 
+_CONTAINERS = (dict, list, tuple)
+# Exact types: a subclass, even of str or int, takes the walked path.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.cache
+def _encoder(depth: int):
+    """``encode`` of a C-backed encoder whose item separator carries the
+    newline and indent of ``depth`` levels, as ``indent=2`` writes them."""
+    return json.JSONEncoder(
+        sort_keys=True, separators=(",\n" + "  " * depth, ": ")
+    ).encode
+
+
+def _scalars(items) -> bool:
+    """Whether every item is a str, int, float, bool or None."""
+    return set(map(type, items)) <= _SCALARS
+
+
+def _rows(value: list | tuple) -> str | None:
+    """``"}{"`` when ``value`` holds only non-empty dicts of scalars, ``"]["``
+    when it holds only non-empty lists (or tuples) of scalars, else None."""
+    kinds = set(map(type, value))
+    if kinds == {dict}:
+        brackets, leaves = "}{", chain.from_iterable(map(dict.values, value))
+    elif kinds <= {list, tuple}:
+        brackets, leaves = "][", chain.from_iterable(value)
+    else:
+        return None
+    return brackets if all(value) and _scalars(leaves) else None
+
+
+def _key_text(key) -> str:
+    """A dict key as ``json.dumps`` writes it."""
+    if isinstance(key, str):
+        return _encoder(0)(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"' + _encoder(0)(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json_text(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
+
+    That call runs the pure-Python encoder. Here the C encoder writes each
+    container whose items are no containers in one call, and each list of
+    such dicts (or lists) in one call too; only the containers above them
+    are walked in Python.
+    """
+    out: list[str] = []
+    _write(value, 0, out)
+    return "".join(out)
+
+
+def _write(value, depth: int, out: list[str]) -> None:
+    """Append the text of ``value``, whose last line is indented ``depth``
+    levels, to ``out``."""
+    if not isinstance(value, _CONTAINERS) or not value:
+        out.append(_encoder(depth)(value))
+        return
+    pad = "\n" + "  " * depth
+    inner = pad + "  "
+    is_dict = isinstance(value, dict)
+    if _scalars(value.values() if is_dict else value):
+        text = _encoder(depth + 1)(value)
+        out.append(text[0] + inner + text[1:-1] + pad + text[-1])
+        return
+    if is_dict:
+        out.append("{")
+        sep = inner
+        for key, item in sorted(value.items()):
+            out.append(sep + _key_text(key) + ": ")
+            _write(item, depth + 1, out)
+            sep = "," + inner
+        out.append(pad + "}")
+        return
+    brackets = _rows(value)
+    if brackets:
+        # Written at the items' inner depth, the item boundaries come out
+        # as `},\n<indent>{` (or `],\n<indent>[`). Every other separator is
+        # followed by a key or a scalar, and no string holds a raw newline,
+        # so only the boundaries match.
+        close, open_ = brackets
+        text = _encoder(depth + 2)(value)
+        deep = inner + "  "
+        body = text[2:-2].replace(
+            close + "," + deep + open_, inner + close + "," + inner + open_ + deep
+        )
+        out.append("[" + inner + open_ + deep + body + inner + close + pad + "]")
+        return
+    out.append("[")
+    sep = inner
+    for item in value:
+        out.append(sep)
+        _write(item, depth + 1, out)
+        sep = "," + inner
+    out.append(pad + "]")
+
+
 def _emit(text: str, output: str | None) -> None:
     if not output:
         sys.stdout.write(text)
@@ -470,8 +600,8 @@ def main(argv=None) -> int:
         parser.error(f"dot output is not defined for {args.command}")
     args.format = args.format or _default_format(args.command)
     try:
-        args.input_text, digest = _read_input(args.input)
-        result, text, dot = _HANDLERS[args.command](args)
+        args.input_bytes, digest = _read_input(args.input)
+        result, text = _HANDLERS[args.command](args)
         if args.format == "json":
             doc = {
                 "schema_version": SCHEMA_VERSION,
@@ -482,8 +612,8 @@ def main(argv=None) -> int:
                 "params": _params(args),
                 "result": result,
             }
-            text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-        _emit(dot if args.format == "dot" else text, args.output)
+            text = _json_text(doc) + "\n"
+        _emit(text, args.output)
     except (NegativeTarget, InfeasibleTarget) as exc:
         return _fail(exc, 4)
     except EbitflowError as exc:
@@ -493,7 +623,7 @@ def main(argv=None) -> int:
 
 def _fail(exc: EbitflowError, code: int) -> int:
     doc = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-    sys.stderr.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    sys.stderr.write(_json_text(doc) + "\n")
     return code
 
 

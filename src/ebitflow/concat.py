@@ -611,6 +611,7 @@ def parse_hierarchical(doc: Mapping) -> HierarchicalNetwork:
     return net
 
 
-def load_hierarchical(source: str | Path) -> HierarchicalNetwork:
-    """Load a hierarchical network from a JSON file or JSON text."""
+def load_hierarchical(source: str | Path | bytes) -> HierarchicalNetwork:
+    """Load a hierarchical network from a JSON file, JSON text or the
+    document's UTF-8 bytes."""
     return parse_hierarchical(_load_json(source))

@@ -446,21 +446,28 @@ def _parse_flat(
     return NetworkDocument(graph=graph, channels=channels, yields=yields)
 
 
-def _load_json(source: str | Path) -> object:
+def _load_json(source: str | Path | bytes) -> object:
     """Decode a JSON file, or JSON text when ``source`` names no file.
 
+    ``bytes`` are the UTF-8 text of the document itself, never a file name.
     Every decoding failure is a ParseError, including nesting too deep for
     the decoder and integer literals beyond Python's digit limit.
     """
-    text = source
-    path = Path(source)
-    try:
-        if path.is_file():
-            text = path.read_text(encoding="utf-8")
-    except OSError:
-        pass
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"input file {path} is not UTF-8: {exc}") from exc
+    if isinstance(source, bytes):
+        try:
+            text = source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"input is not UTF-8: {exc}") from exc
+    else:
+        text = source
+        path = Path(source)
+        try:
+            if path.is_file():
+                text = path.read_text(encoding="utf-8")
+        except OSError:
+            pass
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"input file {path} is not UTF-8: {exc}") from exc
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -468,9 +475,10 @@ def _load_json(source: str | Path) -> object:
 
 
 def load_network(
-    source: str | Path, *, default_gen_error: Fraction | None = None
+    source: str | Path | bytes, *, default_gen_error: Fraction | None = None
 ) -> NetworkDocument:
-    """Load and parse a network document from a JSON file or JSON text."""
+    """Load and parse a network document from a JSON file, JSON text or
+    the document's UTF-8 bytes."""
     return parse_document(_load_json(source), default_gen_error=default_gen_error)
 
 

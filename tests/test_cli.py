@@ -495,6 +495,26 @@ class TestExitCodes:
         assert code == 0, err
         assert out.startswith("level: 150\n")
 
+    def test_deep_json_report_near_the_decoder_limit(self, tmp_path):
+        # The lower plan nests two containers per level, ~480 in all. A
+        # fresh process, since pytest's own frames would push the input
+        # past the decoder's limit.
+        path = tmp_path / "deep.json"
+        path.write_text(nested_hierarchy(240))
+        proc = run_cli("concat", "--input", str(path), "--target", "1")
+        assert proc.returncode == 0, proc.stderr
+        out = proc.stdout
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+    def test_input_text_is_not_read_as_a_file_name(self, docs, tmp_path):
+        # The bytes hashed into input_sha256 are the bytes parsed.
+        alias = tmp_path / "alias.txt"
+        alias.write_text(docs["chain"])
+        code, out, err = call_main("mincut", "--input", str(alias))
+        assert (code, out) == (3, "")
+        assert_json_error(err, "ParseError")
+        assert "invalid JSON" in json.loads(err)["error"]["message"]
+
 
 class TestLongChain:
     """Max-flow must not depend on Python's recursion limit."""
@@ -680,3 +700,100 @@ class TestFuzz:
             assert_json_error(err)
         else:
             json.loads(out)
+
+
+class TestReusedParser:
+    """One parser serves every call in a process, and each command renders
+    only the format it prints."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        paths = {}
+        for command, (_, doc) in FUZZ_CASES.items():
+            paths[command] = tmp_path / f"{command}.json"
+            paths[command].write_text(json.dumps(doc))
+        return paths
+
+    def run_all(self, inputs, *extra):
+        return {
+            command: call_main(command, "--input", str(inputs[command]), *args, *extra)
+            for command, (args, _) in FUZZ_CASES.items()
+        }
+
+    def test_later_calls_match_the_first(self, inputs):
+        first = self.run_all(inputs)
+        assert all(code == 0 for code, _, _ in first.values()), first
+        texts = self.run_all(inputs, "--format", "text")
+        assert all(code == 0 and out for code, out, _ in texts.values()), texts
+        for command in ("flow", "maxflow"):
+            args = FUZZ_CASES[command][0]
+            code, out, _ = call_main(
+                command, "--input", str(inputs[command]), *args, "--format", "dot"
+            )
+            assert code == 0 and out.startswith("graph network {")
+        with pytest.raises(SystemExit) as usage:
+            call_main("flow", "--input", str(inputs["flow"]))
+        assert usage.value.code == 2
+        with pytest.raises(SystemExit) as version:
+            call_main("--version")
+        assert version.value.code == 0
+        assert self.run_all(inputs) == first
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_json_reports_render_no_text_or_dot(self, inputs, monkeypatch):
+        def unused(*_):
+            raise AssertionError("rendered for a JSON report")
+
+        monkeypatch.setattr(cli, "solution_dot", unused)
+        monkeypatch.setattr(cli, "_flow_text", unused)
+        for command in ("flow", "maxflow", "plan"):
+            args = FUZZ_CASES[command][0]
+            code, out, err = call_main(command, "--input", str(inputs[command]), *args)
+            assert code == 0, err
+            json.loads(out)
+
+
+# Strings that look like the boundaries the writer patches, or need escapes.
+WRITER_TEXT = st.one_of(
+    st.sampled_from(["},\n  {", "],\n    [", '"', "\\", "\x00\x1f\n\t", "é✓\U0001d11e", ""]),
+    st.text(max_size=6),
+)
+WRITER_FLOATS = st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), -0.0, 1e300, 1e-7, 0.5]
+)
+WRITER_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), WRITER_FLOATS, WRITER_TEXT
+)
+# Mixing key kinds in one dict makes the sort fail, as json.dumps does.
+WRITER_KEYS = st.one_of(
+    WRITER_TEXT, st.integers(-3, 3), WRITER_FLOATS, st.booleans(), st.none()
+)
+LEAF_DICTS = st.dictionaries(WRITER_TEXT, WRITER_SCALARS, min_size=1, max_size=3)
+WRITER_VALUES = st.recursive(
+    WRITER_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(WRITER_TEXT, inner, max_size=4),
+        st.dictionaries(WRITER_KEYS, inner, max_size=3),
+        st.lists(LEAF_DICTS, max_size=4),
+        st.lists(st.lists(WRITER_SCALARS, min_size=1, max_size=3), max_size=4),
+        # leaf dicts with one empty member
+        st.tuples(st.lists(LEAF_DICTS, min_size=1, max_size=3), st.integers(0, 3)).map(
+            lambda t: t[0][: t[1]] + [{}] + t[0][t[1] :]
+        ),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(WRITER_VALUES)
+def test_json_text_matches_json_dumps(value):
+    try:
+        expected = json.dumps(value, sort_keys=True, indent=2)
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            cli._json_text(value)
+    else:
+        assert cli._json_text(value) == expected

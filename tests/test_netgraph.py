@@ -240,6 +240,16 @@ class TestParsing:
         with pytest.raises(ParseError):
             load_network("{not json")
 
+    def test_bytes_are_the_document_never_a_file_name(self, tmp_path):
+        text = json.dumps(MINIMAL_DOC)
+        assert load_network(text.encode()).graph == parse_document(MINIMAL_DOC).graph
+        f = tmp_path / "net.json"
+        f.write_text(text)
+        with pytest.raises(ParseError, match="invalid JSON"):
+            load_network(str(f).encode())
+        with pytest.raises(ParseError, match="not UTF-8"):
+            load_network(text.encode("utf-16"))
+
     def test_non_utf8_file_rejected(self, tmp_path):
         f = tmp_path / "net.json"
         f.write_text(json.dumps(MINIMAL_DOC), encoding="utf-16")
