@@ -52,9 +52,6 @@ class FlowSolution:
     net_flow: int
     total_cost: int
 
-    def flow(self, a: NodeId, b: NodeId) -> int:
-        return self.arc_flow.get((a, b), 0)
-
     @cached_property
     def undirected_flow(self) -> Mapping[EdgeKey, int]:
         """Per-edge consumed capacity, f(a,b) + f(b,a)."""
@@ -81,7 +78,9 @@ class _Residual:
     Node ``i`` is the ``i``-th label in sorted order, so comparing indices
     compares labels. ``NetworkGraph`` sorts its edges by key, so every
     ``adj[u]`` runs in (head label, arc id) order, with the two arcs to one
-    head adjacent; the path walk relies on that order instead of sorting.
+    head adjacent. The path walk tries arcs in that order instead of
+    sorting, so it takes the first tight arc to each head; a later arc
+    finds the head already marked.
     """
 
     def __init__(self, g: NetworkGraph) -> None:
@@ -148,66 +147,44 @@ class _Residual:
         lexicographically smallest among all cheapest simple paths.
 
         Needs ``t`` reachable and this round's capped distances from ``s``
-        already in ``potential``. A search back from ``t`` (the arcs into
-        ``v`` are the partners of ``v``'s own arcs) marks every node, settled
-        or not, with a tight path to ``t``. A depth-first walk from ``s``
-        follows tight arcs into marked nodes in label order, backtracking
-        where zero-cost cycles make the greedy walk dead-end.
+        already in ``potential``. One depth-first walk from ``s`` follows
+        tight arcs in ``adj`` order, so smaller head labels first, and
+        returns the first path that reaches ``t``; it takes each arc at
+        most once.
+
+        Entering a node marks it: ``untried[u]`` becomes an iterator over
+        the arcs of ``u`` still to try, so the walk resumes ``u`` where it
+        left off, and a marked node is never unmarked. When the walk backs
+        out of a node, each of its tight arcs leads to a marked node: one
+        on the path, or one the walk backed out of earlier. By induction,
+        the node cannot reach ``t`` while avoiding the nodes on the path
+        at that moment. A later path keeps the stem above the first node
+        of that path the walk has since backed out of, and that node
+        reached the dead node without touching the stem; so a dead node
+        can never help a later path, and the first path found is the
+        lexicographically smallest cheapest simple path.
         """
-        n = len(self.nodes)
         adj, res, to, cost = self.adj, self.res, self.to, self.cost
-        reaches_t = [False] * n
-        reaches_t[t] = True
-        frontier = [t]
-        while frontier:
-            v = frontier.pop()
-            pv = potential[v]
-            for aid in adj[v]:
-                u, back = to[aid], aid ^ 1
-                if not reaches_t[u] and res[back] > 0 and cost[back] + potential[u] == pv:
-                    reaches_t[u] = True
-                    frontier.append(u)
-
-        on_path = [False] * n
-
-        def candidates(u: int) -> list[tuple[int, int]]:
-            # (head, first tight arc) pairs, largest label first. ``adj[u]``
-            # runs in head-label order with a head's arcs adjacent, so the
-            # first qualifying arc of each head is the one kept.
-            found: list[tuple[int, int]] = []
-            last = -1
-            pu = potential[u]
-            for aid in adj[u]:
-                v = to[aid]
-                if (
-                    v != last
-                    and reaches_t[v]
-                    and not on_path[v]
-                    and res[aid] > 0
-                    and cost[aid] + pu == potential[v]
-                ):
-                    found.append((v, aid))
-                    last = v
-            found.reverse()
-            return found
-
-        on_path[s] = True
+        untried: list[Iterator[int] | None] = [None] * len(self.nodes)
+        untried[s] = iter(adj[s])
         path_arcs: list[int] = []
-        stack = [candidates(s)]
-        while stack:
-            if stack[-1]:
-                v, aid = stack[-1].pop()
-                path_arcs.append(aid)
-                if v == t:
-                    return path_arcs
-                on_path[v] = True
-                stack.append(candidates(v))
+        u = s
+        while True:
+            pu = potential[u]
+            for aid in untried[u]:
+                v = to[aid]
+                if untried[v] is None and res[aid] > 0 and cost[aid] + pu == potential[v]:
+                    path_arcs.append(aid)
+                    if v == t:
+                        return path_arcs
+                    untried[v] = iter(adj[v])
+                    u = v
+                    break
             else:
-                # Dead end under the simple-path constraint; back out.
-                stack.pop()
-                if path_arcs:
-                    on_path[to[path_arcs.pop()]] = False
-        raise InvariantViolation("no tight path to a reachable sink")
+                # Dead end: resume at the tail of the arc that entered u.
+                if not path_arcs:
+                    raise InvariantViolation("no tight path to a reachable sink")
+                u = to[path_arcs.pop() ^ 1]
 
     def augmenting_paths(self) -> Iterator[tuple[list[int], int]]:
         """Yield each cheapest source-sink path and its bottleneck until the

@@ -221,14 +221,6 @@ class NetworkGraph:
     def edge_map(self) -> Mapping[EdgeKey, Edge]:
         return {e.key: e for e in self.edges}
 
-    @cached_property
-    def adjacency(self) -> Mapping[NodeId, tuple[Edge, ...]]:
-        adj: dict[NodeId, list[Edge]] = {n: [] for n in self.nodes}
-        for e in self.edges:
-            adj[e.a].append(e)
-            adj[e.b].append(e)
-        return {n: tuple(v) for n, v in adj.items()}
-
     def edge_between(self, a: NodeId, b: NodeId) -> Edge:
         return self.edge_map[edge_key(a, b)]
 
@@ -487,8 +479,6 @@ def undirected_max_flow(
     edges: Iterable[tuple[NodeId, NodeId, object]],
     source: NodeId,
     sink: NodeId,
-    *,
-    tol=0,
 ):
     """Max-flow value of an undirected capacitated graph (Dinic's algorithm).
 
@@ -504,7 +494,7 @@ def undirected_max_flow(
     res: list = []
     total = 0
     for a, b, c in edges:
-        if c <= tol:
+        if c <= 0:
             continue
         ia, ib = idx[a], idx[b]
         adj[ia].append(len(to))
@@ -523,7 +513,7 @@ def undirected_max_flow(
         for u in queue:
             for aid in adj[u]:
                 v = to[aid]
-                if level[v] < 0 and res[aid] > tol:
+                if level[v] < 0 and res[aid] > 0:
                     level[v] = level[u] + 1
                     queue.append(v)
         if level[t] < 0:
@@ -548,7 +538,7 @@ def undirected_max_flow(
             next_level = level[u] + 1
             while it[u] < len(out):
                 aid = out[it[u]]
-                if res[aid] > tol and level[to[aid]] == next_level:
+                if res[aid] > 0 and level[to[aid]] == next_level:
                     path.append(to[aid])
                     arcs.append(aid)
                     limits.append(min(limits[-1], res[aid]))

@@ -668,9 +668,6 @@ def _copy_sites(sched: SwapSchedule) -> dict[int, tuple[list[EdgeKey], int]]:
 def exact_pass_probability(
     sched: SwapSchedule,
     noise: NoiseModel | None = None,
-    *,
-    include_pair_error: bool = True,
-    include_swap_error: bool = True,
 ) -> Fraction:
     """Exact probability that every delivered pair passes its Bell check.
 
@@ -686,12 +683,9 @@ def exact_pass_probability(
     noise = noise or NoiseModel.zero()
     prob = Fraction(1)
     for edges, bsms in _copy_sites(sched).values():
-        unmixed = Fraction(1)
-        if include_pair_error:
-            for edge in edges:
-                unmixed *= 1 - noise.pair_error.get(edge, Fraction(0))
-        if include_swap_error:
-            unmixed *= (1 - noise.swap_depolarize_p) ** bsms
+        unmixed = (1 - noise.swap_depolarize_p) ** bsms
+        for edge in edges:
+            unmixed *= 1 - noise.pair_error.get(edge, Fraction(0))
         prob *= unmixed + (1 - unmixed) / 4
     return prob
 
@@ -713,9 +707,9 @@ def exact_operation_error(sched: SwapSchedule, noise: NoiseModel | None = None) 
         TooLarge: Beyond the exact-computation qubit limit.
     """
     _require_exact_regime(sched)
-    return 1 - exact_pass_probability(
-        sched, noise, include_pair_error=False, include_swap_error=True
-    )
+    noise = noise or NoiseModel.zero()
+    stripped = NoiseModel(swap_depolarize_p=noise.swap_depolarize_p)
+    return 1 - exact_pass_probability(sched, stripped)
 
 
 def exact_trace_distance(sched: SwapSchedule, noise: NoiseModel | None = None) -> Fraction:
@@ -726,9 +720,7 @@ def exact_trace_distance(sched: SwapSchedule, noise: NoiseModel | None = None) -
         TooLarge: Beyond the exact-computation qubit limit.
     """
     _require_exact_regime(sched)
-    return 1 - exact_pass_probability(
-        sched, noise, include_pair_error=True, include_swap_error=True
-    )
+    return 1 - exact_pass_probability(sched, noise)
 
 
 def estimate_operation_error(

@@ -108,7 +108,7 @@ def docs(tmp_path_factory):
     return paths
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=None):
     env = dict(os.environ)
     env.pop("EBITFLOW_FORMAT", None)
     if env_extra:
@@ -118,6 +118,7 @@ def run_cli(*args, env_extra=None):
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -536,6 +537,39 @@ class TestLongChain:
         result = json.loads(out)["result"]
         assert result["net_flow"] == 2
         assert result["total_cost_milli"] == 2 * 10_000 * 1000
+
+
+def clique_doc(k):
+    """``s-h``, ``h-z`` and ``h`` joined to a zero-cost clique ``c0..c(k-1)``,
+    all capacity 1 and cost 0. The walk tries the clique before ``z``, and
+    the clique reaches the sink only back through ``h``."""
+    clique = [f"c{i}" for i in range(k)]
+    pairs = [("s", "h"), ("h", "z")] + [("h", c) for c in clique]
+    pairs += [(a, b) for i, a in enumerate(clique) for b in clique[i + 1 :]]
+    return {
+        "nodes": ["s", "h", "z", *clique],
+        "edges": [{"a": a, "b": b, "capacity": 1, "cost": 0} for a, b in pairs],
+        "source": "s",
+        "sink": "z",
+    }
+
+
+class TestZeroCostClique:
+    """The tie-break walk never re-enters a dead end, so a zero-cost clique
+    that dead-ends costs time linear in its arcs, not one step per simple
+    path through it. Run in a subprocess with a timeout so that a
+    regression fails instead of hanging the suite."""
+
+    @pytest.mark.parametrize("k", [12, 40])
+    def test_flow_finishes(self, tmp_path, k):
+        path = tmp_path / f"clique{k}.json"
+        path.write_text(json.dumps(clique_doc(k)))
+        proc = run_cli("flow", "--input", str(path), "--target", "1", timeout=30)
+        arcs = report(proc)["result"]["arcs"]
+        assert {(a["from"], a["to"]): a["flow"] for a in arcs} == {
+            ("h", "z"): 1,
+            ("s", "h"): 1,
+        }
 
 
 def test_concat_resolves_the_hierarchy_once(docs, monkeypatch):

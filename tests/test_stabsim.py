@@ -350,14 +350,19 @@ def noisy_schedules(draw):
 
 class TestClosedFormExact:
     """The closed-form pass probability equals the XOR convolution of
-    per-site Bell-label distributions in ``tests/oracles.py`` exactly."""
+    per-site Bell-label distributions in ``tests/oracles.py`` exactly. The
+    package gets the noise model with the excluded sites stripped, the
+    oracle the full model and its flags."""
 
     @given(noisy_schedules(), st.booleans(), st.booleans())
     def test_matches_convolution(self, case, pair, swap):
         sched, noise = case
-        flags = {"include_pair_error": pair, "include_swap_error": swap}
-        assert exact_pass_probability(sched, noise, **flags) == (
-            convolved_pass_probability(sched, noise, **flags)
+        stripped = NoiseModel(
+            swap_depolarize_p=noise.swap_depolarize_p if swap else 0,
+            pair_error=noise.pair_error if pair else {},
+        )
+        assert exact_pass_probability(sched, stripped) == convolved_pass_probability(
+            sched, noise, include_pair_error=pair, include_swap_error=swap
         )
 
 
