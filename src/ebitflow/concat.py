@@ -37,6 +37,12 @@ Hierarchical documents extend the flat network format: every edge carries a
         "threshold": 0.1      # optional bound on the lower network's own error
     }}
 
+Parsing a hierarchical document converts each distinct float or string
+cost and delta once: one conversion memo (see ``netgraph._converted``)
+lives for the whole document and is shared by every level and every
+lower copy, so relabelled copies of one lower network repeat no
+conversion. Every copy is still checked entry by entry.
+
 Resolving, aggregating and lower-use planning walk the hierarchy with
 explicit stacks. Parsing (``parse_hierarchical``) and the CLI's lower-plan
 rendering recurse once per level, which stays far below Python's
@@ -61,6 +67,7 @@ from .netgraph import (
     NetworkGraph,
     NodeId,
     _DOC_FIELDS,
+    _converted,
     _load_json,
     _parse_flat,
     _parse_nodes,
@@ -106,10 +113,12 @@ class HierEdge:
     error_threshold: Fraction | None = None
 
     def __post_init__(self) -> None:
-        if self.a == self.b:
-            raise ValidationError(f"self-loop at node {self.a!r}")
-        if self.a > self.b:
-            a, b = self.a, self.b
+        a, b = self.a, self.b
+        if not isinstance(a, str) or not isinstance(b, str):
+            raise ValidationError(f"edge endpoints must be strings, got {a!r} and {b!r}")
+        if a == b:
+            raise ValidationError(f"self-loop at node {a!r}")
+        if a > b:
             object.__setattr__(self, "a", b)
             object.__setattr__(self, "b", a)
         if {self.lower.clients[0], self.lower.clients[1]} != {self.a, self.b}:
@@ -165,6 +174,10 @@ class HierarchicalNetwork:
             return
         if self.base is not None:
             raise ValidationError("only level-0 networks carry a base graph")
+        # Labels are checked before they are sorted, which needs strings.
+        for n in self.nodes:
+            if not isinstance(n, str) or not n:
+                raise ValidationError(f"node labels must be non-empty strings: {n!r}")
         nodes = tuple(sorted(self.nodes))
         if len(set(nodes)) != len(nodes):
             raise ValidationError("duplicate node labels")
@@ -248,7 +261,17 @@ def _lower_key(lower_flat: NetworkGraph, lower_target: int | None) -> tuple:
     return (
         len(rank),
         tuple(
-            (rank[e.a], rank[e.b], e.capacity, e.unit_cost, e.gen_error, e.max_uses)
+            (
+                rank[e.a],
+                rank[e.b],
+                e.capacity,
+                e.unit_cost,
+                # A normalized Fraction is its numerator and denominator;
+                # two ints hash far faster than the Fraction.
+                e.gen_error.numerator,
+                e.gen_error.denominator,
+                e.max_uses,
+            )
             for e in lower_flat.edges
         ),
         rank[lower_flat.source],
@@ -514,11 +537,15 @@ def total_lower_cost(net: HierarchicalNetwork, sol: FlowSolution) -> int:
     return total
 
 
+_WRAPPED_FIELDS = frozenset({"a", "b", "lower"})
 _LOWER_REQUIRED = frozenset({"network", "yield", "delta_target"})
 _LOWER_OPTIONAL = frozenset({"max_uses", "cost", "target", "threshold"})
 
 
-def _parse_lower(raw: Mapping, where: str) -> dict:
+def _parse_lower(raw: Mapping, index: int, memo: dict) -> dict:
+    """The fields of the ``lower`` object of ``edges[index]``; ``memo`` as
+    in ``netgraph._converted``."""
+    where = f"edges[{index}]"
     if not isinstance(raw, Mapping):
         raise ParseError(f"{where}: lower must be an object")
     unknown = set(raw) - _LOWER_REQUIRED - _LOWER_OPTIONAL
@@ -535,25 +562,35 @@ def _parse_lower(raw: Mapping, where: str) -> dict:
     out = {
         "network": raw["network"],
         "yield_fn": parse_yield(raw["yield"], max_uses),
-        "distill_error": as_fraction(raw["delta_target"], f"{where}.delta_target"),
+        "distill_error": _converted(
+            memo, as_fraction, raw["delta_target"], index, "delta_target"
+        ),
         "unit_cost": None,
         "lower_target": None,
         "error_threshold": None,
     }
     if "cost" in raw:
-        out["unit_cost"] = cost_to_milli(raw["cost"], f"{where}.cost")
+        out["unit_cost"] = _converted(memo, cost_to_milli, raw["cost"], index, "cost")
     if "target" in raw:
         tgt = raw["target"]
         if not isinstance(tgt, int) or isinstance(tgt, bool) or tgt < 0:
             raise ParseError(f"{where}: target must be a non-negative integer")
         out["lower_target"] = tgt
     if "threshold" in raw:
-        out["error_threshold"] = as_fraction(raw["threshold"], f"{where}.threshold")
+        out["error_threshold"] = _converted(
+            memo, as_fraction, raw["threshold"], index, "threshold"
+        )
     return out
 
 
 def parse_hierarchical(doc: Mapping) -> HierarchicalNetwork:
     """Parse a hierarchical document; flat documents become level 0."""
+    return _parse_hierarchical(doc, {})
+
+
+def _parse_hierarchical(doc: Mapping, memo: dict) -> HierarchicalNetwork:
+    """``parse_hierarchical`` with the conversion memo of the whole
+    document, shared by every level and every lower copy."""
     if not isinstance(doc, Mapping):
         raise ParseError("network document must be an object")
     edges = doc.get("edges")
@@ -562,11 +599,11 @@ def parse_hierarchical(doc: Mapping) -> HierarchicalNetwork:
     # One object check per edge, shared with the flat parse.
     objects = wrapped = 0
     for e in edges:
-        if isinstance(e, Mapping):
+        if type(e) is dict or isinstance(e, Mapping):
             objects += 1
             wrapped += "lower" in e
     if not wrapped:
-        flat = _parse_flat(doc, None, entries_checked=objects == len(edges))
+        flat = _parse_flat(doc, None, memo, entries_checked=objects == len(edges))
         return HierarchicalNetwork.from_graph(flat.graph)
     if wrapped < len(edges):
         raise ValidationError(
@@ -583,16 +620,16 @@ def parse_hierarchical(doc: Mapping) -> HierarchicalNetwork:
     hier_edges = []
     for i, entry in enumerate(edges):
         where = f"edges[{i}]"
-        unknown = set(entry) - {"a", "b", "lower"}
-        if unknown:
-            raise ParseError(f"{where}: unknown fields {sorted(unknown)}")
-        if {"a", "b", "lower"} - set(entry):
+        if entry.keys() != _WRAPPED_FIELDS:
+            unknown = set(entry) - _WRAPPED_FIELDS
+            if unknown:
+                raise ParseError(f"{where}: unknown fields {sorted(unknown)}")
             raise ParseError(f"{where}: needs a, b and lower")
         a, b = entry["a"], entry["b"]
         if not isinstance(a, str) or not isinstance(b, str):
             raise ParseError(f"{where}: endpoints must be strings")
-        fields = _parse_lower(entry["lower"], where)
-        lower_net = parse_hierarchical(fields.pop("network"))
+        fields = _parse_lower(entry["lower"], i, memo)
+        lower_net = _parse_hierarchical(fields.pop("network"), memo)
         hier_edges.append(HierEdge(a=a, b=b, lower=lower_net, **fields))
     source, sink = doc.get("source"), doc.get("sink")
     if not isinstance(source, str) or not isinstance(sink, str):

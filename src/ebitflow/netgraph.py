@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
@@ -141,31 +142,45 @@ class Edge:
     max_uses: int | None = None
 
     def __post_init__(self) -> None:
-        if self.a == self.b:
-            raise ValidationError(f"self-loop at node {self.a!r}")
-        if self.a > self.b:
-            a, b = self.a, self.b
+        a, b = self.a, self.b
+        if not isinstance(a, str) or not isinstance(b, str):
+            raise ValidationError(f"edge endpoints must be strings, got {a!r} and {b!r}")
+        if a == b:
+            raise ValidationError(f"self-loop at node {a!r}")
+        if a > b:
             object.__setattr__(self, "a", b)
             object.__setattr__(self, "b", a)
-        if not isinstance(self.capacity, int) or isinstance(self.capacity, bool):
+        # Each integer check tries the exact type first; the isinstance
+        # fallback accepts subclasses and rejects bools.
+        capacity = self.capacity
+        if type(capacity) is not int and (
+            not isinstance(capacity, int) or isinstance(capacity, bool)
+        ):
             raise ValidationError(f"edge {self.key}: capacity must be an integer")
-        if self.capacity < 0:
+        if capacity < 0:
             raise ValidationError(f"edge {self.key}: negative capacity")
-        if not isinstance(self.unit_cost, int) or isinstance(self.unit_cost, bool):
+        unit_cost = self.unit_cost
+        if type(unit_cost) is not int and (
+            not isinstance(unit_cost, int) or isinstance(unit_cost, bool)
+        ):
             raise ValidationError(f"edge {self.key}: unit_cost must be an integer")
-        if self.unit_cost < 0:
+        if unit_cost < 0:
             raise ValidationError(f"edge {self.key}: negative unit_cost")
         gen_error = self.gen_error
-        if not isinstance(gen_error, Fraction):
-            gen_error = as_fraction(gen_error)
-            object.__setattr__(self, "gen_error", gen_error)
-        # 0 <= p/q <= 1 with q > 0, compared as ints rather than Fractions.
-        if not 0 <= gen_error.numerator <= gen_error.denominator:
-            raise ValidationError(f"edge {self.key}: gen_error outside [0, 1]")
-        if self.max_uses is not None:
-            if not isinstance(self.max_uses, int) or isinstance(self.max_uses, bool):
+        if gen_error is not _ZERO:
+            if type(gen_error) is not Fraction and not isinstance(gen_error, Fraction):
+                gen_error = as_fraction(gen_error)
+                object.__setattr__(self, "gen_error", gen_error)
+            # 0 <= p/q <= 1 with q > 0, compared as ints rather than Fractions.
+            if not 0 <= gen_error.numerator <= gen_error.denominator:
+                raise ValidationError(f"edge {self.key}: gen_error outside [0, 1]")
+        max_uses = self.max_uses
+        if max_uses is not None:
+            if type(max_uses) is not int and (
+                not isinstance(max_uses, int) or isinstance(max_uses, bool)
+            ):
                 raise ValidationError(f"edge {self.key}: max_uses must be an integer")
-            if self.max_uses < 1:
+            if max_uses < 1:
                 raise ValidationError(f"edge {self.key}: max_uses must be positive")
 
     @property
@@ -178,6 +193,10 @@ class Edge:
         if node == self.b:
             return self.a
         raise KeyError(node)
+
+
+# The key of an Edge, as ``Edge.key`` gives it, without a property call.
+_edge_key_of = attrgetter("a", "b")
 
 
 @dataclass(frozen=True)
@@ -194,15 +213,15 @@ class NetworkGraph:
     sink: NodeId
 
     def __post_init__(self) -> None:
+        # Labels are checked before they are sorted, which needs strings.
+        for n in self.nodes:
+            if not isinstance(n, str) or not n:
+                raise ValidationError(f"node labels must be non-empty strings: {n!r}")
         nodes = tuple(sorted(self.nodes))
         if len(set(nodes)) != len(nodes):
             raise ValidationError("duplicate node labels")
-        for n in nodes:
-            if not isinstance(n, str) or not n:
-                raise ValidationError(f"node labels must be non-empty strings: {n!r}")
-        edges = tuple(sorted(self.edges, key=lambda e: e.key))
-        keys = [e.key for e in edges]
-        if len(set(keys)) != len(keys):
+        edges = tuple(sorted(self.edges, key=_edge_key_of))
+        if len(set(map(_edge_key_of, edges))) != len(edges):
             raise ValidationError("duplicate edge between the same node pair")
         node_set = set(nodes)
         for e in edges:
@@ -253,44 +272,73 @@ class NetworkDocument:
     yields: Mapping[EdgeKey, Mapping[str, object]] = field(default_factory=dict)
 
 
-def _parse_edge_entry(entry: Mapping, index: int) -> tuple[EdgeKey, dict]:
-    """The fields of one edge object; the caller has checked it is an object."""
-    names = set(entry)
-    unknown = names - _EDGE_FIELDS
-    if unknown:
-        raise ParseError(f"edges[{index}]: unknown fields {sorted(unknown)}")
-    missing = _EDGE_FIELDS_REQUIRED - names
-    if missing:
+def _converted(memo: dict, convert, value: object, index: int, name: str):
+    """``convert(value, "edges[index].name")``, remembered in ``memo``.
+
+    Only values whose exact type is float or str are remembered, keyed by
+    the conversion, that type and the value: ``True == 1 == 1.0`` would
+    otherwise share a result, and lists do not hash. (``0.0 == -0.0`` do
+    share one, and both convert to zero.) A failed conversion is never
+    remembered, so every error names the entry it came from.
+    """
+    kind = type(value)
+    if kind is not float and kind is not str:
+        return convert(value, f"edges[{index}].{name}")
+    key = (convert, kind, value)
+    result = memo.get(key)
+    if result is None:
+        result = memo[key] = convert(value, f"edges[{index}].{name}")
+    return result
+
+
+def _parse_edge_entry(entry: Mapping, index: int, memo: dict) -> tuple[EdgeKey, dict]:
+    """The fields of one edge object; the caller has checked it is an object.
+
+    ``memo`` holds the cost and delta conversions of the document so far.
+    """
+    names = entry.keys()
+    if not (names <= _EDGE_FIELDS and _EDGE_FIELDS_REQUIRED <= names):
+        names = set(entry)
+        unknown = names - _EDGE_FIELDS
+        if unknown:
+            raise ParseError(f"edges[{index}]: unknown fields {sorted(unknown)}")
+        missing = _EDGE_FIELDS_REQUIRED - names
         raise ParseError(f"edges[{index}]: missing fields {sorted(missing)}")
     a, b = entry["a"], entry["b"]
     if not isinstance(a, str) or not isinstance(b, str):
         raise ParseError(f"edges[{index}]: endpoints must be strings")
     capacity = entry["capacity"]
-    if not isinstance(capacity, int) or isinstance(capacity, bool):
+    if type(capacity) is not int and (
+        not isinstance(capacity, int) or isinstance(capacity, bool)
+    ):
         raise ParseError(f"edges[{index}]: capacity must be an integer")
     fields = {
         "capacity": capacity,
-        "unit_cost": cost_to_milli(entry["cost"], f"edges[{index}].cost"),
+        "unit_cost": _converted(memo, cost_to_milli, entry["cost"], index, "cost"),
         "gen_error": None,
         "max_uses": None,
         "channel": None,
         "yield_spec": None,
     }
-    if "delta" in names:
-        fields["gen_error"] = as_fraction(entry["delta"], f"edges[{index}].delta")
-    if "max_uses" in names:
-        mu = entry["max_uses"]
-        if not isinstance(mu, int) or isinstance(mu, bool):
-            raise ParseError(f"edges[{index}].max_uses: must be an integer")
-        fields["max_uses"] = mu
-    if "channel" in names:
-        if not isinstance(entry["channel"], Mapping):
-            raise ParseError(f"edges[{index}].channel: expected an object")
-        fields["channel"] = dict(entry["channel"])
-    if "yield" in names:
-        if not isinstance(entry["yield"], Mapping):
-            raise ParseError(f"edges[{index}].yield: expected an object")
-        fields["yield_spec"] = dict(entry["yield"])
+    # Four keys are exactly the required ones.
+    if len(names) > 4:
+        if "delta" in names:
+            fields["gen_error"] = _converted(
+                memo, as_fraction, entry["delta"], index, "delta"
+            )
+        if "max_uses" in names:
+            mu = entry["max_uses"]
+            if not isinstance(mu, int) or isinstance(mu, bool):
+                raise ParseError(f"edges[{index}].max_uses: must be an integer")
+            fields["max_uses"] = mu
+        if "channel" in names:
+            if not isinstance(entry["channel"], Mapping):
+                raise ParseError(f"edges[{index}].channel: expected an object")
+            fields["channel"] = dict(entry["channel"])
+        if "yield" in names:
+            if not isinstance(entry["yield"], Mapping):
+                raise ParseError(f"edges[{index}].yield: expected an object")
+            fields["yield_spec"] = dict(entry["yield"])
     if a == b:
         raise ValidationError(f"edges[{index}]: self-loop at node {a!r}")
     return edge_key(a, b), fields
@@ -369,14 +417,22 @@ def parse_document(
     """
     if not isinstance(doc, Mapping):
         raise ParseError("network document must be an object")
-    return _parse_flat(doc, default_gen_error, entries_checked=False)
+    return _parse_flat(doc, default_gen_error, {}, entries_checked=False)
 
 
 def _parse_flat(
-    doc: Mapping, default_gen_error: Fraction | None, *, entries_checked: bool
+    doc: Mapping,
+    default_gen_error: Fraction | None,
+    memo: dict,
+    *,
+    entries_checked: bool,
 ) -> NetworkDocument:
     """``parse_document`` of an object; ``entries_checked`` says the caller
-    has already found every entry of ``doc["edges"]`` to be an object."""
+    has already found every entry of ``doc["edges"]`` to be an object.
+
+    ``memo`` remembers cost and delta conversions (see ``_converted``); it
+    lives for one document, including every level of a hierarchical one.
+    """
     unknown = set(doc) - _DOC_FIELDS
     if unknown:
         raise ParseError(f"unknown fields {sorted(unknown)}")
@@ -396,9 +452,13 @@ def _parse_flat(
     by_key: dict[EdgeKey, dict] = {}
     repeated: dict[EdgeKey, list[dict]] = {}
     for i, entry in enumerate(raw_edges):
-        if not entries_checked and not isinstance(entry, Mapping):
+        if (
+            not entries_checked
+            and type(entry) is not dict
+            and not isinstance(entry, Mapping)
+        ):
             raise ParseError(f"edges[{i}]: expected an object")
-        key, fields = _parse_edge_entry(entry, i)
+        key, fields = _parse_edge_entry(entry, i, memo)
         if key[0] not in node_set or key[1] not in node_set:
             raise ValidationError(f"edges[{i}]: unknown endpoint in {key}")
         first = by_key.setdefault(key, fields)

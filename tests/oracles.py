@@ -13,7 +13,8 @@ for arc, and its earlier resolve with one lower solve per edge, which the
 resolve that shares solves between relabelled copies must reproduce, and
 its earlier document parsers, whose Fraction-based cost conversion and
 per-entry field dicts the lean parsers must reproduce value for value and
-error for error.
+error for error, and the checks of ``Edge`` before their exact-type fast
+paths.
 """
 
 import heapq
@@ -834,6 +835,39 @@ def reference_resolve(net: HierarchicalNetwork) -> _Resolved:
     return _Resolved(flat=flat, edges=infos)
 
 
+def reference_edge_fields(
+    a, b, capacity, unit_cost, gen_error=Fraction(0), max_uses=None
+) -> tuple:
+    """The checks of ``Edge`` before its exact-type fast paths, on plain
+    values: the stored ``(a, b, capacity, unit_cost, gen_error, max_uses)``
+    each paired with its type, or the ValidationError or ParseError an
+    Edge of them raises. Endpoints are strings; what other labels do is
+    the label check's business."""
+    if a == b:
+        raise ValidationError(f"self-loop at node {a!r}")
+    if a > b:
+        a, b = b, a
+    key = (a, b)
+    if not isinstance(capacity, int) or isinstance(capacity, bool):
+        raise ValidationError(f"edge {key}: capacity must be an integer")
+    if capacity < 0:
+        raise ValidationError(f"edge {key}: negative capacity")
+    if not isinstance(unit_cost, int) or isinstance(unit_cost, bool):
+        raise ValidationError(f"edge {key}: unit_cost must be an integer")
+    if unit_cost < 0:
+        raise ValidationError(f"edge {key}: negative unit_cost")
+    if not isinstance(gen_error, Fraction):
+        gen_error = as_fraction(gen_error)
+    if not 0 <= gen_error.numerator <= gen_error.denominator:
+        raise ValidationError(f"edge {key}: gen_error outside [0, 1]")
+    if max_uses is not None:
+        if not isinstance(max_uses, int) or isinstance(max_uses, bool):
+            raise ValidationError(f"edge {key}: max_uses must be an integer")
+        if max_uses < 1:
+            raise ValidationError(f"edge {key}: max_uses must be positive")
+    return tuple((type(v), v) for v in (a, b, capacity, unit_cost, gen_error, max_uses))
+
+
 def reference_cost_to_milli(value: object, what: str = "cost") -> int:
     """Convert a cost in cost units to integer milli-units through one exact
     Fraction per value."""
@@ -1012,7 +1046,7 @@ def reference_parse_hierarchical(doc: Mapping) -> HierarchicalNetwork:
         a, b = entry["a"], entry["b"]
         if not isinstance(a, str) or not isinstance(b, str):
             raise ParseError(f"{where}: endpoints must be strings")
-        fields = _parse_lower(entry["lower"], where)
+        fields = _parse_lower(entry["lower"], i, {})
         lower_net = reference_parse_hierarchical(fields.pop("network"))
         hier_edges.append(HierEdge(a=a, b=b, lower=lower_net, **fields))
     source, sink = doc.get("source"), doc.get("sink")

@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,7 @@ from ebitflow import (
     total_lower_cost,
     NoiseModel,
 )
-from ebitflow import concat
+from ebitflow import concat, netgraph
 from oracles import random_network, reference_parse_hierarchical, reference_resolve
 
 
@@ -148,6 +149,21 @@ class TestHierEdge:
                 yield_fn=YieldFunction.identity(1),
                 **{field: True},
             )
+
+
+    @pytest.mark.parametrize("a, b", [("A", 1), (1, "A"), (None, "B"), (1, 1)])
+    def test_non_string_endpoints_rejected(self, a, b):
+        with pytest.raises(ValidationError, match="edge endpoints must be strings"):
+            HierEdge(
+                a=a, b=b, lower=phys("A", "B", 1, 1000), yield_fn=YieldFunction.identity(1)
+            )
+
+    def test_non_string_node_label_rejected(self):
+        edge = HierEdge(
+            a="A", b="B", lower=phys("A", "B", 1, 1000), yield_fn=YieldFunction.identity(1)
+        )
+        with pytest.raises(ValidationError, match="node labels must be non-empty strings: 1"):
+            HierarchicalNetwork(level=1, nodes=("A", 1, "B"), edges=(edge,), clients=("A", "B"))
 
 
 class TestNetworkStructure:
@@ -1061,6 +1077,52 @@ class TestSharedLowerSolves:
                 direct.arc_flow.items()
             )
 
+    @staticmethod
+    def two_copy_document(deltas):
+        """A top chain n0 - n1 - n2 whose two edges wrap one diamond,
+        relabelled in an order-preserving way; every edge of copy ``i``
+        states the delta ``deltas[i]``."""
+        edges = []
+        for i, delta in enumerate(deltas):
+            x, y, m0, m1 = f"n{i}", f"n{i + 1}", f"n{i}m0", f"n{i}m1"
+            lower = {
+                "nodes": [x, m0, m1, y],
+                "edges": [
+                    {"a": a, "b": b, "capacity": cap, "cost": 1, "delta": delta}
+                    for a, b, cap in ((x, m0, 2), (x, m1, 1), (m0, y, 1), (m1, y, 2))
+                ],
+                "source": x,
+                "sink": y,
+            }
+            wrap = {"network": lower, "yield": {"kind": "identity"}, "max_uses": 3}
+            edges.append({"a": x, "b": y, "lower": {**wrap, "delta_target": "1/1000"}})
+        return {"nodes": ["n0", "n1", "n2"], "edges": edges, "source": "n0", "sink": "n2"}
+
+    @pytest.mark.parametrize(
+        "deltas, solves",
+        [
+            (("0.01", "1/100"), 1),
+            ((0.01, "1/100"), 1),
+            (("1/100", "1/50"), 2),
+            (("1/100", 0.010000000000000002), 2),
+        ],
+    )
+    def test_lower_key_compares_generation_errors_exactly(self, monkeypatch, deltas, solves):
+        net = load_hierarchical(json.dumps(self.two_copy_document(deltas)))
+        calls = self.count_solves(monkeypatch)
+        resolved = net._resolved
+        assert calls == {"min_cut": solves, "min_cost_flow": solves}
+        for e, delta in zip(net.edges, deltas):
+            info = resolved.edges[id(e)]
+            direct = direct_lower_solve(e.lower.base)
+            assert {x.gen_error for x in e.lower.base.edges} == {Fraction(str(delta))}
+            assert info.lower_generation == generation_error_budget(
+                e.lower.base, direct.active_edges
+            )
+            assert list(info.lower_solution.arc_flow.items()) == list(
+                direct.arc_flow.items()
+            )
+
     def test_explicit_target_above_lower_cut_still_infeasible(self):
         net = self.relabelled_chain(5, last_target=4)
         with pytest.raises(InfeasibleTarget, match="target 4 exceeds"):
@@ -1153,3 +1215,92 @@ class TestAgainstReferenceParser:
                 assert g.base == w.base
                 assert g.edges == w.edges
             assert got == want
+
+
+class TestConversionMemo:
+    """One parse converts each distinct float or string cost and delta once,
+    however many entries and relabelled lower copies repeat it; the next
+    parse starts afresh. No timing is involved."""
+
+    @staticmethod
+    def count_conversions(monkeypatch):
+        """Counts the outermost conversions of floats and strings; the
+        ``as_fraction`` inside ``cost_to_milli`` is part of its call."""
+        calls = Counter()
+        inside = []
+        for name in ("cost_to_milli", "as_fraction"):
+            real = getattr(netgraph, name)
+
+            def counted(value, *rest, _name=name, _real=real):
+                if not inside and type(value) in (float, str):
+                    calls[_name, type(value), value] += 1
+                inside.append(_name)
+                try:
+                    return _real(value, *rest)
+                finally:
+                    inside.pop()
+
+            for module in (netgraph, concat):
+                monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_hierarchy_of_relabelled_copies(self, monkeypatch):
+        rng = random.Random("memo")
+        base = base_grid(rng, 4)
+        for i, e in enumerate(base["edges"]):
+            e["delta"] = ("1/100", 0.002, "0.01", 0)[i % 4]
+        base_text = json.dumps(base)
+        n = 8
+        edges = []
+        for i in range(n):
+            x, y = f"c{i}", f"c{i + 1}"
+            lower = json.loads(
+                base_text.replace('"@x"', json.dumps(x)).replace('"@y"', json.dumps(y))
+            )
+            wrap = {"network": lower, "yield": {"kind": "linear-floor", "rate": "1/2"}}
+            edges.append(
+                {"a": x, "b": y, "lower": {**wrap, "max_uses": 8, "delta_target": "1/100"}}
+            )
+        nodes = [f"c{i}" for i in range(n + 1)]
+        doc = {"nodes": nodes, "edges": edges, "source": "c0", "sink": f"c{n}"}
+        text = json.dumps(doc)
+        distinct = {("cost_to_milli", float, e["cost"]) for e in base["edges"]}
+        distinct |= {("as_fraction", str, "1/100"), ("as_fraction", str, "0.01")}
+        distinct.add(("as_fraction", float, 0.002))
+        assert len(base["edges"]) * n > 3 * len(distinct)
+
+        calls = self.count_conversions(monkeypatch)
+        for _ in range(2):
+            net = load_hierarchical(text)
+            assert len(net.edges) == n
+            assert calls == Counter(dict.fromkeys(distinct, 1))
+            calls.clear()
+
+    def test_flat_document_with_repeated_costs(self, monkeypatch):
+        costs = (0.5, "3/2", 1.25, 2, "0.5")
+        deltas = (0.01, "1/100", None)
+        edges = []
+        for i in range(30):
+            entry = {"a": f"v{i}", "b": f"v{i + 1}", "capacity": 1, "cost": costs[i % 5]}
+            if deltas[i % 3] is not None:
+                entry["delta"] = deltas[i % 3]
+            edges.append(entry)
+            # A parallel entry repeats the pair with the same values.
+            edges.append(dict(entry, capacity=2))
+        doc = {"nodes": [f"v{i}" for i in range(31)], "edges": edges, "source": "v0", "sink": "v30"}
+        text = json.dumps(doc)
+        calls = self.count_conversions(monkeypatch)
+        for _ in range(2):
+            g = netgraph.load_network(text).graph
+            assert [e.capacity for e in g.edges] == [3] * 30
+            assert calls == Counter(
+                {
+                    ("cost_to_milli", float, 0.5): 1,
+                    ("cost_to_milli", str, "3/2"): 1,
+                    ("cost_to_milli", float, 1.25): 1,
+                    ("cost_to_milli", str, "0.5"): 1,
+                    ("as_fraction", float, 0.01): 1,
+                    ("as_fraction", str, "1/100"): 1,
+                }
+            )
+            calls.clear()

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -23,6 +25,7 @@ from oracles import (
     cut_by_enumeration,
     random_network,
     reference_cost_to_milli,
+    reference_edge_fields,
     reference_parse_document,
     reference_parse_hierarchical,
 )
@@ -44,6 +47,46 @@ DIAMOND = NetworkGraph.from_edge_list(
     ],
     "s",
     "t",
+)
+
+
+class Count(int):
+    """An int subclass, which Edge accepts wherever it accepts an int."""
+
+
+class Label(str):
+    """A str subclass, which Edge accepts as an endpoint."""
+
+
+def mostly(common, odd, one_in=4):
+    """Draws from ``odd`` about once in ``one_in`` draws, else from ``common``."""
+    return st.integers(1, one_in).flatmap(lambda n: odd if n == 1 else common)
+
+
+EDGE_LABELS = mostly(
+    st.sampled_from(["a", "b", "ab", "z", "", Label("a"), Label("b")]),
+    st.sampled_from([1, None, ("a",)]),
+    one_in=16,
+)
+EDGE_INTEGERS = mostly(
+    st.one_of(st.integers(-1, 3), st.builds(Count, st.integers(-1, 3))),
+    st.one_of(
+        st.integers(),
+        st.booleans(),
+        st.sampled_from([1.0, 2.5, "3", None, Fraction(2), [1]]),
+    ),
+)
+GEN_ERRORS = mostly(
+    st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(3, 2), max_denominator=9),
+    st.one_of(
+        st.sampled_from(
+            [Fraction(0), Fraction(-1, 10**30), Fraction(10**30 + 1, 10**30), Count(1)]
+        ),
+        st.integers(-2, 3),
+        st.booleans(),
+        st.floats(),
+        st.sampled_from(["1/2", "3/2", "-0", "x", "1/0", 0.25, []]),
+    ),
 )
 
 
@@ -84,6 +127,39 @@ class TestEdge:
                 Edge("a", "b", 1, 0, value)
 
 
+    @pytest.mark.parametrize("a, b", [("a", 1), (1, "a"), (None, "b"), (1, 2), (1, 1)])
+    def test_non_string_endpoints_rejected(self, a, b):
+        with pytest.raises(ValidationError) as got:
+            Edge(a, b, 1, 1)
+        assert str(got.value) == f"edge endpoints must be strings, got {a!r} and {b!r}"
+
+    @settings(derandomize=True, max_examples=2000, deadline=None)
+    @given(
+        EDGE_LABELS,
+        EDGE_LABELS,
+        EDGE_INTEGERS,
+        EDGE_INTEGERS,
+        st.one_of(st.none(), GEN_ERRORS),
+        st.one_of(st.none(), EDGE_INTEGERS),
+    )
+    def test_checks_match_reference(self, a, b, capacity, unit_cost, gen_error, max_uses):
+        # None for gen_error stands for leaving the default.
+        args = (a, b, capacity, unit_cost) + (() if gen_error is None else (gen_error,))
+        got = outcome(
+            lambda: tuple(
+                (type(v), v)
+                for v in dataclasses.astuple(Edge(*args, max_uses=max_uses))
+            )
+        )
+        if isinstance(a, str) and isinstance(b, str):
+            assert got == outcome(lambda: reference_edge_fields(*args, max_uses=max_uses))
+        else:
+            assert got == (
+                ValidationError,
+                f"edge endpoints must be strings, got {a!r} and {b!r}",
+            )
+
+
 class TestUnits:
     def test_cost_scaling_exact(self):
         assert cost_to_milli(1) == 1000
@@ -107,6 +183,14 @@ class TestUnits:
             as_fraction(True)
         with pytest.raises(ParseError):
             as_fraction("abc")
+
+
+class TestNetworkGraph:
+    @pytest.mark.parametrize("label", [1, None, ("a",), ""])
+    def test_bad_label_rejected_before_sorting(self, label):
+        with pytest.raises(ValidationError) as got:
+            NetworkGraph(("a", label, "t"), (), "a", "t")
+        assert str(got.value) == f"node labels must be non-empty strings: {label!r}"
 
 
 MINIMAL_DOC = {
@@ -509,9 +593,73 @@ def merge_hidden_messages(doc):
     return messages
 
 
+# One cost and one delta written in ways that are equal as Python values, or
+# nearly so, but must not share a conversion: the memo of a parse keys only
+# floats and strings, by exact type and value.
+MEMO_COSTS = [1, 1.0, True, "1", "1.0", [1], {}, 0.0, -0.0]
+MEMO_DELTAS = [0.01, "0.01", "1/100", 0.010000000000000002, [0.01], False]
+
+
+def memo_flat_documents():
+    """Three entries, the third parallel to the first, with every ordered
+    pair of the cost spellings and of the delta spellings."""
+    for (c1, c2), (d1, d2) in product(
+        product(MEMO_COSTS, repeat=2), product(MEMO_DELTAS, repeat=2)
+    ):
+        yield {
+            "nodes": ["s", "r", "t"],
+            "edges": [
+                {"a": "s", "b": "r", "capacity": 1, "cost": c1, "delta": d1},
+                {"a": "r", "b": "t", "capacity": 1, "cost": c2, "delta": d2},
+                {"a": "r", "b": "s", "capacity": 2, "cost": c2, "delta": d2},
+            ],
+            "source": "s",
+            "sink": "t",
+        }
+
+
+def memo_hierarchical_documents():
+    """A top chain of two edges whose lower networks are one three-node
+    chain relabelled; every entry of copy ``i`` has cost ``ci`` and delta
+    ``di``, and the second copy's wrap uses the first copy's delta as its
+    ``delta_target``."""
+    for (c1, c2), (d1, d2) in product(
+        product(MEMO_COSTS, repeat=2), product(MEMO_DELTAS, repeat=2)
+    ):
+        edges = []
+        for i, (cost, delta, target) in enumerate(((c1, d1, "1/1000"), (c2, d2, d1))):
+            x, m, y = f"n{i}", f"n{i}m", f"n{i + 1}"
+            lower = {
+                "nodes": [x, m, y],
+                "edges": [
+                    {"a": u, "b": v, "capacity": 2, "cost": cost, "delta": delta}
+                    for u, v in ((x, m), (m, y))
+                ],
+                "source": x,
+                "sink": y,
+            }
+            wrap = {"network": lower, "yield": {"kind": "identity"}, "max_uses": 2}
+            edges.append({"a": x, "b": y, "lower": {**wrap, "delta_target": target}})
+        yield {"nodes": ["n0", "n1", "n2"], "edges": edges, "source": "n0", "sink": "n2"}
+
+
 class TestAgainstReferenceParser:
     """The lean parser returns what the Fraction-based reference returns, or
     raises the same exception type with the same message."""
+
+    def test_memo_never_conflates_values(self):
+        cases = [(parse_document, reference_parse_document, doc) for doc in memo_flat_documents()]
+        cases += [
+            (parse_hierarchical, reference_parse_hierarchical, doc)
+            for doc in (*memo_flat_documents(), *memo_hierarchical_documents())
+        ]
+        values = 0
+        for parse, reference, doc in cases:
+            got = outcome(parse, doc)
+            assert got == outcome(reference, doc), doc
+            values += got[0] == "value"
+        # Both outcomes occur, so merges and lower copies are reached.
+        assert 0.05 < values / len(cases) < 0.95
 
     @settings(derandomize=True, max_examples=1500, deadline=None)
     @given(COST_VALUES)
