@@ -79,6 +79,8 @@ def as_fraction(value: object, what: str = "value") -> Fraction:
     ``0.001`` a user writes in a file means exactly 1/1000. Infinities and
     NaN are rejected.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool):
         raise ParseError(f"{what}: expected a number, got a boolean")
     if isinstance(value, int):

@@ -22,15 +22,28 @@ measurement or a delivery check share a tableau. Path copies share no
 qubits, so a 198-qubit schedule of nine copies runs as nine 22-qubit
 tableaus; their product is the joint state.
 
+Frame plan. Pauli noise and measurement outcomes change only the signs of
+a tableau, never its X and Z parts, so the tableaus run once per call: the
+reference pass (``_plan``) executes the schedule without noise, with every
+random outcome 0. A noisy run differs from it by a Pauli frame, kept as
+the draws that flip each stabilizer's sign: every draw sets GF(2)
+variables, and each outcome, correction and delivery check of a run is its
+reference value plus the parity of a fixed set of them. A trial is then
+only its draws and a few XORs; this is the Pauli-frame sampling of Stim
+(Gidney, Quantum 5, 497, 2021, arXiv:2103.02202), one trial at a time.
+``run_schedule`` is the same plan and one trial.
+
 Determinism. A run draws from one generator, ``numpy.random.default_rng``
 of the given seed; ``fidelity_estimate`` seeds one per trial with
 ``(seed, trial)``. Draws happen in instruction order: per created pair with
 a positive error probability one ``random()`` and, on a hit, one
 ``integers(4)``; per Bell measurement with positive swap noise one
 ``random()`` and, on a hit, two ``integers(4)``; then one ``integers(2)``
-for each of its two outcomes that is random. Splitting the state into
-copies changes none of these draws, so results depend only on
-(schedule, noise, seed).
+for each of its two outcomes that is random. Neither the split into
+copies nor the frame plan changes these draws (the reference pass draws
+nothing), so results depend only on (schedule, noise, seed) and equal
+those of running every trial on the tableaus. A trial of
+``fidelity_estimate`` stops after its last draw that can flip a check.
 
 Besides Monte-Carlo estimation this module computes exact delivered-state
 error for small schedules: every Pauli-noise branch delivers a product of
@@ -47,9 +60,11 @@ is 3/4.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InvariantViolation, ScheduleViolation, TooLarge, ValidationError
 from .netgraph import EdgeKey, NetworkGraph, as_fraction
@@ -459,15 +474,115 @@ def _compile(sched: SwapSchedule, noise: NoiseModel) -> _Program:
     )
 
 
-def _execute(
-    prog: _Program, rng: np.random.Generator
-) -> tuple[list[StabilizerState], list[tuple[int, int]], list[tuple[int, int]]]:
-    """Run a compiled schedule once: the final tableaus, the outcome of
-    every measurement slot, and the (X, Z) frame of every correction."""
+class _ZeroDraws:
+    """Stand-in generator of the reference pass: every random outcome is 0."""
+
+    __slots__ = ()
+
+    def integers(self, high: int) -> int:
+        return 0
+
+
+class _Plan(NamedTuple):
+    """The frame plan of a program (see the module docstring).
+
+    The draws set GF(2) variables, numbered in draw order: two per noisy
+    pair site (the X and Z part of the Pauli on its right qubit), four per
+    noisy Bell measurement (the Paulis on its two qubits) and one per
+    random outcome. Sets of variables are bitmasks.
+
+    Attributes:
+        steps: The draws in order, each with the variables it may set:
+            ``(p, paulis)`` for a noise site, hit when
+            ``random() < p``, that then draws ``integers(4)`` for each of
+            its qubits and sets ``paulis[k][w]`` for draw ``w`` on qubit
+            ``k`` (I, X, Z or Y), or ``(None, var)`` for a random outcome
+            ``integers(2)``.
+        outcomes: Per measurement slot, ``((ref, mask), (ref, mask))``: an
+            outcome is ``ref`` plus the parity of the set variables in
+            ``mask``.
+        fixes: Per correction, its X and Z frame as ``(ref, mask)`` each.
+        checks: Per delivery, its XX and ZZ check as ``(sign, mask)``
+            each: the reference sign (+1, -1, or 0 when the pair is not
+            stabilized, which no draw changes) and the variables that
+            flip it.
+    """
+
+    steps: tuple[tuple, ...]
+    outcomes: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+    fixes: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+    checks: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+
+
+def _plan(prog: _Program) -> _Plan:
+    """Run a compiled schedule once without noise and track its sign flips.
+
+    The Pauli frame that separates a noisy run from the reference run is
+    kept by its effect on the tableau: ``flips[t][i]``, a bitmask of
+    variables, holds the sum of those that flip the sign of stabilizer
+    ``i`` of tableau ``t``. Gates conjugate the frame and the stabilizers
+    alike, so they change no flip. A Pauli, as in ``apply_x``, flips the
+    stabilizers it anticommutes with. A random measurement multiplies its
+    pivot into the other stabilizers that anticommute with Z on the qubit,
+    which adds the pivot's flips to theirs, and gives the new stabilizer
+    the outcome's variable. A determined outcome, and a check, flips by
+    the sum over the stabilizers whose product it reads.
+    """
     tabs = [StabilizerState(size) for size in prog.sizes]
+    flips = [[0] * size for size in prog.sizes]
+    zero = _ZeroDraws()
+    steps: list[tuple] = []
     outcomes: list = [None] * prog.n_outcomes
-    frames = []
+    fixes = []
     swap_p = prog.swap_p
+    nv = 0
+
+    def flip(fl: list[int], rows: int, mask: int) -> None:
+        """Add ``mask`` to the flips of the stabilizers in ``rows``."""
+        while rows:
+            low = rows & -rows
+            fl[low.bit_length() - 1] ^= mask
+            rows ^= low
+
+    def total(fl: list[int], rows: int) -> int:
+        """The sum of the flips of the stabilizers in ``rows``."""
+        acc = 0
+        while rows:
+            low = rows & -rows
+            acc ^= fl[low.bit_length() - 1]
+            rows ^= low
+        return acc
+
+    def pauli(st: StabilizerState, fl: list[int], q: int, mask_x: int, mask_z: int) -> None:
+        flip(fl, st.z[q] >> st.n, mask_x)
+        flip(fl, st.x[q] >> st.n, mask_z)
+
+    def noise(st: StabilizerState, fl: list[int], p: float, qubits: tuple[int, ...]) -> None:
+        nonlocal nv
+        paulis = []
+        for q in qubits:
+            mask_x, mask_z = 1 << nv, 2 << nv
+            pauli(st, fl, q, mask_x, mask_z)
+            # integers(4) picks I, X, Z or Y.
+            paulis.append((0, mask_x, mask_z, mask_x | mask_z))
+            nv += 2
+        steps.append((p, tuple(paulis)))
+
+    def measure(st: StabilizerState, fl: list[int], q: int) -> tuple[int, int]:
+        nonlocal nv
+        col = st.x[q]
+        anti = col >> st.n
+        if not anti:
+            return st.measure(q, zero), total(fl, col)
+        # The pivot, as ``measure`` picks it.
+        d = (anti & -anti).bit_length() - 1
+        flip(fl, anti ^ (1 << d), fl[d])
+        fl[d] = var = 1 << nv
+        steps.append((None, var))
+        nv += 1
+        st.measure(q, zero)
+        return 0, var
+
     for op in prog.ops:
         kind = op[0]
         if kind == _PAIR:
@@ -475,30 +590,79 @@ def _execute(
             st = tabs[t]
             st.h(a)
             st.cnot(a, b)
-            if error_p is not None and rng.random() < error_p:
-                _apply_pauli(st, b, int(rng.integers(4)))
+            if error_p is not None:
+                noise(st, flips[t], error_p, (b,))
         elif kind == _SWAP:
             _, t, a, b, s = op
-            st = tabs[t]
-            if swap_p > 0 and rng.random() < swap_p:
-                _apply_pauli(st, a, int(rng.integers(4)))
-                _apply_pauli(st, b, int(rng.integers(4)))
+            st, fl = tabs[t], flips[t]
+            if swap_p > 0:
+                noise(st, fl, swap_p, (a, b))
             st.cnot(a, b)
             st.h(a)
-            outcomes[s] = (st.measure(a, rng), st.measure(b, rng))
+            outcomes[s] = (measure(st, fl, a), measure(st, fl, b))
         else:
             _, t, q, slots = op
-            frame_x = frame_z = 0
+            ref_x = mask_x = ref_z = mask_z = 0
             for s in slots:
-                a, b = outcomes[s]
-                frame_z ^= a
-                frame_x ^= b
-            if frame_x:
-                tabs[t].apply_x(q)
-            if frame_z:
-                tabs[t].apply_z(q)
-            frames.append((frame_x, frame_z))
-    return tabs, outcomes, frames
+                (ra, ma), (rb, mb) = outcomes[s]
+                ref_z ^= ra
+                mask_z ^= ma
+                ref_x ^= rb
+                mask_x ^= mb
+            st = tabs[t]
+            if ref_x:
+                st.apply_x(q)
+            if ref_z:
+                st.apply_z(q)
+            pauli(st, flips[t], q, mask_x, mask_z)
+            fixes.append(((ref_x, mask_x), (ref_z, mask_z)))
+    checks = []
+    for t, a, b in prog.checks:
+        st, fl = tabs[t], flips[t]
+        xx, zz = st.pair_expectations(a, b)
+        # The stabilizers whose product is XX (ZZ) are those paired with
+        # the destabilizers that anticommute with it.
+        if a == b:
+            anti_xx, anti_zz = st.z[a], st.x[a]
+        else:
+            anti_xx, anti_zz = st.z[a] ^ st.z[b], st.x[a] ^ st.x[b]
+        checks.append(
+            (
+                (xx, total(fl, anti_xx) if xx else 0),
+                (zz, total(fl, anti_zz) if zz else 0),
+            )
+        )
+    return _Plan(
+        steps=tuple(steps),
+        outcomes=tuple(outcomes),
+        fixes=tuple(fixes),
+        checks=tuple(checks),
+    )
+
+
+def _sample(steps: Sequence[tuple], rng: np.random.Generator) -> int:
+    """Draw one trial; returns the bitmask of the variables it sets."""
+    random, integers = rng.random, rng.integers
+    values = 0
+    for p, sets in steps:
+        if p is None:
+            if integers(2):
+                values ^= sets
+        elif random() < p:
+            for pauli in sets:
+                values ^= pauli[integers(4)]
+    return values
+
+
+def _variables(step: tuple) -> int:
+    """The variables a step of ``_Plan.steps`` may set."""
+    p, sets = step
+    if p is None:
+        return sets
+    out = 0
+    for pauli in sets:
+        out |= pauli[3]
+    return out
 
 
 def run_schedule(
@@ -506,60 +670,66 @@ def run_schedule(
     noise: NoiseModel | None = None,
     seed: int | Sequence[int] = 0,
 ) -> RunResult:
-    """Execute a schedule once on the tableau simulator.
+    """Execute a schedule once.
 
     Deterministic for a given (schedule, noise, seed) triple: random draws
-    happen in instruction order from a single seeded generator.
+    happen in instruction order from a single seeded generator, and the run
+    is the reference run of ``_plan`` shifted by the frame they set.
 
     Raises:
         ScheduleViolation: On double creation, qubits outside the schedule,
             a Bell measurement of one qubit with itself, gates or
             corrections on measured qubits, re-measurement, or unknown
             measurement sources.
-        ValidationError: On a negative seed.
+        ValidationError: On a seed that is not a non-negative int or a
+            sequence of them.
     """
     import numpy as np  # only simulation needs numpy; keeps CLI start-up lean
 
     _require_seed(seed)
-    rng = np.random.default_rng(seed)
     prog = _compile(sched, noise or NoiseModel.zero())
-    tabs, outcomes, frames = _execute(prog, rng)
-    pairs = []
-    for d, (t, a, b) in zip(sched.deliveries, prog.checks):
-        xx, zz = tabs[t].pair_expectations(a, b)
-        pairs.append(
+    plan = _plan(prog)
+    values = _sample(plan.steps, np.random.default_rng(seed))
+
+    def value(term: tuple[int, int]) -> int:
+        ref, mask = term
+        return ref ^ ((mask & values).bit_count() & 1)
+
+    def sign(term: tuple[int, int]) -> int:
+        ref, mask = term
+        return -ref if (mask & values).bit_count() & 1 else ref
+
+    return RunResult(
+        outcomes=tuple((value(a), value(b)) for a, b in plan.outcomes),
+        corrections=tuple(
+            (q, _PAULI_NAMES[value(fx), value(fz)])
+            for q, (fx, fz) in zip(prog.fix_qubits, plan.fixes)
+        ),
+        pairs=tuple(
             PairOutcome(
                 copy=d.copy,
                 source_qubit=d.source_qubit,
                 sink_qubit=d.sink_qubit,
-                xx_sign=xx,
-                zz_sign=zz,
+                xx_sign=sign(xx),
+                zz_sign=sign(zz),
             )
-        )
-    return RunResult(
-        outcomes=tuple(outcomes),
-        corrections=tuple(
-            (q, _PAULI_NAMES[frame]) for q, frame in zip(prog.fix_qubits, frames)
+            for d, (xx, zz) in zip(sched.deliveries, plan.checks)
         ),
-        pairs=tuple(pairs),
     )
 
 
+def _require_int(value: object, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
 def _require_seed(seed: int | Sequence[int]) -> None:
-    import numpy as np
-
-    # numpy rejects negative seed words with a bare ValueError.
-    if np.any(np.asarray(seed) < 0):
-        raise ValidationError(f"seed must be non-negative, got {seed}")
-
-
-def _apply_pauli(state: StabilizerState, q: int, which: int) -> None:
-    if which == 1:
-        state.apply_x(q)
-    elif which == 2:
-        state.apply_z(q)
-    elif which == 3:
-        state.apply_y(q)
+    # numpy would reject these with a TypeError or a bare ValueError.
+    words = seed if isinstance(seed, Iterable) and not isinstance(seed, str) else (seed,)
+    for word in words:
+        _require_int(word, "seed")
+        if word < 0:
+            raise ValidationError(f"seed must be non-negative, got {seed}")
 
 
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
@@ -608,26 +778,56 @@ def fidelity_estimate(
 
     Each trial runs the schedule with an independent generator seeded by
     (seed, trial index), so estimates are reproducible and trials could be
-    distributed without changing results.
+    distributed without changing results. The tableaus run once, for the
+    reference pass of ``_plan``; a trial is only its draws, and its
+    verdict the parities of the variables they set.
+
+    Raises:
+        ValidationError: On a ``trials`` that is not a positive int, or a
+            seed that ``run_schedule`` rejects.
     """
     import numpy as np  # only simulation needs numpy; keeps CLI start-up lean
 
+    _require_int(trials, "trials")
     if trials <= 0:
         raise ValidationError("trials must be positive")
     _require_seed(seed)
-    prog = _compile(sched, noise or NoiseModel.zero())
-    passes = [0] * len(prog.checks)
-    all_pass = 0
-    for trial in range(trials):
-        tabs, _, _ = _execute(prog, np.random.default_rng((seed, trial)))
-        ok_all = True
-        for i, (t, a, b) in enumerate(prog.checks):
-            if tabs[t].pair_expectations(a, b) == (1, 1):
-                passes[i] += 1
-            else:
-                ok_all = False
-        if ok_all:
-            all_pass += 1
+    plan = _plan(_compile(sched, noise or NoiseModel.zero()))
+    # Bits 2i and 2i + 1 of a trial's verdict are set when delivery i fails
+    # its XX or its ZZ check. A check that is not stabilized always fails.
+    base = 0
+    flippers = []
+    for i, pair in enumerate(plan.checks):
+        for bit, (sign, mask) in zip((1 << 2 * i, 2 << 2 * i), pair):
+            if sign != 1:
+                base |= bit
+            if sign and mask:
+                flippers.append((bit, mask))
+    # Each trial has its own generator, so draws after the last one that
+    # can flip a check change nothing and are left out. Without draws
+    # every trial gives the same verdict.
+    relevant = 0
+    for _, mask in flippers:
+        relevant |= mask
+    steps = list(plan.steps)
+    while steps and not relevant & _variables(steps[-1]):
+        steps.pop()
+    counts: dict[int, int] = {}
+    if not steps:
+        counts[base] = trials
+    else:
+        for trial in range(trials):
+            values = _sample(steps, np.random.default_rng((seed, trial)))
+            verdict = base
+            for bit, mask in flippers:
+                if (mask & values).bit_count() & 1:
+                    verdict ^= bit
+            counts[verdict] = counts.get(verdict, 0) + 1
+    passes = [
+        sum(n for verdict, n in counts.items() if not verdict >> 2 * i & 3)
+        for i in range(len(plan.checks))
+    ]
+    all_pass = counts.get(0, 0)
     stats = []
     for i, d in enumerate(sched.deliveries):
         lo, hi = wilson_interval(passes[i], trials)

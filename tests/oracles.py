@@ -18,6 +18,7 @@ paths.
 """
 
 import heapq
+import math
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Mapping, Sequence
@@ -866,6 +867,27 @@ def reference_edge_fields(
         if max_uses < 1:
             raise ValidationError(f"edge {key}: max_uses must be positive")
     return tuple((type(v), v) for v in (a, b, capacity, unit_cost, gen_error, max_uses))
+
+
+def reference_as_fraction(value: object, what: str = "value") -> Fraction:
+    """``netgraph.as_fraction`` as it was before its Fraction fast path:
+    the isinstance chain alone."""
+    if isinstance(value, bool):
+        raise ParseError(f"{what}: expected a number, got a boolean")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ParseError(f"{what}: not a finite number: {value!r}")
+        return Fraction(str(value))
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"{what}: not a valid rational: {value!r}") from exc
+    if isinstance(value, Fraction):
+        return value
+    raise ParseError(f"{what}: expected a number, got {type(value).__name__}")
 
 
 def reference_cost_to_milli(value: object, what: str = "cost") -> int:

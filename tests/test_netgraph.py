@@ -24,6 +24,7 @@ from ebitflow import (
 from oracles import (
     cut_by_enumeration,
     random_network,
+    reference_as_fraction,
     reference_cost_to_milli,
     reference_edge_fields,
     reference_parse_document,
@@ -56,6 +57,10 @@ class Count(int):
 
 class Label(str):
     """A str subclass, which Edge accepts as an endpoint."""
+
+
+class FractionSubclass(Fraction):
+    """Not exactly a Fraction, so ``as_fraction`` takes its slow path."""
 
 
 def mostly(common, odd, one_in=4):
@@ -183,6 +188,11 @@ class TestUnits:
             as_fraction(True)
         with pytest.raises(ParseError):
             as_fraction("abc")
+
+    def test_fraction_comes_back_as_the_same_object(self):
+        value = Fraction(2, 3)
+        assert as_fraction(value) is value
+        assert as_fraction(value, "delta") is value
 
 
 class TestNetworkGraph:
@@ -665,6 +675,21 @@ class TestAgainstReferenceParser:
     @given(COST_VALUES)
     def test_cost_to_milli(self, value):
         assert outcome(cost_to_milli, value) == outcome(reference_cost_to_milli, value)
+
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(
+        st.one_of(
+            COST_VALUES,
+            st.builds(FractionSubclass, st.integers(-9, 9), st.integers(1, 9)),
+            st.sampled_from([Count(2), Label("1/2"), 1j, b"1", ()]),
+        )
+    )
+    def test_as_fraction(self, value):
+        """Every input but an exact Fraction gives what it gave before the
+        Fraction fast path: the same value, or the same error and message."""
+        assert outcome(as_fraction, value, "delta") == outcome(
+            reference_as_fraction, value, "delta"
+        )
 
     @pytest.mark.parametrize("value", COST_SPECIALS, ids=repr)
     def test_cost_to_milli_special_floats(self, value):

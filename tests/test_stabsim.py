@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from oracles import (
     ReferenceTableau,
     convolved_pass_probability,
@@ -297,6 +297,15 @@ class TestScheduleViolations:
         with pytest.raises(ValidationError):
             fidelity_estimate(RELAY, trials=1, seed=-1)
 
+    @pytest.mark.parametrize(
+        "seed", [1.5, "3", True, (3, 1.5), (3, False)], ids=repr
+    )
+    def test_seed_that_is_not_an_int_is_a_validation_error(self, seed):
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            run_schedule(RELAY, seed=seed)
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            fidelity_estimate(RELAY, trials=1, seed=seed)
+
     def test_delivery_of_measured_qubit(self):
         sched = SwapSchedule(
             instructions=(
@@ -345,6 +354,74 @@ def noisy_schedules(draw):
     )
     pair_error = {key: Fraction(draw(st.integers(0, 12)), 12) for key in keys}
     p = draw(st.sampled_from([Fraction(0), Fraction(1, 20), Fraction(1, 4), Fraction(1)]))
+    return sched, NoiseModel(swap_depolarize_p=p, pair_error=pair_error)
+
+
+# True about one draw in six.
+rarely = st.integers(0, 5).map(lambda n: n == 3)
+
+
+@st.composite
+def hand_built_schedules(draw):
+    """1-7 pairs interleaved with Bell measurements and corrections on random
+    live qubits, then deliveries on random live qubits. Corrections read
+    random earlier outcomes, and a delivery checks a qubit against its
+    entangled partner (stabilized, though its frame need not cancel), a
+    random qubit or itself. So the outcomes reach the checks, which
+    ``build_swap_schedule`` never lets them do."""
+    n_pairs = draw(st.integers(1, 7))
+    created = 0
+    live: list[int] = []
+    # The qubit each live qubit shares a Bell pair with in the noiseless
+    # run, where every random outcome is 0 and no correction fires.
+    partner: dict[int, int] = {}
+    indices: list[int] = []
+    instructions = []
+    for _ in range(draw(st.integers(n_pairs, 3 * n_pairs + 2))):
+        kinds = ["create"] * (created < n_pairs)
+        # A qubit stays live for the deliveries.
+        if len(live) >= 3:
+            kinds.append("measure")
+        if live and indices:
+            kinds.append("correct")
+        if not kinds:
+            break
+        kind = draw(st.sampled_from(kinds))
+        if kind == "create":
+            a, b = 2 * created, 2 * created + 1
+            instructions.append(CreateBellPair(f"u{created}", f"v{created}", a, b, created))
+            live += [a, b]
+            partner.update({a: b, b: a})
+            created += 1
+        elif kind == "measure":
+            a, b = draw(st.lists(st.sampled_from(live), min_size=2, max_size=2, unique=True))
+            live.remove(a)
+            live.remove(b)
+            pa, pb = partner.pop(a), partner.pop(b)
+            if pa != b:
+                partner.update({pa: pb, pb: pa})
+            # Now and then an index is measured again and overwrites its outcome.
+            index = draw(st.sampled_from(indices)) if indices and draw(rarely) else len(indices)
+            indices.append(index)
+            instructions.append(BellMeasure("r", a, b, index))
+        else:
+            q = draw(st.sampled_from(live))
+            sources = draw(st.lists(st.sampled_from(indices), min_size=1, max_size=3))
+            instructions.append(PauliCorrect("r", q, tuple(sources)))
+    deliveries = []
+    for c in range(draw(st.integers(1, 3))):
+        q = draw(st.sampled_from(live))
+        other = draw(st.sampled_from([partner[q], partner[q], q, *live]))
+        deliveries.append(Delivery(c, q, other))
+    sched = SwapSchedule(
+        instructions=tuple(instructions),
+        deliveries=tuple(deliveries),
+        qubit_nodes=tuple("r" for _ in range(2 * n_pairs)),
+    )
+    pair_error = {
+        (f"u{i}", f"v{i}"): Fraction(draw(st.integers(0, 4)), 4) for i in range(created)
+    }
+    p = draw(st.sampled_from([Fraction(0), Fraction(1, 5), Fraction(1, 2), Fraction(1)]))
     return sched, NoiseModel(swap_depolarize_p=p, pair_error=pair_error)
 
 
@@ -399,6 +476,17 @@ class TestAgainstReferenceTableau:
 
     @given(noisy_schedules(), st.integers(0, 2**32), st.integers(1, 3))
     def test_runs_and_estimates_match(self, case, seed, trials):
+        sched, noise = case
+        assert run_schedule(sched, noise, seed=seed) == reference_run_schedule(
+            sched, noise, seed=seed
+        )
+        assert fidelity_estimate(
+            sched, noise, trials=trials, seed=seed
+        ) == reference_fidelity_estimate(sched, noise, trials=trials, seed=seed)
+
+    @settings(derandomize=True, max_examples=400)
+    @given(hand_built_schedules(), st.integers(0, 2**32), st.integers(1, 3))
+    def test_hand_built_runs_and_estimates_match(self, case, seed, trials):
         sched, noise = case
         assert run_schedule(sched, noise, seed=seed) == reference_run_schedule(
             sched, noise, seed=seed
@@ -496,6 +584,19 @@ class TestMonteCarlo:
         with pytest.raises(ValidationError):
             fidelity_estimate(SINGLE, trials=0)
 
+    @pytest.mark.parametrize("trials", [2.0, "3", True, None], ids=repr)
+    def test_trials_that_is_not_an_int_is_a_validation_error(self, trials):
+        with pytest.raises(ValidationError, match="trials must be an integer"):
+            fidelity_estimate(SINGLE, trials=trials)
+
+    def test_numpy_integers_are_accepted(self):
+        assert fidelity_estimate(
+            RELAY, trials=np.int64(3), seed=np.int64(5)
+        ) == fidelity_estimate(RELAY, trials=3, seed=5)
+        assert run_schedule(RELAY, seed=np.array([5, 2])) == run_schedule(
+            RELAY, seed=(5, 2)
+        )
+
     def test_noiseless_estimate_is_one(self):
         est = fidelity_estimate(RELAY, trials=50, seed=4)
         assert est.all_pass_count == 50
@@ -531,6 +632,42 @@ class TestMonteCarlo:
             run_schedule(RELAY, noise, seed=(6, t)).all_passed for t in range(25)
         )
         assert est.all_pass_count == manual
+
+    def test_tableau_runs_once_per_call_not_per_trial(self, monkeypatch):
+        """The tableau work of an estimate is one pass over the schedule,
+        whatever the trial count. Counts calls; no timing is involved."""
+        bundles = [
+            PathBundle(path=("s", *(f"p{c}_{j}" for j in range(1, 6)), "t"), multiplicity=1)
+            for c in range(4)
+        ]
+        sched = build_swap_schedule(bundles)
+        assert sched.n_qubits == 48
+        keys = {ins.edge for ins in sched.instructions if isinstance(ins, CreateBellPair)}
+        noise = NoiseModel(
+            swap_depolarize_p=Fraction(1, 20),
+            pair_error=dict.fromkeys(keys, Fraction(1, 10)),
+        )
+        calls = {"init": 0, "measure": 0}
+        init, measure = StabilizerState.__init__, StabilizerState.measure
+
+        def counted_init(self, n):
+            calls["init"] += 1
+            init(self, n)
+
+        def counted_measure(self, q, rng):
+            calls["measure"] += 1
+            return measure(self, q, rng)
+
+        monkeypatch.setattr(StabilizerState, "__init__", counted_init)
+        monkeypatch.setattr(StabilizerState, "measure", counted_measure)
+        bsms = sum(isinstance(ins, BellMeasure) for ins in sched.instructions)
+        for trials in (1, 500):
+            calls.update(init=0, measure=0)
+            est = fidelity_estimate(sched, noise, trials=trials, seed=3)
+            # The noise is live: some of the 500 trials fail.
+            assert trials == 1 or est.all_pass_count < trials
+            # One tableau per path copy, two measurements per Bell measurement.
+            assert calls == {"init": 4, "measure": 2 * bsms}
 
     def test_operation_error_estimator_strips_pair_noise(self):
         noise = NoiseModel(
