@@ -28,34 +28,61 @@ from itertools import chain
 from pathlib import Path
 
 from . import __version__
-from .concat import aggregate_level, load_hierarchical, plan_lower_uses, total_lower_cost
 from .errors import EbitflowError, InfeasibleTarget, NegativeTarget, ParseError
-from .mincostflow import (
-    min_cost_flow,
-    min_cost_max_flow,
-    price_curve,
-    solution_dot,
-    solution_report,
-    unit_price,
-)
 from .netgraph import MILLI, _milli_text, as_fraction, load_network, min_cut
-from .pathplan import (
-    build_swap_schedule,
-    decompose_flow,
-    plan_channel_uses,
-    serialize_schedule,
-)
-from .rates import asymptotic_rate, channel_capacity, parse_channel
-from .stabsim import (
-    EXACT_QUBIT_LIMIT,
-    NoiseModel,
-    exact_operation_error,
-    exact_pass_probability,
-    exact_trace_distance,
-    fidelity_estimate,
-    generation_error_budget,
-)
-from .yields import parse_yield
+
+# The names the handlers take from the other modules, by module. They are
+# bound in this namespace on demand (``_bind``), so a process imports only
+# the modules its command uses.
+_LAZY = {
+    "mincostflow": (
+        "min_cost_flow",
+        "min_cost_max_flow",
+        "price_curve",
+        "solution_dot",
+        "solution_report",
+        "unit_price",
+    ),
+    "pathplan": (
+        "build_swap_schedule",
+        "decompose_flow",
+        "plan_channel_uses",
+        "serialize_schedule",
+    ),
+    "yields": ("parse_yield",),
+    "stabsim": (
+        "EXACT_QUBIT_LIMIT",
+        "NoiseModel",
+        "exact_operation_error",
+        "exact_pass_probability",
+        "exact_trace_distance",
+        "fidelity_estimate",
+        "generation_error_budget",
+    ),
+    "concat": ("aggregate_level", "load_hierarchical", "plan_lower_uses", "total_lower_cost"),
+    "rates": ("asymptotic_rate", "channel_capacity", "parse_channel"),
+}
+
+
+def _bind(module: str) -> None:
+    """Import ``module`` and bind its names from ``_LAZY`` here. A name
+    already bound, e.g. replaced from outside by a tracer, stays as it is."""
+    qualified = f"{__package__}.{module}"
+    # The import statement's path, which ``python -X importtime`` reports.
+    __import__(qualified)
+    source = sys.modules[qualified]
+    namespace = globals()
+    for name in _LAZY[module]:
+        namespace.setdefault(name, getattr(source, name))
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 SCHEMA_VERSION = 1
 TOOL_NAME = "ebitflow"
@@ -401,6 +428,17 @@ _HANDLERS = {
     "concat": _cmd_concat,
     "rate": _cmd_rate,
 }
+# The modules of ``_LAZY`` whose names each handler calls.
+_COMMAND_MODULES = {
+    "mincut": (),
+    "flow": ("mincostflow",),
+    "maxflow": ("mincostflow",),
+    "price-scan": ("mincostflow",),
+    "plan": ("mincostflow", "pathplan", "yields"),
+    "simulate": ("mincostflow", "pathplan", "stabsim"),
+    "concat": ("mincostflow", "concat"),
+    "rate": ("rates",),
+}
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -601,6 +639,8 @@ def main(argv=None) -> int:
     args.format = args.format or _default_format(args.command)
     try:
         args.input_bytes, digest = _read_input(args.input)
+        for module in _COMMAND_MODULES[args.command]:
+            _bind(module)
         result, text = _HANDLERS[args.command](args)
         if args.format == "json":
             doc = {

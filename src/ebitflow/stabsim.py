@@ -385,6 +385,10 @@ def _compile(sched: SwapSchedule, noise: NoiseModel) -> _Program:
     raw: list[tuple] = []
     ties: list[tuple[int, int]] = []
 
+    # Per edge, the replacement probability of a created pair as a float,
+    # or None when the pair is noiseless.
+    error_of = {key: float(q) if q else None for key, q in noise.pair_error.items()}
+
     def require_live(q: int, action: str) -> None:
         if q not in created:
             raise ScheduleViolation(f"{action} on qubit q{q} before creation")
@@ -401,9 +405,7 @@ def _compile(sched: SwapSchedule, noise: NoiseModel) -> _Program:
                 if q in created:
                     raise ScheduleViolation(f"qubit q{q} created twice")
                 created.add(q)
-            q_err = noise.pair_error.get(ins.edge, Fraction(0))
-            error_p = float(q_err) if q_err > 0 else None
-            raw.append((_PAIR, ins.qubit_left, ins.qubit_right, error_p))
+            raw.append((_PAIR, ins.qubit_left, ins.qubit_right, error_of.get(ins.edge)))
             ties.append((ins.qubit_left, ins.qubit_right))
         elif isinstance(ins, BellMeasure):
             if ins.qubit_left == ins.qubit_right:

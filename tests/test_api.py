@@ -3,16 +3,21 @@
 import ast
 import importlib
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import ebitflow
 
 SRC = Path(ebitflow.__file__).parent
 
-# Every name ``from ebitflow import *`` binds, sorted. ``__all__`` is derived
-# from the package namespace, so it also lists the submodules. Adding or
-# removing a public name is a deliberate edit of this list.
+# Every name ``from ebitflow import *`` binds, sorted: the package's public
+# names and its eight submodules. ``__all__`` is built from the package's
+# table of lazy exports. Adding or removing a public name is a deliberate
+# edit of this list.
 PUBLIC_NAMES = [
     "AggregateResult",
     "BellMeasure",
@@ -106,6 +111,59 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     assert ebitflow.__all__ == PUBLIC_NAMES
+
+
+def top_level_definitions() -> dict[str, list[str]]:
+    """Each name defined at top level in a submodule's source, with the
+    submodules that define it."""
+    found: dict[str, list[str]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                targets = [node.target.id]
+            else:
+                continue
+            for name in targets:
+                found.setdefault(name, []).append(path.stem)
+    return found
+
+
+def test_star_import_binds_each_public_name_from_its_module():
+    namespace = {}
+    exec("from ebitflow import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
+    definitions = top_level_definitions()
+    for name in PUBLIC_NAMES:
+        if (SRC / f"{name}.py").exists():
+            expected = importlib.import_module(f"ebitflow.{name}")
+        else:
+            [module] = definitions[name]
+            expected = getattr(importlib.import_module(f"ebitflow.{module}"), name)
+        assert namespace[name] is expected, name
+        assert getattr(ebitflow, name) is expected, name
+    assert set(PUBLIC_NAMES) <= set(dir(ebitflow))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ebitflow.no_such_name
+    assert not hasattr(ebitflow, "no_such_name")
+
+
+def test_importing_the_package_loads_no_submodule():
+    probe = (
+        "import json, sys, ebitflow\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('ebitflow'))))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["ebitflow"]
 
 
 def test_no_assert_statements_in_src():

@@ -678,6 +678,120 @@ FUZZ_CASES = {
 }
 
 
+# Runs one ``cli.main`` call in a fresh interpreter and prints its exit code,
+# output and the ebitflow modules (and whether numpy) it left loaded.
+IMPORTS_PROBE = """
+import contextlib, io, json, sys
+import ebitflow.cli
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    try:
+        code = ebitflow.cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps({
+    "code": code,
+    "stdout": out.getvalue(),
+    "stderr": err.getvalue(),
+    "modules": sorted(m for m in sys.modules if m.startswith("ebitflow")),
+    "numpy": "numpy" in sys.modules,
+}))
+"""
+
+# Wraps two CLI names with call counters before any command runs, as the
+# benchmark tracer does, then runs the commands given as JSON argv lists.
+PATCHED_NAMES_PROBE = """
+import contextlib, io, json, sys
+import ebitflow.cli as cli
+calls = {}
+for name in ("fidelity_estimate", "load_hierarchical"):
+    real = getattr(cli, name)
+    def counted(*args, _name=name, _real=real, **kwargs):
+        calls[_name] = calls.get(_name, 0) + 1
+        return _real(*args, **kwargs)
+    setattr(cli, name, counted)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "calls": calls}))
+"""
+
+BASE_MODULES = {"ebitflow", "ebitflow.cli", "ebitflow.errors", "ebitflow.netgraph"}
+# The ebitflow modules beyond BASE_MODULES that each command loads.
+COMMAND_MODULES = {
+    "mincut": set(),
+    "flow": {"mincostflow"},
+    "maxflow": {"mincostflow"},
+    "price-scan": {"mincostflow"},
+    "plan": {"mincostflow", "pathplan", "yields"},
+    "simulate": {"mincostflow", "pathplan", "yields", "stabsim"},
+    "concat": {"mincostflow", "pathplan", "yields", "stabsim", "concat"},
+    "rate": {"rates"},
+}
+
+
+class TestCommandImports:
+    """A process imports only the modules its command uses."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("imports")
+        paths = {}
+        for command, (_, doc) in FUZZ_CASES.items():
+            paths[command] = root / f"{command}.json"
+            paths[command].write_text(json.dumps(doc))
+        return paths
+
+    @staticmethod
+    def in_process(argv):
+        """``call_main``, but also for calls that exit through argparse."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("command", [*sorted(FUZZ_CASES), "--version", "usage"])
+    def test_command_loads_its_modules(self, inputs, command):
+        if command == "--version":
+            argv, code = [command], 0
+        elif command == "usage":
+            argv, code = ["mincut"], 2
+        else:
+            argv = [command, "--input", str(inputs[command]), *FUZZ_CASES[command][0]]
+            code = 0
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORTS_PROBE, *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        probe = json.loads(proc.stdout)
+        extra = COMMAND_MODULES.get(command, set())
+        assert probe["modules"] == sorted(BASE_MODULES | {f"ebitflow.{m}" for m in extra})
+        assert probe["numpy"] == (command == "simulate")
+        expected = self.in_process(argv)
+        assert expected[0] == code
+        assert expected[1 if code == 0 else 2]
+        assert (probe["code"], probe["stdout"], probe["stderr"]) == expected
+
+    def test_names_patched_before_the_first_call_stay_patched(self, inputs):
+        argvs = [
+            [command, "--input", str(inputs[command]), *FUZZ_CASES[command][0]]
+            for command in ("simulate", "concat")
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c", PATCHED_NAMES_PROBE, json.dumps(argvs)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        probe = json.loads(proc.stdout)
+        assert probe == {
+            "codes": [0, 0],
+            "calls": {"fidelity_estimate": 1, "load_hierarchical": 1},
+        }
+
+
 def value_paths(doc, prefix=()):
     """Paths to every value below the root of a JSON document."""
     items = doc.items() if isinstance(doc, dict) else enumerate(doc)
