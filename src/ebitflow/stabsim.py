@@ -33,13 +33,15 @@ only its draws and a few XORs; this is the Pauli-frame sampling of Stim
 (Gidney, Quantum 5, 497, 2021, arXiv:2103.02202), one trial at a time.
 ``run_schedule`` is the same plan and one trial.
 
-Determinism. A run draws from one generator, ``numpy.random.default_rng``
-of the given seed; ``fidelity_estimate`` seeds one per trial with
-``(seed, trial)``. Draws happen in instruction order: per created pair with
-a positive error probability one ``random()`` and, on a hit, one
-``integers(4)``; per Bell measurement with positive swap noise one
-``random()`` and, on a hit, two ``integers(4)``; then one ``integers(2)``
-for each of its two outcomes that is random. Neither the split into
+Determinism. A run draws from one stream: that of
+``numpy.random.default_rng`` for the run's seed, which ``_PCG64`` reproduces
+value for value in pure Python (PCG64 seeded through SeedSequence), so
+simulation imports no numpy and gets numpy's draws. ``fidelity_estimate``
+seeds one stream per trial with ``(seed, trial)``. Draws happen in
+instruction order: per created pair with a positive error probability one
+``random()`` and, on a hit, one ``integers(4)``; per Bell measurement with
+positive swap noise one ``random()`` and, on a hit, two ``integers(4)``;
+then one ``integers(2)`` for each of its two outcomes that is random. Neither the split into
 copies nor the frame plan changes these draws (the reference pass draws
 nothing), so results depend only on (schedule, noise, seed) and equal
 those of running every trial on the tableaus. A trial of
@@ -61,10 +63,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Iterable, Mapping, Sequence
+import operator
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
+from itertools import islice
+from typing import NamedTuple, Protocol
 
 from .errors import InvariantViolation, ScheduleViolation, TooLarge, ValidationError
 from .netgraph import EdgeKey, NetworkGraph, as_fraction
@@ -80,6 +84,13 @@ EXACT_QUBIT_LIMIT = 12
 
 # Two-sided 95% normal quantile, used for Wilson intervals.
 WILSON_Z = 1.959963984540054
+
+
+class _Draws(Protocol):
+    """What ``StabilizerState.measure`` draws random outcomes from, such as
+    a ``numpy.random.Generator``."""
+
+    def integers(self, high: int) -> int: ...
 
 
 class StabilizerState:
@@ -125,7 +136,7 @@ class StabilizerState:
     def apply_y(self, q: int) -> None:
         self.r ^= self.x[q] ^ self.z[q]
 
-    def measure(self, q: int, rng: np.random.Generator) -> int:
+    def measure(self, q: int, rng: _Draws) -> int:
         """Measure qubit ``q`` in the computational basis; returns 0 or 1."""
         n, x, z = self.n, self.x, self.z
         col = x[q]
@@ -642,17 +653,177 @@ def _plan(prog: _Program) -> _Plan:
     )
 
 
-def _sample(steps: Sequence[tuple], rng: np.random.Generator) -> int:
-    """Draw one trial; returns the bitmask of the variables it sets."""
-    random, integers = rng.random, rng.integers
+# ``numpy.random.default_rng(entropy)`` is PCG64 (O'Neill, "PCG: A Family of
+# Simple Fast Space-Efficient Statistically Good Algorithms for Random Number
+# Generation", HMC-CS-2014-0905) seeded through numpy's SeedSequence
+# (numpy/random/bit_generator.pyx). Both are fixed integer algorithms, so the
+# stream below gives numpy's draws value for value without importing it.
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# SeedSequence's hash constants: the entropy mix starts its hash constant at
+# INIT_A and multiplies it by MULT_A per call, ``generate_state`` uses
+# INIT_B and MULT_B, and ``mix`` combines two words with MIX_MULT_L and R.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_consts(hash_const: int, mult: int) -> Iterator[tuple[int, int]]:
+    """SeedSequence's hash constant before and after the multiply of each
+    successive hash call: ``value = (value ^ before) * after``."""
+    while True:
+        after = hash_const * mult & _M32
+        yield hash_const, after
+        hash_const = after
+
+
+# The hash calls of SeedSequence's entropy mix on its pool of four words:
+# one per pool word, then, for each source word, one per other pool word.
+_POOL_HASH = tuple(islice(_hash_consts(_INIT_A, _MULT_A), 4))
+_MIX_ROUNDS = tuple(
+    (src, dst, *consts)
+    for (src, dst), consts in zip(
+        [(src, dst) for src in range(4) for dst in range(4) if src != dst],
+        islice(_hash_consts(_INIT_A, _MULT_A), 4, 16),
+    )
+)
+# The hash calls of ``generate_state``, one per 32-bit output word.
+_STATE_HASH = tuple(islice(_hash_consts(_INIT_B, _MULT_B), 8))
+
+
+def _entropy_words(entropy: int | Iterable) -> list[int]:
+    """SeedSequence's entropy words: each int split into little-endian
+    32-bit words, sequences concatenated, recursively."""
+    try:
+        n = operator.index(entropy)
+    except TypeError:
+        return [word for item in entropy for word in _entropy_words(item)]
+    if n < 0:
+        raise ValidationError(f"seed must be non-negative, got {n}")
+    words = [n & _M32]
+    while n > _M32:
+        n >>= 32
+        words.append(n & _M32)
+    return words
+
+
+def _pcg64_start(words: Sequence[int]) -> tuple[int, int]:
+    """PCG64's state and increment as ``default_rng`` seeds them from entropy
+    ``words``: SeedSequence hashes the words into a pool of four 32-bit
+    words, ``generate_state(4, uint64)`` draws the 128-bit seed and stream
+    from the pool, and ``srandom`` starts the generator."""
+    pool = []
+    for word, (before, after) in zip((*words[:4], 0, 0, 0, 0), _POOL_HASH):
+        value = (word ^ before) * after & _M32
+        pool.append(value ^ value >> 16)
+    # Each round hashes a word and mixes it into a pool word: first each
+    # pool word into every other, then entropy beyond the pool into all.
+    for src, dst, before, after in _MIX_ROUNDS:
+        value = (pool[src] ^ before) * after & _M32
+        value = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * (value ^ value >> 16)) & _M32
+        pool[dst] = value ^ value >> 16
+    if len(words) > 4:
+        consts = islice(_hash_consts(_INIT_A, _MULT_A), 16, None)
+        for word in words[4:]:
+            for dst, (before, after) in zip(range(4), consts):
+                value = (word ^ before) * after & _M32
+                value = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * (value ^ value >> 16)) & _M32
+                pool[dst] = value ^ value >> 16
+    out = []
+    for i, (before, after) in enumerate(_STATE_HASH):
+        value = (pool[i & 3] ^ before) * after & _M32
+        out.append(value ^ value >> 16)
+    # Output words 2k and 2k + 1 are the low and high half of 64-bit word k;
+    # the seed is 64-bit words 0 (high) and 1, the stream words 2 and 3.
+    seed = out[1] << 96 | out[0] << 64 | out[3] << 32 | out[2]
+    inc = (out[5] << 96 | out[4] << 64 | out[7] << 32 | out[6]) << 1 & _M128 | 1
+    return (inc + seed) * _PCG_MULT + inc & _M128, inc
+
+
+class _PCG64:
+    """The draws of ``numpy.random.default_rng(entropy)`` that simulation uses.
+
+    Each step advances the 128-bit LCG and outputs its XSL-RR word.
+    ``random()`` is the top 53 bits of a 64-bit output. ``integers(high)``,
+    for ``high`` 2 or 4, is the top 1 or 2 bits of a 32-bit draw: numpy's
+    Lemire bound then has threshold 0, so nothing is rejected. A 32-bit draw
+    takes the low half of a 64-bit output and keeps the high half for the
+    next 32-bit draw; ``random()`` leaves that kept half alone.
+    """
+
+    __slots__ = ("state", "inc", "half")
+
+    def __init__(self, entropy: int | Iterable) -> None:
+        self.state, self.inc = _pcg64_start(_entropy_words(entropy))
+        self.half = -1  # the kept high half, or -1
+
+    def _next64(self) -> int:
+        state = self.state = self.state * _PCG_MULT + self.inc & _M128
+        x = (state >> 64 ^ state) & _M64
+        rot = state >> 122
+        return (x >> rot | x << 64 - rot) & _M64
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * 2**-53
+
+    def integers(self, high: int) -> int:
+        if high not in (2, 4):
+            raise ValueError(f"integers({high}) is not supported")
+        if self.half < 0:
+            word = self._next64()
+            self.half = word >> 32
+            word &= _M32
+        else:
+            word, self.half = self.half, -1
+        return word >> 33 - high.bit_length()
+
+
+def _sample(steps: Sequence[tuple], words: Sequence[int]) -> int:
+    """Draw one trial from ``default_rng`` of entropy ``words``; returns the
+    bitmask of the variables it sets.
+
+    The draws are those of ``_PCG64``, with its step written out at each
+    use: this loop is the cost of a trial.
+    """
+    state, inc = _pcg64_start(words)
+    mult, m32, m64, m128 = _PCG_MULT, _M32, _M64, _M128
+    half = -1
     values = 0
     for p, sets in steps:
         if p is None:
-            if integers(2):
-                values ^= sets
-        elif random() < p:
-            for pauli in sets:
-                values ^= pauli[integers(4)]
+            # integers(2)
+            if half < 0:
+                state = state * mult + inc & m128
+                x = (state >> 64 ^ state) & m64
+                rot = state >> 122
+                x = (x >> rot | x << 64 - rot) & m64
+                half = x >> 32
+                if x >> 31 & 1:
+                    values ^= sets
+            else:
+                if half >> 31:
+                    values ^= sets
+                half = -1
+            continue
+        # random() < p, then integers(4) per qubit
+        state = state * mult + inc & m128
+        x = (state >> 64 ^ state) & m64
+        rot = state >> 122
+        if (((x >> rot | x << 64 - rot) & m64) >> 11) * 2**-53 >= p:
+            continue
+        for pauli in sets:
+            if half < 0:
+                state = state * mult + inc & m128
+                x = (state >> 64 ^ state) & m64
+                rot = state >> 122
+                x = (x >> rot | x << 64 - rot) & m64
+                half = x >> 32
+                word = x & m32
+            else:
+                word, half = half, -1
+            values ^= pauli[word >> 30]
     return values
 
 
@@ -686,12 +857,10 @@ def run_schedule(
         ValidationError: On a seed that is not a non-negative int or a
             sequence of them.
     """
-    import numpy as np  # only simulation needs numpy; keeps CLI start-up lean
-
     _require_seed(seed)
     prog = _compile(sched, noise or NoiseModel.zero())
     plan = _plan(prog)
-    values = _sample(plan.steps, np.random.default_rng(seed))
+    values = _sample(plan.steps, _entropy_words(seed))
 
     def value(term: tuple[int, int]) -> int:
         ref, mask = term
@@ -726,7 +895,7 @@ def _require_int(value: object, what: str) -> None:
 
 
 def _require_seed(seed: int | Sequence[int]) -> None:
-    # numpy would reject these with a TypeError or a bare ValueError.
+    # SeedSequence takes non-negative ints and sequences of them only.
     words = seed if isinstance(seed, Iterable) and not isinstance(seed, str) else (seed,)
     for word in words:
         _require_int(word, "seed")
@@ -788,8 +957,6 @@ def fidelity_estimate(
         ValidationError: On a ``trials`` that is not a positive int, or a
             seed that ``run_schedule`` rejects.
     """
-    import numpy as np  # only simulation needs numpy; keeps CLI start-up lean
-
     _require_int(trials, "trials")
     if trials <= 0:
         raise ValidationError("trials must be positive")
@@ -818,8 +985,9 @@ def fidelity_estimate(
     if not steps:
         counts[base] = trials
     else:
+        seed_words = _entropy_words(seed)
         for trial in range(trials):
-            values = _sample(steps, np.random.default_rng((seed, trial)))
+            values = _sample(steps, seed_words + _entropy_words(trial))
             verdict = base
             for bit, mask in flippers:
                 if (mask & values).bit_count() & 1:

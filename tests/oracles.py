@@ -6,7 +6,9 @@ implementations, so an agreement between the two is meaningful. The
 exceptions are the reference stabilizer simulator, the XOR convolution,
 the reference min-cost flow and the reference hierarchical resolve at the
 end: the package's earlier numpy tableau, kept as the slow path its
-bit-packed replacement must reproduce draw for draw, its earlier exact
+bit-packed replacement must reproduce draw for draw, its earlier trial
+sampler on numpy's generator, whose draws the pure-Python stream must
+reproduce value for value, its earlier exact
 pass probability, which the closed form must equal exactly, its earlier
 three-search min-cost flow, which the one-search solver must reproduce arc
 for arc, and its earlier resolve with one lower solve per edge, which the
@@ -523,6 +525,23 @@ def reference_fidelity_estimate(
             )
         )
     return FidelityEstimate(trials=trials, pairs=tuple(stats), all_pass_count=all_pass)
+
+
+def reference_sample(steps: Sequence[tuple], rng: np.random.Generator) -> int:
+    """One trial of a frame plan's steps (``stabsim._Plan.steps``) drawn from
+    a numpy generator: the sampler ``ebitflow.stabsim`` used before it
+    reproduced numpy's stream in pure Python. Returns the bitmask of the
+    variables the trial sets."""
+    random, integers = rng.random, rng.integers
+    values = 0
+    for p, sets in steps:
+        if p is None:
+            if integers(2):
+                values ^= sets
+        elif random() < p:
+            for pauli in sets:
+                values ^= pauli[integers(4)]
+    return values
 
 
 def convolved_pass_probability(

@@ -615,7 +615,8 @@ class TestDeterminism:
 
 # Imports the CLI in a fresh interpreter, then runs one command that does
 # not simulate and one that does; prints whether numpy was loaded at each
-# step and the simulate report.
+# step (simulation draws from a pure-Python stream, so it never is) and the
+# simulate report.
 LAZY_NUMPY_PROBE = """
 import contextlib, io, json, sys
 import ebitflow, ebitflow.cli
@@ -654,7 +655,7 @@ class TestLazyNumpy:
         )
         assert proc.returncode == 0, proc.stderr
         probe = json.loads(proc.stdout)
-        assert probe["numpy_loaded"] == [False, False, True]
+        assert probe["numpy_loaded"] == [False, False, False]
         code, out, err = call_main(*args)
         assert code == 0, err
         assert (probe["code"], probe["stdout"]) == (code, out)
@@ -696,6 +697,12 @@ print(json.dumps({
     "modules": sorted(m for m in sys.modules if m.startswith("ebitflow")),
     "numpy": "numpy" in sys.modules,
 }))
+"""
+
+# Prepended to a probe, it makes numpy unimportable in the probe's interpreter.
+NUMPY_BLOCKED = """
+import sys
+sys.modules["numpy"] = None
 """
 
 # Wraps two CLI names with call counters before any command runs, as the
@@ -768,11 +775,24 @@ class TestCommandImports:
         probe = json.loads(proc.stdout)
         extra = COMMAND_MODULES.get(command, set())
         assert probe["modules"] == sorted(BASE_MODULES | {f"ebitflow.{m}" for m in extra})
-        assert probe["numpy"] == (command == "simulate")
+        assert not probe["numpy"]
         expected = self.in_process(argv)
         assert expected[0] == code
         assert expected[1 if code == 0 else 2]
         assert (probe["code"], probe["stdout"], probe["stderr"]) == expected
+
+    @pytest.mark.parametrize("command", sorted(FUZZ_CASES))
+    def test_command_runs_without_numpy(self, inputs, command):
+        argv = [command, "--input", str(inputs[command]), *FUZZ_CASES[command][0]]
+        proc = subprocess.run(
+            [sys.executable, "-c", NUMPY_BLOCKED + IMPORTS_PROBE, *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        probe = json.loads(proc.stdout)
+        assert (probe["code"], probe["stdout"], probe["stderr"]) == self.in_process(argv)
+        assert probe["code"] == 0 and probe["stdout"]
 
     def test_names_patched_before_the_first_call_stay_patched(self, inputs):
         argvs = [

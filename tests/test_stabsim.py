@@ -2,6 +2,7 @@
 
 import math
 import random
+import typing
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from oracles import (
     convolved_pass_probability,
     reference_fidelity_estimate,
     reference_run_schedule,
+    reference_sample,
 )
 
 from ebitflow import (
@@ -44,6 +46,7 @@ from ebitflow import (
     run_schedule,
     wilson_interval,
 )
+from ebitflow import stabsim
 
 RNG = np.random.default_rng(0)
 
@@ -512,6 +515,110 @@ class TestAgainstReferenceTableau:
         noise = NoiseModel(swap_depolarize_p=Fraction(1, 2))
         result = run_schedule(sched, noise, seed=seed)
         assert result == reference_run_schedule(sched, noise, seed=seed)
+
+
+# Seeds that cover each branch of SeedSequence's entropy coercion: zero, one
+# and several 32-bit words, entropy beyond the four-word pool, empty and
+# nested sequences, numpy arrays and numpy scalars.
+STREAM_SEEDS = [
+    0,
+    1,
+    2**32 - 1,
+    2**32,
+    2**64 + 3,
+    2**128,
+    2**200 + 2**64 + 1,
+    (),
+    [],
+    (5, 2),
+    (1, (2, 3)),
+    ((), [4, (5,)], 6),
+    (1, 2, 3, 4, 5, 6),
+    np.array([5, 2]),
+    np.array([2**40, 7], dtype=np.uint64),
+    np.int64(5),
+    (np.int64(4), np.uint32(9), 2**130),
+]
+
+entropy = st.recursive(
+    st.integers(0, 2**70)
+    | st.integers(2**128, 2**300)
+    | st.integers(0, 2**63 - 1).map(np.int64)
+    | st.integers(0, 2**32 - 1).map(np.uint32),
+    lambda children: st.lists(children, max_size=4) | st.tuples(children, children),
+    max_leaves=8,
+)
+draw_kinds = st.lists(st.sampled_from(["random", 2, 4]), min_size=1, max_size=200)
+# Draw thresholds: never, always, and exact multiples of 2**-53, the grid
+# ``random()`` draws on.
+probabilities = st.sampled_from([0.0, 1.0]) | st.integers(0, 2**53).map(lambda k: k * 2**-53)
+variables = st.integers(0, 2**40)
+frame_steps = st.lists(
+    st.tuples(st.none(), variables)
+    | st.tuples(
+        probabilities,
+        st.lists(st.tuples(variables, variables, variables, variables), min_size=1, max_size=2).map(
+            tuple
+        ),
+    ),
+    max_size=40,
+)
+
+
+def assert_same_draws(seed, kinds):
+    ours, numpys = stabsim._PCG64(seed), np.random.default_rng(seed)
+    for kind in kinds:
+        if kind == "random":
+            assert ours.random() == numpys.random()
+        else:
+            assert ours.integers(kind) == numpys.integers(kind)
+
+
+class TestNumpyStream:
+    """The pure-Python stream draws what ``numpy.random.default_rng`` of the
+    same seed draws, value for value, and the trial sampler built on it
+    sets the variables that the numpy-backed sampler sets."""
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS, ids=repr)
+    def test_fixed_seeds_draw_as_numpy(self, seed):
+        rnd = random.Random(repr(seed))
+        assert_same_draws(seed, [rnd.choice(["random", 2, 4]) for _ in range(200)])
+
+    @given(entropy, draw_kinds)
+    def test_draws_match_default_rng(self, seed, kinds):
+        assert_same_draws(seed, kinds)
+
+    @given(entropy, frame_steps)
+    def test_sample_matches_numpy_sampler(self, seed, steps):
+        assert stabsim._sample(steps, stabsim._entropy_words(seed)) == reference_sample(
+            steps, np.random.default_rng(seed)
+        )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_threshold_equal_to_the_draw_misses(self, seed):
+        # random() < p: a draw equal to p is a miss, the next grid point a hit.
+        first = np.random.default_rng(seed).random()
+        for p in (first, first + 2**-53):
+            steps = [(p, ((0, 1, 2, 3),)), (None, 4)]
+            assert stabsim._sample(steps, stabsim._entropy_words(seed)) == reference_sample(
+                steps, np.random.default_rng(seed)
+            )
+
+    def test_unsupported_range_is_refused(self):
+        with pytest.raises(ValueError):
+            stabsim._PCG64(0).integers(3)
+
+    def test_negative_entropy_is_a_validation_error(self):
+        with pytest.raises(ValidationError):
+            stabsim._entropy_words((1, -1))
+
+    def test_annotations_resolve(self):
+        hints = typing.get_type_hints(StabilizerState.measure)
+        assert hints["rng"] is stabsim._Draws
+        assert typing.get_type_hints(stabsim._sample)["return"] is int
+        # The reference pass's stand-in and numpy generators both serve.
+        for rng in (stabsim._ZeroDraws(), np.random.default_rng(0), stabsim._PCG64(0)):
+            assert bell_state().measure(0, rng) in (0, 1)
 
 
 class TestExactErrors:
