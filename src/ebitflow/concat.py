@@ -37,11 +37,13 @@ Hierarchical documents extend the flat network format: every edge carries a
         "threshold": 0.1      # optional bound on the lower network's own error
     }}
 
-Parsing a hierarchical document converts each distinct float or string
-cost and delta once: one conversion memo (see ``netgraph._converted``)
-lives for the whole document and is shared by every level and every
-lower copy, so relabelled copies of one lower network repeat no
-conversion. Every copy is still checked entry by entry.
+Parsing a hierarchical document converts each distinct cost and delta
+once: one conversion memo (see ``netgraph._converted``) lives for the
+whole document and is shared by every level and every lower copy, so
+relabelled copies of one lower network repeat no conversion. The same
+memo holds every level-0 graph built so far, so a copy whose checked
+columns equal an earlier copy's (labels included) gets its graph object
+rather than a new one, and ``_resolve`` keys each such graph once.
 
 Resolving, aggregating and lower-use planning walk the hierarchy with
 explicit stacks. Parsing (``parse_hierarchical``) and the CLI's lower-plan
@@ -57,6 +59,8 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
+from operator import contains
 from pathlib import Path
 
 from .errors import ParseError, ThresholdViolation, TooLarge, ValidationError
@@ -308,6 +312,11 @@ def _resolve(net: HierarchicalNetwork) -> _Resolved:
     flat: dict[int, NetworkGraph] = {}
     infos: dict[int, _EdgeInfo] = {}
     solved: dict[tuple, _EdgeInfo] = {}
+    # Copies of a lower network may share one graph object (the parser
+    # builds a repeated network once): such a graph is keyed once and
+    # reuses its solution as is. Every graph stays alive in ``flat`` for
+    # the call, so ids stay unique.
+    keys: dict[tuple[int, int | None], tuple] = {}
     for n in sorted(networks, key=lambda n: n.level):
         if n.level == 0:
             flat[id(n)] = n.base
@@ -315,7 +324,11 @@ def _resolve(net: HierarchicalNetwork) -> _Resolved:
         flat_edges = []
         for e in n.edges:
             lower_flat = flat[id(e.lower)]
-            key = _lower_key(lower_flat, e.lower_target)
+            key = keys.get((id(lower_flat), e.lower_target))
+            if key is None:
+                key = keys[id(lower_flat), e.lower_target] = _lower_key(
+                    lower_flat, e.lower_target
+                )
             first = solved.get(key)
             if first is None:
                 target = e.lower_target
@@ -330,6 +343,8 @@ def _resolve(net: HierarchicalNetwork) -> _Resolved:
                         lower_flat, lower_sol.active_edges
                     ),
                 )
+            elif first.lower_solution.graph is lower_flat:
+                info = first
             else:
                 sol = first.lower_solution
                 label = dict(zip(sol.graph.nodes, lower_flat.nodes))
@@ -597,11 +612,15 @@ def _parse_hierarchical(doc: Mapping, memo: dict) -> HierarchicalNetwork:
     if not isinstance(edges, Sequence) or isinstance(edges, (str, bytes)):
         raise ParseError("edges: expected an array of edge objects")
     # One object check per edge, shared with the flat parse.
-    objects = wrapped = 0
-    for e in edges:
-        if type(e) is dict or isinstance(e, Mapping):
-            objects += 1
-            wrapped += "lower" in e
+    if set(map(type, edges)) <= {dict}:
+        objects = len(edges)
+        wrapped = sum(map(contains, edges, repeat("lower")))
+    else:
+        objects = wrapped = 0
+        for e in edges:
+            if isinstance(e, Mapping):
+                objects += 1
+                wrapped += "lower" in e
     if not wrapped:
         flat = _parse_flat(doc, None, memo, entries_checked=objects == len(edges))
         return HierarchicalNetwork.from_graph(flat.graph)

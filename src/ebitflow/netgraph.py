@@ -30,6 +30,17 @@ must be exact at that precision. Listing the same node pair more than once
 merges the entries into one edge by summing capacities and channel-use
 bounds; each entry must be a valid edge on its own, and their costs and
 deltas must agree.
+
+Parsing checks an edge array of the common shape one column at a time:
+a list of plain objects with one key set and no ``channel`` or ``yield``,
+exact-typed values and no repeated node pair. Each check runs over a whole
+column in C-level builtins (type sets, ``issuperset``, ``min``), and the
+edges are then built without checking each value again. Any other array,
+or one that fails a column check, is parsed entry by entry from the start,
+and that parse is the only code that words an entry error, so every error
+is the same either way. One parse converts each distinct cost and delta
+once, and gives every network whose checked columns equal an earlier
+one's, in the same document, that network's graph object.
 """
 
 from __future__ import annotations
@@ -41,7 +52,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, eq, itemgetter
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
@@ -55,6 +66,9 @@ MILLI = 1000
 # The generation error of an edge that states none; one shared instance.
 _ZERO = Fraction(0)
 
+# Floats below this bound take the exact fast path of ``cost_to_milli``.
+_FAST_COST_LIMIT = 2**30
+
 
 def _milli_text(milli: int) -> str:
     """A milli-unit amount in cost units with three decimals."""
@@ -65,6 +79,8 @@ _EDGE_FIELDS_REQUIRED = frozenset({"a", "b", "capacity", "cost"})
 _EDGE_FIELDS_OPTIONAL = frozenset({"delta", "max_uses", "channel", "yield"})
 _EDGE_FIELDS = _EDGE_FIELDS_REQUIRED | _EDGE_FIELDS_OPTIONAL
 _DOC_FIELDS = frozenset({"nodes", "edges", "source", "sink"})
+# The types of the values whose conversions a parse remembers.
+_MEMO_KINDS = frozenset({int, float, str})
 
 
 def edge_key(a: NodeId, b: NodeId) -> EdgeKey:
@@ -105,6 +121,13 @@ def cost_to_milli(value: object, what: str = "cost") -> int:
     A float means the decimal it prints as, as in ``as_fraction``; its exact
     ratio comes from that decimal without building a Fraction.
     """
+    # Below 2**30 a whole milli amount m has at most 13 significant digits,
+    # and two decimals of at most 15 never round to the same double: if
+    # m / 1000 rounds to ``value``, the decimal ``value`` prints as is m / 1000.
+    if type(value) is float and 0 <= value < _FAST_COST_LIMIT:
+        milli = round(value * MILLI)
+        if milli / MILLI == value:
+            return milli
     if isinstance(value, int) and not isinstance(value, bool):
         milli = value * MILLI
     else:
@@ -201,6 +224,27 @@ class Edge:
 _edge_key_of = attrgetter("a", "b")
 
 
+def _trusted_edge(a, b, capacity, unit_cost, gen_error, max_uses) -> Edge:
+    """The Edge of values that already pass every check of ``__post_init__``,
+    built without running those checks again."""
+    if a > b:
+        a, b = b, a
+    edge = object.__new__(Edge)
+    object.__setattr__(
+        edge,
+        "__dict__",
+        {
+            "a": a,
+            "b": b,
+            "capacity": capacity,
+            "unit_cost": unit_cost,
+            "gen_error": gen_error,
+            "max_uses": max_uses,
+        },
+    )
+    return edge
+
+
 @dataclass(frozen=True)
 class NetworkGraph:
     """Immutable network with a designated client pair.
@@ -277,19 +321,20 @@ class NetworkDocument:
 def _converted(memo: dict, convert, value: object, index: int, name: str):
     """``convert(value, "edges[index].name")``, remembered in ``memo``.
 
-    Only values whose exact type is float or str are remembered, keyed by
-    the conversion, that type and the value: ``True == 1 == 1.0`` would
-    otherwise share a result, and lists do not hash. (``0.0 == -0.0`` do
-    share one, and both convert to zero.) A failed conversion is never
-    remembered, so every error names the entry it came from.
+    Only values whose exact type is int, float or str are remembered, in
+    one table per conversion and type, ``memo[convert, type]``: ``True ==
+    1 == 1.0`` would otherwise share a result, and lists do not hash.
+    (``0.0 == -0.0`` do share one, and both convert to zero.) A failed
+    conversion is never remembered, so every error names the entry it
+    came from.
     """
     kind = type(value)
-    if kind is not float and kind is not str:
+    if kind not in _MEMO_KINDS:
         return convert(value, f"edges[{index}].{name}")
-    key = (convert, kind, value)
-    result = memo.get(key)
+    table = memo.setdefault((convert, kind), {})
+    result = table.get(value)
     if result is None:
-        result = memo[key] = convert(value, f"edges[{index}].{name}")
+        result = table[value] = convert(value, f"edges[{index}].{name}")
     return result
 
 
@@ -390,8 +435,108 @@ def _merge_parallel(key: EdgeKey, entries: Sequence[dict]) -> dict:
     return merged
 
 
+# An edge array read column by column uses no other fields.
+_COLUMN_FIELDS = _EDGE_FIELDS_REQUIRED | {"delta", "max_uses"}
+
+
+def _converted_column(memo: dict, convert, column: tuple, valid=None) -> tuple | None:
+    """``column`` converted through the tables of ``_converted``, each new
+    value once, or None unless all values have one exact type among int,
+    float and str, every value converts and ``valid``, if given, holds for
+    each distinct result."""
+    kinds = set(map(type, column))
+    if len(kinds) != 1 or not kinds <= _MEMO_KINDS:
+        return None
+    table = memo.setdefault((convert, *kinds), {})
+    distinct = set(column)
+    try:
+        for value in distinct.difference(table):
+            table[value] = convert(value)
+    except (ParseError, ValidationError):
+        return None
+    if valid is not None and not all(map(valid, map(table.__getitem__, distinct))):
+        return None
+    return tuple(map(table.__getitem__, column))
+
+
+def _is_probability(value: Fraction) -> bool:
+    # 0 <= p/q <= 1 with q > 0, compared as ints rather than Fractions.
+    return 0 <= value.numerator <= value.denominator
+
+
+def _edge_columns(
+    raw_edges: object, node_set: set, default_gen_error: Fraction, memo: dict
+) -> tuple[tuple, tuple] | None:
+    """The common shape of an edge array, checked one column at a time.
+
+    That shape is a list of exact dicts with one key set and no annotations,
+    exact ``str`` endpoints of known nodes, exact ``int`` capacities and use
+    bounds, one exact type per cost and delta column, and no repeated node
+    pair. Returns ``(key, columns)``: ``columns`` are the ``_trusted_edge``
+    arguments of each edge, every value passing the checks of ``Edge``,
+    and ``key`` is a hashable, exact-typed summary of them. Returns None for
+    any other array, or any value the per-entry parse would reject, so that
+    parse stays the only one that words entry errors.
+    """
+    if type(raw_edges) is not list or set(map(type, raw_edges)) != {dict}:
+        return None
+    names = raw_edges[0].keys()
+    if (
+        set(map(len, raw_edges)) != {len(names)}
+        or not _EDGE_FIELDS_REQUIRED <= names <= _COLUMN_FIELDS
+    ):
+        return None
+    # Each entry has as many keys as the first and all of its names.
+    extra = sorted(names - _EDGE_FIELDS_REQUIRED)
+    try:
+        a, b, capacity, cost, *rest = zip(
+            *map(itemgetter("a", "b", "capacity", "cost", *extra), raw_edges)
+        )
+    except KeyError:
+        return None
+    optional = dict(zip(extra, rest))
+    ends = a + b
+    if (
+        set(map(type, ends)) != {str}
+        or not node_set.issuperset(ends)
+        or any(map(eq, a, b))
+        # Both orientations of every pair are distinct iff no pair repeats.
+        or len(set(zip(ends, b + a))) != len(ends)
+        or set(map(type, capacity)) != {int}
+        or min(capacity) < 0
+    ):
+        return None
+    unit_cost = _converted_column(memo, cost_to_milli, cost)
+    if unit_cost is None:
+        return None
+    delta = optional.get("delta")
+    if delta is not None:
+        gen_error = _converted_column(memo, as_fraction, delta, _is_probability)
+        if gen_error is None:
+            return None
+        # The conversion depends only on the type and value, and the key
+        # hashes the raw column far faster than the Fractions.
+        delta_key = (type(delta[0]), delta)
+    elif default_gen_error is _ZERO or (
+        type(default_gen_error) is Fraction and _is_probability(default_gen_error)
+    ):
+        gen_error = (default_gen_error,) * len(a)
+        delta_key = default_gen_error
+    else:
+        return None
+    max_uses = optional.get("max_uses", (None,) * len(a))
+    if "max_uses" in optional and (
+        set(map(type, max_uses)) != {int} or min(max_uses) < 1
+    ):
+        return None
+    key = (a, b, capacity, unit_cost, delta_key, max_uses)
+    return key, (a, b, capacity, unit_cost, gen_error, max_uses)
+
+
 def _parse_nodes(raw: object) -> list[NodeId]:
     """The ``nodes`` field of a document: an array of non-empty strings."""
+    if type(raw) is list and set(map(type, raw)) <= {str} and all(raw):
+        return list(raw)
     if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
         raise ParseError("nodes: expected an array of labels")
     for n in raw:
@@ -432,8 +577,9 @@ def _parse_flat(
     """``parse_document`` of an object; ``entries_checked`` says the caller
     has already found every entry of ``doc["edges"]`` to be an object.
 
-    ``memo`` remembers cost and delta conversions (see ``_converted``); it
-    lives for one document, including every level of a hierarchical one.
+    ``memo`` remembers cost and delta conversions (see ``_converted``) and
+    the graphs built from columns; it lives for one document, including
+    every level of a hierarchical one.
     """
     unknown = set(doc) - _DOC_FIELDS
     if unknown:
@@ -449,6 +595,42 @@ def _parse_flat(
     if len(node_set) != len(nodes):
         raise ValidationError("duplicate node labels")
 
+    if default_gen_error is None:
+        default_gen_error = _ZERO
+    found = _edge_columns(raw_edges, node_set, default_gen_error, memo)
+    if found is None:
+        edges, channels, yields = _parse_entries(
+            raw_edges, node_set, default_gen_error, memo, entries_checked
+        )
+    source, sink = doc["source"], doc["sink"]
+    if not isinstance(source, str) or not isinstance(sink, str):
+        raise ParseError("source and sink must be strings")
+    if found is None:
+        graph = NetworkGraph(tuple(nodes), tuple(edges), source, sink)
+        return NetworkDocument(graph=graph, channels=channels, yields=yields)
+    # Equal columns make equal graphs, so a document that repeats a network
+    # builds it once and hands every copy the same graph.
+    key, columns = found
+    key = (NetworkGraph, tuple(nodes), source, sink, key)
+    graph = memo.get(key)
+    if graph is None:
+        edges = tuple(map(_trusted_edge, *columns))
+        graph = memo[key] = NetworkGraph(tuple(nodes), edges, source, sink)
+    return NetworkDocument(graph=graph, channels={}, yields={})
+
+
+def _parse_entries(
+    raw_edges: Sequence,
+    node_set: set,
+    default_gen_error: Fraction,
+    memo: dict,
+    entries_checked: bool,
+) -> tuple[list[Edge], dict, dict]:
+    """The edges and annotations of ``raw_edges``, one entry at a time.
+
+    Takes any edge array and raises each entry error; parallel entries
+    are merged here.
+    """
     # One field dict per node pair, in order of first appearance; a pair
     # listed again also collects all its entries for merging.
     by_key: dict[EdgeKey, dict] = {}
@@ -467,8 +649,6 @@ def _parse_flat(
         if first is not fields:
             repeated.setdefault(key, [first]).append(fields)
 
-    if default_gen_error is None:
-        default_gen_error = _ZERO
     edges = []
     channels: dict[EdgeKey, Mapping[str, object]] = {}
     yields: dict[EdgeKey, Mapping[str, object]] = {}
@@ -493,11 +673,7 @@ def _parse_flat(
         if fields["yield_spec"] is not None:
             yields[key] = fields["yield_spec"]
 
-    source, sink = doc["source"], doc["sink"]
-    if not isinstance(source, str) or not isinstance(sink, str):
-        raise ParseError("source and sink must be strings")
-    graph = NetworkGraph(tuple(nodes), tuple(edges), source, sink)
-    return NetworkDocument(graph=graph, channels=channels, yields=yields)
+    return edges, channels, yields
 
 
 def _load_json(source: str | Path | bytes) -> object:

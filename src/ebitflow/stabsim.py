@@ -895,8 +895,12 @@ def _require_int(value: object, what: str) -> None:
 
 
 def _require_seed(seed: int | Sequence[int]) -> None:
-    # SeedSequence takes non-negative ints and sequences of them only.
-    words = seed if isinstance(seed, Iterable) and not isinstance(seed, str) else (seed,)
+    # SeedSequence takes non-negative ints and sequences of them only. A 0-d
+    # array is Iterable, but iterating it raises; numpy rejects it as well.
+    try:
+        words = (seed,) if isinstance(seed, str) else iter(seed)
+    except TypeError:
+        words = (seed,)
     for word in words:
         _require_int(word, "seed")
         if word < 0:

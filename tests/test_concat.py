@@ -1304,3 +1304,166 @@ class TestConversionMemo:
                 }
             )
             calls.clear()
+
+
+def typed_outcome(fn, *args):
+    """The repr of ``fn(*args)``, which shows ``1``, ``1.0``, ``True`` and
+    ``Fraction(1, 1)`` apart, or the type and message of what it raised."""
+    try:
+        return ("value", repr(fn(*args)))
+    except Exception as exc:  # noqa: BLE001 - compared, never swallowed
+        return (type(exc), str(exc))
+
+
+# Values of one exact type per column, so that unrespelled leaves take the
+# column parse.
+COLUMN_COSTS = ([0, 1, 2], [0.5, 1.25, 2.0, 0.001], ["3/2", "1", "0.5"])
+COLUMN_DELTAS = ([0, 1], [0.01, 0.0], ["1/100", "0"])
+RESPELLINGS = (1, 1.0, True, "1")
+# A value of the column's type that a column check must reject.
+OUT_OF_RANGE = {
+    "capacity": -1,
+    "max_uses": 0,
+    "cost": {int: -1, float: 0.0005, str: "-1"},
+    "delta": {int: 2, float: 1.5, str: "3/2"},
+}
+# Top pairs of a diamond; each wraps a chain x - u - y of two leaves, so the
+# leaves (s, u) and (u, t) each appear under two top edges.
+DIAMOND_TOP = (("s", "a"), ("a", "t"), ("s", "b"), ("b", "t"))
+
+
+@st.composite
+def repeated_leaf_hierarchies(draw):
+    """A depth-2 hierarchy whose eight leaves are one network relabelled at
+    its clients, so four are copies of others; one scalar of one leaf entry
+    may be respelled as 1, 1.0, true or "1", and rarely every copy has one
+    value out of range."""
+    interior = ["p", "q"][: draw(st.integers(0, 2))]
+    slots = ["x", "y", *interior]
+    pairs = [(i, j) for i in range(len(slots)) for j in range(i + 1, len(slots))]
+    chosen = [p for p in pairs if draw(st.booleans())] or [(0, 1)]
+    costs = draw(st.sampled_from(COLUMN_COSTS))
+    deltas = draw(st.sampled_from((None, *COLUMN_DELTAS)))
+    with_max_uses = draw(st.booleans())
+    template = []
+    for i, j in chosen:
+        entry = {"a": i, "b": j, "capacity": draw(st.integers(0, 3))}
+        entry["cost"] = draw(st.sampled_from(costs))
+        if deltas is not None:
+            entry["delta"] = draw(st.sampled_from(deltas))
+        if with_max_uses:
+            entry["max_uses"] = draw(st.integers(1, 3))
+        template.append(entry)
+    # One draw in five; a middle value, since hypothesis favours the ends.
+    if draw(st.integers(0, 4)) == 2:
+        entry = draw(st.sampled_from(template))
+        field = draw(st.sampled_from(sorted(set(entry) - {"a", "b"})))
+        bad = OUT_OF_RANGE[field]
+        entry[field] = bad[type(entry[field])] if isinstance(bad, dict) else bad
+
+    def leaf(x, y):
+        label = [x, y, *interior]
+        return {
+            "nodes": label,
+            "edges": [{**e, "a": label[e["a"]], "b": label[e["b"]]} for e in template],
+            "source": x,
+            "sink": y,
+        }
+
+    wrap = {"yield": {"kind": "identity"}, "max_uses": 2, "delta_target": "1/100"}
+    leaves = []
+    top_edges = []
+    for x, y in DIAMOND_TOP:
+        lows = [leaf(x, "u"), leaf("u", y)]
+        leaves += lows
+        middle = {
+            "nodes": [x, "u", y],
+            "edges": [
+                {"a": x, "b": "u", "lower": {"network": lows[0], **wrap}},
+                {"a": "u", "b": y, "lower": {"network": lows[1], **wrap}},
+            ],
+            "source": x,
+            "sink": y,
+        }
+        top_edges.append({"a": x, "b": y, "lower": {"network": middle, **wrap}})
+    if draw(st.booleans()):
+        entry = draw(st.sampled_from(draw(st.sampled_from(leaves))["edges"]))
+        field = draw(st.sampled_from(sorted(set(entry) - {"a", "b"})))
+        entry[field] = draw(st.sampled_from(RESPELLINGS))
+    return {"nodes": ["s", "a", "b", "t"], "edges": top_edges, "source": "s", "sink": "t"}
+
+
+def ladder_document(rng, paths, hops):
+    """Disjoint unit-capacity source-sink paths whose every edge states its
+    own rational delta, as the benchmark's simulated ladders do."""
+    nodes, edges = ["s", "t"], []
+    for p in range(paths):
+        labels = ["s", *(f"p{p}_{j}" for j in range(1, hops)), "t"]
+        nodes += labels[1:-1]
+        edges += [
+            {"a": u, "b": v, "capacity": 1, "cost": 1, "delta": f"{rng.randint(1, 9)}/1000"}
+            for u, v in zip(labels, labels[1:])
+        ]
+    return {"nodes": nodes, "edges": edges, "source": "s", "sink": "t"}
+
+
+class TestColumnParse:
+    """Edge arrays of the common shape are parsed a column at a time, and a
+    document builds each repeated lower network once; every outcome is the
+    reference parser's, value or error."""
+
+    @settings(
+        derandomize=True,
+        max_examples=400,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(repeated_leaf_hierarchies())
+    def test_respelled_copy_parses_as_the_reference(self, doc):
+        got = typed_outcome(parse_hierarchical, doc)
+        assert got == typed_outcome(reference_parse_hierarchical, doc)
+        assert got == typed_outcome(load_hierarchical, json.dumps(doc))
+
+    def test_benchmark_shapes_never_parse_entry_by_entry(self, monkeypatch):
+        def entry_by_entry(*args):
+            raise AssertionError("per-entry parse reached")
+
+        rng = random.Random("columns")
+        grid = base_grid(rng, 6)
+        ladder = ladder_document(rng, 3, 11)
+        hierarchy = benchmark_like_hierarchy(rng, 2, "diamond", 4)
+        want = [
+            reference_parse_hierarchical(grid),
+            reference_parse_hierarchical(ladder),
+            reference_parse_hierarchical(hierarchy),
+        ]
+        monkeypatch.setattr(netgraph, "_parse_edge_entry", entry_by_entry)
+        got = [
+            netgraph.load_network(json.dumps(grid)).graph,
+            netgraph.load_network(json.dumps(ladder)).graph,
+            load_hierarchical(json.dumps(hierarchy)),
+        ]
+        assert got[0] == want[0].base and got[1] == want[1].base and got[2] == want[2]
+        assert repr(got[2]) == repr(want[2])
+
+    def test_repeated_leaves_share_one_graph_and_one_key(self, monkeypatch):
+        rng = random.Random("shared")
+        net = load_hierarchical(json.dumps(benchmark_like_hierarchy(rng, 2, "diamond", 3)))
+        leaves = [n for n in networks_of(net) if n.level == 0]
+        graphs = {id(n.base): n.base for n in leaves}
+        # (A, L1u) and (A, L1v) repeat under both top edges out of A, and
+        # (L1u, Z) and (L1v, Z) under both into Z.
+        assert (len(leaves), len(graphs)) == (16, 12)
+        assert len({(g.nodes, g.edges, g.source, g.sink) for g in graphs.values()}) == 12
+
+        keys = []
+        real = concat._lower_key
+        monkeypatch.setattr(
+            concat, "_lower_key", lambda g, target: keys.append(id(g)) or real(g, target)
+        )
+        resolved = concat._resolve(net)
+        # One key per distinct graph under a wrapped edge: the shared leaves
+        # and the flattened middle networks.
+        middles = [id(resolved.flat[id(n)]) for n in networks_of(net) if n.level == 1]
+        assert sorted(keys) == sorted([*graphs, *middles])
+        assert resolved.flat == reference_resolve(net).flat

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -718,3 +719,30 @@ class TestAgainstReferenceParser:
             if got != want:
                 assert got[0] is ValidationError, (got, want)
                 assert got[1] in merge_hidden_messages(doc), (got, want)
+
+
+class TestCostFastPath:
+    """``cost_to_milli`` takes a float below 2**30 that is a whole number of
+    milli-units without building a Decimal; every float converts as the
+    Fraction-based reference converts it."""
+
+    @settings(derandomize=True, max_examples=3000, deadline=None)
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False)
+        | st.integers(0, 2**41).map(lambda n: n / 1000)
+        | st.integers(0, 2**41).map(lambda n: n / 10_000)
+    )
+    def test_every_finite_float(self, value):
+        assert outcome(cost_to_milli, value) == outcome(reference_cost_to_milli, value)
+
+    def test_each_side_of_the_cutoff(self):
+        limit = float(2**30)
+        values = [limit, -limit, math.nextafter(limit, 0), math.nextafter(limit, math.inf)]
+        for milli in range(-3, 4):
+            values += [limit + milli / 1000, limit + milli / 10_000]
+        values += [v + d for v in (limit - 1, 0.0) for d in (0.0, 0.001, 0.0005, 5e-324)]
+        for value in values:
+            got = outcome(cost_to_milli, value)
+            assert got == outcome(reference_cost_to_milli, value), value
+            if value == limit - 0.001:
+                assert got == ("value", 2**30 * 1000 - 1)

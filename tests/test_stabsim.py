@@ -704,6 +704,15 @@ class TestMonteCarlo:
             RELAY, seed=(5, 2)
         )
 
+    @pytest.mark.parametrize("seed", [np.array(5), [np.array(5)], (1, np.array(2))], ids=repr)
+    def test_zero_dimensional_array_seed_is_a_validation_error(self, seed):
+        with pytest.raises(TypeError):
+            np.random.default_rng(seed)
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            run_schedule(RELAY, seed=seed)
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            fidelity_estimate(RELAY, trials=1, seed=seed)
+
     def test_noiseless_estimate_is_one(self):
         est = fidelity_estimate(RELAY, trials=50, seed=4)
         assert est.all_pass_count == 50
