@@ -15,7 +15,7 @@ noise:
   replacement probability of (4/3) d.
 
 Layout. Each tableau is bit-packed into Python ints, one int per qubit
-column and one for the signs (see ``StabilizerState``). A schedule is
+column and one for the signs (see ``_Tableau``). A schedule is
 compiled once into a list of operations on small tableaus, one per group
 of qubits that interact: qubits tied by a pair creation, a Bell
 measurement or a delivery check share a tableau. Path copies share no
@@ -34,18 +34,19 @@ only its draws and a few XORs; this is the Pauli-frame sampling of Stim
 ``run_schedule`` is the same plan and one trial.
 
 Determinism. A run draws from one stream: that of
-``numpy.random.default_rng`` for the run's seed, which ``_PCG64`` reproduces
-value for value in pure Python (PCG64 seeded through SeedSequence), so
-simulation imports no numpy and gets numpy's draws. ``fidelity_estimate``
-seeds one stream per trial with ``(seed, trial)``. Draws happen in
-instruction order: per created pair with a positive error probability one
-``random()`` and, on a hit, one ``integers(4)``; per Bell measurement with
-positive swap noise one ``random()`` and, on a hit, two ``integers(4)``;
-then one ``integers(2)`` for each of its two outcomes that is random. Neither the split into
-copies nor the frame plan changes these draws (the reference pass draws
-nothing), so results depend only on (schedule, noise, seed) and equal
-those of running every trial on the tableaus. A trial of
-``fidelity_estimate`` stops after its last draw that can flip a check.
+``numpy.random.default_rng`` for the run's seed, which ``_sample``
+reproduces value for value in pure Python (PCG64 seeded through
+SeedSequence), so simulation imports no numpy and gets numpy's draws.
+``fidelity_estimate`` seeds one stream per trial with ``(seed, trial)``.
+Draws happen in instruction order: per created pair with a positive error
+probability one ``random()`` and, on a hit, one ``integers(4)``; per Bell
+measurement with positive swap noise one ``random()`` and, on a hit, two
+``integers(4)``; then one ``integers(2)`` for each of its two outcomes
+that is random. Neither the split into copies nor the frame plan changes
+these draws (the reference pass draws nothing), so results depend only on
+(schedule, noise, seed) and equal those of running every trial on the
+tableaus. A trial of ``fidelity_estimate`` stops after its last draw that
+can flip a check.
 
 Besides Monte-Carlo estimation this module computes exact delivered-state
 error for small schedules: every Pauli-noise branch delivers a product of
@@ -68,7 +69,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import NamedTuple, Protocol
+from typing import NamedTuple
 
 from .errors import InvariantViolation, ScheduleViolation, TooLarge, ValidationError
 from .netgraph import EdgeKey, NetworkGraph, as_fraction
@@ -86,14 +87,7 @@ EXACT_QUBIT_LIMIT = 12
 WILSON_Z = 1.959963984540054
 
 
-class _Draws(Protocol):
-    """What ``StabilizerState.measure`` draws random outcomes from, such as
-    a ``numpy.random.Generator``."""
-
-    def integers(self, high: int) -> int: ...
-
-
-class StabilizerState:
+class _Tableau:
     """Pure stabilizer state on ``n`` qubits, initially all-zeros.
 
     Rows 0..n-1 of the tableau hold destabilizers, rows n..2n-1 hold
@@ -108,8 +102,6 @@ class StabilizerState:
     __slots__ = ("n", "x", "z", "r")
 
     def __init__(self, n: int) -> None:
-        if n < 0:
-            raise ValidationError("qubit count must be non-negative")
         self.n = n
         self.x = [1 << q for q in range(n)]
         self.z = [1 << (n + q) for q in range(n)]
@@ -133,21 +125,27 @@ class StabilizerState:
     def apply_z(self, q: int) -> None:
         self.r ^= self.x[q]
 
-    def apply_y(self, q: int) -> None:
-        self.r ^= self.x[q] ^ self.z[q]
+    def measure(self, q: int) -> tuple[int, int, int]:
+        """Measure qubit ``q`` in the computational basis; a random outcome
+        is 0.
 
-    def measure(self, q: int, rng: _Draws) -> int:
-        """Measure qubit ``q`` in the computational basis; returns 0 or 1."""
+        Returns ``(outcome, pivot, rows)``, with stabilizers numbered 0..n-1
+        and sets of them as bitmasks. A determined outcome has ``pivot`` -1
+        and reads the sign of the product of the stabilizers ``rows``. A
+        random one replaces stabilizer ``pivot`` with +Z_q, after
+        multiplying it into the other stabilizers that anticommute with
+        Z_q, ``rows``.
+        """
         n, x, z = self.n, self.x, self.z
         col = x[q]
         anti = col >> n
         if not anti:
             # Outcome determined: the stabilizers paired with the
             # destabilizers that carry an X on q multiply to +-Z_q.
-            return self._product(col << n)[2]
+            return self._product(col << n)[2], -1, col
         # Outcome random: the first stabilizer anticommuting with Z_q is the
         # pivot. Multiply it into every other row anticommuting with Z_q,
-        # move it to its destabilizer slot and replace it with +-Z_q.
+        # move it to its destabilizer slot and replace it with +Z_q.
         d = (anti & -anti).bit_length() - 1
         p = n + d
         others = col ^ (1 << p)
@@ -190,12 +188,12 @@ class StabilizerState:
         sign_p = r >> p & 1
         if sign_p:
             r ^= others
-        outcome = int(rng.integers(2))
-        self.r = (r & keep) | (sign_p << d) | (outcome << p)
-        # Also multiply the new +-Z_q into every destabilizer with a Z on q
+        # The new stabilizer +Z_q has sign +1: the outcome is 0.
+        self.r = (r & keep) | (sign_p << d)
+        # Also multiply the new +Z_q into every destabilizer with a Z on q
         # (their signs are never read), so rows stay short.
         z[q] = (z[q] >> n | 1 << d) << n
-        return outcome
+        return 0, d, others >> n
 
     def _product(self, rows: int) -> tuple[int, int, int]:
         """Product of the commuting generators in the row bitmask ``rows``.
@@ -234,8 +232,15 @@ class StabilizerState:
             )
         return prod_x, prod_z, e >> 1 & 1
 
-    def _expectation(self, px: int, pz: int) -> int:
-        """``expectation`` for a Pauli given as qubit bitmasks."""
+    def _expectation(self, px: int, pz: int) -> tuple[int, int]:
+        """Expectation of the +1-phase Pauli with X part ``px`` and Z part
+        ``pz``, qubit bitmasks.
+
+        Returns ``(sign, rows)``: +1 or -1 when the Pauli (up to sign) is in
+        the stabilizer group, with ``rows`` the stabilizers whose product it
+        is, those paired with the destabilizers that anticommute with it;
+        ``(0, 0)`` otherwise.
+        """
         x, z = self.x, self.z
         anti = 0
         support = px | pz
@@ -248,26 +253,11 @@ class StabilizerState:
                 anti ^= z[j]
             support ^= low
         if anti >> self.n:
-            return 0
+            return 0, 0
         prod_x, prod_z, sign = self._product(anti << self.n)
         if (prod_x, prod_z) != (px, pz):
-            return 0
-        return 1 - 2 * sign
-
-    def expectation(self, xs: Sequence[int], zs: Sequence[int]) -> int:
-        """Expectation of the +1-phase Pauli with X part ``xs``, Z part ``zs``.
-
-        Returns +1 or -1 when the Pauli (up to sign) is in the stabilizer
-        group, 0 otherwise.
-        """
-        px = sum(1 << j for j, b in enumerate(xs) if b)
-        pz = sum(1 << j for j, b in enumerate(zs) if b)
-        return self._expectation(px, pz)
-
-    def pair_expectations(self, qa: int, qb: int) -> tuple[int, int]:
-        """Signs of XX and ZZ on a qubit pair (+1, -1, or 0 each)."""
-        both = (1 << qa) | (1 << qb)
-        return self._expectation(both, 0), self._expectation(0, both)
+            return 0, 0
+        return 1 - 2 * sign, anti
 
 
 @dataclass(frozen=True)
@@ -487,15 +477,6 @@ def _compile(sched: SwapSchedule, noise: NoiseModel) -> _Program:
     )
 
 
-class _ZeroDraws:
-    """Stand-in generator of the reference pass: every random outcome is 0."""
-
-    __slots__ = ()
-
-    def integers(self, high: int) -> int:
-        return 0
-
-
 class _Plan(NamedTuple):
     """The frame plan of a program (see the module docstring).
 
@@ -541,9 +522,8 @@ def _plan(prog: _Program) -> _Plan:
     the outcome's variable. A determined outcome, and a check, flips by
     the sum over the stabilizers whose product it reads.
     """
-    tabs = [StabilizerState(size) for size in prog.sizes]
+    tabs = [_Tableau(size) for size in prog.sizes]
     flips = [[0] * size for size in prog.sizes]
-    zero = _ZeroDraws()
     steps: list[tuple] = []
     outcomes: list = [None] * prog.n_outcomes
     fixes = []
@@ -566,11 +546,11 @@ def _plan(prog: _Program) -> _Plan:
             rows ^= low
         return acc
 
-    def pauli(st: StabilizerState, fl: list[int], q: int, mask_x: int, mask_z: int) -> None:
+    def pauli(st: _Tableau, fl: list[int], q: int, mask_x: int, mask_z: int) -> None:
         flip(fl, st.z[q] >> st.n, mask_x)
         flip(fl, st.x[q] >> st.n, mask_z)
 
-    def noise(st: StabilizerState, fl: list[int], p: float, qubits: tuple[int, ...]) -> None:
+    def noise(st: _Tableau, fl: list[int], p: float, qubits: tuple[int, ...]) -> None:
         nonlocal nv
         paulis = []
         for q in qubits:
@@ -581,20 +561,16 @@ def _plan(prog: _Program) -> _Plan:
             nv += 2
         steps.append((p, tuple(paulis)))
 
-    def measure(st: StabilizerState, fl: list[int], q: int) -> tuple[int, int]:
+    def measure(st: _Tableau, fl: list[int], q: int) -> tuple[int, int]:
         nonlocal nv
-        col = st.x[q]
-        anti = col >> st.n
-        if not anti:
-            return st.measure(q, zero), total(fl, col)
-        # The pivot, as ``measure`` picks it.
-        d = (anti & -anti).bit_length() - 1
-        flip(fl, anti ^ (1 << d), fl[d])
-        fl[d] = var = 1 << nv
+        outcome, pivot, rows = st.measure(q)
+        if pivot < 0:
+            return outcome, total(fl, rows)
+        flip(fl, rows, fl[pivot])
+        fl[pivot] = var = 1 << nv
         steps.append((None, var))
         nv += 1
-        st.measure(q, zero)
-        return 0, var
+        return outcome, var
 
     for op in prog.ops:
         kind = op[0]
@@ -632,17 +608,11 @@ def _plan(prog: _Program) -> _Plan:
     checks = []
     for t, a, b in prog.checks:
         st, fl = tabs[t], flips[t]
-        xx, zz = st.pair_expectations(a, b)
-        # The stabilizers whose product is XX (ZZ) are those paired with
-        # the destabilizers that anticommute with it.
-        if a == b:
-            anti_xx, anti_zz = st.z[a], st.x[a]
-        else:
-            anti_xx, anti_zz = st.z[a] ^ st.z[b], st.x[a] ^ st.x[b]
+        both = (1 << a) | (1 << b)
         checks.append(
-            (
-                (xx, total(fl, anti_xx) if xx else 0),
-                (zz, total(fl, anti_zz) if zz else 0),
+            tuple(
+                (sign, total(fl, rows))
+                for sign, rows in (st._expectation(both, 0), st._expectation(0, both))
             )
         )
     return _Plan(
@@ -693,13 +663,27 @@ _MIX_ROUNDS = tuple(
 _STATE_HASH = tuple(islice(_hash_consts(_INIT_B, _MULT_B), 8))
 
 
-def _entropy_words(entropy: int | Iterable) -> list[int]:
-    """SeedSequence's entropy words: each int split into little-endian
-    32-bit words, sequences concatenated, recursively."""
-    try:
-        n = operator.index(entropy)
-    except TypeError:
-        return [word for item in entropy for word in _entropy_words(item)]
+def _entropy_words(seed: int | Sequence[int]) -> list[int]:
+    """Check a seed and return SeedSequence's entropy words for it: each
+    int split into little-endian 32-bit words, sequences concatenated,
+    recursively.
+
+    A seed is a non-negative int (numpy ints included, bools not) or a
+    sequence of seeds: a list, tuple, range or array of one or more
+    dimensions. Iterators and sets are refused rather than consumed, and so
+    is a 0-d array; ``numpy.random.default_rng`` refuses them too.
+
+    Raises:
+        ValidationError: On any other seed.
+    """
+    n = seed
+    if type(n) is not int:
+        if isinstance(n, numbers.Integral) and not isinstance(n, bool):
+            n = operator.index(n)
+        elif (isinstance(n, Sequence) and not isinstance(n, str)) or getattr(n, "ndim", 0):
+            return [word for item in n for word in _entropy_words(item)]
+        else:
+            raise ValidationError(f"seed must be an integer, got {seed!r}")
     if n < 0:
         raise ValidationError(f"seed must be non-negative, got {n}")
     words = [n & _M32]
@@ -742,50 +726,18 @@ def _pcg64_start(words: Sequence[int]) -> tuple[int, int]:
     return (inc + seed) * _PCG_MULT + inc & _M128, inc
 
 
-class _PCG64:
-    """The draws of ``numpy.random.default_rng(entropy)`` that simulation uses.
-
-    Each step advances the 128-bit LCG and outputs its XSL-RR word.
-    ``random()`` is the top 53 bits of a 64-bit output. ``integers(high)``,
-    for ``high`` 2 or 4, is the top 1 or 2 bits of a 32-bit draw: numpy's
-    Lemire bound then has threshold 0, so nothing is rejected. A 32-bit draw
-    takes the low half of a 64-bit output and keeps the high half for the
-    next 32-bit draw; ``random()`` leaves that kept half alone.
-    """
-
-    __slots__ = ("state", "inc", "half")
-
-    def __init__(self, entropy: int | Iterable) -> None:
-        self.state, self.inc = _pcg64_start(_entropy_words(entropy))
-        self.half = -1  # the kept high half, or -1
-
-    def _next64(self) -> int:
-        state = self.state = self.state * _PCG_MULT + self.inc & _M128
-        x = (state >> 64 ^ state) & _M64
-        rot = state >> 122
-        return (x >> rot | x << 64 - rot) & _M64
-
-    def random(self) -> float:
-        return (self._next64() >> 11) * 2**-53
-
-    def integers(self, high: int) -> int:
-        if high not in (2, 4):
-            raise ValueError(f"integers({high}) is not supported")
-        if self.half < 0:
-            word = self._next64()
-            self.half = word >> 32
-            word &= _M32
-        else:
-            word, self.half = self.half, -1
-        return word >> 33 - high.bit_length()
-
-
 def _sample(steps: Sequence[tuple], words: Sequence[int]) -> int:
     """Draw one trial from ``default_rng`` of entropy ``words``; returns the
     bitmask of the variables it sets.
 
-    The draws are those of ``_PCG64``, with its step written out at each
-    use: this loop is the cost of a trial.
+    Each step of the generator advances the 128-bit LCG and outputs its
+    XSL-RR word; it is written out at each use, as this loop is the cost of
+    a trial. ``random()`` is the top 53 bits of a 64-bit output.
+    ``integers(high)``, for ``high`` 2 or 4, is the top 1 or 2 bits of a
+    32-bit draw: numpy's Lemire bound then has threshold 0, so nothing is
+    rejected. A 32-bit draw takes the low half of a 64-bit output and keeps
+    the high half for the next 32-bit draw; ``random()`` leaves that kept
+    half alone.
     """
     state, inc = _pcg64_start(words)
     mult, m32, m64, m128 = _PCG_MULT, _M32, _M64, _M128
@@ -855,12 +807,13 @@ def run_schedule(
             corrections on measured qubits, re-measurement, or unknown
             measurement sources.
         ValidationError: On a seed that is not a non-negative int or a
-            sequence of them.
+            sequence of seeds (a list, tuple, range or array; not an
+            iterator or a set).
     """
-    _require_seed(seed)
+    words = _entropy_words(seed)
     prog = _compile(sched, noise or NoiseModel.zero())
     plan = _plan(prog)
-    values = _sample(plan.steps, _entropy_words(seed))
+    values = _sample(plan.steps, words)
 
     def value(term: tuple[int, int]) -> int:
         ref, mask = term
@@ -892,19 +845,6 @@ def run_schedule(
 def _require_int(value: object, what: str) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(f"{what} must be an integer, got {value!r}")
-
-
-def _require_seed(seed: int | Sequence[int]) -> None:
-    # SeedSequence takes non-negative ints and sequences of them only. A 0-d
-    # array is Iterable, but iterating it raises; numpy rejects it as well.
-    try:
-        words = (seed,) if isinstance(seed, str) else iter(seed)
-    except TypeError:
-        words = (seed,)
-    for word in words:
-        _require_int(word, "seed")
-        if word < 0:
-            raise ValidationError(f"seed must be non-negative, got {seed}")
 
 
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
@@ -947,13 +887,14 @@ def fidelity_estimate(
     sched: SwapSchedule,
     noise: NoiseModel | None = None,
     trials: int = 1000,
-    seed: int = 0,
+    seed: int | Sequence[int] = 0,
 ) -> FidelityEstimate:
     """Estimate Pr[pair passes its XX and ZZ check] for every delivery.
 
     Each trial runs the schedule with an independent generator seeded by
     (seed, trial index), so estimates are reproducible and trials could be
-    distributed without changing results. The tableaus run once, for the
+    distributed without changing results. ``seed`` is what ``run_schedule``
+    takes: a non-negative int or a sequence of seeds. The tableaus run once, for the
     reference pass of ``_plan``; a trial is only its draws, and its
     verdict the parities of the variables they set.
 
@@ -964,7 +905,7 @@ def fidelity_estimate(
     _require_int(trials, "trials")
     if trials <= 0:
         raise ValidationError("trials must be positive")
-    _require_seed(seed)
+    seed_words = _entropy_words(seed)
     plan = _plan(_compile(sched, noise or NoiseModel.zero()))
     # Bits 2i and 2i + 1 of a trial's verdict are set when delivery i fails
     # its XX or its ZZ check. A check that is not stabilized always fails.
@@ -989,7 +930,6 @@ def fidelity_estimate(
     if not steps:
         counts[base] = trials
     else:
-        seed_words = _entropy_words(seed)
         for trial in range(trials):
             values = _sample(steps, seed_words + _entropy_words(trial))
             verdict = base
@@ -1101,7 +1041,7 @@ def estimate_operation_error(
     sched: SwapSchedule,
     noise: NoiseModel | None = None,
     trials: int = 1000,
-    seed: int = 0,
+    seed: int | Sequence[int] = 0,
 ) -> float:
     """Monte-Carlo stand-in for ``exact_operation_error`` on large schedules."""
     noise = noise or NoiseModel.zero()

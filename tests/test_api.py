@@ -52,7 +52,6 @@ PUBLIC_NAMES = [
     "PauliCorrect",
     "RunResult",
     "ScheduleViolation",
-    "StabilizerState",
     "SwapSchedule",
     "ThresholdViolation",
     "TooLarge",
@@ -177,6 +176,64 @@ def test_no_assert_statements_in_src():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def test_no_test_only_private_code_in_src():
+    """Every private top-level definition, and every method of a private
+    class, is used by ``src/`` itself: referenced as a name, an attribute or
+    an import outside its own definition. Code that only tests reach
+    belongs in ``tests/oracles.py``."""
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))]
+
+    def references(root: ast.AST) -> dict[str, int]:
+        counts: dict[str, int] = {}
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            counts[name] = counts.get(name, 0) + 1
+        return counts
+
+    everywhere: dict[str, int] = {}
+    for tree in trees:
+        for name, n in references(tree).items():
+            everywhere[name] = everywhere.get(name, 0) + n
+    definitions: list[tuple[str, str, ast.AST]] = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if not name.startswith("_") or is_dunder(name):
+                    continue
+                definitions.append((name, name, node))
+                if isinstance(node, ast.ClassDef):
+                    definitions += [
+                        (f"{name}.{item.name}", item.name, item)
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef) and not is_dunder(item.name)
+                    ]
+    unused = [
+        label
+        for label, name, node in definitions
+        if everywhere.get(name, 0) == references(node).get(name, 0)
+    ]
+    assert definitions
+    assert unused == []
 
 
 def test_tracer_targets_resolve(monkeypatch):

@@ -3,6 +3,7 @@
 import math
 import random
 import typing
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +30,6 @@ from ebitflow import (
     PathBundle,
     PauliCorrect,
     ScheduleViolation,
-    StabilizerState,
     SwapSchedule,
     TooLarge,
     ValidationError,
@@ -47,8 +47,8 @@ from ebitflow import (
     wilson_interval,
 )
 from ebitflow import stabsim
+from ebitflow.stabsim import _Tableau
 
-RNG = np.random.default_rng(0)
 
 SINGLE = build_swap_schedule([PathBundle(path=("s", "t"), multiplicity=1)])
 SINGLE2 = build_swap_schedule([PathBundle(path=("s", "t"), multiplicity=2)])
@@ -58,80 +58,91 @@ THREE_HOP = build_swap_schedule([PathBundle(path=("s", "a", "b", "t"), multiplic
 CORRECTION_NAMES = {"I", "X", "Z", "XZ"}
 
 
-def bell_state() -> StabilizerState:
-    st_ = StabilizerState(2)
+def bell_state() -> _Tableau:
+    st_ = _Tableau(2)
     st_.h(0)
     st_.cnot(0, 1)
     return st_
 
 
 class TestStabilizerState:
-    def test_negative_qubit_count_rejected(self):
-        with pytest.raises(ValidationError):
-            StabilizerState(-1)
+    """The private tableau of the reference pass. Paulis are given as qubit
+    bitmasks (X part, Z part), and a random outcome is 0."""
 
     def test_fresh_state_measures_zero(self):
-        state = StabilizerState(3)
+        state = _Tableau(3)
         for q in range(3):
-            assert state.measure(q, RNG) == 0
+            # Determined: stabilizer q is Z_q.
+            assert state.measure(q) == (0, -1, 1 << q)
 
     def test_fresh_state_z_stabilizers(self):
-        state = StabilizerState(2)
-        assert state.expectation([0, 0], [1, 0]) == 1
-        assert state.expectation([0, 0], [1, 1]) == 1
+        state = _Tableau(2)
+        assert state._expectation(0, 0b01)[0] == 1
+        assert state._expectation(0, 0b11)[0] == 1
         # X on either qubit anticommutes with the Z stabilizers.
-        assert state.expectation([1, 0], [0, 0]) == 0
+        assert state._expectation(0b01, 0) == (0, 0)
 
     def test_x_gate_flips_z_sign(self):
-        state = StabilizerState(1)
+        state = _Tableau(1)
         state.apply_x(0)
-        assert state.expectation([0], [1]) == -1
+        assert state._expectation(0, 1)[0] == -1
 
     def test_y_gate_flips_z_sign(self):
-        state = StabilizerState(1)
-        state.apply_y(0)
-        assert state.expectation([0], [1]) == -1
+        # Y is X then Z, up to a phase that no sign reads.
+        state = _Tableau(1)
+        state.apply_x(0)
+        state.apply_z(0)
+        assert state._expectation(0, 1)[0] == -1
+        # H takes -Z to -X.
+        state.h(0)
+        assert state._expectation(1, 0)[0] == -1
 
     def test_hadamard_makes_plus_state(self):
-        state = StabilizerState(1)
+        state = _Tableau(1)
         state.h(0)
-        assert state.expectation([1], [0]) == 1
-        assert state.expectation([0], [1]) == 0
+        assert state._expectation(1, 0)[0] == 1
+        assert state._expectation(0, 1) == (0, 0)
 
     def test_bell_pair_expectations(self):
         state = bell_state()
-        assert state.pair_expectations(0, 1) == (1, 1)
+        assert state._expectation(0b11, 0)[0] == 1
+        assert state._expectation(0, 0b11)[0] == 1
 
     def test_bell_pair_measurements_correlate(self):
-        for seed in range(8):
+        # The first outcome is random, hence 0; the second one follows it.
+        for flip in (0, 1):
             state = bell_state()
-            rng = np.random.default_rng(seed)
-            assert state.measure(0, rng) == state.measure(1, rng)
+            if flip:
+                state.apply_x(1)
+            # XX, stabilizer 0, is the pivot: it anticommutes with Z_0.
+            assert state.measure(0) == (0, 0, 0)
+            second, pivot, _ = state.measure(1)
+            assert (second, pivot) == (flip, -1)
 
     def test_measurement_outcome_repeatable(self):
         state = bell_state()
-        rng = np.random.default_rng(3)
-        first = state.measure(0, rng)
+        first, pivot, _ = state.measure(0)
+        assert pivot >= 0
         # Collapsed state: the same qubit keeps answering the same way.
-        assert state.measure(0, rng) == first
-        assert state.measure(0, rng) == first
+        assert state.measure(0)[:2] == (first, -1)
+        state.apply_x(0)
+        assert state.measure(0)[:2] == (1 - first, -1)
 
     def test_anticorrelated_pair_zz_negative(self):
         state = bell_state()
         state.apply_x(1)
-        xx, zz = state.pair_expectations(0, 1)
-        assert (xx, zz) == (-1, 1) or (xx, zz) == (1, -1)
-        assert zz == -1
+        assert state._expectation(0b11, 0)[0] == 1
+        assert state._expectation(0, 0b11)[0] == -1
 
     def test_corrupted_tableau_raises_typed_error(self):
         # Both destabilizers carry an X on qubit 0, so measuring it
         # multiplies both stabilizers, X_1 and Z_1. They anticommute, which
         # no sound tableau allows, and their product has an imaginary phase.
-        state = StabilizerState(2)
+        state = _Tableau(2)
         state.x[:] = [0b0011, 0b0100]
         state.z[:] = [0, 0b1000]
         with pytest.raises(InvariantViolation):
-            state.measure(0, RNG)
+            state.measure(0)
 
 
 class TestNoiseModel:
@@ -446,6 +457,14 @@ class TestClosedFormExact:
         )
 
 
+class ZeroDraws:
+    """Generator stand-in for ``ReferenceTableau.measure``: every random
+    outcome is 0, as in the package's reference pass."""
+
+    def integers(self, high: int) -> int:
+        return 0
+
+
 class TestAgainstReferenceTableau:
     """The bit-packed per-copy simulator reproduces the joint int8 tableau
     of ``tests/oracles.py`` draw for draw."""
@@ -456,8 +475,7 @@ class TestAgainstReferenceTableau:
         # on which the phase rules of the two tableaus could differ.
         n = 2 + seed % 4
         rnd = random.Random(seed)
-        fast, ref = StabilizerState(n), ReferenceTableau(n)
-        fast_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        fast, ref = _Tableau(n), ReferenceTableau(n)
         for _ in range(200):
             name = rnd.choice(["h", "apply_x", "apply_y", "apply_z", "measure", "cnot"])
             if name == "cnot":
@@ -466,7 +484,12 @@ class TestAgainstReferenceTableau:
                 ref.cnot(control, target)
             elif name == "measure":
                 q = rnd.randrange(n)
-                assert fast.measure(q, fast_rng) == ref.measure(q, ref_rng)
+                assert fast.measure(q)[0] == ref.measure(q, ZeroDraws())
+            elif name == "apply_y":
+                q = rnd.randrange(n)
+                fast.apply_x(q)
+                fast.apply_z(q)
+                ref.apply_y(q)
             else:
                 q = rnd.randrange(n)
                 getattr(fast, name)(q)
@@ -475,7 +498,9 @@ class TestAgainstReferenceTableau:
         for code in range(4**n):
             xs = [code >> (2 * q) & 1 for q in range(n)]
             zs = [code >> (2 * q + 1) & 1 for q in range(n)]
-            assert fast.expectation(xs, zs) == ref.expectation(xs, zs)
+            px = sum(b << q for q, b in enumerate(xs))
+            pz = sum(b << q for q, b in enumerate(zs))
+            assert fast._expectation(px, pz)[0] == ref.expectation(xs, zs)
 
     @given(noisy_schedules(), st.integers(0, 2**32), st.integers(1, 3))
     def test_runs_and_estimates_match(self, case, seed, trials):
@@ -565,60 +590,69 @@ frame_steps = st.lists(
 )
 
 
-def assert_same_draws(seed, kinds):
-    ours, numpys = stabsim._PCG64(seed), np.random.default_rng(seed)
+def draw_steps(kinds) -> list[tuple]:
+    """Frame-plan steps whose trial shows each draw of ``kinds`` in its own
+    variables: "random" is ``random() < 1/2``, which on a hit draws an
+    ``integers(4)`` too; 2 is ``integers(2)``; 4 is ``random() < 1``, which
+    always hits, then ``integers(4)``."""
+    steps, bit = [], 1
     for kind in kinds:
-        if kind == "random":
-            assert ours.random() == numpys.random()
+        if kind == 2:
+            steps.append((None, bit))
+            bit <<= 1
+        elif kind == 4:
+            steps.append((1.0, ((0, bit, 2 * bit, 3 * bit),)))
+            bit <<= 2
         else:
-            assert ours.integers(kind) == numpys.integers(kind)
+            steps.append((0.5, ((bit,) * 4,)))
+            bit <<= 1
+    return steps
+
+
+# One fixed mix of ``random()``, ``integers(2)`` and ``integers(4)`` draws.
+FIXED_STEPS = draw_steps(random.Random(0).choices(["random", 2, 4], k=200))
+
+
+def assert_same_draws(seed, steps):
+    assert stabsim._sample(steps, stabsim._entropy_words(seed)) == reference_sample(
+        steps, np.random.default_rng(seed)
+    )
 
 
 class TestNumpyStream:
-    """The pure-Python stream draws what ``numpy.random.default_rng`` of the
-    same seed draws, value for value, and the trial sampler built on it
-    sets the variables that the numpy-backed sampler sets."""
+    """The trial sampler draws what ``numpy.random.default_rng`` of the same
+    seed draws, value for value: it sets the variables that the
+    numpy-backed sampler of ``tests/oracles.py`` sets."""
 
     @pytest.mark.parametrize("seed", STREAM_SEEDS, ids=repr)
     def test_fixed_seeds_draw_as_numpy(self, seed):
-        rnd = random.Random(repr(seed))
-        assert_same_draws(seed, [rnd.choice(["random", 2, 4]) for _ in range(200)])
+        assert_same_draws(seed, FIXED_STEPS)
 
     @given(entropy, draw_kinds)
     def test_draws_match_default_rng(self, seed, kinds):
-        assert_same_draws(seed, kinds)
+        assert_same_draws(seed, draw_steps(kinds))
 
     @given(entropy, frame_steps)
     def test_sample_matches_numpy_sampler(self, seed, steps):
-        assert stabsim._sample(steps, stabsim._entropy_words(seed)) == reference_sample(
-            steps, np.random.default_rng(seed)
-        )
+        assert_same_draws(seed, steps)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_threshold_equal_to_the_draw_misses(self, seed):
         # random() < p: a draw equal to p is a miss, the next grid point a hit.
         first = np.random.default_rng(seed).random()
         for p in (first, first + 2**-53):
-            steps = [(p, ((0, 1, 2, 3),)), (None, 4)]
-            assert stabsim._sample(steps, stabsim._entropy_words(seed)) == reference_sample(
-                steps, np.random.default_rng(seed)
-            )
-
-    def test_unsupported_range_is_refused(self):
-        with pytest.raises(ValueError):
-            stabsim._PCG64(0).integers(3)
+            assert_same_draws(seed, [(p, ((0, 1, 2, 3),)), (None, 4)])
 
     def test_negative_entropy_is_a_validation_error(self):
         with pytest.raises(ValidationError):
             stabsim._entropy_words((1, -1))
 
     def test_annotations_resolve(self):
-        hints = typing.get_type_hints(StabilizerState.measure)
-        assert hints["rng"] is stabsim._Draws
+        assert typing.get_type_hints(_Tableau.measure)["return"] == tuple[int, int, int]
         assert typing.get_type_hints(stabsim._sample)["return"] is int
-        # The reference pass's stand-in and numpy generators both serve.
-        for rng in (stabsim._ZeroDraws(), np.random.default_rng(0), stabsim._PCG64(0)):
-            assert bell_state().measure(0, rng) in (0, 1)
+        seed = int | Sequence[int]
+        for fn in (run_schedule, fidelity_estimate, estimate_operation_error):
+            assert typing.get_type_hints(fn)["seed"] == seed
 
 
 class TestExactErrors:
@@ -713,6 +747,33 @@ class TestMonteCarlo:
         with pytest.raises(ValidationError, match="seed must be an integer"):
             fidelity_estimate(RELAY, trials=1, seed=seed)
 
+    @pytest.mark.parametrize(
+        "make_seed",
+        [lambda: iter([5, 2]), lambda: (s for s in (5, 2)), lambda: {5, 2}],
+        ids=["iterator", "generator", "set"],
+    )
+    def test_one_shot_or_unordered_seed_is_a_validation_error(self, make_seed):
+        # Such a seed is refused, not consumed: reading an iterator once to
+        # check it used to leave it empty, so the run drew as ``seed=()``.
+        with pytest.raises(TypeError):
+            np.random.default_rng(make_seed())
+        noise = NoiseModel(swap_depolarize_p=Fraction(1, 2))
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            run_schedule(RELAY, noise, seed=make_seed())
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            fidelity_estimate(RELAY, noise, trials=1, seed=make_seed())
+
+    @pytest.mark.parametrize(
+        "seed",
+        [range(3), (1, (2, 3)), [np.int64(4), [5]], np.array([[1, 2], [3, 4]]), ()],
+        ids=repr,
+    )
+    def test_sequence_seeds_draw_as_numpy(self, seed):
+        noise = NoiseModel(swap_depolarize_p=Fraction(1, 2))
+        assert run_schedule(THREE_HOP, noise, seed=seed) == reference_run_schedule(
+            THREE_HOP, noise, seed=seed
+        )
+
     def test_noiseless_estimate_is_one(self):
         est = fidelity_estimate(RELAY, trials=50, seed=4)
         assert est.all_pass_count == 50
@@ -764,18 +825,18 @@ class TestMonteCarlo:
             pair_error=dict.fromkeys(keys, Fraction(1, 10)),
         )
         calls = {"init": 0, "measure": 0}
-        init, measure = StabilizerState.__init__, StabilizerState.measure
+        init, measure = _Tableau.__init__, _Tableau.measure
 
         def counted_init(self, n):
             calls["init"] += 1
             init(self, n)
 
-        def counted_measure(self, q, rng):
+        def counted_measure(self, q):
             calls["measure"] += 1
-            return measure(self, q, rng)
+            return measure(self, q)
 
-        monkeypatch.setattr(StabilizerState, "__init__", counted_init)
-        monkeypatch.setattr(StabilizerState, "measure", counted_measure)
+        monkeypatch.setattr(_Tableau, "__init__", counted_init)
+        monkeypatch.setattr(_Tableau, "measure", counted_measure)
         bsms = sum(isinstance(ins, BellMeasure) for ins in sched.instructions)
         for trials in (1, 500):
             calls.update(init=0, measure=0)
