@@ -41,7 +41,6 @@ _LAZY = {
         "price_curve",
         "solution_dot",
         "solution_report",
-        "unit_price",
     ),
     "pathplan": (
         "build_swap_schedule",
@@ -174,15 +173,15 @@ def _cmd_maxflow(args) -> tuple[dict, str | None]:
 
 def _cmd_price_scan(args) -> tuple[dict, str | None]:
     docu = load_network(args.input_bytes, default_gen_error=args.delta_default)
-    curve, best_target = price_curve(docu.graph)
-    best_price = unit_price(curve[best_target - 1])
+    costs, best_target = price_curve(docu.graph)
+    best_price = Fraction(costs[best_target - 1], best_target)
     rows = [
         {
-            "target": sol.net_flow,
-            "total_cost_milli": sol.total_cost,
-            "unit_price_milli": _frac(unit_price(sol)),
+            "target": target,
+            "total_cost_milli": cost,
+            "unit_price_milli": _frac(Fraction(cost, target)),
         }
-        for sol in curve
+        for target, cost in enumerate(costs, 1)
     ]
     result = {
         "curve": rows,

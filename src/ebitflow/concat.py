@@ -16,13 +16,15 @@ flow machinery, and the per-edge generation errors of the active edges add
 into the level's error budget regardless of how large the lower networks
 are.
 
-Resolving a hierarchy solves each distinct lower network once. A lower
-solve is keyed by its flattened network with every label replaced by its
-rank among the sorted labels (plus the per-use target), so copies that
-differ by an order-preserving relabelling share one solve. The key keeps
-the order, not just the shape, because the solver breaks ties between
-equal-cost paths by comparing labels: the same shape with the sink sorting
-elsewhere among the interior labels can pick a different path.
+Resolving a hierarchy solves each distinct lower network once, with one
+augmenting-path run: at the edge's per-use target, or else to its end at
+the min-cut (``min_cost_max_flow``). A lower solve is keyed by its
+flattened network with every label replaced by its rank among the sorted
+labels (plus the per-use target), so copies that differ by an
+order-preserving relabelling share one solve. The key keeps the order, not
+just the shape, because the solver breaks ties between equal-cost paths by
+comparing labels: the same shape with the sink sorting elsewhere among the
+interior labels can pick a different path.
 
 Hierarchical documents extend the flat network format: every edge carries a
 ``lower`` object instead of capacity and cost::
@@ -64,7 +66,7 @@ from operator import contains
 from pathlib import Path
 
 from .errors import ParseError, ThresholdViolation, TooLarge, ValidationError
-from .mincostflow import FlowSolution, min_cost_flow
+from .mincostflow import FlowSolution, min_cost_flow, min_cost_max_flow
 from .netgraph import (
     Edge,
     EdgeKey,
@@ -246,8 +248,6 @@ class HierarchicalNetwork:
 
 @dataclass(frozen=True)
 class _EdgeInfo:
-    lower_target: int
-    per_use_cost: int
     lower_solution: FlowSolution
     lower_generation: Fraction
 
@@ -289,7 +289,8 @@ def _resolve(net: HierarchicalNetwork) -> _Resolved:
 
     The constant-efficiency default prices a distilled pair at the edge's
     use bound: ceil(max_uses * per_use_cost / capacity) milli-units, where
-    per_use_cost is the lower network's minimum cost at its per-use target.
+    per_use_cost is the lower network's minimum cost at its per-use target,
+    or at its min-cut (one ``min_cost_max_flow`` run) if the edge sets none.
 
     Each distinct lower solve runs once per call: solutions are kept under
     ``_lower_key``, which ranks the labels of the flattened lower network
@@ -331,18 +332,12 @@ def _resolve(net: HierarchicalNetwork) -> _Resolved:
                 )
             first = solved.get(key)
             if first is None:
-                target = e.lower_target
-                if target is None:
-                    target = min_cut(lower_flat)
-                lower_sol = min_cost_flow(lower_flat, target)
-                info = solved[key] = _EdgeInfo(
-                    lower_target=target,
-                    per_use_cost=lower_sol.total_cost,
-                    lower_solution=lower_sol,
-                    lower_generation=generation_error_budget(
-                        lower_flat, lower_sol.active_edges
-                    ),
-                )
+                if e.lower_target is None:
+                    lower_sol = min_cost_max_flow(lower_flat)
+                else:
+                    lower_sol = min_cost_flow(lower_flat, e.lower_target)
+                generation = generation_error_budget(lower_flat, lower_sol.active_edges)
+                info = solved[key] = _EdgeInfo(lower_sol, generation)
             elif first.lower_solution.graph is lower_flat:
                 info = first
             else:
@@ -361,7 +356,7 @@ def _resolve(net: HierarchicalNetwork) -> _Resolved:
                 )
             infos[id(e)] = info
             theta = e.yield_fn.cap()
-            per_use = info.per_use_cost
+            per_use = info.lower_solution.total_cost
             if e.unit_cost is not None:
                 pounds = e.unit_cost
             elif theta == 0:
@@ -512,8 +507,8 @@ def plan_lower_uses(
                 "edge": key,
                 "pairs": pairs,
                 "uses": uses,
-                "per_use_target": info.lower_target,
-                "per_use_cost": info.per_use_cost,
+                "per_use_target": info.lower_solution.net_flow,
+                "per_use_cost": info.lower_solution.total_cost,
                 "total_uses": uses * multiplier,
                 "lower_error": lower_error,
                 "sub": [],
@@ -548,7 +543,7 @@ def total_lower_cost(net: HierarchicalNetwork, sol: FlowSolution) -> int:
         edge = net.edge_by_key(key)
         info = resolved.edges[id(edge)]
         uses = edge.yield_fn.invert(sol.undirected_flow[key])
-        total += uses * info.per_use_cost
+        total += uses * info.lower_solution.total_cost
     return total
 
 
@@ -658,13 +653,12 @@ def _parse_hierarchical(doc: Mapping, memo: dict) -> HierarchicalNetwork:
         raise ValidationError(
             f"edges wrap networks of different levels {sorted(levels)}"
         )
-    net = HierarchicalNetwork(
+    return HierarchicalNetwork(
         level=hier_edges[0].lower.level + 1,
         nodes=tuple(nodes),
         edges=tuple(hier_edges),
         clients=(source, sink),
     )
-    return net
 
 
 def load_hierarchical(source: str | Path | bytes) -> HierarchicalNetwork:

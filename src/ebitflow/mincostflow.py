@@ -14,9 +14,11 @@ smallest node-label sequence is chosen, which makes results reproducible
 across runs and platforms. Path choice depends on the residual alone, not
 on the target, so one run passes every target's optimum and ends at the
 min-cut when the sink becomes unreachable; no entry point computes a
-separate min-cut. Each solution is canonicalized: opposing flow on an edge
-is cancelled and any remaining zero-cost support cycles are removed, so for
-every edge at most one direction carries flow.
+separate min-cut. Each path adds its bottleneck in pairs at a slope equal
+to its cost, so the price curve is a running sum of path costs. Each
+solution is canonicalized: opposing flow on an edge is cancelled and any
+remaining zero-cost support cycles are removed, so for every edge at most
+one direction carries flow.
 
 All entry points are pure functions; solutions are immutable.
 """
@@ -281,14 +283,11 @@ def _find_cycle(succ: Mapping[NodeId, list[NodeId]]) -> list[NodeId] | None:
     for start in sorted(succ):
         if start in visited:
             continue
-        trail: list[NodeId] = []
-        pos: dict[NodeId, int] = {}
+        trail: list[NodeId] = [start]
+        pos: dict[NodeId, int] = {start: 0}
         stack = [(start, iter(succ.get(start, ())))]
-        trail.append(start)
-        pos[start] = 0
         while stack:
             node, it = stack[-1]
-            advanced = False
             for nxt in it:
                 if nxt in pos:
                     return trail[pos[nxt] :]
@@ -297,9 +296,8 @@ def _find_cycle(succ: Mapping[NodeId, list[NodeId]]) -> list[NodeId] | None:
                 trail.append(nxt)
                 pos[nxt] = len(trail) - 1
                 stack.append((nxt, iter(succ.get(nxt, ()))))
-                advanced = True
                 break
-            if not advanced:
+            else:
                 stack.pop()
                 visited.add(node)
                 del pos[node]
@@ -353,26 +351,33 @@ def unit_price(sol: FlowSolution) -> Fraction | None:
     return Fraction(sol.total_cost, sol.net_flow)
 
 
-def price_curve(g: NetworkGraph) -> tuple[tuple[FlowSolution, ...], int]:
-    """Minimum-cost solutions for every feasible positive target.
+def price_curve(g: NetworkGraph) -> tuple[tuple[int, ...], int]:
+    """Minimum total costs in milli-units for every feasible positive target.
 
     Returns:
-        The solutions for targets 1 through the min-cut, in order, and the
+        The costs for targets 1 through the min-cut, in order, and the
         target with the lowest unit price. Ties go to the smallest target.
 
     Raises:
         InfeasibleTarget: If the network cannot deliver a single pair.
     """
     residual = _Residual(g)
-    curve: list[FlowSolution] = []
+    costs: list[int] = []
+    total = 0
     for path, bottleneck in residual.augmenting_paths():
-        # min_cost_flow(g, k) takes these paths and caps only its last push.
+        # min_cost_flow(g, k) takes these paths; each pair adds the path cost.
+        residual.push(path, bottleneck)
+        slope = sum(residual.cost[aid] for aid in path)
         for _ in range(bottleneck):
-            residual.push(path, 1)
-            curve.append(residual.solution())
-    if not curve:
+            total += slope
+            costs.append(total)
+    if not costs:
         raise InfeasibleTarget("clients are disconnected; no positive target exists")
-    return tuple(curve), min(curve, key=unit_price).net_flow
+    # One extraction runs the net-flow and cycle checks on the whole run.
+    if residual.solution().total_cost != total:
+        raise InvariantViolation("path costs disagree with the cost of the flow")
+    best = min(range(1, len(costs) + 1), key=lambda k: Fraction(costs[k - 1], k))
+    return tuple(costs), best
 
 
 def validate_flow(sol: FlowSolution) -> None:

@@ -671,7 +671,7 @@ def _entropy_words(seed: int | Sequence[int]) -> list[int]:
     A seed is a non-negative int (numpy ints included, bools not) or a
     sequence of seeds: a list, tuple, range or array of one or more
     dimensions. Iterators and sets are refused rather than consumed, and so
-    is a 0-d array; ``numpy.random.default_rng`` refuses them too.
+    are bytes and a 0-d array; ``numpy.random.default_rng`` refuses them too.
 
     Raises:
         ValidationError: On any other seed.
@@ -680,7 +680,9 @@ def _entropy_words(seed: int | Sequence[int]) -> list[int]:
     if type(n) is not int:
         if isinstance(n, numbers.Integral) and not isinstance(n, bool):
             n = operator.index(n)
-        elif (isinstance(n, Sequence) and not isinstance(n, str)) or getattr(n, "ndim", 0):
+        elif (
+            isinstance(n, Sequence) and not isinstance(n, (str, bytes, bytearray))
+        ) or getattr(n, "ndim", 0):
             return [word for item in n for word in _entropy_words(item)]
         else:
             raise ValidationError(f"seed must be an integer, got {seed!r}")

@@ -829,8 +829,6 @@ def reference_resolve(net: HierarchicalNetwork) -> _Resolved:
             else:
                 pounds = -((-e.yield_fn.max_uses * per_use) // theta)
             infos[id(e)] = _EdgeInfo(
-                lower_target=target,
-                per_use_cost=per_use,
                 lower_solution=lower_sol,
                 lower_generation=generation_error_budget(
                     lower_flat, lower_sol.active_edges

@@ -944,8 +944,6 @@ class TestSharedLowerSolves:
             assert resolved.flat[id(n)] == expected.flat[id(n)]
             for e in n.edges:
                 got, want = resolved.edges[id(e)], expected.edges[id(e)]
-                assert got.per_use_cost == want.per_use_cost
-                assert got.lower_target == want.lower_target
                 assert got.lower_generation == want.lower_generation
                 sol, ref = got.lower_solution, want.lower_solution
                 assert sol.graph == ref.graph
@@ -955,7 +953,7 @@ class TestSharedLowerSolves:
 
     @staticmethod
     def count_solves(monkeypatch):
-        calls = {"min_cut": 0, "min_cost_flow": 0}
+        calls = {"min_cost_max_flow": 0, "min_cost_flow": 0}
         for name in calls:
             real = getattr(concat, name)
 
@@ -991,7 +989,7 @@ class TestSharedLowerSolves:
         net = HierarchicalNetwork.build([after_b, before_b], "s", "t")
         calls = self.count_solves(monkeypatch)
         resolved = net._resolved
-        assert calls == {"min_cut": 2, "min_cost_flow": 2}
+        assert calls == {"min_cost_max_flow": 2, "min_cost_flow": 0}
         for edge, via, generation in (
             (after_b, ("a", "b"), Fraction(1, 50)),
             (before_b, ("a", "ab"), Fraction(1, 10)),
@@ -1046,11 +1044,11 @@ class TestSharedLowerSolves:
         calls = self.count_solves(monkeypatch)
         resolved = net._resolved
         distinct = min(n, 2)
-        assert calls == {"min_cut": distinct, "min_cost_flow": distinct}
+        assert calls == {"min_cost_max_flow": distinct, "min_cost_flow": 0}
         for e in net.edges:
             info = resolved.edges[id(e)]
             direct = direct_lower_solve(e.lower.base)
-            assert info.lower_target == 3
+            assert info.lower_solution.net_flow == 3
             assert info.lower_solution.graph is e.lower.base
             assert list(info.lower_solution.arc_flow.items()) == list(
                 direct.arc_flow.items()
@@ -1065,11 +1063,11 @@ class TestSharedLowerSolves:
         net = self.relabelled_chain(3, last_edge=last_edge)
         calls = self.count_solves(monkeypatch)
         resolved = net._resolved
-        assert calls == {"min_cut": 3, "min_cost_flow": 3}
+        assert calls == {"min_cost_max_flow": 3, "min_cost_flow": 0}
         for e in net.edges:
             info = resolved.edges[id(e)]
             direct = direct_lower_solve(e.lower.base)
-            assert info.per_use_cost == direct.total_cost
+            assert info.lower_solution.total_cost == direct.total_cost
             assert info.lower_generation == generation_error_budget(
                 e.lower.base, direct.active_edges
             )
@@ -1111,7 +1109,7 @@ class TestSharedLowerSolves:
         net = load_hierarchical(json.dumps(self.two_copy_document(deltas)))
         calls = self.count_solves(monkeypatch)
         resolved = net._resolved
-        assert calls == {"min_cut": solves, "min_cost_flow": solves}
+        assert calls == {"min_cost_max_flow": solves, "min_cost_flow": 0}
         for e, delta in zip(net.edges, deltas):
             info = resolved.edges[id(e)]
             direct = direct_lower_solve(e.lower.base)
@@ -1119,6 +1117,19 @@ class TestSharedLowerSolves:
             assert info.lower_generation == generation_error_budget(
                 e.lower.base, direct.active_edges
             )
+            assert list(info.lower_solution.arc_flow.items()) == list(
+                direct.arc_flow.items()
+            )
+
+    def test_explicit_target_solves_at_that_target(self, monkeypatch):
+        # The last copy keys apart by its target, and its solve stops there.
+        net = self.relabelled_chain(3, last_target=3)
+        calls = self.count_solves(monkeypatch)
+        resolved = net._resolved
+        assert calls == {"min_cost_max_flow": 2, "min_cost_flow": 1}
+        for e in net.edges:
+            info = resolved.edges[id(e)]
+            direct = direct_lower_solve(e.lower.base)
             assert list(info.lower_solution.arc_flow.items()) == list(
                 direct.arc_flow.items()
             )

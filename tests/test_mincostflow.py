@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -8,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from ebitflow import (
     FlowSolution,
     InfeasibleTarget,
+    InvariantViolation,
     MalformedFlow,
     NegativeTarget,
     NetworkGraph,
@@ -107,16 +109,20 @@ class TestUnitPrice:
 
     def test_best_target_single_edge(self):
         g = NetworkGraph.from_edge_list([("s", "t", 5, 3000)], "s", "t")
-        curve, target = price_curve(g)
-        sol = curve[target - 1]
+        costs, target = price_curve(g)
         assert target == 1
-        assert unit_price(sol) == 3000
+        assert costs == tuple(
+            reference_min_cost_flow(g, k).total_cost for k in range(1, 6)
+        )
+        assert costs[target - 1] == 3000
 
     def test_best_target_avoids_costly_second_route(self):
-        curve, target = price_curve(TWO_ROUTE)
-        sol = curve[target - 1]
+        costs, target = price_curve(TWO_ROUTE)
         assert target == 1
-        assert sol.total_cost == 2000
+        assert costs == tuple(
+            reference_min_cost_flow(TWO_ROUTE, k).total_cost for k in (1, 2)
+        )
+        assert costs[target - 1] == 2000
 
     def test_best_target_tie_takes_smallest(self):
         _, target = price_curve(DIAMOND)
@@ -126,6 +132,39 @@ class TestUnitPrice:
         g = NetworkGraph.from_edge_list([], "s", "t", extra_nodes=["s", "t"])
         with pytest.raises(InfeasibleTarget):
             price_curve(g)
+
+
+class TestPriceCurveExtraction:
+    # Two routes of 2 and 1 pairs: a cut of 3 from two augmenting paths.
+    G = NetworkGraph.from_edge_list(
+        [("a", "s", 2, 1000), ("a", "t", 2, 1000), ("s", "t", 1, 5000)], "s", "t"
+    )
+
+    def test_one_solution_for_the_whole_run(self, monkeypatch):
+        """The costs come from path costs; one flow of the whole run is
+        still extracted, so its net-flow and cycle checks run."""
+        pushed = []
+        real = _Residual.solution
+
+        def counted(self):
+            pushed.append(self.pushed)
+            return real(self)
+
+        monkeypatch.setattr(_Residual, "solution", counted)
+        costs, best = price_curve(self.G)
+        assert pushed == [3]
+        assert (costs, best) == ((2000, 4000, 9000), 1)
+
+    def test_path_costs_must_match_the_flow(self, monkeypatch):
+        real = _Residual.solution
+
+        def off_by_one(self):
+            sol = real(self)
+            return dataclasses.replace(sol, total_cost=sol.total_cost + 1)
+
+        monkeypatch.setattr(_Residual, "solution", off_by_one)
+        with pytest.raises(InvariantViolation, match="path costs"):
+            price_curve(self.G)
 
 
 class TestValidation:
@@ -339,8 +378,9 @@ class TestAgainstReferenceSolver:
     )
     @given(tie_graphs())
     def test_single_run_entry_points_match_per_target_solves(self, g):
-        """``price_curve`` and ``min_cost_max_flow`` read their solutions off
-        one augmenting-path run; each must equal a separate solve."""
+        """``min_cost_max_flow`` reads its solution, and ``price_curve`` its
+        per-target costs, off one augmenting-path run; each must equal a
+        separate solve."""
         cut = min_cut(g)
         assert_same(min_cost_max_flow(g), reference_min_cost_flow(g, cut))
         if cut == 0:
@@ -349,11 +389,9 @@ class TestAgainstReferenceSolver:
             assert type(got.value) is InfeasibleTarget
             assert str(got.value) == "clients are disconnected; no positive target exists"
             return
-        curve, best = price_curve(g)
+        costs, best = price_curve(g)
         expected = [reference_min_cost_flow(g, k) for k in range(1, cut + 1)]
-        assert len(curve) == len(expected)
-        for sol, ref in zip(curve, expected):
-            assert_same(sol, ref)
+        assert list(costs) == [ref.total_cost for ref in expected]
         prices = [unit_price(ref) for ref in expected]
         assert best == prices.index(min(prices)) + 1
 
@@ -427,10 +465,8 @@ class TestGridsAgainstReferenceSolver:
             with pytest.raises(InfeasibleTarget):
                 price_curve(g)
             return
-        curve, best = price_curve(g)
-        assert len(curve) == cut
-        for sol, ref in zip(curve, expected[1:]):
-            assert_same(sol, ref)
+        costs, best = price_curve(g)
+        assert list(costs) == [ref.total_cost for ref in expected[1:]]
         prices = [unit_price(ref) for ref in expected[1:]]
         assert best == prices.index(min(prices)) + 1
 

@@ -738,7 +738,11 @@ class TestMonteCarlo:
             RELAY, seed=(5, 2)
         )
 
-    @pytest.mark.parametrize("seed", [np.array(5), [np.array(5)], (1, np.array(2))], ids=repr)
+    @pytest.mark.parametrize(
+        "seed",
+        [np.array(5), [np.array(5)], (1, np.array(2)), b"ab", bytearray(b"ab")],
+        ids=repr,
+    )
     def test_zero_dimensional_array_seed_is_a_validation_error(self, seed):
         with pytest.raises(TypeError):
             np.random.default_rng(seed)
