@@ -243,7 +243,7 @@ class TestScheduleViolations:
             deliveries=(),
             qubit_nodes=("s", "t"),
         )
-        with pytest.raises(ScheduleViolation):
+        with pytest.raises(ScheduleViolation, match="created twice"):
             run_schedule(sched)
 
     def test_measurement_before_creation(self):
@@ -252,7 +252,7 @@ class TestScheduleViolations:
             deliveries=(),
             qubit_nodes=("r", "r"),
         )
-        with pytest.raises(ScheduleViolation):
+        with pytest.raises(ScheduleViolation, match="measurement on qubit q0 before creation"):
             run_schedule(sched)
 
     def test_remeasurement(self):
@@ -266,7 +266,7 @@ class TestScheduleViolations:
             deliveries=(),
             qubit_nodes=("s", "r", "r", "t"),
         )
-        with pytest.raises(ScheduleViolation):
+        with pytest.raises(ScheduleViolation, match="measurement on already measured qubit q1"):
             run_schedule(sched)
 
     def test_correction_with_unknown_source(self):
@@ -278,7 +278,7 @@ class TestScheduleViolations:
             deliveries=(),
             qubit_nodes=("s", "t"),
         )
-        with pytest.raises(ScheduleViolation):
+        with pytest.raises(ScheduleViolation, match="correction reads unknown outcome m7"):
             run_schedule(sched)
 
     def test_qubit_outside_schedule(self):
@@ -287,7 +287,7 @@ class TestScheduleViolations:
             deliveries=(),
             qubit_nodes=("s", "t"),
         )
-        with pytest.raises(ScheduleViolation):
+        with pytest.raises(ScheduleViolation, match="qubit q2 outside the schedule's 2 qubits"):
             run_schedule(sched)
 
     def test_bell_measurement_of_one_qubit(self):
@@ -300,7 +300,7 @@ class TestScheduleViolations:
             deliveries=(),
             qubit_nodes=("s", "r", "r", "t"),
         )
-        with pytest.raises(ScheduleViolation):
+        with pytest.raises(ScheduleViolation, match="Bell measurement m0 on one qubit q1"):
             run_schedule(sched)
 
     def test_negative_seed(self):
@@ -330,8 +330,51 @@ class TestScheduleViolations:
             deliveries=(Delivery(0, 0, 1),),
             qubit_nodes=("s", "r", "r", "t"),
         )
-        with pytest.raises(ScheduleViolation):
+        with pytest.raises(
+            ScheduleViolation, match="delivery check on already measured qubit q1"
+        ):
             run_schedule(sched)
+
+    def test_unknown_instruction(self):
+        sched = SwapSchedule(
+            instructions=(CreateBellPair("s", "t", 0, 1, 0), "swap everything"),
+            deliveries=(),
+            qubit_nodes=("s", "t"),
+        )
+        with pytest.raises(ScheduleViolation, match="unknown instruction 'swap everything'"):
+            run_schedule(sched)
+
+    def test_whole_schedule_is_checked_before_any_tableau(self, monkeypatch):
+        """A fault in the last delivery is found before the first tableau is
+        built, so a bad schedule costs no simulation."""
+        bundles = [PathBundle(path=("s", "a", "b", "t"), multiplicity=2)]
+        good = build_swap_schedule(bundles)
+        measured = next(ins for ins in good.instructions if isinstance(ins, BellMeasure))
+        bad = SwapSchedule(
+            instructions=good.instructions,
+            deliveries=(
+                *good.deliveries[:-1],
+                Delivery(1, good.deliveries[-1].source_qubit, measured.qubit_left),
+            ),
+            qubit_nodes=good.qubit_nodes,
+        )
+        builds = 0
+        init = _Tableau.__init__
+
+        def counted_init(self, n):
+            nonlocal builds
+            builds += 1
+            init(self, n)
+
+        monkeypatch.setattr(_Tableau, "__init__", counted_init)
+        message = f"delivery check on already measured qubit q{measured.qubit_left}"
+        with pytest.raises(ScheduleViolation, match=message):
+            run_schedule(bad)
+        with pytest.raises(ScheduleViolation, match=message):
+            fidelity_estimate(bad, trials=10)
+        assert builds == 0
+        run_schedule(good)
+        assert builds == 2
 
 
 @st.composite
