@@ -635,6 +635,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.format == "dot" and args.command not in _DOT_COMMANDS:
         parser.error(f"dot output is not defined for {args.command}")
+    if args.command == "concat" and args.delta_default is not None:
+        parser.error("concat does not apply --delta-default")
     args.format = args.format or _default_format(args.command)
     try:
         args.input_bytes, digest = _read_input(args.input)

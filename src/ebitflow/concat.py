@@ -606,18 +606,16 @@ def _parse_hierarchical(doc: Mapping, memo: dict) -> HierarchicalNetwork:
     edges = doc.get("edges")
     if not isinstance(edges, Sequence) or isinstance(edges, (str, bytes)):
         raise ParseError("edges: expected an array of edge objects")
-    # One object check per edge, shared with the flat parse.
+    # Edges that are all exact dicts are counted without a Mapping check.
     if set(map(type, edges)) <= {dict}:
-        objects = len(edges)
         wrapped = sum(map(contains, edges, repeat("lower")))
     else:
-        objects = wrapped = 0
+        wrapped = 0
         for e in edges:
             if isinstance(e, Mapping):
-                objects += 1
                 wrapped += "lower" in e
     if not wrapped:
-        flat = _parse_flat(doc, None, memo, entries_checked=objects == len(edges))
+        flat = _parse_flat(doc, None, memo)
         return HierarchicalNetwork.from_graph(flat.graph)
     if wrapped < len(edges):
         raise ValidationError(

@@ -564,18 +564,15 @@ def parse_document(
     """
     if not isinstance(doc, Mapping):
         raise ParseError("network document must be an object")
-    return _parse_flat(doc, default_gen_error, {}, entries_checked=False)
+    return _parse_flat(doc, default_gen_error, {})
 
 
 def _parse_flat(
     doc: Mapping,
     default_gen_error: Fraction | None,
     memo: dict,
-    *,
-    entries_checked: bool,
 ) -> NetworkDocument:
-    """``parse_document`` of an object; ``entries_checked`` says the caller
-    has already found every entry of ``doc["edges"]`` to be an object.
+    """``parse_document`` of an object.
 
     ``memo`` remembers cost and delta conversions (see ``_converted``) and
     the graphs built from columns; it lives for one document, including
@@ -600,7 +597,7 @@ def _parse_flat(
     found = _edge_columns(raw_edges, node_set, default_gen_error, memo)
     if found is None:
         edges, channels, yields = _parse_entries(
-            raw_edges, node_set, default_gen_error, memo, entries_checked
+            raw_edges, node_set, default_gen_error, memo
         )
     source, sink = doc["source"], doc["sink"]
     if not isinstance(source, str) or not isinstance(sink, str):
@@ -624,7 +621,6 @@ def _parse_entries(
     node_set: set,
     default_gen_error: Fraction,
     memo: dict,
-    entries_checked: bool,
 ) -> tuple[list[Edge], dict, dict]:
     """The edges and annotations of ``raw_edges``, one entry at a time.
 
@@ -636,11 +632,7 @@ def _parse_entries(
     by_key: dict[EdgeKey, dict] = {}
     repeated: dict[EdgeKey, list[dict]] = {}
     for i, entry in enumerate(raw_edges):
-        if (
-            not entries_checked
-            and type(entry) is not dict
-            and not isinstance(entry, Mapping)
-        ):
+        if type(entry) is not dict and not isinstance(entry, Mapping):
             raise ParseError(f"edges[{i}]: expected an object")
         key, fields = _parse_edge_entry(entry, i, memo)
         if key[0] not in node_set or key[1] not in node_set:

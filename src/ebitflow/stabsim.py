@@ -16,7 +16,7 @@ noise:
 
 Layout. Each tableau is bit-packed into Python ints, one int per qubit
 column and one for the signs (see ``_Tableau``). A schedule is
-compiled once into a list of operations on small tableaus, one per group
+checked and laid out once (``_layout``) on small tableaus, one per group
 of qubits that interact: qubits tied by a pair creation, a Bell
 measurement or a delivery check share a tableau. Path copies share no
 qubits, so a 198-qubit schedule of nine copies runs as nine 22-qubit
@@ -343,36 +343,14 @@ class RunResult:
 
 _PAULI_NAMES = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "XZ"}
 
-# Operation codes of a compiled schedule.
-_PAIR, _SWAP, _FIX = range(3)
 
+def _layout(sched: SwapSchedule) -> tuple[dict[int, tuple[int, int]], list[int]]:
+    """Check a schedule in instruction order and lay its qubits out on
+    tableaus.
 
-@dataclass(frozen=True)
-class _Program:
-    """A schedule checked once and lowered to operations on small tableaus.
-
-    Attributes:
-        sizes: Qubit count of each tableau.
-        ops: ``(_PAIR, tableau, left, right, error_p)`` with ``error_p``
-            None when the edge has no pair noise, ``(_SWAP, tableau, left,
-            right, slot)``, ``(_FIX, tableau, qubit, slots)``; qubits are
-            local to their tableau, slots index the outcome list.
-        swap_p: Depolarizing probability before each Bell measurement.
-        n_outcomes: Distinct measurement indices, in sorted order.
-        fix_qubits: Schedule qubit of each correction, in instruction order.
-        checks: Per delivery, its tableau and local source and sink qubits.
-    """
-
-    sizes: tuple[int, ...]
-    ops: tuple[tuple, ...]
-    swap_p: float
-    n_outcomes: int
-    fix_qubits: tuple[int, ...]
-    checks: tuple[tuple[int, int, int], ...]
-
-
-def _compile(sched: SwapSchedule, noise: NoiseModel) -> _Program:
-    """Check a schedule in instruction order and compile it for execution.
+    Qubits tied by a pair creation, a Bell measurement or a delivery check
+    share a tableau. Returns ``layout``, each created qubit's tableau and
+    index in it, and ``sizes``, the qubit count of each tableau.
 
     Raises:
         ScheduleViolation: As ``run_schedule`` documents.
@@ -381,14 +359,9 @@ def _compile(sched: SwapSchedule, noise: NoiseModel) -> _Program:
     created: set[int] = set()
     measured: set[int] = set()
     indices: set[int] = set()
-    # Operations on schedule qubits, and the qubit pairs that must share a
-    # tableau: those of a two-qubit operation or a delivery check.
-    raw: list[tuple] = []
+    # The qubit pairs that must share a tableau: those of a two-qubit
+    # operation or a delivery check.
     ties: list[tuple[int, int]] = []
-
-    # Per edge, the replacement probability of a created pair as a float,
-    # or None when the pair is noiseless.
-    error_of = {key: float(q) if q else None for key, q in noise.pair_error.items()}
 
     def require_live(q: int, action: str) -> None:
         if q not in created:
@@ -406,7 +379,6 @@ def _compile(sched: SwapSchedule, noise: NoiseModel) -> _Program:
                 if q in created:
                     raise ScheduleViolation(f"qubit q{q} created twice")
                 created.add(q)
-            raw.append((_PAIR, ins.qubit_left, ins.qubit_right, error_of.get(ins.edge)))
             ties.append((ins.qubit_left, ins.qubit_right))
         elif isinstance(ins, BellMeasure):
             if ins.qubit_left == ins.qubit_right:
@@ -418,14 +390,12 @@ def _compile(sched: SwapSchedule, noise: NoiseModel) -> _Program:
             measured.add(ins.qubit_left)
             measured.add(ins.qubit_right)
             indices.add(ins.index)
-            raw.append((_SWAP, ins.qubit_left, ins.qubit_right, ins.index))
             ties.append((ins.qubit_left, ins.qubit_right))
         elif isinstance(ins, PauliCorrect):
             require_live(ins.qubit, "correction")
             for src in ins.sources:
                 if src not in indices:
                     raise ScheduleViolation(f"correction reads unknown outcome m{src}")
-            raw.append((_FIX, ins.qubit, ins.sources))
         else:
             raise ScheduleViolation(f"unknown instruction {ins!r}")
     for d in sched.deliveries:
@@ -454,31 +424,11 @@ def _compile(sched: SwapSchedule, noise: NoiseModel) -> _Program:
         t = tableau_of[root]
         layout[q] = (t, sizes[t])
         sizes[t] += 1
-
-    slot = {index: i for i, index in enumerate(sorted(indices))}
-    ops = []
-    for op in raw:
-        t, a = layout[op[1]]
-        if op[0] == _PAIR:
-            ops.append((_PAIR, t, a, layout[op[2]][1], op[3]))
-        elif op[0] == _SWAP:
-            ops.append((_SWAP, t, a, layout[op[2]][1], slot[op[3]]))
-        else:
-            ops.append((_FIX, t, a, tuple(slot[src] for src in op[2])))
-    return _Program(
-        sizes=tuple(sizes),
-        ops=tuple(ops),
-        swap_p=float(noise.swap_depolarize_p),
-        n_outcomes=len(slot),
-        fix_qubits=tuple(op[1] for op in raw if op[0] == _FIX),
-        checks=tuple(
-            (*layout[d.source_qubit], layout[d.sink_qubit][1]) for d in sched.deliveries
-        ),
-    )
+    return layout, sizes
 
 
 class _Plan(NamedTuple):
-    """The frame plan of a program (see the module docstring).
+    """The frame plan of a schedule (see the module docstring).
 
     The draws set GF(2) variables, numbered in draw order: two per noisy
     pair site (the X and Z part of the Pauli on its right qubit), four per
@@ -492,9 +442,9 @@ class _Plan(NamedTuple):
             its qubits and sets ``paulis[k][w]`` for draw ``w`` on qubit
             ``k`` (I, X, Z or Y), or ``(None, var)`` for a random outcome
             ``integers(2)``.
-        outcomes: Per measurement slot, ``((ref, mask), (ref, mask))``: an
-            outcome is ``ref`` plus the parity of the set variables in
-            ``mask``.
+        outcomes: Per distinct measurement index, in sorted order,
+            ``((ref, mask), (ref, mask))``: an outcome is ``ref`` plus the
+            parity of the set variables in ``mask``.
         fixes: Per correction, its X and Z frame as ``(ref, mask)`` each.
         checks: Per delivery, its XX and ZZ check as ``(sign, mask)``
             each: the reference sign (+1, -1, or 0 when the pair is not
@@ -508,8 +458,8 @@ class _Plan(NamedTuple):
     checks: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
 
 
-def _plan(prog: _Program) -> _Plan:
-    """Run a compiled schedule once without noise and track its sign flips.
+def _plan(sched: SwapSchedule, noise: NoiseModel) -> _Plan:
+    """Check a schedule, run it once without noise and track its sign flips.
 
     The Pauli frame that separates a noisy run from the reference run is
     kept by its effect on the tableau: ``flips[t][i]``, a bitmask of
@@ -521,13 +471,18 @@ def _plan(prog: _Program) -> _Plan:
     which adds the pivot's flips to theirs, and gives the new stabilizer
     the outcome's variable. A determined outcome, and a check, flips by
     the sum over the stabilizers whose product it reads.
+
+    Raises:
+        ScheduleViolation: As ``run_schedule`` documents, before any
+            tableau is built.
     """
-    tabs = [_Tableau(size) for size in prog.sizes]
-    flips = [[0] * size for size in prog.sizes]
+    layout, sizes = _layout(sched)
+    tabs = [_Tableau(size) for size in sizes]
+    flips = [[0] * size for size in sizes]
     steps: list[tuple] = []
-    outcomes: list = [None] * prog.n_outcomes
+    outcomes: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
     fixes = []
-    swap_p = prog.swap_p
+    swap_p = float(noise.swap_depolarize_p)
     nv = 0
 
     def flip(fl: list[int], rows: int, mask: int) -> None:
@@ -550,7 +505,7 @@ def _plan(prog: _Program) -> _Plan:
         flip(fl, st.z[q] >> st.n, mask_x)
         flip(fl, st.x[q] >> st.n, mask_z)
 
-    def noise(st: _Tableau, fl: list[int], p: float, qubits: tuple[int, ...]) -> None:
+    def add_noise(st: _Tableau, fl: list[int], p: float, qubits: tuple[int, ...]) -> None:
         nonlocal nv
         paulis = []
         for q in qubits:
@@ -572,28 +527,30 @@ def _plan(prog: _Program) -> _Plan:
         nv += 1
         return outcome, var
 
-    for op in prog.ops:
-        kind = op[0]
-        if kind == _PAIR:
-            _, t, a, b, error_p = op
+    for ins in sched.instructions:
+        if isinstance(ins, CreateBellPair):
+            t, a = layout[ins.qubit_left]
+            b = layout[ins.qubit_right][1]
             st = tabs[t]
             st.h(a)
             st.cnot(a, b)
-            if error_p is not None:
-                noise(st, flips[t], error_p, (b,))
-        elif kind == _SWAP:
-            _, t, a, b, s = op
+            error_p = noise.pair_error.get(ins.edge)
+            if error_p:
+                add_noise(st, flips[t], float(error_p), (b,))
+        elif isinstance(ins, BellMeasure):
+            t, a = layout[ins.qubit_left]
+            b = layout[ins.qubit_right][1]
             st, fl = tabs[t], flips[t]
             if swap_p > 0:
-                noise(st, fl, swap_p, (a, b))
+                add_noise(st, fl, swap_p, (a, b))
             st.cnot(a, b)
             st.h(a)
-            outcomes[s] = (measure(st, fl, a), measure(st, fl, b))
+            outcomes[ins.index] = (measure(st, fl, a), measure(st, fl, b))
         else:
-            _, t, q, slots = op
+            t, q = layout[ins.qubit]
             ref_x = mask_x = ref_z = mask_z = 0
-            for s in slots:
-                (ra, ma), (rb, mb) = outcomes[s]
+            for src in ins.sources:
+                (ra, ma), (rb, mb) = outcomes[src]
                 ref_z ^= ra
                 mask_z ^= ma
                 ref_x ^= rb
@@ -606,7 +563,9 @@ def _plan(prog: _Program) -> _Plan:
             pauli(st, flips[t], q, mask_x, mask_z)
             fixes.append(((ref_x, mask_x), (ref_z, mask_z)))
     checks = []
-    for t, a, b in prog.checks:
+    for d in sched.deliveries:
+        t, a = layout[d.source_qubit]
+        b = layout[d.sink_qubit][1]
         st, fl = tabs[t], flips[t]
         both = (1 << a) | (1 << b)
         checks.append(
@@ -617,7 +576,7 @@ def _plan(prog: _Program) -> _Plan:
         )
     return _Plan(
         steps=tuple(steps),
-        outcomes=tuple(outcomes),
+        outcomes=tuple(outcomes[index] for index in sorted(outcomes)),
         fixes=tuple(fixes),
         checks=tuple(checks),
     )
@@ -813,8 +772,7 @@ def run_schedule(
             iterator or a set).
     """
     words = _entropy_words(seed)
-    prog = _compile(sched, noise or NoiseModel.zero())
-    plan = _plan(prog)
+    plan = _plan(sched, noise or NoiseModel.zero())
     values = _sample(plan.steps, words)
 
     def value(term: tuple[int, int]) -> int:
@@ -828,8 +786,11 @@ def run_schedule(
     return RunResult(
         outcomes=tuple((value(a), value(b)) for a, b in plan.outcomes),
         corrections=tuple(
-            (q, _PAULI_NAMES[value(fx), value(fz)])
-            for q, (fx, fz) in zip(prog.fix_qubits, plan.fixes)
+            (ins.qubit, _PAULI_NAMES[value(fx), value(fz)])
+            for ins, (fx, fz) in zip(
+                (ins for ins in sched.instructions if isinstance(ins, PauliCorrect)),
+                plan.fixes,
+            )
         ),
         pairs=tuple(
             PairOutcome(
@@ -908,7 +869,7 @@ def fidelity_estimate(
     if trials <= 0:
         raise ValidationError("trials must be positive")
     seed_words = _entropy_words(seed)
-    plan = _plan(_compile(sched, noise or NoiseModel.zero()))
+    plan = _plan(sched, noise or NoiseModel.zero())
     # Bits 2i and 2i + 1 of a trial's verdict are set when delivery i fails
     # its XX or its ZZ check. A check that is not stabilized always fails.
     base = 0

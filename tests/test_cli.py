@@ -390,6 +390,14 @@ class TestExitCodes:
         proc = run_cli("mincut", "--input", docs["chain"], "--format", "dot")
         assert proc.returncode == 2
 
+    def test_delta_default_refused_for_concat(self, docs):
+        proc = run_cli(
+            "concat", "--input", docs["hier"], "--target", "2", "--delta-default", "1/10"
+        )
+        assert proc.returncode == 2
+        assert "concat does not apply --delta-default" in proc.stderr
+        assert proc.stdout == ""
+
     def test_bad_json_input(self, docs):
         proc = run_cli("mincut", "--input", docs["bad"])
         assert proc.returncode == 3
