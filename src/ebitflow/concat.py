@@ -478,12 +478,15 @@ def plan_lower_uses(
     For each active edge the smallest use count whose yield covers the
     edge's pairs is chosen; deeper levels expand the same way under the
     multiplied use count. Edges with an ``error_threshold`` require the
-    lower network's error budget to stay within it.
+    lower network's error budget to stay within it. A level-0 network's
+    edges are physical, so it has no lower uses.
 
     Raises:
         YieldShortfall: An edge cannot reach its pairs within its use bound.
         ThresholdViolation: A lower network's error exceeds the threshold.
     """
+    if net.level == 0:
+        return ()
     resolved = net._resolved
     created: list[dict] = []
     roots: list[dict] = []
@@ -536,7 +539,10 @@ def plan_lower_uses(
 
 def total_lower_cost(net: HierarchicalNetwork, sol: FlowSolution) -> int:
     """Cost of running the lower networks for every top-level active edge:
-    use count times lower per-use cost, summed, in milli-units."""
+    use count times lower per-use cost, summed, in milli-units; 0 at
+    level 0, whose edges are physical."""
+    if net.level == 0:
+        return 0
     resolved = net._resolved
     total = 0
     for key in sorted(sol.active_edges):

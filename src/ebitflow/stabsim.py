@@ -37,16 +37,19 @@ Determinism. A run draws from one stream: that of
 ``numpy.random.default_rng`` for the run's seed, which ``_sample``
 reproduces value for value in pure Python (PCG64 seeded through
 SeedSequence), so simulation imports no numpy and gets numpy's draws.
-``fidelity_estimate`` seeds one stream per trial with ``(seed, trial)``.
-Draws happen in instruction order: per created pair with a positive error
-probability one ``random()`` and, on a hit, one ``integers(4)``; per Bell
-measurement with positive swap noise one ``random()`` and, on a hit, two
-``integers(4)``; then one ``integers(2)`` for each of its two outcomes
-that is random. Neither the split into copies nor the frame plan changes
-these draws (the reference pass draws nothing), so results depend only on
-(schedule, noise, seed) and equal those of running every trial on the
-tableaus. A trial of ``fidelity_estimate`` stops after its last draw that
-can flip a check.
+``fidelity_estimate`` gives each trial the stream of ``(seed, trial)``.
+Seeding is branch-free integer arithmetic, so ``_pcg64_starts`` seeds a
+block of trials at once on ints that pack one 64-bit lane per trial; each
+lane's stream is still that of ``default_rng((seed, trial))``, value for
+value, and ``run_schedule`` seeds a block of one. Draws happen in
+instruction order: per created pair with a positive error probability one
+``random()`` and, on a hit, one ``integers(4)``; per Bell measurement with
+positive swap noise one ``random()`` and, on a hit, two ``integers(4)``;
+then one ``integers(2)`` for each of its two outcomes that is random.
+Neither the split into copies nor the frame plan changes these draws (the
+reference pass draws nothing), so results depend only on (schedule, noise,
+seed) and equal those of running every trial on the tableaus. A trial of
+``fidelity_estimate`` stops after its last draw that can flip a check.
 
 Besides Monte-Carlo estimation this module computes exact delivered-state
 error for small schedules: every Pauli-noise branch delivers a product of
@@ -65,6 +68,8 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
+from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -620,6 +625,9 @@ _MIX_ROUNDS = tuple(
 )
 # The hash calls of ``generate_state``, one per 32-bit output word.
 _STATE_HASH = tuple(islice(_hash_consts(_INIT_B, _MULT_B), 8))
+# Trials seeded together by ``_trial_starts``: the packed ints of a block
+# are 32 KiB each.
+_SEED_BLOCK = 4096
 
 
 def _entropy_words(seed: int | Sequence[int]) -> list[int]:
@@ -654,42 +662,88 @@ def _entropy_words(seed: int | Sequence[int]) -> list[int]:
     return words
 
 
-def _pcg64_start(words: Sequence[int]) -> tuple[int, int]:
-    """PCG64's state and increment as ``default_rng`` seeds them from entropy
-    ``words``: SeedSequence hashes the words into a pool of four 32-bit
+def _pcg64_starts(columns: Sequence[int], lanes: int) -> list[tuple[int, int]]:
+    """PCG64's state and increment as ``default_rng`` seeds them, for
+    ``lanes`` entropy sequences of one length at once.
+
+    SeedSequence hashes a sequence's words into a pool of four 32-bit
     words, ``generate_state(4, uint64)`` draws the 128-bit seed and stream
-    from the pool, and ``srandom`` starts the generator."""
-    pool = []
-    for word, (before, after) in zip((*words[:4], 0, 0, 0, 0), _POOL_HASH):
-        value = (word ^ before) * after & _M32
-        pool.append(value ^ value >> 16)
+    from the pool, and ``srandom`` starts the generator. All of it up to
+    ``srandom`` is 32-bit arithmetic without branches, so it runs on every
+    sequence at once, SIMD within a register: an int packs one 64-bit lane
+    per sequence, in the byte order of ``sys.byteorder``, and
+    ``columns[k]`` packs word k of every sequence. A 32-bit hash product
+    fits in its lane; a right shift pulls the next lane's low bits in, so
+    its result is masked again.
+    """
+    ones = ((1 << 64 * lanes) - 1) // _M64
+    m32 = ones * _M32
+    # ``mix`` subtracts MIX_MULT_R times a word mod 2**32: adding its
+    # complement keeps every lane non-negative, and masking both products
+    # to 32 bits keeps their sum below 2**33.
+    mix_r = (1 << 32) - _MIX_MULT_R
+
+    def hashed(value: int, before: int, after: int) -> int:
+        value = (value ^ before * ones) * after & m32
+        return (value ^ value >> 16) & m32
+
+    def mixed(dst: int, value: int) -> int:
+        value = (_MIX_MULT_L * dst & m32) + (mix_r * value & m32) & m32
+        return (value ^ value >> 16) & m32
+
+    pool = [
+        hashed(word, before, after)
+        for word, (before, after) in zip((*columns[:4], 0, 0, 0, 0), _POOL_HASH)
+    ]
     # Each round hashes a word and mixes it into a pool word: first each
     # pool word into every other, then entropy beyond the pool into all.
     for src, dst, before, after in _MIX_ROUNDS:
-        value = (pool[src] ^ before) * after & _M32
-        value = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * (value ^ value >> 16)) & _M32
-        pool[dst] = value ^ value >> 16
-    if len(words) > 4:
+        pool[dst] = mixed(pool[dst], hashed(pool[src], before, after))
+    if len(columns) > 4:
         consts = islice(_hash_consts(_INIT_A, _MULT_A), 16, None)
-        for word in words[4:]:
+        for word in columns[4:]:
             for dst, (before, after) in zip(range(4), consts):
-                value = (word ^ before) * after & _M32
-                value = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * (value ^ value >> 16)) & _M32
-                pool[dst] = value ^ value >> 16
-    out = []
-    for i, (before, after) in enumerate(_STATE_HASH):
-        value = (pool[i & 3] ^ before) * after & _M32
-        out.append(value ^ value >> 16)
+                pool[dst] = mixed(pool[dst], hashed(word, before, after))
+    out = [hashed(pool[i & 3], before, after) for i, (before, after) in enumerate(_STATE_HASH)]
     # Output words 2k and 2k + 1 are the low and high half of 64-bit word k;
     # the seed is 64-bit words 0 (high) and 1, the stream words 2 and 3.
-    seed = out[1] << 96 | out[0] << 64 | out[3] << 32 | out[2]
-    inc = (out[5] << 96 | out[4] << 64 | out[7] << 32 | out[6]) << 1 & _M128 | 1
-    return (inc + seed) * _PCG_MULT + inc & _M128, inc
+    seed_hi, seed_lo, inc_hi, inc_lo = (
+        memoryview((lo | hi << 32).to_bytes(8 * lanes, sys.byteorder)).cast("Q")
+        for lo, hi in zip(out[::2], out[1::2])
+    )
+    starts = []
+    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        inc = (i_hi << 64 | i_lo) << 1 & _M128 | 1
+        starts.append(((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc & _M128, inc))
+    return starts
 
 
-def _sample(steps: Sequence[tuple], words: Sequence[int]) -> int:
-    """Draw one trial from ``default_rng`` of entropy ``words``; returns the
-    bitmask of the variables it sets.
+def _trial_starts(seed_words: Sequence[int], trials: range) -> Iterator[tuple[int, int]]:
+    """PCG64's start ``(state, inc)`` for ``default_rng((seed, trial))``, for
+    each trial of the step-1 range ``trials``, with ``seed_words`` the
+    seed's entropy words.
+
+    Seeds ``_SEED_BLOCK`` trials at a time through ``_pcg64_starts``. A
+    block never spans a change in the trial index's word count, since the
+    lanes of a block must have entropy of one length.
+    """
+    lo, stop = trials.start, trials.stop
+    while lo < stop:
+        width = len(_entropy_words(lo))
+        hi = min(stop, lo + _SEED_BLOCK, 1 << 32 * width)
+        lanes = hi - lo
+        ones = ((1 << 64 * lanes) - 1) // _M64
+        index = int.from_bytes(array("Q", range(lo, hi)), sys.byteorder)
+        columns = [word * ones for word in seed_words]
+        columns += [index >> 32 * k & ones * _M32 for k in range(width)]
+        yield from _pcg64_starts(columns, lanes)
+        lo = hi
+
+
+def _sample(steps: Sequence[tuple], start: tuple[int, int]) -> int:
+    """Draw one trial from the PCG64 generator at ``start``, its
+    ``(state, inc)`` as ``_pcg64_starts`` gives it; returns the bitmask of
+    the variables it sets.
 
     Each step of the generator advances the 128-bit LCG and outputs its
     XSL-RR word; it is written out at each use, as this loop is the cost of
@@ -700,7 +754,7 @@ def _sample(steps: Sequence[tuple], words: Sequence[int]) -> int:
     the high half for the next 32-bit draw; ``random()`` leaves that kept
     half alone.
     """
-    state, inc = _pcg64_start(words)
+    state, inc = start
     mult, m32, m64, m128 = _PCG_MULT, _M32, _M64, _M128
     half = -1
     values = 0
@@ -773,7 +827,7 @@ def run_schedule(
     """
     words = _entropy_words(seed)
     plan = _plan(sched, noise or NoiseModel.zero())
-    values = _sample(plan.steps, words)
+    values = _sample(plan.steps, _pcg64_starts(words, 1)[0])
 
     def value(term: tuple[int, int]) -> int:
         ref, mask = term
@@ -893,8 +947,8 @@ def fidelity_estimate(
     if not steps:
         counts[base] = trials
     else:
-        for trial in range(trials):
-            values = _sample(steps, seed_words + _entropy_words(trial))
+        for start in _trial_starts(seed_words, range(trials)):
+            values = _sample(steps, start)
             verdict = base
             for bit, mask in flippers:
                 if (mask & values).bit_count() & 1:

@@ -283,6 +283,17 @@ class TestCommands:
         assert Fraction(exact["trace_distance"]) <= Fraction(exact["error_bound"])
         assert 0.0 <= result["all_pass_rate"] <= 1.0
 
+    @pytest.mark.parametrize("target", ["0", "2"])
+    def test_concat_on_flat_document(self, docs, target):
+        # A flat document is level 0: it has no lower networks to run.
+        result = report(
+            run_cli("concat", "--input", docs["chain"], "--target", target)
+        )["result"]
+        assert result["level"] == 0
+        assert result["flat"]["net_flow"] == int(target)
+        assert result["lower_plan"] == []
+        assert result["total_lower_cost_milli"] == 0
+
     def test_concat(self, docs):
         result = report(
             run_cli("concat", "--input", docs["hier"], "--target", "2")

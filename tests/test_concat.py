@@ -521,6 +521,14 @@ class TestLowerUsePlans:
         assert plan.uses == 6
         assert plan.per_use_cost == 2000
 
+    def test_level_zero_has_no_lower_uses(self):
+        # Flat documents parse to level 0, whose edges are physical.
+        net = phys("A", "B", 2, 1000)
+        sol = aggregate_level(net, 2).solution
+        assert sol.net_flow == 2
+        assert plan_lower_uses(net, sol) == ()
+        assert total_lower_cost(net, sol) == 0
+
     def test_chain_mixed_uses(self):
         net = self.chain35()
         sol = aggregate_level(net, 1).solution

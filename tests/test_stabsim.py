@@ -2,7 +2,9 @@
 
 import math
 import random
+import sys
 import typing
+from array import array
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -657,7 +659,8 @@ FIXED_STEPS = draw_steps(random.Random(0).choices(["random", 2, 4], k=200))
 
 
 def assert_same_draws(seed, steps):
-    assert stabsim._sample(steps, stabsim._entropy_words(seed)) == reference_sample(
+    start = stabsim._pcg64_starts(stabsim._entropy_words(seed), 1)[0]
+    assert stabsim._sample(steps, start) == reference_sample(
         steps, np.random.default_rng(seed)
     )
 
@@ -696,6 +699,52 @@ class TestNumpyStream:
         seed = int | Sequence[int]
         for fn in (run_schedule, fidelity_estimate, estimate_operation_error):
             assert typing.get_type_hints(fn)["seed"] == seed
+
+
+def numpy_start(seed) -> tuple[int, int]:
+    """PCG64's ``(state, inc)`` as ``numpy.random.default_rng`` seeds it."""
+    state = np.random.default_rng(seed).bit_generator.state["state"]
+    return state["state"], state["inc"]
+
+
+class TestBatchedSeeding:
+    """``_pcg64_starts`` seeds every lane as ``default_rng`` seeds its
+    entropy, and ``_trial_starts`` seeds ``default_rng((seed, trial))``
+    for each trial, across blocks and word-count changes."""
+
+    @given(entropy)
+    def test_one_lane_matches_numpy(self, seed):
+        words = stabsim._entropy_words(seed)
+        assert stabsim._pcg64_starts(words, 1) == [numpy_start(seed)]
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3, stabsim._SEED_BLOCK + 1])
+    @pytest.mark.parametrize("width", [1, 4, 6])
+    def test_every_lane_matches_numpy(self, lanes, width):
+        rnd = random.Random(lanes * 10 + width)
+        rows = [[rnd.getrandbits(32) for _ in range(width)] for _ in range(lanes)]
+        # One 64-bit lane per row, as ``_pcg64_starts`` reads its columns.
+        columns = [int.from_bytes(array("Q", column), sys.byteorder) for column in zip(*rows)]
+        assert stabsim._pcg64_starts(columns, lanes) == [numpy_start(row) for row in rows]
+
+    @pytest.mark.parametrize("seed", [0, 7, (5, 2**32 + 7), 2**130])
+    def test_trial_starts_across_the_word_count_change(self, seed):
+        trials = range(2**32 - 3, 2**32 + 3)
+        assert list(stabsim._trial_starts(stabsim._entropy_words(seed), trials)) == [
+            numpy_start((seed, trial)) for trial in trials
+        ]
+
+    def test_trial_starts_across_blocks(self):
+        trials = range(stabsim._SEED_BLOCK + 2)
+        assert list(stabsim._trial_starts([9], trials)) == [
+            numpy_start((9, trial)) for trial in trials
+        ]
+
+    def test_estimate_across_blocks_matches_reference(self):
+        noise = NoiseModel(swap_depolarize_p=Fraction(1, 4))
+        trials = stabsim._SEED_BLOCK + 5
+        assert fidelity_estimate(
+            RELAY, noise, trials=trials, seed=3
+        ) == reference_fidelity_estimate(RELAY, noise, trials=trials, seed=3)
 
 
 class TestExactErrors:
