@@ -28,7 +28,13 @@ from itertools import chain
 from pathlib import Path
 
 from . import __version__
-from .errors import EbitflowError, InfeasibleTarget, NegativeTarget, ParseError
+from .errors import (
+    EbitflowError,
+    InfeasibleTarget,
+    NegativeTarget,
+    ParseError,
+    TooLarge,
+)
 from .netgraph import MILLI, _milli_text, as_fraction, load_network, min_cut
 
 # The names the handlers take from the other modules, by module. They are
@@ -124,7 +130,16 @@ def _price_text(price: Fraction | None) -> str:
 
 
 def _frac(value: Fraction) -> str:
-    return str(Fraction(value))
+    try:
+        return str(Fraction(value))
+    except ValueError as exc:
+        # Each input number is bounded (``netgraph._NUMBER_LIMIT``), but a
+        # sum of many figures with unlike denominators can still outgrow
+        # the digits Python writes of an int.
+        raise TooLarge(
+            "an exact figure has more digits than Python writes as text "
+            f"({sys.get_int_max_str_digits()})"
+        ) from exc
 
 
 def _flow_text(report: dict) -> str:
@@ -440,13 +455,6 @@ _COMMAND_MODULES = {
 }
 
 
-def _fraction_arg(text: str) -> Fraction:
-    try:
-        return as_fraction(text, "value")
-    except EbitflowError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing, usage errors
@@ -471,7 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--delta-default",
-        type=_fraction_arg,
         default=None,
         metavar="DELTA",
         help="generation error for edges without an explicit delta",
@@ -488,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
         if noise:
             p.add_argument(
                 "--noise-p",
-                type=_fraction_arg,
                 default=Fraction(0),
                 metavar="P",
                 help="two-qubit depolarizing probability at each swap",
@@ -639,6 +645,11 @@ def main(argv=None) -> int:
         parser.error("concat does not apply --delta-default")
     args.format = args.format or _default_format(args.command)
     try:
+        # Flag numbers are read here, so a bad one is invalid input (exit 3).
+        for name in ("delta_default", "noise_p"):
+            value = getattr(args, name, None)
+            if value is not None:
+                setattr(args, name, as_fraction(value, "--" + name.replace("_", "-")))
         args.input_bytes, digest = _read_input(args.input)
         for module in _COMMAND_MODULES[args.command]:
             _bind(module)

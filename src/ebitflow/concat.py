@@ -58,7 +58,6 @@ and the loader reports that as a ParseError.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
@@ -77,6 +76,8 @@ from .netgraph import (
     _load_json,
     _parse_flat,
     _parse_nodes,
+    _set,
+    _value_type,
     as_fraction,
     cost_to_milli,
     min_cut,
@@ -90,8 +91,7 @@ from .stabsim import (
 )
 from .yields import YieldFunction, parse_yield
 
-
-@dataclass(frozen=True)
+@_value_type
 class HierEdge:
     """Higher-level edge backed by a lower-level network plus distillation.
 
@@ -113,49 +113,62 @@ class HierEdge:
     b: NodeId
     lower: "HierarchicalNetwork"
     yield_fn: YieldFunction
-    unit_cost: int | None = None
-    distill_error: Fraction = Fraction(0)
-    lower_target: int | None = None
-    error_threshold: Fraction | None = None
+    unit_cost: int | None
+    distill_error: Fraction
+    lower_target: int | None
+    error_threshold: Fraction | None
 
-    def __post_init__(self) -> None:
-        a, b = self.a, self.b
+    def __init__(
+        self,
+        a: NodeId,
+        b: NodeId,
+        lower: "HierarchicalNetwork",
+        yield_fn: YieldFunction,
+        unit_cost: int | None = None,
+        distill_error: Fraction = Fraction(0),
+        lower_target: int | None = None,
+        error_threshold: Fraction | None = None,
+    ) -> None:
         if not isinstance(a, str) or not isinstance(b, str):
             raise ValidationError(f"edge endpoints must be strings, got {a!r} and {b!r}")
         if a == b:
             raise ValidationError(f"self-loop at node {a!r}")
         if a > b:
-            object.__setattr__(self, "a", b)
-            object.__setattr__(self, "b", a)
-        if {self.lower.clients[0], self.lower.clients[1]} != {self.a, self.b}:
+            a, b = b, a
+        if {lower.clients[0], lower.clients[1]} != {a, b}:
             raise ValidationError(
-                f"edge {self.key}: lower network clients {self.lower.clients} "
+                f"edge {(a, b)}: lower network clients {lower.clients} "
                 "do not coincide with the endpoints"
             )
-        object.__setattr__(
-            self, "distill_error", as_fraction(self.distill_error, "distill_error")
-        )
-        if not 0 <= self.distill_error <= 1:
-            raise ValidationError(f"edge {self.key}: distill_error outside [0, 1]")
+        distill_error = as_fraction(distill_error, "distill_error")
+        if not 0 <= distill_error <= 1:
+            raise ValidationError(f"edge {(a, b)}: distill_error outside [0, 1]")
         # A bool is an int, but True would also hash like 1 in the lower
         # solve key; reject it as netgraph.Edge does.
-        for name in ("unit_cost", "lower_target"):
-            value = getattr(self, name)
+        for name, value in (("unit_cost", unit_cost), ("lower_target", lower_target)):
             if value is not None and (
                 not isinstance(value, int) or isinstance(value, bool) or value < 0
             ):
                 raise ValidationError(
-                    f"edge {self.key}: {name} must be a non-negative integer"
+                    f"edge {(a, b)}: {name} must be a non-negative integer"
                 )
         # The flattened edge needs a finite capacity.
-        self.yield_fn.cap()
+        yield_fn.cap()
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "lower", lower)
+        _set(self, "yield_fn", yield_fn)
+        _set(self, "unit_cost", unit_cost)
+        _set(self, "distill_error", distill_error)
+        _set(self, "lower_target", lower_target)
+        _set(self, "error_threshold", error_threshold)
 
     @property
     def key(self) -> EdgeKey:
         return (self.a, self.b)
 
 
-@dataclass(frozen=True)
+@_value_type
 class HierarchicalNetwork:
     """A network whose edges are physical (level 0) or networks themselves.
 
@@ -167,46 +180,57 @@ class HierarchicalNetwork:
     nodes: tuple[NodeId, ...]
     edges: tuple[HierEdge, ...]
     clients: tuple[NodeId, NodeId]
-    base: NetworkGraph | None = None
+    base: NetworkGraph | None
 
-    def __post_init__(self) -> None:
-        if self.level == 0:
-            if self.base is None:
+    def __init__(
+        self,
+        level: int,
+        nodes: tuple[NodeId, ...],
+        edges: tuple[HierEdge, ...],
+        clients: tuple[NodeId, NodeId],
+        base: NetworkGraph | None = None,
+    ) -> None:
+        if level == 0:
+            if base is None:
                 raise ValidationError("level-0 network requires a base graph")
-            if self.edges:
+            if edges:
                 raise ValidationError("level-0 network cannot carry wrapped edges")
-            object.__setattr__(self, "nodes", self.base.nodes)
-            object.__setattr__(self, "clients", (self.base.source, self.base.sink))
-            return
-        if self.base is not None:
-            raise ValidationError("only level-0 networks carry a base graph")
-        # Labels are checked before they are sorted, which needs strings.
-        for n in self.nodes:
-            if not isinstance(n, str) or not n:
-                raise ValidationError(f"node labels must be non-empty strings: {n!r}")
-        nodes = tuple(sorted(self.nodes))
-        if len(set(nodes)) != len(nodes):
-            raise ValidationError("duplicate node labels")
-        edges = tuple(sorted(self.edges, key=lambda e: e.key))
-        keys = [e.key for e in edges]
-        if len(set(keys)) != len(keys):
-            raise ValidationError("duplicate edge between the same node pair")
-        node_set = set(nodes)
-        for e in edges:
-            if e.a not in node_set or e.b not in node_set:
-                raise ValidationError(f"edge {e.key} references an unknown node")
-            if e.lower.level != self.level - 1:
-                raise ValidationError(
-                    f"edge {e.key}: level-{self.level} edges must wrap "
-                    f"level-{self.level - 1} networks, got level {e.lower.level}"
-                )
-        src, snk = self.clients
-        if src not in node_set or snk not in node_set:
-            raise ValidationError("clients must be nodes of the network")
-        if src == snk:
-            raise ValidationError("client nodes must differ")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", edges)
+            nodes, clients = base.nodes, (base.source, base.sink)
+        else:
+            if base is not None:
+                raise ValidationError("only level-0 networks carry a base graph")
+            # Labels are checked before they are sorted, which needs strings.
+            for n in nodes:
+                if not isinstance(n, str) or not n:
+                    raise ValidationError(
+                        f"node labels must be non-empty strings: {n!r}"
+                    )
+            nodes = tuple(sorted(nodes))
+            if len(set(nodes)) != len(nodes):
+                raise ValidationError("duplicate node labels")
+            edges = tuple(sorted(edges, key=lambda e: e.key))
+            keys = [e.key for e in edges]
+            if len(set(keys)) != len(keys):
+                raise ValidationError("duplicate edge between the same node pair")
+            node_set = set(nodes)
+            for e in edges:
+                if e.a not in node_set or e.b not in node_set:
+                    raise ValidationError(f"edge {e.key} references an unknown node")
+                if e.lower.level != level - 1:
+                    raise ValidationError(
+                        f"edge {e.key}: level-{level} edges must wrap "
+                        f"level-{level - 1} networks, got level {e.lower.level}"
+                    )
+            src, snk = clients
+            if src not in node_set or snk not in node_set:
+                raise ValidationError("clients must be nodes of the network")
+            if src == snk:
+                raise ValidationError("client nodes must differ")
+        _set(self, "level", level)
+        _set(self, "nodes", nodes)
+        _set(self, "edges", edges)
+        _set(self, "clients", clients)
+        _set(self, "base", base)
 
     @classmethod
     def from_graph(cls, g: NetworkGraph) -> "HierarchicalNetwork":
@@ -246,16 +270,34 @@ class HierarchicalNetwork:
         return _resolve(self)
 
 
-@dataclass(frozen=True)
+@_value_type
 class _EdgeInfo:
+    """The solution of a wrapped edge's lower network and its generation
+    error budget."""
+
     lower_solution: FlowSolution
     lower_generation: Fraction
 
+    def __init__(
+        self, lower_solution: FlowSolution, lower_generation: Fraction
+    ) -> None:
+        _set(self, "lower_solution", lower_solution)
+        _set(self, "lower_generation", lower_generation)
 
-@dataclass(frozen=True)
+
+@_value_type
 class _Resolved:
+    """A hierarchy resolved once: each network's flattened graph and each
+    wrapped edge's lower solve."""
+
     flat: Mapping[int, NetworkGraph]  # id(network) -> flattened graph
     edges: Mapping[int, _EdgeInfo]  # id(edge) -> resolution
+
+    def __init__(
+        self, flat: Mapping[int, NetworkGraph], edges: Mapping[int, _EdgeInfo]
+    ) -> None:
+        _set(self, "flat", flat)
+        _set(self, "edges", edges)
 
 
 def _lower_key(lower_flat: NetworkGraph, lower_target: int | None) -> tuple:
@@ -343,9 +385,8 @@ def _resolve(net: HierarchicalNetwork) -> _Resolved:
             else:
                 sol = first.lower_solution
                 label = dict(zip(sol.graph.nodes, lower_flat.nodes))
-                info = replace(
-                    first,
-                    lower_solution=FlowSolution(
+                info = _EdgeInfo(
+                    FlowSolution(
                         graph=lower_flat,
                         arc_flow={
                             (label[a], label[b]): f for (a, b), f in sol.arc_flow.items()
@@ -353,6 +394,7 @@ def _resolve(net: HierarchicalNetwork) -> _Resolved:
                         net_flow=sol.net_flow,
                         total_cost=sol.total_cost,
                     ),
+                    first.lower_generation,
                 )
             infos[id(e)] = info
             theta = e.yield_fn.cap()
@@ -392,7 +434,7 @@ def effective_min_cut(net: HierarchicalNetwork) -> int:
     return min_cut(flatten(net))
 
 
-@dataclass(frozen=True)
+@_value_type
 class AggregateResult:
     """Planning outcome for one hierarchy level.
 
@@ -405,6 +447,16 @@ class AggregateResult:
     solution: FlowSolution
     budget: ErrorBudget
     flat: NetworkGraph
+
+    def __init__(
+        self,
+        solution: FlowSolution,
+        budget: ErrorBudget,
+        flat: NetworkGraph,
+    ) -> None:
+        _set(self, "solution", solution)
+        _set(self, "budget", budget)
+        _set(self, "flat", flat)
 
     @property
     def cost(self) -> int:
@@ -452,7 +504,7 @@ def aggregate_level(
     )
 
 
-@dataclass(frozen=True)
+@_value_type
 class LowerUsePlan:
     """How often one active edge's lower network must run, recursively.
 
@@ -468,6 +520,26 @@ class LowerUsePlan:
     total_uses: int
     lower_error: Fraction
     sub: tuple["LowerUsePlan", ...]
+
+    def __init__(
+        self,
+        edge: EdgeKey,
+        pairs: int,
+        uses: int,
+        per_use_target: int,
+        per_use_cost: int,
+        total_uses: int,
+        lower_error: Fraction,
+        sub: tuple["LowerUsePlan", ...],
+    ) -> None:
+        _set(self, "edge", edge)
+        _set(self, "pairs", pairs)
+        _set(self, "uses", uses)
+        _set(self, "per_use_target", per_use_target)
+        _set(self, "per_use_cost", per_use_cost)
+        _set(self, "total_uses", total_uses)
+        _set(self, "lower_error", lower_error)
+        _set(self, "sub", sub)
 
 
 def plan_lower_uses(

@@ -27,18 +27,25 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import InfeasibleTarget, InvariantViolation, MalformedFlow, NegativeTarget
-from .netgraph import EdgeKey, NetworkGraph, NodeId, _milli_text, edge_key
+from .netgraph import (
+    EdgeKey,
+    NetworkGraph,
+    NodeId,
+    _milli_text,
+    _set,
+    _value_type,
+    edge_key,
+)
 from .netgraph import min_cut  # noqa: F401  bench/tracing.py patches this name
 
 Arc = tuple[NodeId, NodeId]
 
 
-@dataclass(frozen=True)
+@_value_type
 class FlowSolution:
     """An integral flow on the induced digraph of ``graph``.
 
@@ -53,6 +60,18 @@ class FlowSolution:
     arc_flow: Mapping[Arc, int]
     net_flow: int
     total_cost: int
+
+    def __init__(
+        self,
+        graph: NetworkGraph,
+        arc_flow: Mapping[Arc, int],
+        net_flow: int,
+        total_cost: int,
+    ) -> None:
+        _set(self, "graph", graph)
+        _set(self, "arc_flow", arc_flow)
+        _set(self, "net_flow", net_flow)
+        _set(self, "total_cost", total_cost)
 
     @cached_property
     def undirected_flow(self) -> Mapping[EdgeKey, int]:

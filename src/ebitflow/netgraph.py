@@ -48,7 +48,6 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
@@ -68,6 +67,59 @@ _ZERO = Fraction(0)
 
 # Floats below this bound take the exact fast path of ``cost_to_milli``.
 _FAST_COST_LIMIT = 2**30
+
+# No number of a document or flag has a numerator or a denominator above
+# 10**_NUMBER_EXPONENT in magnitude. Every finite float fits (its parts
+# stay below 10**325), and a product of ten such numbers still stays
+# within the 4300 digits Python writes of an int, so reports can hold the
+# milli costs, totals and error budgets derived from them.
+_NUMBER_EXPONENT = 400
+_NUMBER_LIMIT = 10**_NUMBER_EXPONENT
+# The longest text of such a number: a sign, both parts and the slash.
+_NUMBER_TEXT = len(f"-{_NUMBER_LIMIT}/{_NUMBER_LIMIT}")
+
+
+# A value type's ``__init__`` sets each field through this, past the
+# ``__setattr__`` that ``_value_type`` makes refuse every assignment.
+_set = object.__setattr__
+
+
+def _value_type(cls):
+    """Class decorator: the value semantics of a frozen dataclass.
+
+    Over the fields annotated in the class body, in declaration order,
+    ``cls`` gets ``==`` (same class and equal field tuples), a ``hash`` of
+    the field tuple, the repr ``QualName(field=value, ...)``, and an
+    ``AttributeError`` on every assignment or deletion. The class writes
+    its own ``__init__``, which sets each field with ``_set``.
+    """
+    names = tuple(cls.__annotations__)
+    values = attrgetter(*names)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    cls.__eq__ = __eq__
+    cls.__hash__ = __hash__
+    cls.__repr__ = __repr__
+    cls.__setattr__ = __setattr__
+    cls.__delattr__ = __delattr__
+    return cls
 
 
 def _milli_text(milli: int) -> str:
@@ -93,33 +145,62 @@ def as_fraction(value: object, what: str = "value") -> Fraction:
 
     Floats are interpreted through their decimal representation, so the
     ``0.001`` a user writes in a file means exactly 1/1000. Infinities and
-    NaN are rejected.
+    NaN are rejected, and so is an int or text whose numerator or
+    denominator exceeds ``_NUMBER_LIMIT``, with a ParseError.
     """
     if type(value) is Fraction:
         return value
     if isinstance(value, bool):
         raise ParseError(f"{what}: expected a number, got a boolean")
     if isinstance(value, int):
-        return Fraction(value)
+        if -_NUMBER_LIMIT <= value <= _NUMBER_LIMIT:
+            return Fraction(value)
+        raise _too_large(what)
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ParseError(f"{what}: not a finite number: {value!r}")
         return Fraction(str(value))
     if isinstance(value, str):
+        # Fraction builds 10**decimals and 10**exponent. Past these bounds
+        # no value but zero fits, so the text is refused before either.
+        size = len(value)
+        if size > _NUMBER_TEXT or _exponent(value) > _NUMBER_EXPONENT + size:
+            raise _too_large(what)
         try:
-            return Fraction(value)
+            frac = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"{what}: not a valid rational: {value!r}") from exc
+        if abs(frac.numerator) > _NUMBER_LIMIT or frac.denominator > _NUMBER_LIMIT:
+            raise _too_large(what)
+        return frac
     if isinstance(value, Fraction):
         return value
     raise ParseError(f"{what}: expected a number, got {type(value).__name__}")
+
+
+def _exponent(text: str) -> int:
+    """The magnitude of the decimal exponent of a number written as text,
+    or 0 when it has none that parses."""
+    _, mark, exponent = text.lower().partition("e")
+    try:
+        return abs(int(exponent)) if mark else 0
+    except ValueError:
+        return 0
+
+
+def _too_large(what: str) -> ParseError:
+    return ParseError(
+        f"{what}: the numerator and denominator of a number may not exceed "
+        f"10**{_NUMBER_EXPONENT}"
+    )
 
 
 def cost_to_milli(value: object, what: str = "cost") -> int:
     """Convert a cost in cost units to integer milli-units, exactly or not at all.
 
     A float means the decimal it prints as, as in ``as_fraction``; its exact
-    ratio comes from that decimal without building a Fraction.
+    ratio comes from that decimal without building a Fraction. Other values
+    share the number limit of ``as_fraction``.
     """
     # Below 2**30 a whole milli amount m has at most 13 significant digits,
     # and two decimals of at most 15 never round to the same double: if
@@ -129,6 +210,8 @@ def cost_to_milli(value: object, what: str = "cost") -> int:
         if milli / MILLI == value:
             return milli
     if isinstance(value, int) and not isinstance(value, bool):
+        if not -_NUMBER_LIMIT <= value <= _NUMBER_LIMIT:
+            raise _too_large(what)
         milli = value * MILLI
     else:
         if isinstance(value, float) and math.isfinite(value):
@@ -146,7 +229,7 @@ def cost_to_milli(value: object, what: str = "cost") -> int:
     return milli
 
 
-@dataclass(frozen=True)
+@_value_type
 class Edge:
     """Undirected network edge.
 
@@ -163,50 +246,57 @@ class Edge:
     b: NodeId
     capacity: int
     unit_cost: int
-    gen_error: Fraction = _ZERO
-    max_uses: int | None = None
+    gen_error: Fraction
+    max_uses: int | None
 
-    def __post_init__(self) -> None:
-        a, b = self.a, self.b
+    def __init__(
+        self,
+        a: NodeId,
+        b: NodeId,
+        capacity: int,
+        unit_cost: int,
+        gen_error: Fraction = _ZERO,
+        max_uses: int | None = None,
+    ) -> None:
         if not isinstance(a, str) or not isinstance(b, str):
             raise ValidationError(f"edge endpoints must be strings, got {a!r} and {b!r}")
         if a == b:
             raise ValidationError(f"self-loop at node {a!r}")
         if a > b:
-            object.__setattr__(self, "a", b)
-            object.__setattr__(self, "b", a)
+            a, b = b, a
         # Each integer check tries the exact type first; the isinstance
         # fallback accepts subclasses and rejects bools.
-        capacity = self.capacity
         if type(capacity) is not int and (
             not isinstance(capacity, int) or isinstance(capacity, bool)
         ):
-            raise ValidationError(f"edge {self.key}: capacity must be an integer")
+            raise ValidationError(f"edge {(a, b)}: capacity must be an integer")
         if capacity < 0:
-            raise ValidationError(f"edge {self.key}: negative capacity")
-        unit_cost = self.unit_cost
+            raise ValidationError(f"edge {(a, b)}: negative capacity")
         if type(unit_cost) is not int and (
             not isinstance(unit_cost, int) or isinstance(unit_cost, bool)
         ):
-            raise ValidationError(f"edge {self.key}: unit_cost must be an integer")
+            raise ValidationError(f"edge {(a, b)}: unit_cost must be an integer")
         if unit_cost < 0:
-            raise ValidationError(f"edge {self.key}: negative unit_cost")
-        gen_error = self.gen_error
+            raise ValidationError(f"edge {(a, b)}: negative unit_cost")
         if gen_error is not _ZERO:
             if type(gen_error) is not Fraction and not isinstance(gen_error, Fraction):
                 gen_error = as_fraction(gen_error)
-                object.__setattr__(self, "gen_error", gen_error)
             # 0 <= p/q <= 1 with q > 0, compared as ints rather than Fractions.
             if not 0 <= gen_error.numerator <= gen_error.denominator:
-                raise ValidationError(f"edge {self.key}: gen_error outside [0, 1]")
-        max_uses = self.max_uses
+                raise ValidationError(f"edge {(a, b)}: gen_error outside [0, 1]")
         if max_uses is not None:
             if type(max_uses) is not int and (
                 not isinstance(max_uses, int) or isinstance(max_uses, bool)
             ):
-                raise ValidationError(f"edge {self.key}: max_uses must be an integer")
+                raise ValidationError(f"edge {(a, b)}: max_uses must be an integer")
             if max_uses < 1:
-                raise ValidationError(f"edge {self.key}: max_uses must be positive")
+                raise ValidationError(f"edge {(a, b)}: max_uses must be positive")
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "capacity", capacity)
+        _set(self, "unit_cost", unit_cost)
+        _set(self, "gen_error", gen_error)
+        _set(self, "max_uses", max_uses)
 
     @property
     def key(self) -> EdgeKey:
@@ -225,12 +315,12 @@ _edge_key_of = attrgetter("a", "b")
 
 
 def _trusted_edge(a, b, capacity, unit_cost, gen_error, max_uses) -> Edge:
-    """The Edge of values that already pass every check of ``__post_init__``,
+    """The Edge of values that already pass every check of ``Edge``,
     built without running those checks again."""
     if a > b:
         a, b = b, a
     edge = object.__new__(Edge)
-    object.__setattr__(
+    _set(
         edge,
         "__dict__",
         {
@@ -245,7 +335,7 @@ def _trusted_edge(a, b, capacity, unit_cost, gen_error, max_uses) -> Edge:
     return edge
 
 
-@dataclass(frozen=True)
+@_value_type
 class NetworkGraph:
     """Immutable network with a designated client pair.
 
@@ -258,29 +348,37 @@ class NetworkGraph:
     source: NodeId
     sink: NodeId
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        nodes: tuple[NodeId, ...],
+        edges: tuple[Edge, ...],
+        source: NodeId,
+        sink: NodeId,
+    ) -> None:
         # Labels are checked before they are sorted, which needs strings.
-        for n in self.nodes:
+        for n in nodes:
             if not isinstance(n, str) or not n:
                 raise ValidationError(f"node labels must be non-empty strings: {n!r}")
-        nodes = tuple(sorted(self.nodes))
+        nodes = tuple(sorted(nodes))
         if len(set(nodes)) != len(nodes):
             raise ValidationError("duplicate node labels")
-        edges = tuple(sorted(self.edges, key=_edge_key_of))
+        edges = tuple(sorted(edges, key=_edge_key_of))
         if len(set(map(_edge_key_of, edges))) != len(edges):
             raise ValidationError("duplicate edge between the same node pair")
         node_set = set(nodes)
         for e in edges:
             if e.a not in node_set or e.b not in node_set:
                 raise ValidationError(f"edge {e.key} references an unknown node")
-        if self.source not in node_set:
-            raise ValidationError(f"unknown source node {self.source!r}")
-        if self.sink not in node_set:
-            raise ValidationError(f"unknown sink node {self.sink!r}")
-        if self.source == self.sink:
+        if source not in node_set:
+            raise ValidationError(f"unknown source node {source!r}")
+        if sink not in node_set:
+            raise ValidationError(f"unknown sink node {sink!r}")
+        if source == sink:
             raise ValidationError("source and sink must differ")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", edges)
+        _set(self, "nodes", nodes)
+        _set(self, "edges", edges)
+        _set(self, "source", source)
+        _set(self, "sink", sink)
 
     @cached_property
     def edge_map(self) -> Mapping[EdgeKey, Edge]:
@@ -309,13 +407,23 @@ class NetworkGraph:
         return cls(tuple(sorted(nodes)), tuple(built), source, sink)
 
 
-@dataclass(frozen=True)
+@_value_type
 class NetworkDocument:
     """A parsed network file: the graph plus raw per-edge annotations."""
 
     graph: NetworkGraph
     channels: Mapping[EdgeKey, Mapping[str, object]]
-    yields: Mapping[EdgeKey, Mapping[str, object]] = field(default_factory=dict)
+    yields: Mapping[EdgeKey, Mapping[str, object]]
+
+    def __init__(
+        self,
+        graph: NetworkGraph,
+        channels: Mapping[EdgeKey, Mapping[str, object]],
+        yields: Mapping[EdgeKey, Mapping[str, object]] | None = None,
+    ) -> None:
+        _set(self, "graph", graph)
+        _set(self, "channels", channels)
+        _set(self, "yields", {} if yields is None else yields)
 
 
 def _converted(memo: dict, convert, value: object, index: int, name: str):

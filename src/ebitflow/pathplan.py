@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 
 from .errors import (
     InvariantViolation,
@@ -27,24 +26,26 @@ from .errors import (
     YieldShortfall,
 )
 from .mincostflow import FlowSolution, validate_flow
-from .netgraph import EdgeKey, NetworkGraph, NodeId, edge_key
+from .netgraph import EdgeKey, NetworkGraph, NodeId, _set, _value_type, edge_key
 from .yields import YieldFunction
 
 
-@dataclass(frozen=True)
+@_value_type
 class PathBundle:
     """A simple source-sink path carried ``multiplicity`` times."""
 
     path: tuple[NodeId, ...]
     multiplicity: int
 
-    def __post_init__(self) -> None:
-        if len(self.path) < 2:
+    def __init__(self, path: tuple[NodeId, ...], multiplicity: int) -> None:
+        if len(path) < 2:
             raise ValidationError("a path needs at least two nodes")
-        if len(set(self.path)) != len(self.path):
+        if len(set(path)) != len(path):
             raise ValidationError("paths must be simple")
-        if self.multiplicity < 1:
+        if multiplicity < 1:
             raise ValidationError("multiplicity must be positive")
+        _set(self, "path", path)
+        _set(self, "multiplicity", multiplicity)
 
     @property
     def hops(self) -> int:
@@ -127,7 +128,7 @@ def _fewest_hops_lexicographic(
     return path
 
 
-@dataclass(frozen=True)
+@_value_type
 class ChannelUsePlan:
     """Channel uses per edge realizing a flow under given yield functions.
 
@@ -138,6 +139,14 @@ class ChannelUsePlan:
 
     uses: Mapping[EdgeKey, int]
     achieved: Mapping[EdgeKey, int]
+
+    def __init__(
+        self,
+        uses: Mapping[EdgeKey, int],
+        achieved: Mapping[EdgeKey, int],
+    ) -> None:
+        _set(self, "uses", uses)
+        _set(self, "achieved", achieved)
 
 
 def plan_channel_uses(
@@ -178,7 +187,7 @@ def plan_channel_uses(
     return ChannelUsePlan(uses=uses, achieved=achieved)
 
 
-@dataclass(frozen=True)
+@_value_type
 class CreateBellPair:
     """Create one Bell pair on an edge; one qubit per endpoint."""
 
@@ -188,12 +197,26 @@ class CreateBellPair:
     qubit_right: int
     copy: int
 
+    def __init__(
+        self,
+        node_left: NodeId,
+        node_right: NodeId,
+        qubit_left: int,
+        qubit_right: int,
+        copy: int,
+    ) -> None:
+        _set(self, "node_left", node_left)
+        _set(self, "node_right", node_right)
+        _set(self, "qubit_left", qubit_left)
+        _set(self, "qubit_right", qubit_right)
+        _set(self, "copy", copy)
+
     @property
     def edge(self) -> EdgeKey:
         return edge_key(self.node_left, self.node_right)
 
 
-@dataclass(frozen=True)
+@_value_type
 class BellMeasure:
     """Bell-basis measurement of two co-located qubits at a repeater."""
 
@@ -202,8 +225,20 @@ class BellMeasure:
     qubit_right: int
     index: int
 
+    def __init__(
+        self,
+        node: NodeId,
+        qubit_left: int,
+        qubit_right: int,
+        index: int,
+    ) -> None:
+        _set(self, "node", node)
+        _set(self, "qubit_left", qubit_left)
+        _set(self, "qubit_right", qubit_right)
+        _set(self, "index", index)
 
-@dataclass(frozen=True)
+
+@_value_type
 class PauliCorrect:
     """Apply the Pauli frame accumulated from earlier measurements.
 
@@ -215,8 +250,13 @@ class PauliCorrect:
     qubit: int
     sources: tuple[int, ...]
 
+    def __init__(self, node: NodeId, qubit: int, sources: tuple[int, ...]) -> None:
+        _set(self, "node", node)
+        _set(self, "qubit", qubit)
+        _set(self, "sources", sources)
 
-@dataclass(frozen=True)
+
+@_value_type
 class Delivery:
     """End-to-end pair held by the clients once a path copy completes."""
 
@@ -224,11 +264,16 @@ class Delivery:
     source_qubit: int
     sink_qubit: int
 
+    def __init__(self, copy: int, source_qubit: int, sink_qubit: int) -> None:
+        _set(self, "copy", copy)
+        _set(self, "source_qubit", source_qubit)
+        _set(self, "sink_qubit", sink_qubit)
+
 
 Instruction = CreateBellPair | BellMeasure | PauliCorrect
 
 
-@dataclass(frozen=True)
+@_value_type
 class SwapSchedule:
     """A full swapping program plus enough metadata to check its output.
 
@@ -241,6 +286,16 @@ class SwapSchedule:
     instructions: tuple[Instruction, ...]
     deliveries: tuple[Delivery, ...]
     qubit_nodes: tuple[NodeId, ...]
+
+    def __init__(
+        self,
+        instructions: tuple[Instruction, ...],
+        deliveries: tuple[Delivery, ...],
+        qubit_nodes: tuple[NodeId, ...],
+    ) -> None:
+        _set(self, "instructions", instructions)
+        _set(self, "deliveries", deliveries)
+        _set(self, "qubit_nodes", qubit_nodes)
 
     @property
     def n_qubits(self) -> int:

@@ -9,14 +9,20 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MissingModel, ParseError, ValidationError
-from .netgraph import EdgeKey, NetworkGraph, as_fraction, undirected_max_flow
+from .netgraph import (
+    EdgeKey,
+    NetworkGraph,
+    _set,
+    _value_type,
+    as_fraction,
+    undirected_max_flow,
+)
 
 
-@dataclass(frozen=True)
+@_value_type
 class ChannelModel:
     """A physical channel: capacity model plus use rate.
 
@@ -25,11 +31,21 @@ class ChannelModel:
     """
 
     kind: str
-    q: Fraction | None = None
-    eta: Fraction | None = None
-    use_rate: Fraction = Fraction(1)
+    q: Fraction | None
+    eta: Fraction | None
+    use_rate: Fraction
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        kind: str,
+        q: Fraction | None = None,
+        eta: Fraction | None = None,
+        use_rate: Fraction = Fraction(1),
+    ) -> None:
+        _set(self, "kind", kind)
+        _set(self, "q", q)
+        _set(self, "eta", eta)
+        _set(self, "use_rate", use_rate)
         if self.kind not in ("explicit", "pure-loss"):
             raise ValidationError(f"unknown channel kind {self.kind!r}")
         if self.kind == "explicit":

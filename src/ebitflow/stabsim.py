@@ -71,13 +71,11 @@ import operator
 import sys
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import NamedTuple
 
 from .errors import InvariantViolation, ScheduleViolation, TooLarge, ValidationError
-from .netgraph import EdgeKey, NetworkGraph, as_fraction
+from .netgraph import EdgeKey, NetworkGraph, _set, _value_type, as_fraction
 from .pathplan import (
     BellMeasure,
     CreateBellPair,
@@ -265,7 +263,7 @@ class _Tableau:
         return 1 - 2 * sign, anti
 
 
-@dataclass(frozen=True)
+@_value_type
 class NoiseModel:
     """Pauli noise parameters for schedule execution.
 
@@ -276,21 +274,26 @@ class NoiseModel:
             a uniformly random Bell state.
     """
 
-    swap_depolarize_p: Fraction = Fraction(0)
-    pair_error: Mapping[EdgeKey, Fraction] = field(default_factory=dict)
+    swap_depolarize_p: Fraction
+    pair_error: Mapping[EdgeKey, Fraction]
 
-    def __post_init__(self) -> None:
-        p = as_fraction(self.swap_depolarize_p, "swap_depolarize_p")
+    def __init__(
+        self,
+        swap_depolarize_p: Fraction = Fraction(0),
+        pair_error: Mapping[EdgeKey, Fraction] | None = None,
+    ) -> None:
+        p = as_fraction(swap_depolarize_p, "swap_depolarize_p")
         if not 0 <= p <= 1:
             raise ValidationError("swap_depolarize_p outside [0, 1]")
-        object.__setattr__(self, "swap_depolarize_p", p)
+        # Always a fresh dict, the caller's own mapping is never kept.
         cleaned = {}
-        for key, q in dict(self.pair_error).items():
+        for key, q in dict(pair_error or {}).items():
             qf = as_fraction(q, f"pair_error[{key}]")
             if not 0 <= qf <= 1:
                 raise ValidationError(f"pair_error[{key}] outside [0, 1]")
             cleaned[key] = qf
-        object.__setattr__(self, "pair_error", cleaned)
+        _set(self, "swap_depolarize_p", p)
+        _set(self, "pair_error", cleaned)
 
     @classmethod
     def zero(cls) -> "NoiseModel":
@@ -318,7 +321,7 @@ class NoiseModel:
         return cls(swap_depolarize_p=swap_depolarize_p, pair_error=pair_error)
 
 
-@dataclass(frozen=True)
+@_value_type
 class PairOutcome:
     """Stabilizer check of one delivered pair."""
 
@@ -328,18 +331,42 @@ class PairOutcome:
     xx_sign: int
     zz_sign: int
 
+    def __init__(
+        self,
+        copy: int,
+        source_qubit: int,
+        sink_qubit: int,
+        xx_sign: int,
+        zz_sign: int,
+    ) -> None:
+        _set(self, "copy", copy)
+        _set(self, "source_qubit", source_qubit)
+        _set(self, "sink_qubit", sink_qubit)
+        _set(self, "xx_sign", xx_sign)
+        _set(self, "zz_sign", zz_sign)
+
     @property
     def passed(self) -> bool:
         return self.xx_sign == 1 and self.zz_sign == 1
 
 
-@dataclass(frozen=True)
+@_value_type
 class RunResult:
     """One execution of a schedule: outcomes, corrections, delivered pairs."""
 
     outcomes: tuple[tuple[int, int], ...]
     corrections: tuple[tuple[int, str], ...]
     pairs: tuple[PairOutcome, ...]
+
+    def __init__(
+        self,
+        outcomes: tuple[tuple[int, int], ...],
+        corrections: tuple[tuple[int, str], ...],
+        pairs: tuple[PairOutcome, ...],
+    ) -> None:
+        _set(self, "outcomes", outcomes)
+        _set(self, "corrections", corrections)
+        _set(self, "pairs", pairs)
 
     @property
     def all_passed(self) -> bool:
@@ -432,7 +459,8 @@ def _layout(sched: SwapSchedule) -> tuple[dict[int, tuple[int, int]], list[int]]
     return layout, sizes
 
 
-class _Plan(NamedTuple):
+@_value_type
+class _Plan:
     """The frame plan of a schedule (see the module docstring).
 
     The draws set GF(2) variables, numbered in draw order: two per noisy
@@ -461,6 +489,12 @@ class _Plan(NamedTuple):
     outcomes: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
     fixes: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
     checks: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+
+    def __init__(self, steps, outcomes, fixes, checks) -> None:
+        _set(self, "steps", steps)
+        _set(self, "outcomes", outcomes)
+        _set(self, "fixes", fixes)
+        _set(self, "checks", checks)
 
 
 def _plan(sched: SwapSchedule, noise: NoiseModel) -> _Plan:
@@ -877,8 +911,11 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[f
     return (max(0.0, min(center - half, p)), min(1.0, max(center + half, p)))
 
 
-@dataclass(frozen=True)
+@_value_type
 class PairStats:
+    """Pass count of one delivered pair over the trials, with its Wilson
+    score interval."""
+
     copy: int
     passes: int
     trials: int
@@ -886,14 +923,40 @@ class PairStats:
     wilson_low: float
     wilson_high: float
 
+    def __init__(
+        self,
+        copy: int,
+        passes: int,
+        trials: int,
+        estimate: float,
+        wilson_low: float,
+        wilson_high: float,
+    ) -> None:
+        _set(self, "copy", copy)
+        _set(self, "passes", passes)
+        _set(self, "trials", trials)
+        _set(self, "estimate", estimate)
+        _set(self, "wilson_low", wilson_low)
+        _set(self, "wilson_high", wilson_high)
 
-@dataclass(frozen=True)
+
+@_value_type
 class FidelityEstimate:
     """Monte-Carlo estimate of per-pair stabilizer-check pass rates."""
 
     trials: int
     pairs: tuple[PairStats, ...]
     all_pass_count: int
+
+    def __init__(
+        self,
+        trials: int,
+        pairs: tuple[PairStats, ...],
+        all_pass_count: int,
+    ) -> None:
+        _set(self, "trials", trials)
+        _set(self, "pairs", pairs)
+        _set(self, "all_pass_count", all_pass_count)
 
     @property
     def all_pass_rate(self) -> float:
@@ -1075,7 +1138,7 @@ def generation_error_budget(g: NetworkGraph, active: Iterable[EdgeKey]) -> Fract
     return total
 
 
-@dataclass(frozen=True)
+@_value_type
 class ErrorBudget:
     """Additive end-to-end error bound: generation plus operation error.
 
@@ -1087,6 +1150,10 @@ class ErrorBudget:
 
     generation: Fraction
     operation: Fraction
+
+    def __init__(self, generation: Fraction, operation: Fraction) -> None:
+        _set(self, "generation", generation)
+        _set(self, "operation", operation)
 
     @property
     def total(self) -> Fraction:

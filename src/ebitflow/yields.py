@@ -13,16 +13,15 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError, ValidationError, YieldShortfall
-from .netgraph import as_fraction
+from .netgraph import _set, _value_type, as_fraction
 
 _KINDS = ("identity", "linear-floor", "table")
 
 
-@dataclass(frozen=True)
+@_value_type
 class YieldFunction:
     """Monotone map from channel uses to delivered Bell pairs.
 
@@ -34,28 +33,31 @@ class YieldFunction:
     """
 
     kind: str
-    rate: Fraction | None = None
-    points: tuple[tuple[int, int], ...] | None = None
-    max_uses: int | None = None
+    rate: Fraction | None
+    points: tuple[tuple[int, int], ...] | None
+    max_uses: int | None
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValidationError(f"unknown yield kind {self.kind!r}")
-        if self.max_uses is not None and (
-            not isinstance(self.max_uses, int) or self.max_uses < 0
-        ):
+    def __init__(
+        self,
+        kind: str,
+        rate: Fraction | None = None,
+        points: tuple[tuple[int, int], ...] | None = None,
+        max_uses: int | None = None,
+    ) -> None:
+        if kind not in _KINDS:
+            raise ValidationError(f"unknown yield kind {kind!r}")
+        if max_uses is not None and (not isinstance(max_uses, int) or max_uses < 0):
             raise ValidationError("max_uses must be a non-negative integer")
-        if self.kind == "linear-floor":
-            if self.rate is None or self.rate <= 0:
+        if kind == "linear-floor":
+            if rate is None or rate <= 0:
                 raise ValidationError("linear-floor requires a positive rate")
-        elif self.rate is not None:
-            raise ValidationError(f"{self.kind} yield takes no rate")
-        if self.kind == "table":
-            pts = self.points
-            if not pts:
+        elif rate is not None:
+            raise ValidationError(f"{kind} yield takes no rate")
+        if kind == "table":
+            if not points:
                 raise ValidationError("table yield requires at least one point")
             last_m, last_y = 0, 0
-            for m, y in pts:
+            for m, y in points:
                 if m < 1:
                     raise ValidationError("table uses must be positive")
                 if m <= last_m:
@@ -63,8 +65,12 @@ class YieldFunction:
                 if y < last_y:
                     raise ValidationError("table pairs must be non-decreasing")
                 last_m, last_y = m, y
-        elif self.points is not None:
-            raise ValidationError(f"{self.kind} yield takes no points")
+        elif points is not None:
+            raise ValidationError(f"{kind} yield takes no points")
+        _set(self, "kind", kind)
+        _set(self, "rate", rate)
+        _set(self, "points", points)
+        _set(self, "max_uses", max_uses)
 
     @classmethod
     def identity(cls, max_uses: int | None = None) -> "YieldFunction":

@@ -16,9 +16,11 @@ resolve that shares solves between relabelled copies must reproduce, and
 its earlier document parsers, whose Fraction-based cost conversion and
 per-entry field dicts the lean parsers must reproduce value for value and
 error for error, and the checks of ``Edge`` before their exact-type fast
-paths.
+paths, and the frozen dataclasses the package's value types were, whose
+repr, equality, hashing and defaults those types must keep.
 """
 
+import dataclasses
 import heapq
 import math
 from fractions import Fraction
@@ -1100,3 +1102,38 @@ def reference_parse_hierarchical(doc: Mapping) -> HierarchicalNetwork:
         edges=tuple(hier_edges),
         clients=(source, sink),
     )
+
+
+# The defaults of every value type that has any, as its frozen dataclass
+# declared them: a value, or ``dict`` for ``field(default_factory=dict)``.
+VALUE_TYPE_DEFAULTS = {
+    "Edge": {"gen_error": Fraction(0), "max_uses": None},
+    "NetworkDocument": {"yields": dict},
+    "YieldFunction": {"rate": None, "points": None, "max_uses": None},
+    "ChannelModel": {"q": None, "eta": None, "use_rate": Fraction(1)},
+    "NoiseModel": {"swap_depolarize_p": Fraction(0), "pair_error": dict},
+    "HierEdge": {
+        "unit_cost": None,
+        "distill_error": Fraction(0),
+        "lower_target": None,
+        "error_threshold": None,
+    },
+    "HierarchicalNetwork": {"base": None},
+}
+
+
+def dataclass_twin(cls: type) -> type:
+    """The frozen dataclass that ``cls`` was: same name, qualified name,
+    fields in the same order and defaults, and no checks."""
+    defaults = VALUE_TYPE_DEFAULTS.get(cls.__name__, {})
+    fields = []
+    for name in cls.__annotations__:
+        if name not in defaults:
+            fields.append((name, object))
+        elif defaults[name] is dict:
+            fields.append((name, object, dataclasses.field(default_factory=dict)))
+        else:
+            fields.append((name, object, dataclasses.field(default=defaults[name])))
+    twin = dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
+    twin.__qualname__ = cls.__qualname__
+    return twin

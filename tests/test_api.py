@@ -3,14 +3,18 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import ebitflow
+from ebitflow import ValidationError
+from oracles import VALUE_TYPE_DEFAULTS, dataclass_twin
 
 SRC = Path(ebitflow.__file__).parent
 
@@ -251,3 +255,224 @@ def test_tracer_targets_resolve(monkeypatch):
     ]
     assert tracing.TARGETS
     assert missing == []
+
+
+def test_no_dataclasses_typing_exec_or_compile_in_src():
+    """Value types come from ``netgraph._value_type`` alone: no module
+    imports ``dataclasses`` or ``typing`` (each costs every CLI process its
+    import), and none calls the builtins ``exec`` or ``compile``."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                modules = [node.func.id] if node.func.id in {"exec", "compile"} else []
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {m}"
+                for m in modules
+                if m in {"dataclasses", "typing", "exec", "compile"}
+            ]
+    assert found == []
+
+
+def value_type_names() -> list[str]:
+    """Every class in ``src/`` that declares fields, which must be exactly
+    the classes decorated with ``_value_type``; ``module.Class`` each."""
+    names, undecorated = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            decorated = any(
+                isinstance(d, ast.Name) and d.id == "_value_type"
+                for d in node.decorator_list
+            )
+            fields = any(isinstance(item, ast.AnnAssign) for item in node.body)
+            if decorated:
+                names.append(f"{path.stem}.{node.name}")
+            elif fields:
+                undecorated.append(node.name)
+    assert undecorated == []
+    return names
+
+
+RELAY_DOC = {
+    "nodes": ["s", "r", "t"],
+    "edges": [
+        {"a": "s", "b": "r", "capacity": 2, "cost": 1, "delta": 0.01},
+        {"a": "r", "b": "t", "capacity": 2, "cost": 2, "delta": "1/50"},
+    ],
+    "source": "s",
+    "sink": "t",
+}
+
+HIER_DOC = {
+    "nodes": ["A", "B", "C"],
+    "source": "A",
+    "sink": "C",
+    "edges": [
+        {
+            "a": a,
+            "b": b,
+            "lower": {
+                "network": {
+                    "nodes": [a, "m", b],
+                    "edges": [
+                        {"a": a, "b": "m", "capacity": 4, "cost": 1, "delta": 0.01},
+                        {"a": "m", "b": b, "capacity": 4, "cost": 1},
+                    ],
+                    "source": a,
+                    "sink": b,
+                },
+                "yield": {"kind": "linear-floor", "rate": "1/2"},
+                "max_uses": 8,
+                "delta_target": 0.01,
+                "target": 2,
+            },
+        }
+        for a, b in (("A", "B"), ("B", "C"))
+    ],
+}
+
+
+def value_samples() -> list:
+    """Instances of every value type, as the package builds them."""
+    from ebitflow import (
+        ErrorBudget,
+        NoiseModel,
+        YieldFunction,
+        aggregate_level,
+        build_swap_schedule,
+        decompose_flow,
+        fidelity_estimate,
+        min_cost_flow,
+        parse_channel,
+        parse_document,
+        parse_hierarchical,
+        plan_channel_uses,
+        plan_lower_uses,
+        run_schedule,
+    )
+    from ebitflow.stabsim import _plan
+
+    docu = parse_document(RELAY_DOC)
+    g = docu.graph
+    one = parse_document({**RELAY_DOC, "edges": RELAY_DOC["edges"][:1], "sink": "r"})
+    sols = [min_cost_flow(g, 2), min_cost_flow(g, 1)]
+    bundles = [b for sol in sols for b in decompose_flow(sol)]
+    scheds = [build_swap_schedule(decompose_flow(sol)) for sol in sols]
+    noise = NoiseModel.from_graph(g, swap_depolarize_p="1/10")
+    runs = [run_schedule(scheds[0], noise, seed=seed) for seed in (1, 2)]
+    ests = [fidelity_estimate(scheds[0], noise, trials=4, seed=s) for s in (1, 2)]
+    net = parse_hierarchical(HIER_DOC)
+    aggs = [aggregate_level(net, 1), aggregate_level(net, 2)]
+    return [
+        *g.edges,
+        g,
+        one.graph,
+        docu,
+        one,
+        *sols,
+        *bundles,
+        *(plan_channel_uses(g, sol) for sol in sols),
+        *scheds[0].instructions,
+        *scheds[0].deliveries,
+        *scheds,
+        YieldFunction.identity(3),
+        YieldFunction.linear_floor("1/2", 8),
+        YieldFunction.table([(1, 1), (3, 2)]),
+        parse_channel({"kind": "explicit", "Q": 2, "rate": 1}),
+        parse_channel({"kind": "pure-loss", "eta": 0.5, "rate": "1/2"}),
+        noise,
+        NoiseModel(),
+        *runs,
+        *runs[0].pairs,
+        *(_plan(sched, noise) for sched in scheds),
+        *ests,
+        *ests[0].pairs,
+        *(agg.budget for agg in aggs),
+        ErrorBudget(generation=Fraction(1, 3), operation=Fraction(0)),
+        *net.edges,
+        net,
+        net.edges[0].lower,
+        net._resolved,
+        *net._resolved.edges.values(),
+        *aggs,
+        *plan_lower_uses(net, aggs[1].solution),
+    ]
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type of the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001  the type is the outcome
+        return type(exc)
+
+
+def fields_of(value) -> dict:
+    return {name: getattr(value, name) for name in type(value).__annotations__}
+
+
+def test_value_types_behave_as_their_dataclass_twins():
+    samples = value_samples()
+    classes = {type(v) for v in samples}
+    assert sorted(f"{c.__module__.split('.')[-1]}.{c.__name__}" for c in classes) == sorted(
+        value_type_names()
+    )
+    twins = {cls: dataclass_twin(cls) for cls in classes}
+    by_class: dict[type, list] = {}
+    for value in samples:
+        by_class.setdefault(type(value), []).append(value)
+    for cls, values in by_class.items():
+        twin = twins[cls]
+        names = list(cls.__annotations__)
+        assert list(inspect.signature(cls).parameters) == names, cls
+        copies = [cls(**fields_of(v)) for v in values]
+        for x in values + copies:
+            tx = twin(**fields_of(x))
+            assert repr(x) == repr(tx)
+            assert outcome(hash, x) == outcome(hash, tx)
+            for y in values + copies:
+                ty = twin(**fields_of(y))
+                assert (x == y) == (tx == ty)
+                assert (x != y) == (tx != ty)
+            for name in names + ["not_a_field"]:
+                with pytest.raises(AttributeError):
+                    setattr(x, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(x, name)
+        for x, copy in zip(values, copies):
+            assert x is not copy and x == copy
+            assert outcome(hash, x) == outcome(hash, copy)
+        for other in samples:
+            if type(other) is not cls:
+                assert values[0] != other
+                assert values[0].__eq__(other) is NotImplemented
+
+
+def test_value_types_keep_their_dataclass_defaults():
+    samples = value_samples()
+    covered = set()
+    for value in samples:
+        cls = type(value)
+        defaults = VALUE_TYPE_DEFAULTS.get(cls.__name__, {})
+        twin = dataclass_twin(cls)
+        for name in defaults:
+            given = {n: v for n, v in fields_of(value).items() if n != name}
+            try:
+                first, second = cls(**given), cls(**given)
+            except ValidationError:
+                continue  # this sample needs the field; another omits it
+            expected = getattr(twin(**given), name)
+            assert getattr(first, name) == expected, (cls, name)
+            assert type(getattr(first, name)) is type(expected), (cls, name)
+            if defaults[name] is dict:
+                assert getattr(first, name) is not getattr(second, name)
+            covered.add((cls.__name__, name))
+    assert covered == {(c, n) for c, names in VALUE_TYPE_DEFAULTS.items() for n in names}

@@ -591,6 +591,85 @@ class TestZeroCostClique:
         }
 
 
+def huge_doc(**fields):
+    """CHAIN_DOC with ``fields`` set on its first edge."""
+    first, second = CHAIN_DOC["edges"]
+    return {**CHAIN_DOC, "edges": [{**first, **fields}, second]}
+
+
+class TestHugeNumbers:
+    """A number past the limit of 10**400 in its numerator or denominator
+    is a ParseError (exit 3), in a document or a flag, and is refused before
+    a power of ten that size is built. Each used to hang for minutes in
+    ``Fraction`` or crash writing the report. Run in a subprocess with a
+    timeout so that a regression fails instead of hanging the suite."""
+
+    def run(self, tmp_path, doc, *args):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli(*args, "--input", str(path), timeout=30)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        assert_json_error(proc.stderr, "ParseError")
+        return json.loads(proc.stderr)["error"]["message"]
+
+    def test_tiny_delta_under_mincut(self, tmp_path):
+        message = self.run(tmp_path, huge_doc(delta="1e-99999999"), "mincut")
+        assert message.startswith("edges[0].delta: ")
+
+    @pytest.mark.parametrize(
+        "command,args,flag",
+        [
+            ("simulate", ("--target", "1", "--trials", "5"), "--noise-p"),
+            ("mincut", (), "--delta-default"),
+        ],
+    )
+    def test_tiny_flag_value(self, tmp_path, command, args, flag):
+        message = self.run(tmp_path, CHAIN_DOC, command, *args, flag, "1e-99999999")
+        assert message.startswith(f"{flag}: ")
+
+    @pytest.mark.parametrize("cost", ["1e999999", int("9" * 4299)], ids=["text", "int"])
+    @pytest.mark.parametrize(
+        "command,args",
+        [
+            ("flow", ("--target", "1")),
+            ("maxflow", ()),
+            ("price-scan", ()),
+            ("plan", ("--target", "1")),
+            ("concat", ("--target", "1")),
+        ],
+    )
+    def test_huge_cost(self, tmp_path, command, args, cost):
+        message = self.run(tmp_path, huge_doc(cost=cost), command, *args)
+        assert message.startswith("edges[0].cost: ")
+
+    @pytest.mark.parametrize("command", ["simulate", "concat"])
+    def test_long_delta(self, tmp_path, command):
+        message = self.run(
+            tmp_path, huge_doc(delta="1e-5000"), command, "--target", "1"
+        )
+        assert message.startswith("edges[0].delta: ")
+
+    @pytest.mark.parametrize("command", ["simulate", "concat"])
+    def test_long_noise_p(self, tmp_path, command):
+        message = self.run(
+            tmp_path, CHAIN_DOC, command, "--target", "1", "--noise-p", "1e-999999"
+        )
+        assert message.startswith("--noise-p: ")
+
+    def test_budget_of_many_unlike_denominators(self, tmp_path):
+        # Every delta is within the limit, but their sum's denominator is
+        # the product of theirs: the report refuses to write it.
+        doc = chain_doc(20)
+        for i, edge in enumerate(doc["edges"]):
+            edge["delta"] = f"1/{10**300 + 2 * i + 1}"
+        path = tmp_path / "budget.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("concat", "--input", str(path), "--target", "1", timeout=30)
+        assert proc.returncode == 3, proc.stderr
+        assert_json_error(proc.stderr, "TooLarge")
+
+
 def test_concat_resolves_the_hierarchy_once(docs, monkeypatch):
     calls = []
     resolve = concat._resolve
@@ -718,6 +797,17 @@ print(json.dumps({
 }))
 """
 
+# Imports the CLI in a fresh interpreter, runs one ``cli.main`` call and
+# prints its exit code and the modules imported since start-up.
+NEW_MODULES_PROBE = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+import ebitflow.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = ebitflow.cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "new": sorted(set(sys.modules) - before)}))
+"""
+
 # Prepended to a probe, it makes numpy unimportable in the probe's interpreter.
 NUMPY_BLOCKED = """
 import sys
@@ -812,6 +902,22 @@ class TestCommandImports:
         probe = json.loads(proc.stdout)
         assert (probe["code"], probe["stdout"], probe["stderr"]) == self.in_process(argv)
         assert probe["code"] == 0 and probe["stdout"]
+
+    @pytest.mark.parametrize("command", sorted(FUZZ_CASES))
+    def test_command_imports_no_dataclasses_or_inspect(self, inputs, command):
+        # This interpreter's site may import typing itself, so only modules
+        # first imported by the CLI count.
+        argv = [command, "--input", str(inputs[command]), *FUZZ_CASES[command][0]]
+        proc = subprocess.run(
+            [sys.executable, "-c", NEW_MODULES_PROBE, *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        probe = json.loads(proc.stdout)
+        assert probe["code"] == 0
+        assert "ebitflow.netgraph" in probe["new"]
+        assert {"dataclasses", "inspect"} & set(probe["new"]) == set()
 
     def test_names_patched_before_the_first_call_stay_patched(self, inputs):
         argvs = [

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -160,7 +159,7 @@ class TestPriceCurveExtraction:
 
         def off_by_one(self):
             sol = real(self)
-            return dataclasses.replace(sol, total_cost=sol.total_cost + 1)
+            return FlowSolution(sol.graph, sol.arc_flow, sol.net_flow, sol.total_cost + 1)
 
         monkeypatch.setattr(_Residual, "solution", off_by_one)
         with pytest.raises(InvariantViolation, match="path costs"):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -151,12 +150,12 @@ class TestEdge:
     )
     def test_checks_match_reference(self, a, b, capacity, unit_cost, gen_error, max_uses):
         args = (a, b, capacity, unit_cost) + (() if gen_error is DEFAULT else (gen_error,))
-        got = outcome(
-            lambda: tuple(
-                (type(v), v)
-                for v in dataclasses.astuple(Edge(*args, max_uses=max_uses))
-            )
-        )
+        def fields():
+            e = Edge(*args, max_uses=max_uses)
+            values = (e.a, e.b, e.capacity, e.unit_cost, e.gen_error, e.max_uses)
+            return tuple((type(v), v) for v in values)
+
+        got = outcome(fields)
         if isinstance(a, str) and isinstance(b, str):
             assert got == outcome(lambda: reference_edge_fields(*args, max_uses=max_uses))
         else:
@@ -746,3 +745,73 @@ class TestCostFastPath:
             assert got == outcome(reference_cost_to_milli, value), value
             if value == limit - 0.001:
                 assert got == ("value", 2**30 * 1000 - 1)
+
+
+class TestNumberLimit:
+    """No number of a document or flag has a numerator or denominator above
+    10**400; every finite float is within that."""
+
+    LIMIT = 10**400
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            LIMIT,
+            -LIMIT,
+            f"{LIMIT}",
+            f"-{LIMIT}/{LIMIT - 1}",
+            f"1e{400}",
+            f"1e-{400}",
+            f"1{'0' * 399}e-799",
+            5e-324,
+            1.7976931348623157e308,
+            "0e400",
+        ],
+        ids=lambda value: repr(value)[:24],
+    )
+    def test_within(self, value):
+        frac = as_fraction(value)
+        assert abs(frac.numerator) <= self.LIMIT and frac.denominator <= self.LIMIT
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            LIMIT + 1,
+            -LIMIT - 1,
+            f"{LIMIT + 1}",
+            f"1/{LIMIT + 1}",
+            "1e401",
+            "1e-401",
+            "0e99999999",
+            "1e-99999999",
+            "0." + "0" * 10**6 + "1",
+            f"{' ' * 900}1",
+        ],
+        ids=lambda value: repr(value)[:24],
+    )
+    def test_beyond(self, value):
+        with pytest.raises(ParseError, match=r"^delta: .* 10\*\*400$"):
+            as_fraction(value, "delta")
+
+    def test_costs_share_the_limit(self):
+        assert cost_to_milli(self.LIMIT) == self.LIMIT * 1000
+        for value in (self.LIMIT + 1, f"{self.LIMIT + 1}", "1e999999"):
+            with pytest.raises(ParseError, match=r"^cost: "):
+                cost_to_milli(value)
+
+    @pytest.mark.parametrize("field", ["cost", "delta"])
+    def test_column_parse_names_the_entry(self, field):
+        # The common shape is read a column at a time; a value past the
+        # limit sends it to the entry parse, which names the entry.
+        value = {"cost": "1e999999", "delta": "1e-5000"}[field]
+        doc = {
+            "nodes": ["s", "r", "t"],
+            "edges": [
+                {"a": "s", "b": "r", "capacity": 1, "cost": 1, "delta": 0},
+                {"a": "r", "b": "t", "capacity": 1, "cost": 1, "delta": 0, field: value},
+            ],
+            "source": "s",
+            "sink": "t",
+        }
+        with pytest.raises(ParseError, match=rf"^edges\[1\]\.{field}: "):
+            parse_document(doc)
