@@ -129,6 +129,13 @@ def _price_text(price: Fraction | None) -> str:
         return _milli_text(round(price))
 
 
+def _too_long() -> TooLarge:
+    return TooLarge(
+        "an exact figure has more digits than Python writes as text "
+        f"({sys.get_int_max_str_digits()})"
+    )
+
+
 def _frac(value: Fraction) -> str:
     try:
         return str(Fraction(value))
@@ -136,10 +143,7 @@ def _frac(value: Fraction) -> str:
         # Each input number is bounded (``netgraph._NUMBER_LIMIT``), but a
         # sum of many figures with unlike denominators can still outgrow
         # the digits Python writes of an int.
-        raise TooLarge(
-            "an exact figure has more digits than Python writes as text "
-            f"({sys.get_int_max_str_digits()})"
-        ) from exc
+        raise _too_long() from exc
 
 
 def _flow_text(report: dict) -> str:
@@ -577,7 +581,13 @@ def _json_text(value) -> str:
     are walked in Python.
     """
     out: list[str] = []
-    _write(value, 0, out)
+    try:
+        _write(value, 0, out)
+    except ValueError as exc:
+        # The encoder's one ValueError on a report: an int figure, such as
+        # a cost multiplied level by level in a hierarchy, with more digits
+        # than Python writes.
+        raise _too_long() from exc
     return "".join(out)
 
 

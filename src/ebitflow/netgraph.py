@@ -467,6 +467,8 @@ def _parse_edge_entry(entry: Mapping, index: int, memo: dict) -> tuple[EdgeKey, 
         not isinstance(capacity, int) or isinstance(capacity, bool)
     ):
         raise ParseError(f"edges[{index}]: capacity must be an integer")
+    if capacity > _NUMBER_LIMIT:
+        raise _too_large(f"edges[{index}].capacity")
     fields = {
         "capacity": capacity,
         "unit_cost": _converted(memo, cost_to_milli, entry["cost"], index, "cost"),
@@ -485,6 +487,8 @@ def _parse_edge_entry(entry: Mapping, index: int, memo: dict) -> tuple[EdgeKey, 
             mu = entry["max_uses"]
             if not isinstance(mu, int) or isinstance(mu, bool):
                 raise ParseError(f"edges[{index}].max_uses: must be an integer")
+            if mu > _NUMBER_LIMIT:
+                raise _too_large(f"edges[{index}].max_uses")
             fields["max_uses"] = mu
         if "channel" in names:
             if not isinstance(entry["channel"], Mapping):
@@ -612,6 +616,7 @@ def _edge_columns(
         or len(set(zip(ends, b + a))) != len(ends)
         or set(map(type, capacity)) != {int}
         or min(capacity) < 0
+        or max(capacity) > _NUMBER_LIMIT
     ):
         return None
     unit_cost = _converted_column(memo, cost_to_milli, cost)
@@ -634,7 +639,9 @@ def _edge_columns(
         return None
     max_uses = optional.get("max_uses", (None,) * len(a))
     if "max_uses" in optional and (
-        set(map(type, max_uses)) != {int} or min(max_uses) < 1
+        set(map(type, max_uses)) != {int}
+        or min(max_uses) < 1
+        or max(max_uses) > _NUMBER_LIMIT
     ):
         return None
     key = (a, b, capacity, unit_cost, delta_key, max_uses)

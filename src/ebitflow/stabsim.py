@@ -28,28 +28,29 @@ reference pass (``_plan``) executes the schedule without noise, with every
 random outcome 0. A noisy run differs from it by a Pauli frame, kept as
 the draws that flip each stabilizer's sign: every draw sets GF(2)
 variables, and each outcome, correction and delivery check of a run is its
-reference value plus the parity of a fixed set of them. A trial is then
-only its draws and a few XORs; this is the Pauli-frame sampling of Stim
-(Gidney, Quantum 5, 497, 2021, arXiv:2103.02202), one trial at a time.
-``run_schedule`` is the same plan and one trial.
+reference value plus the parity of a fixed set of them. Trials are then
+sampled bit-parallel, as Stim samples Pauli frames across shots (Gidney,
+Quantum 5, 497, 2021, arXiv:2103.02202): one Python int per variable
+carries a block of trials, one bit lane each, and a check's failing lanes
+are the XOR of its variables' ints. ``run_schedule`` is the same plan and
+lane 0 of a one-lane block.
 
-Determinism. A run draws from one stream: that of
-``numpy.random.default_rng`` for the run's seed, which ``_sample``
-reproduces value for value in pure Python (PCG64 seeded through
-SeedSequence), so simulation imports no numpy and gets numpy's draws.
-``fidelity_estimate`` gives each trial the stream of ``(seed, trial)``.
-Seeding is branch-free integer arithmetic, so ``_pcg64_starts`` seeds a
-block of trials at once on ints that pack one 64-bit lane per trial; each
-lane's stream is still that of ``default_rng((seed, trial))``, value for
-value, and ``run_schedule`` seeds a block of one. Draws happen in
-instruction order: per created pair with a positive error probability one
-``random()`` and, on a hit, one ``integers(4)``; per Bell measurement with
-positive swap noise one ``random()`` and, on a hit, two ``integers(4)``;
-then one ``integers(2)`` for each of its two outcomes that is random.
-Neither the split into copies nor the frame plan changes these draws (the
-reference pass draws nothing), so results depend only on (schedule, noise,
-seed) and equal those of running every trial on the tableaus. A trial of
-``fidelity_estimate`` stops after its last draw that can flip a check.
+Determinism. The generator is fixed by this specification. Trial i of
+``fidelity_estimate`` is lane i mod 4096 of block i // 4096 (blocks of
+``_SEED_BLOCK`` trials, the last one shorter). Block b draws from CPython's
+``random.Random`` (MT19937) keyed by ``_block_key``, an injective encoding
+of the seed's entropy words and b, and every draw is one bit plane,
+``getrandbits(lanes)`` with ``lanes`` the block's trial count. Planes are
+drawn step by step in instruction order (``_draw``): per noise site (a
+created pair with a positive error probability, or a Bell measurement
+with positive swap noise) planes compared with the binary digits of its
+exact probability until no lane is tied, then, if any lane is hit, two per
+qubit, the X and Z part of a uniformly random Pauli, ANDed with the hits;
+per random measurement outcome one plane. Neither the split into copies
+nor the frame plan changes these draws (the reference pass draws
+nothing), so results depend only on (schedule, noise, seed, trials), and
+each block could run apart. ``fidelity_estimate`` stops drawing after its
+last step that can flip a check.
 
 Besides Monte-Carlo estimation this module computes exact delivered-state
 error for small schedules: every Pauli-noise branch delivers a product of
@@ -68,11 +69,9 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-import sys
-from array import array
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+import random
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from itertools import islice
 
 from .errors import InvariantViolation, ScheduleViolation, TooLarge, ValidationError
 from .netgraph import EdgeKey, NetworkGraph, _set, _value_type, as_fraction
@@ -374,6 +373,8 @@ class RunResult:
 
 
 _PAULI_NAMES = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "XZ"}
+# The frame-plan step of a random measurement outcome (see ``_Plan``).
+_OUTCOME = (Fraction(1), 1)
 
 
 def _layout(sched: SwapSchedule) -> tuple[dict[int, tuple[int, int]], list[int]]:
@@ -465,16 +466,15 @@ class _Plan:
 
     The draws set GF(2) variables, numbered in draw order: two per noisy
     pair site (the X and Z part of the Pauli on its right qubit), four per
-    noisy Bell measurement (the Paulis on its two qubits) and one per
-    random outcome. Sets of variables are bitmasks.
+    noisy Bell measurement (the X and Z parts on its left, then its right
+    qubit) and one per random outcome. Sets of variables are bitmasks.
 
     Attributes:
-        steps: The draws in order, each with the variables it may set:
-            ``(p, paulis)`` for a noise site, hit when
-            ``random() < p``, that then draws ``integers(4)`` for each of
-            its qubits and sets ``paulis[k][w]`` for draw ``w`` on qubit
-            ``k`` (I, X, Z or Y), or ``(None, var)`` for a random outcome
-            ``integers(2)``.
+        steps: The draws in order, each ``(p, count)``: a site hit with
+            probability ``p``, an exact Fraction, that then sets each of its
+            ``count`` variables, the next ones in order, with probability
+            1/2. A noise site has two per qubit, so a hit puts a uniformly
+            random Pauli on each; a random outcome is ``(1, 1)``.
         outcomes: Per distinct measurement index, in sorted order,
             ``((ref, mask), (ref, mask))``: an outcome is ``ref`` plus the
             parity of the set variables in ``mask``.
@@ -521,7 +521,7 @@ def _plan(sched: SwapSchedule, noise: NoiseModel) -> _Plan:
     steps: list[tuple] = []
     outcomes: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
     fixes = []
-    swap_p = float(noise.swap_depolarize_p)
+    swap_p = noise.swap_depolarize_p
     nv = 0
 
     def flip(fl: list[int], rows: int, mask: int) -> None:
@@ -544,16 +544,12 @@ def _plan(sched: SwapSchedule, noise: NoiseModel) -> _Plan:
         flip(fl, st.z[q] >> st.n, mask_x)
         flip(fl, st.x[q] >> st.n, mask_z)
 
-    def add_noise(st: _Tableau, fl: list[int], p: float, qubits: tuple[int, ...]) -> None:
+    def add_noise(st: _Tableau, fl: list[int], p: Fraction, qubits: tuple[int, ...]) -> None:
         nonlocal nv
-        paulis = []
         for q in qubits:
-            mask_x, mask_z = 1 << nv, 2 << nv
-            pauli(st, fl, q, mask_x, mask_z)
-            # integers(4) picks I, X, Z or Y.
-            paulis.append((0, mask_x, mask_z, mask_x | mask_z))
+            pauli(st, fl, q, 1 << nv, 2 << nv)
             nv += 2
-        steps.append((p, tuple(paulis)))
+        steps.append((p, 2 * len(qubits)))
 
     def measure(st: _Tableau, fl: list[int], q: int) -> tuple[int, int]:
         nonlocal nv
@@ -562,7 +558,7 @@ def _plan(sched: SwapSchedule, noise: NoiseModel) -> _Plan:
             return outcome, total(fl, rows)
         flip(fl, rows, fl[pivot])
         fl[pivot] = var = 1 << nv
-        steps.append((None, var))
+        steps.append(_OUTCOME)
         nv += 1
         return outcome, var
 
@@ -575,7 +571,7 @@ def _plan(sched: SwapSchedule, noise: NoiseModel) -> _Plan:
             st.cnot(a, b)
             error_p = noise.pair_error.get(ins.edge)
             if error_p:
-                add_noise(st, flips[t], float(error_p), (b,))
+                add_noise(st, flips[t], error_p, (b,))
         elif isinstance(ins, BellMeasure):
             t, a = layout[ins.qubit_left]
             b = layout[ins.qubit_right][1]
@@ -621,58 +617,19 @@ def _plan(sched: SwapSchedule, noise: NoiseModel) -> _Plan:
     )
 
 
-# ``numpy.random.default_rng(entropy)`` is PCG64 (O'Neill, "PCG: A Family of
-# Simple Fast Space-Efficient Statistically Good Algorithms for Random Number
-# Generation", HMC-CS-2014-0905) seeded through numpy's SeedSequence
-# (numpy/random/bit_generator.pyx). Both are fixed integer algorithms, so the
-# stream below gives numpy's draws value for value without importing it.
-_M32 = 0xFFFFFFFF
-_M64 = (1 << 64) - 1
-_M128 = (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# SeedSequence's hash constants: the entropy mix starts its hash constant at
-# INIT_A and multiplies it by MULT_A per call, ``generate_state`` uses
-# INIT_B and MULT_B, and ``mix`` combines two words with MIX_MULT_L and R.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def _hash_consts(hash_const: int, mult: int) -> Iterator[tuple[int, int]]:
-    """SeedSequence's hash constant before and after the multiply of each
-    successive hash call: ``value = (value ^ before) * after``."""
-    while True:
-        after = hash_const * mult & _M32
-        yield hash_const, after
-        hash_const = after
-
-
-# The hash calls of SeedSequence's entropy mix on its pool of four words:
-# one per pool word, then, for each source word, one per other pool word.
-_POOL_HASH = tuple(islice(_hash_consts(_INIT_A, _MULT_A), 4))
-_MIX_ROUNDS = tuple(
-    (src, dst, *consts)
-    for (src, dst), consts in zip(
-        [(src, dst) for src in range(4) for dst in range(4) if src != dst],
-        islice(_hash_consts(_INIT_A, _MULT_A), 4, 16),
-    )
-)
-# The hash calls of ``generate_state``, one per 32-bit output word.
-_STATE_HASH = tuple(islice(_hash_consts(_INIT_B, _MULT_B), 8))
-# Trials seeded together by ``_trial_starts``: the packed ints of a block
-# are 32 KiB each.
+# Trials sampled together, one bit lane each: a block's ints are 4096 bits.
 _SEED_BLOCK = 4096
+_M32 = 0xFFFFFFFF
 
 
 def _entropy_words(seed: int | Sequence[int]) -> list[int]:
-    """Check a seed and return SeedSequence's entropy words for it: each
-    int split into little-endian 32-bit words, sequences concatenated,
-    recursively.
+    """Check a seed and return its entropy words: each int split into
+    little-endian 32-bit words, sequences concatenated, recursively.
 
     A seed is a non-negative int (numpy ints included, bools not) or a
     sequence of seeds: a list, tuple, range or array of one or more
     dimensions. Iterators and sets are refused rather than consumed, and so
-    are bytes and a 0-d array; ``numpy.random.default_rng`` refuses them too.
+    are bytes and a 0-d array, as numpy's seeding refuses them too.
 
     Raises:
         ValidationError: On any other seed.
@@ -696,146 +653,73 @@ def _entropy_words(seed: int | Sequence[int]) -> list[int]:
     return words
 
 
-def _pcg64_starts(columns: Sequence[int], lanes: int) -> list[tuple[int, int]]:
-    """PCG64's state and increment as ``default_rng`` seeds them, for
-    ``lanes`` entropy sequences of one length at once.
+def _block_key(seed_words: Sequence[int], block: int) -> int:
+    """The ``random.Random`` key of trial block ``block``: the int whose
+    32-bit words, least significant first, are the number of seed words,
+    the seed words, then the block index. The count comes first, so no two
+    (seed words, block) pairs share a key."""
+    key = block
+    for word in reversed(seed_words):
+        key = key << 32 | word
+    return key << 32 | len(seed_words)
 
-    SeedSequence hashes a sequence's words into a pool of four 32-bit
-    words, ``generate_state(4, uint64)`` draws the 128-bit seed and stream
-    from the pool, and ``srandom`` starts the generator. All of it up to
-    ``srandom`` is 32-bit arithmetic without branches, so it runs on every
-    sequence at once, SIMD within a register: an int packs one 64-bit lane
-    per sequence, in the byte order of ``sys.byteorder``, and
-    ``columns[k]`` packs word k of every sequence. A 32-bit hash product
-    fits in its lane; a right shift pulls the next lane's low bits in, so
-    its result is masked again.
+
+def _draw(steps: Sequence[tuple[Fraction, int]], key: int, lanes: int) -> list[int]:
+    """Sample ``lanes`` trials of a frame plan at once, one bit lane each.
+
+    Returns one int per plan variable, with bit k set when trial k sets
+    the variable. Every draw is a bit plane, ``getrandbits(lanes)`` of
+    ``random.Random(key)``, taken step by step in order. A step ``(p,
+    count)`` hits the lanes whose uniform draw in [0, 1) lies below p: the
+    planes are the draw's binary digits, compared with the exact digits of
+    p, most significant first, until no lane is tied; p = 1 hits every
+    lane without a plane. If any lane is hit, each of the ``count``
+    variables then takes one plane ANDed with the hits; otherwise the step
+    draws nothing more.
     """
-    ones = ((1 << 64 * lanes) - 1) // _M64
-    m32 = ones * _M32
-    # ``mix`` subtracts MIX_MULT_R times a word mod 2**32: adding its
-    # complement keeps every lane non-negative, and masking both products
-    # to 32 bits keeps their sum below 2**33.
-    mix_r = (1 << 32) - _MIX_MULT_R
-
-    def hashed(value: int, before: int, after: int) -> int:
-        value = (value ^ before * ones) * after & m32
-        return (value ^ value >> 16) & m32
-
-    def mixed(dst: int, value: int) -> int:
-        value = (_MIX_MULT_L * dst & m32) + (mix_r * value & m32) & m32
-        return (value ^ value >> 16) & m32
-
-    pool = [
-        hashed(word, before, after)
-        for word, (before, after) in zip((*columns[:4], 0, 0, 0, 0), _POOL_HASH)
-    ]
-    # Each round hashes a word and mixes it into a pool word: first each
-    # pool word into every other, then entropy beyond the pool into all.
-    for src, dst, before, after in _MIX_ROUNDS:
-        pool[dst] = mixed(pool[dst], hashed(pool[src], before, after))
-    if len(columns) > 4:
-        consts = islice(_hash_consts(_INIT_A, _MULT_A), 16, None)
-        for word in columns[4:]:
-            for dst, (before, after) in zip(range(4), consts):
-                pool[dst] = mixed(pool[dst], hashed(word, before, after))
-    out = [hashed(pool[i & 3], before, after) for i, (before, after) in enumerate(_STATE_HASH)]
-    # Output words 2k and 2k + 1 are the low and high half of 64-bit word k;
-    # the seed is 64-bit words 0 (high) and 1, the stream words 2 and 3.
-    seed_hi, seed_lo, inc_hi, inc_lo = (
-        memoryview((lo | hi << 32).to_bytes(8 * lanes, sys.byteorder)).cast("Q")
-        for lo, hi in zip(out[::2], out[1::2])
-    )
-    starts = []
-    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
-        inc = (i_hi << 64 | i_lo) << 1 & _M128 | 1
-        starts.append(((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc & _M128, inc))
-    return starts
-
-
-def _trial_starts(seed_words: Sequence[int], trials: range) -> Iterator[tuple[int, int]]:
-    """PCG64's start ``(state, inc)`` for ``default_rng((seed, trial))``, for
-    each trial of the step-1 range ``trials``, with ``seed_words`` the
-    seed's entropy words.
-
-    Seeds ``_SEED_BLOCK`` trials at a time through ``_pcg64_starts``. A
-    block never spans a change in the trial index's word count, since the
-    lanes of a block must have entropy of one length.
-    """
-    lo, stop = trials.start, trials.stop
-    while lo < stop:
-        width = len(_entropy_words(lo))
-        hi = min(stop, lo + _SEED_BLOCK, 1 << 32 * width)
-        lanes = hi - lo
-        ones = ((1 << 64 * lanes) - 1) // _M64
-        index = int.from_bytes(array("Q", range(lo, hi)), sys.byteorder)
-        columns = [word * ones for word in seed_words]
-        columns += [index >> 32 * k & ones * _M32 for k in range(width)]
-        yield from _pcg64_starts(columns, lanes)
-        lo = hi
-
-
-def _sample(steps: Sequence[tuple], start: tuple[int, int]) -> int:
-    """Draw one trial from the PCG64 generator at ``start``, its
-    ``(state, inc)`` as ``_pcg64_starts`` gives it; returns the bitmask of
-    the variables it sets.
-
-    Each step of the generator advances the 128-bit LCG and outputs its
-    XSL-RR word; it is written out at each use, as this loop is the cost of
-    a trial. ``random()`` is the top 53 bits of a 64-bit output.
-    ``integers(high)``, for ``high`` 2 or 4, is the top 1 or 2 bits of a
-    32-bit draw: numpy's Lemire bound then has threshold 0, so nothing is
-    rejected. A 32-bit draw takes the low half of a 64-bit output and keeps
-    the high half for the next 32-bit draw; ``random()`` leaves that kept
-    half alone.
-    """
-    state, inc = start
-    mult, m32, m64, m128 = _PCG_MULT, _M32, _M64, _M128
-    half = -1
-    values = 0
-    for p, sets in steps:
-        if p is None:
-            # integers(2)
-            if half < 0:
-                state = state * mult + inc & m128
-                x = (state >> 64 ^ state) & m64
-                rot = state >> 122
-                x = (x >> rot | x << 64 - rot) & m64
-                half = x >> 32
-                if x >> 31 & 1:
-                    values ^= sets
-            else:
-                if half >> 31:
-                    values ^= sets
-                half = -1
-            continue
-        # random() < p, then integers(4) per qubit
-        state = state * mult + inc & m128
-        x = (state >> 64 ^ state) & m64
-        rot = state >> 122
-        if (((x >> rot | x << 64 - rot) & m64) >> 11) * 2**-53 >= p:
-            continue
-        for pauli in sets:
-            if half < 0:
-                state = state * mult + inc & m128
-                x = (state >> 64 ^ state) & m64
-                rot = state >> 122
-                x = (x >> rot | x << 64 - rot) & m64
-                half = x >> 32
-                word = x & m32
-            else:
-                word, half = half, -1
-            values ^= pauli[word >> 30]
+    getrandbits = random.Random(key).getrandbits
+    full = (1 << lanes) - 1
+    values: list[int] = []
+    for p, count in steps:
+        num, den = p.numerator, p.denominator
+        if num == den:
+            hit = full
+        else:
+            hit, tied = 0, full
+            while tied:
+                plane = getrandbits(lanes)
+                num <<= 1
+                if num >= den:
+                    # Digit 1 of p: a tied lane with digit 0 lies below p.
+                    num -= den
+                    hit |= tied & ~plane
+                    tied &= plane
+                else:
+                    tied &= ~plane
+        if hit:
+            values += [getrandbits(lanes) & hit for _ in range(count)]
+        else:
+            values += [0] * count
     return values
 
 
-def _variables(step: tuple) -> int:
-    """The variables a step of ``_Plan.steps`` may set."""
-    p, sets = step
-    if p is None:
-        return sets
-    out = 0
-    for pauli in sets:
-        out |= pauli[3]
+def _failing(checks: Sequence[tuple], values: Sequence[int], lanes: int) -> list[int]:
+    """Per delivery of ``_Plan.checks``, the lanes whose trial fails its XX
+    or its ZZ check, given the lane ints ``values`` of ``_draw``. A check
+    flips where the XOR of its variables is set; one that is not
+    stabilized (sign 0, no variables) fails everywhere."""
+    full = (1 << lanes) - 1
+    out = []
+    for pair in checks:
+        fail = 0
+        for sign, mask in pair:
+            flips = 0
+            while mask:
+                low = mask & -mask
+                flips ^= values[low.bit_length() - 1]
+                mask ^= low
+            fail |= flips if sign == 1 else full ^ flips
+        out.append(fail)
     return out
 
 
@@ -846,9 +730,9 @@ def run_schedule(
 ) -> RunResult:
     """Execute a schedule once.
 
-    Deterministic for a given (schedule, noise, seed) triple: random draws
-    happen in instruction order from a single seeded generator, and the run
-    is the reference run of ``_plan`` shifted by the frame they set.
+    Deterministic for a given (schedule, noise, seed) triple: the run is
+    lane 0 of a one-lane block 0 of ``fidelity_estimate``'s sampler, the
+    reference run of ``_plan`` shifted by the frame its draws set.
 
     Raises:
         ScheduleViolation: On double creation, qubits outside the schedule,
@@ -859,9 +743,11 @@ def run_schedule(
             sequence of seeds (a list, tuple, range or array; not an
             iterator or a set).
     """
-    words = _entropy_words(seed)
+    key = _block_key(_entropy_words(seed), 0)
     plan = _plan(sched, noise or NoiseModel.zero())
-    values = _sample(plan.steps, _pcg64_starts(words, 1)[0])
+    values = 0
+    for var, bit in enumerate(_draw(plan.steps, key, 1)):
+        values |= bit << var
 
     def value(term: tuple[int, int]) -> int:
         ref, mask = term
@@ -971,12 +857,16 @@ def fidelity_estimate(
 ) -> FidelityEstimate:
     """Estimate Pr[pair passes its XX and ZZ check] for every delivery.
 
-    Each trial runs the schedule with an independent generator seeded by
-    (seed, trial index), so estimates are reproducible and trials could be
-    distributed without changing results. ``seed`` is what ``run_schedule``
-    takes: a non-negative int or a sequence of seeds. The tableaus run once, for the
-    reference pass of ``_plan``; a trial is only its draws, and its
-    verdict the parities of the variables they set.
+    The tableaus run once, for the reference pass of ``_plan``. Trials are
+    then sampled on bit lanes (``_draw``), in blocks of up to
+    ``_SEED_BLOCK`` trials: trial i is lane i mod 4096 of block i // 4096,
+    whose generator is keyed by the seed and the block index alone, so
+    estimates are reproducible and blocks could run apart without changing
+    results. A trial's draws depend on the lane count of its block, so an
+    estimate over fewer trials need not be a prefix of one over more. A
+    trial's verdict is the parities of the variables its draws set.
+    ``seed`` is what ``run_schedule`` takes: a non-negative int or a
+    sequence of seeds.
 
     Raises:
         ValidationError: On a ``trials`` that is not a positive int, or a
@@ -987,41 +877,28 @@ def fidelity_estimate(
         raise ValidationError("trials must be positive")
     seed_words = _entropy_words(seed)
     plan = _plan(sched, noise or NoiseModel.zero())
-    # Bits 2i and 2i + 1 of a trial's verdict are set when delivery i fails
-    # its XX or its ZZ check. A check that is not stabilized always fails.
-    base = 0
-    flippers = []
-    for i, pair in enumerate(plan.checks):
-        for bit, (sign, mask) in zip((1 << 2 * i, 2 << 2 * i), pair):
-            if sign != 1:
-                base |= bit
-            if sign and mask:
-                flippers.append((bit, mask))
-    # Each trial has its own generator, so draws after the last one that
-    # can flip a check change nothing and are left out. Without draws
-    # every trial gives the same verdict.
+    # Draws after the last one that can flip a check change no verdict and
+    # are left out; those before it keep their planes.
     relevant = 0
-    for _, mask in flippers:
-        relevant |= mask
-    steps = list(plan.steps)
-    while steps and not relevant & _variables(steps[-1]):
-        steps.pop()
-    counts: dict[int, int] = {}
-    if not steps:
-        counts[base] = trials
-    else:
-        for start in _trial_starts(seed_words, range(trials)):
-            values = _sample(steps, start)
-            verdict = base
-            for bit, mask in flippers:
-                if (mask & values).bit_count() & 1:
-                    verdict ^= bit
-            counts[verdict] = counts.get(verdict, 0) + 1
-    passes = [
-        sum(n for verdict, n in counts.items() if not verdict >> 2 * i & 3)
-        for i in range(len(plan.checks))
-    ]
-    all_pass = counts.get(0, 0)
+    for pair in plan.checks:
+        for _, mask in pair:
+            relevant |= mask
+    steps, drawn = [], 0
+    for step in plan.steps:
+        if drawn >= relevant.bit_length():
+            break
+        steps.append(step)
+        drawn += step[1]
+    passes = [0] * len(plan.checks)
+    all_pass = 0
+    for block, first in enumerate(range(0, trials, _SEED_BLOCK)):
+        lanes = min(_SEED_BLOCK, trials - first)
+        values = _draw(steps, _block_key(seed_words, block), lanes)
+        failed = 0
+        for i, fail in enumerate(_failing(plan.checks, values, lanes)):
+            passes[i] += lanes - fail.bit_count()
+            failed |= fail
+        all_pass += lanes - failed.bit_count()
     stats = []
     for i, d in enumerate(sched.deliveries):
         lo, hi = wilson_interval(passes[i], trials)

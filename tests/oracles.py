@@ -4,18 +4,17 @@ Everything here is deliberately naive: exhaustive subset scans and
 depth-first searches with no shared code or ideas with the package
 implementations, so an agreement between the two is meaningful. The
 exceptions are the reference stabilizer simulator, the XOR convolution,
-the reference min-cost flow and the reference hierarchical resolve at the
-end: the package's earlier numpy tableau, kept as the slow path its
-bit-packed replacement must reproduce draw for draw, its earlier trial
-sampler on numpy's generator, whose draws the pure-Python stream must
-reproduce value for value, its earlier exact
-pass probability, which the closed form must equal exactly, its earlier
-three-search min-cost flow, which the one-search solver must reproduce arc
-for arc, and its earlier resolve with one lower solve per edge, which the
-resolve that shares solves between relabelled copies must reproduce, and
-its earlier document parsers, whose Fraction-based cost conversion and
-per-entry field dicts the lean parsers must reproduce value for value and
-error for error, and the checks of ``Edge`` before their exact-type fast
+the reference min-cost flow and the reference hierarchical resolve at
+the end: the package's earlier numpy tableau, kept as the slow path
+whose runs its bit-packed frame plan must reproduce when both are fed
+the same draws, its earlier exact pass probability, which the closed
+form must equal exactly, its earlier three-search min-cost flow, which
+the one-search solver must reproduce arc for arc, and its earlier
+resolve with one lower solve per edge, which the resolve that shares
+solves between relabelled copies must reproduce, and its earlier
+document parsers, whose Fraction-based cost conversion and per-entry
+field dicts the lean parsers must reproduce value for value and error
+for error, and the checks of ``Edge`` before their exact-type fast
 paths, and the frozen dataclasses the package's value types were, whose
 repr, equality, hashing and defaults those types must keep.
 """
@@ -33,7 +32,6 @@ from ebitflow import (
     BellMeasure,
     Edge,
     CreateBellPair,
-    FidelityEstimate,
     FlowSolution,
     HierarchicalNetwork,
     InfeasibleTarget,
@@ -44,7 +42,6 @@ from ebitflow import (
     NoiseModel,
     ParseError,
     PairOutcome,
-    PairStats,
     PauliCorrect,
     RunResult,
     ScheduleViolation,
@@ -53,7 +50,6 @@ from ebitflow import (
     generation_error_budget,
     min_cost_flow,
     min_cut,
-    wilson_interval,
 )
 from ebitflow.concat import HierEdge, _EdgeInfo, _Resolved, _parse_lower
 from ebitflow.mincostflow import Arc, _cancel_cycles
@@ -233,9 +229,49 @@ def random_network(
 
 # --- Reference stabilizer simulator -----------------------------------------
 # The int8 numpy tableau and schedule loop that ``ebitflow.stabsim`` used
-# before it moved to bit-packed per-copy tableaus, kept unchanged so the
-# fast engine can be pinned against it: same draws from the same generator
-# in instruction order, hence the same outcomes, corrections and pair signs.
+# before it moved to bit-packed per-copy tableaus and a frame plan, kept so
+# the fast engine can be pinned against it. The reference takes its random
+# decisions from a draw source in instruction order (``ReplayedDraws``), so
+# fed one trial's decisions it gives that trial's outcomes, corrections and
+# pair signs.
+
+
+class ReplayedDraws:
+    """Draw source of the reference run: fixed decisions, replayed in
+    instruction order.
+
+    ``decisions`` holds one entry per draw of the run: for a noise site
+    ``("site", paulis)``, with ``paulis`` None for a miss or the Pauli on
+    each of its qubits (0 to 3 for I, X, Z, Y), and for a random
+    measurement outcome ``("outcome", bit)``. A draw of the wrong kind, or
+    one past the end, raises AssertionError.
+    """
+
+    def __init__(self, decisions: Sequence[tuple]) -> None:
+        self.decisions = list(decisions)
+        self.next = 0
+        self.paulis: list[int] = []
+
+    def _take(self, kind: str):
+        assert self.next < len(self.decisions), f"no decision left for a {kind}"
+        got, value = self.decisions[self.next]
+        assert got == kind, f"decision {self.next} is a {got}, the run asks for a {kind}"
+        self.next += 1
+        return value
+
+    def hit(self) -> bool:
+        paulis = self._take("site")
+        self.paulis = list(paulis or ())
+        return paulis is not None
+
+    def pauli(self) -> int:
+        return self.paulis.pop(0)
+
+    def outcome(self) -> int:
+        return self._take("outcome")
+
+    def exhausted(self) -> bool:
+        return self.next == len(self.decisions)
 
 
 class ReferenceTableau:
@@ -302,8 +338,9 @@ class ReferenceTableau:
         self.x[h] ^= self.x[i]
         self.z[h] ^= self.z[i]
 
-    def measure(self, q: int, rng: np.random.Generator) -> int:
-        """Measure qubit ``q`` in the computational basis; returns 0 or 1."""
+    def measure(self, q: int, draws) -> int:
+        """Measure qubit ``q`` in the computational basis; returns 0 or 1,
+        from ``draws.outcome()`` when the outcome is random."""
         n = self.n
         pivot = None
         for row in range(n, 2 * n):
@@ -319,7 +356,7 @@ class ReferenceTableau:
             self.r[pivot - n] = self.r[pivot]
             self.x[pivot] = 0
             self.z[pivot] = 0
-            outcome = int(rng.integers(2))
+            outcome = draws.outcome()
             self.z[pivot, q] = 1
             self.r[pivot] = 2 * outcome
             return outcome
@@ -387,20 +424,22 @@ _PAULI_NAMES = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "XZ"}
 
 def reference_run_schedule(
     sched: SwapSchedule,
-    noise: NoiseModel | None = None,
-    seed: int | Sequence[int] = 0,
+    noise: NoiseModel | None,
+    draws: ReplayedDraws,
 ) -> RunResult:
     """Execute a schedule once on one joint int8 tableau.
 
-    Deterministic for a given (schedule, noise, seed) triple: random draws
-    happen in instruction order from a single seeded generator.
+    Random decisions come from ``draws`` in instruction order: per created
+    pair with a positive error probability, hit or miss and on a hit one
+    Pauli on its right qubit; per Bell measurement with positive swap
+    noise, hit or miss and on a hit one Pauli per qubit; then each random
+    outcome of its two measurements.
 
     Raises:
         ScheduleViolation: On double creation, gates or corrections on
             measured qubits, re-measurement, or unknown measurement sources.
     """
     noise = noise or NoiseModel.zero()
-    rng = np.random.default_rng(seed)
     state = ReferenceTableau(sched.n_qubits)
     created: set[int] = set()
     measured: set[int] = set()
@@ -423,18 +462,18 @@ def reference_run_schedule(
             state.h(ins.qubit_left)
             state.cnot(ins.qubit_left, ins.qubit_right)
             q_err = noise.pair_error.get(ins.edge, Fraction(0))
-            if q_err > 0 and rng.random() < float(q_err):
-                _apply_pauli(state, ins.qubit_right, int(rng.integers(4)))
+            if q_err > 0 and draws.hit():
+                _apply_pauli(state, ins.qubit_right, draws.pauli())
         elif isinstance(ins, BellMeasure):
             require_live(ins.qubit_left, "measurement")
             require_live(ins.qubit_right, "measurement")
-            if p_swap > 0 and rng.random() < p_swap:
-                _apply_pauli(state, ins.qubit_left, int(rng.integers(4)))
-                _apply_pauli(state, ins.qubit_right, int(rng.integers(4)))
+            if p_swap > 0 and draws.hit():
+                _apply_pauli(state, ins.qubit_left, draws.pauli())
+                _apply_pauli(state, ins.qubit_right, draws.pauli())
             state.cnot(ins.qubit_left, ins.qubit_right)
             state.h(ins.qubit_left)
-            a = state.measure(ins.qubit_left, rng)
-            b = state.measure(ins.qubit_right, rng)
+            a = state.measure(ins.qubit_left, draws)
+            b = state.measure(ins.qubit_right, draws)
             outcomes[ins.index] = (a, b)
             measured.add(ins.qubit_left)
             measured.add(ins.qubit_right)
@@ -484,66 +523,6 @@ def _apply_pauli(state: ReferenceTableau, q: int, which: int) -> None:
         state.apply_z(q)
     elif which == 3:
         state.apply_y(q)
-
-
-def reference_fidelity_estimate(
-    sched: SwapSchedule,
-    noise: NoiseModel | None = None,
-    trials: int = 1000,
-    seed: int = 0,
-) -> FidelityEstimate:
-    """Estimate Pr[pair passes its XX and ZZ check] for every delivery.
-
-    Each trial runs the schedule with an independent generator seeded by
-    (seed, trial index), so estimates are reproducible and trials could be
-    distributed without changing results.
-    """
-    if trials <= 0:
-        raise ValidationError("trials must be positive")
-    noise = noise or NoiseModel.zero()
-    passes = [0] * len(sched.deliveries)
-    all_pass = 0
-    for trial in range(trials):
-        result = reference_run_schedule(sched, noise, seed=(seed, trial))
-        ok_all = True
-        for i, pair in enumerate(result.pairs):
-            if pair.passed:
-                passes[i] += 1
-            else:
-                ok_all = False
-        if ok_all:
-            all_pass += 1
-    stats = []
-    for i, d in enumerate(sched.deliveries):
-        lo, hi = wilson_interval(passes[i], trials)
-        stats.append(
-            PairStats(
-                copy=d.copy,
-                passes=passes[i],
-                trials=trials,
-                estimate=passes[i] / trials,
-                wilson_low=lo,
-                wilson_high=hi,
-            )
-        )
-    return FidelityEstimate(trials=trials, pairs=tuple(stats), all_pass_count=all_pass)
-
-
-def reference_sample(steps: Sequence[tuple], rng: np.random.Generator) -> int:
-    """One trial of a frame plan's steps (``stabsim._Plan.steps``) drawn from
-    a numpy generator: the sampler ``ebitflow.stabsim`` used before it
-    reproduced numpy's stream in pure Python. Returns the bitmask of the
-    variables the trial sets."""
-    random, integers = rng.random, rng.integers
-    values = 0
-    for p, sets in steps:
-        if p is None:
-            if integers(2):
-                values ^= sets
-        elif random() < p:
-            for pauli in sets:
-                values ^= pauli[integers(4)]
-    return values
 
 
 def convolved_pass_probability(

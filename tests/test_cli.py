@@ -657,6 +657,22 @@ class TestHugeNumbers:
         )
         assert message.startswith("--noise-p: ")
 
+    @pytest.mark.parametrize("field", ["capacity", "max_uses"])
+    @pytest.mark.parametrize(
+        "command,args",
+        [("flow", ("--target", "1")), ("maxflow", ()), ("concat", ("--target", "1"))],
+    )
+    def test_huge_integer_field(self, tmp_path, command, args, field):
+        # A 4299-digit capacity used to crash ``maxflow`` writing its total
+        # cost (exit 1); under concat the edge is a leaf of a hierarchy.
+        edge = {"a": "s", "b": "t", "capacity": 1, "cost": 1, field: int("9" * 4299)}
+        doc = {"nodes": ["s", "t"], "edges": [edge], "source": "s", "sink": "t"}
+        if command == "concat":
+            lower = {**LOWER_TEMPLATE, "network": doc}
+            doc = {**doc, "edges": [{"a": "s", "b": "t", "lower": lower}]}
+        message = self.run(tmp_path, doc, command, *args)
+        assert message.startswith(f"edges[0].{field}: ")
+
     def test_budget_of_many_unlike_denominators(self, tmp_path):
         # Every delta is within the limit, but their sum's denominator is
         # the product of theirs: the report refuses to write it.
@@ -1078,6 +1094,13 @@ WRITER_VALUES = st.recursive(
     ),
     max_leaves=30,
 )
+
+
+def test_json_text_refuses_an_int_too_long_to_write():
+    # json.dumps raises ValueError on such an int; a report figure that long
+    # is TooLarge, so the command exits 3 with a JSON error.
+    with pytest.raises(ebitflow.TooLarge, match="more digits than Python writes"):
+        cli._json_text({"result": {"total_cost_milli": 10**5000}})
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)

@@ -1,10 +1,10 @@
 """Tableau simulator, noise model, and exact-error machinery."""
 
+import functools
 import math
+import operator
 import random
-import sys
 import typing
-from array import array
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -13,10 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (
     ReferenceTableau,
+    ReplayedDraws,
     convolved_pass_probability,
-    reference_fidelity_estimate,
     reference_run_schedule,
-    reference_sample,
 )
 
 from ebitflow import (
@@ -503,16 +502,76 @@ class TestClosedFormExact:
 
 
 class ZeroDraws:
-    """Generator stand-in for ``ReferenceTableau.measure``: every random
-    outcome is 0, as in the package's reference pass."""
+    """Draw source for ``ReferenceTableau.measure``: every random outcome
+    is 0, as in the package's reference pass."""
 
-    def integers(self, high: int) -> int:
+    def outcome(self) -> int:
         return 0
 
 
+def sampled_block(sched, noise, seed, lanes):
+    """The frame plan of ``sched`` and the lane ints that block 0 of
+    ``seed`` draws for it with ``lanes`` lanes."""
+    plan = stabsim._plan(sched, noise)
+    key = stabsim._block_key(stabsim._entropy_words(seed), 0)
+    return plan, stabsim._draw(plan.steps, key, lanes)
+
+
+def lane_draws(plan, values, lane) -> ReplayedDraws:
+    """The decisions of trial ``lane`` of a sampled block, ``values`` the
+    lane ints of ``stabsim._draw`` over ``plan.steps``, for the reference
+    run. A noise site's variables are the X and Z part of each qubit's
+    Pauli in turn; the site is a hit where any of them is set, since a hit
+    whose Paulis are all the identity acts as a miss."""
+    decisions, var = [], 0
+    for step in plan.steps:
+        count = step[1]
+        bits = [values[v] >> lane & 1 for v in range(var, var + count)]
+        var += count
+        if step == stabsim._OUTCOME:
+            decisions.append(("outcome", bits[0]))
+        elif any(bits):
+            decisions.append(("site", tuple(x | z << 1 for x, z in zip(bits[::2], bits[1::2]))))
+        else:
+            decisions.append(("site", None))
+    return ReplayedDraws(decisions)
+
+
+def reference_lane0(sched, noise, seed):
+    """The reference run fed the draws of ``run_schedule(sched, noise,
+    seed=seed)``: lane 0 of a one-lane block."""
+    draws = lane_draws(*sampled_block(sched, noise, seed, 1), 0)
+    result = reference_run_schedule(sched, noise, draws)
+    assert draws.exhausted()
+    return result
+
+
+def assert_runs_match_reference(sched, noise, seed, trials):
+    """``run_schedule`` equals the reference run fed its draws, and every
+    lane of a ``trials``-lane block fails the checks that the reference
+    run fed that lane's draws fails, so the estimate counts its passes."""
+    assert run_schedule(sched, noise, seed=seed) == reference_lane0(sched, noise, seed)
+    plan, values = sampled_block(sched, noise, seed, trials)
+    failing = stabsim._failing(plan.checks, values, trials)
+    refs = [
+        reference_run_schedule(sched, noise, lane_draws(plan, values, lane))
+        for lane in range(trials)
+    ]
+    for lane, ref in enumerate(refs):
+        assert [not pair.passed for pair in ref.pairs] == [
+            bool(fail >> lane & 1) for fail in failing
+        ]
+    est = fidelity_estimate(sched, noise, trials=trials, seed=seed)
+    assert est.trials == trials
+    assert [pair.passes for pair in est.pairs] == [
+        sum(ref.pairs[i].passed for ref in refs) for i in range(len(sched.deliveries))
+    ]
+    assert est.all_pass_count == sum(ref.all_passed for ref in refs)
+
+
 class TestAgainstReferenceTableau:
-    """The bit-packed per-copy simulator reproduces the joint int8 tableau
-    of ``tests/oracles.py`` draw for draw."""
+    """The bit-packed per-copy simulator and its frame plan reproduce the
+    joint int8 tableau of ``tests/oracles.py``, fed the same draws."""
 
     @pytest.mark.parametrize("seed", range(60))
     def test_random_clifford_circuits_match(self, seed):
@@ -549,24 +608,12 @@ class TestAgainstReferenceTableau:
 
     @given(noisy_schedules(), st.integers(0, 2**32), st.integers(1, 3))
     def test_runs_and_estimates_match(self, case, seed, trials):
-        sched, noise = case
-        assert run_schedule(sched, noise, seed=seed) == reference_run_schedule(
-            sched, noise, seed=seed
-        )
-        assert fidelity_estimate(
-            sched, noise, trials=trials, seed=seed
-        ) == reference_fidelity_estimate(sched, noise, trials=trials, seed=seed)
+        assert_runs_match_reference(*case, seed, trials)
 
     @settings(derandomize=True, max_examples=400)
     @given(hand_built_schedules(), st.integers(0, 2**32), st.integers(1, 3))
     def test_hand_built_runs_and_estimates_match(self, case, seed, trials):
-        sched, noise = case
-        assert run_schedule(sched, noise, seed=seed) == reference_run_schedule(
-            sched, noise, seed=seed
-        )
-        assert fidelity_estimate(
-            sched, noise, trials=trials, seed=seed
-        ) == reference_fidelity_estimate(sched, noise, trials=trials, seed=seed)
+        assert_runs_match_reference(*case, seed, trials)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_tableaus_follow_interactions_not_copy_labels(self, seed):
@@ -583,168 +630,7 @@ class TestAgainstReferenceTableau:
             qubit_nodes=("s", "r", "r", "t"),
         )
         noise = NoiseModel(swap_depolarize_p=Fraction(1, 2))
-        result = run_schedule(sched, noise, seed=seed)
-        assert result == reference_run_schedule(sched, noise, seed=seed)
-
-
-# Seeds that cover each branch of SeedSequence's entropy coercion: zero, one
-# and several 32-bit words, entropy beyond the four-word pool, empty and
-# nested sequences, numpy arrays and numpy scalars.
-STREAM_SEEDS = [
-    0,
-    1,
-    2**32 - 1,
-    2**32,
-    2**64 + 3,
-    2**128,
-    2**200 + 2**64 + 1,
-    (),
-    [],
-    (5, 2),
-    (1, (2, 3)),
-    ((), [4, (5,)], 6),
-    (1, 2, 3, 4, 5, 6),
-    np.array([5, 2]),
-    np.array([2**40, 7], dtype=np.uint64),
-    np.int64(5),
-    (np.int64(4), np.uint32(9), 2**130),
-]
-
-entropy = st.recursive(
-    st.integers(0, 2**70)
-    | st.integers(2**128, 2**300)
-    | st.integers(0, 2**63 - 1).map(np.int64)
-    | st.integers(0, 2**32 - 1).map(np.uint32),
-    lambda children: st.lists(children, max_size=4) | st.tuples(children, children),
-    max_leaves=8,
-)
-draw_kinds = st.lists(st.sampled_from(["random", 2, 4]), min_size=1, max_size=200)
-# Draw thresholds: never, always, and exact multiples of 2**-53, the grid
-# ``random()`` draws on.
-probabilities = st.sampled_from([0.0, 1.0]) | st.integers(0, 2**53).map(lambda k: k * 2**-53)
-variables = st.integers(0, 2**40)
-frame_steps = st.lists(
-    st.tuples(st.none(), variables)
-    | st.tuples(
-        probabilities,
-        st.lists(st.tuples(variables, variables, variables, variables), min_size=1, max_size=2).map(
-            tuple
-        ),
-    ),
-    max_size=40,
-)
-
-
-def draw_steps(kinds) -> list[tuple]:
-    """Frame-plan steps whose trial shows each draw of ``kinds`` in its own
-    variables: "random" is ``random() < 1/2``, which on a hit draws an
-    ``integers(4)`` too; 2 is ``integers(2)``; 4 is ``random() < 1``, which
-    always hits, then ``integers(4)``."""
-    steps, bit = [], 1
-    for kind in kinds:
-        if kind == 2:
-            steps.append((None, bit))
-            bit <<= 1
-        elif kind == 4:
-            steps.append((1.0, ((0, bit, 2 * bit, 3 * bit),)))
-            bit <<= 2
-        else:
-            steps.append((0.5, ((bit,) * 4,)))
-            bit <<= 1
-    return steps
-
-
-# One fixed mix of ``random()``, ``integers(2)`` and ``integers(4)`` draws.
-FIXED_STEPS = draw_steps(random.Random(0).choices(["random", 2, 4], k=200))
-
-
-def assert_same_draws(seed, steps):
-    start = stabsim._pcg64_starts(stabsim._entropy_words(seed), 1)[0]
-    assert stabsim._sample(steps, start) == reference_sample(
-        steps, np.random.default_rng(seed)
-    )
-
-
-class TestNumpyStream:
-    """The trial sampler draws what ``numpy.random.default_rng`` of the same
-    seed draws, value for value: it sets the variables that the
-    numpy-backed sampler of ``tests/oracles.py`` sets."""
-
-    @pytest.mark.parametrize("seed", STREAM_SEEDS, ids=repr)
-    def test_fixed_seeds_draw_as_numpy(self, seed):
-        assert_same_draws(seed, FIXED_STEPS)
-
-    @given(entropy, draw_kinds)
-    def test_draws_match_default_rng(self, seed, kinds):
-        assert_same_draws(seed, draw_steps(kinds))
-
-    @given(entropy, frame_steps)
-    def test_sample_matches_numpy_sampler(self, seed, steps):
-        assert_same_draws(seed, steps)
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_threshold_equal_to_the_draw_misses(self, seed):
-        # random() < p: a draw equal to p is a miss, the next grid point a hit.
-        first = np.random.default_rng(seed).random()
-        for p in (first, first + 2**-53):
-            assert_same_draws(seed, [(p, ((0, 1, 2, 3),)), (None, 4)])
-
-    def test_negative_entropy_is_a_validation_error(self):
-        with pytest.raises(ValidationError):
-            stabsim._entropy_words((1, -1))
-
-    def test_annotations_resolve(self):
-        assert typing.get_type_hints(_Tableau.measure)["return"] == tuple[int, int, int]
-        assert typing.get_type_hints(stabsim._sample)["return"] is int
-        seed = int | Sequence[int]
-        for fn in (run_schedule, fidelity_estimate, estimate_operation_error):
-            assert typing.get_type_hints(fn)["seed"] == seed
-
-
-def numpy_start(seed) -> tuple[int, int]:
-    """PCG64's ``(state, inc)`` as ``numpy.random.default_rng`` seeds it."""
-    state = np.random.default_rng(seed).bit_generator.state["state"]
-    return state["state"], state["inc"]
-
-
-class TestBatchedSeeding:
-    """``_pcg64_starts`` seeds every lane as ``default_rng`` seeds its
-    entropy, and ``_trial_starts`` seeds ``default_rng((seed, trial))``
-    for each trial, across blocks and word-count changes."""
-
-    @given(entropy)
-    def test_one_lane_matches_numpy(self, seed):
-        words = stabsim._entropy_words(seed)
-        assert stabsim._pcg64_starts(words, 1) == [numpy_start(seed)]
-
-    @pytest.mark.parametrize("lanes", [1, 2, 3, stabsim._SEED_BLOCK + 1])
-    @pytest.mark.parametrize("width", [1, 4, 6])
-    def test_every_lane_matches_numpy(self, lanes, width):
-        rnd = random.Random(lanes * 10 + width)
-        rows = [[rnd.getrandbits(32) for _ in range(width)] for _ in range(lanes)]
-        # One 64-bit lane per row, as ``_pcg64_starts`` reads its columns.
-        columns = [int.from_bytes(array("Q", column), sys.byteorder) for column in zip(*rows)]
-        assert stabsim._pcg64_starts(columns, lanes) == [numpy_start(row) for row in rows]
-
-    @pytest.mark.parametrize("seed", [0, 7, (5, 2**32 + 7), 2**130])
-    def test_trial_starts_across_the_word_count_change(self, seed):
-        trials = range(2**32 - 3, 2**32 + 3)
-        assert list(stabsim._trial_starts(stabsim._entropy_words(seed), trials)) == [
-            numpy_start((seed, trial)) for trial in trials
-        ]
-
-    def test_trial_starts_across_blocks(self):
-        trials = range(stabsim._SEED_BLOCK + 2)
-        assert list(stabsim._trial_starts([9], trials)) == [
-            numpy_start((9, trial)) for trial in trials
-        ]
-
-    def test_estimate_across_blocks_matches_reference(self):
-        noise = NoiseModel(swap_depolarize_p=Fraction(1, 4))
-        trials = stabsim._SEED_BLOCK + 5
-        assert fidelity_estimate(
-            RELAY, noise, trials=trials, seed=3
-        ) == reference_fidelity_estimate(RELAY, noise, trials=trials, seed=3)
+        assert run_schedule(sched, noise, seed=seed) == reference_lane0(sched, noise, seed)
 
 
 class TestExactErrors:
@@ -864,11 +750,22 @@ class TestMonteCarlo:
         [range(3), (1, (2, 3)), [np.int64(4), [5]], np.array([[1, 2], [3, 4]]), ()],
         ids=repr,
     )
-    def test_sequence_seeds_draw_as_numpy(self, seed):
+    def test_sequence_seeds_run_as_the_reference(self, seed):
         noise = NoiseModel(swap_depolarize_p=Fraction(1, 2))
-        assert run_schedule(THREE_HOP, noise, seed=seed) == reference_run_schedule(
-            THREE_HOP, noise, seed=seed
+        assert run_schedule(THREE_HOP, noise, seed=seed) == reference_lane0(
+            THREE_HOP, noise, seed
         )
+
+    def test_negative_entropy_is_a_validation_error(self):
+        with pytest.raises(ValidationError):
+            stabsim._entropy_words((1, -1))
+
+    def test_annotations_resolve(self):
+        assert typing.get_type_hints(_Tableau.measure)["return"] == tuple[int, int, int]
+        assert typing.get_type_hints(stabsim._draw)["return"] == list[int]
+        seed = int | Sequence[int]
+        for fn in (run_schedule, fidelity_estimate, estimate_operation_error):
+            assert typing.get_type_hints(fn)["seed"] == seed
 
     def test_noiseless_estimate_is_one(self):
         est = fidelity_estimate(RELAY, trials=50, seed=4)
@@ -898,13 +795,27 @@ class TestMonteCarlo:
         b = fidelity_estimate(RELAY, noise, trials=200, seed=11)
         assert a == b
 
-    def test_trials_are_independently_seeded(self):
-        noise = NoiseModel(swap_depolarize_p=Fraction(1, 2))
-        est = fidelity_estimate(RELAY, noise, trials=25, seed=6)
-        manual = sum(
-            run_schedule(RELAY, noise, seed=(6, t)).all_passed for t in range(25)
-        )
-        assert est.all_pass_count == manual
+    def test_estimate_equals_its_blocks_run_apart(self):
+        noise = NoiseModel(swap_depolarize_p=Fraction(1, 4))
+        plan = stabsim._plan(RELAY, noise)
+        words = stabsim._entropy_words(3)
+
+        def block_counts(block, lanes):
+            key = stabsim._block_key(words, block)
+            failing = stabsim._failing(plan.checks, stabsim._draw(plan.steps, key, lanes), lanes)
+            failed = functools.reduce(operator.or_, failing)
+            return [lanes - fail.bit_count() for fail in failing], lanes - failed.bit_count()
+
+        first = block_counts(0, stabsim._SEED_BLOCK)
+        second = block_counts(1, 5)
+        est = fidelity_estimate(RELAY, noise, trials=stabsim._SEED_BLOCK + 5, seed=3)
+        assert [pair.passes for pair in est.pairs] == [
+            a + b for a, b in zip(first[0], second[0])
+        ]
+        assert est.all_pass_count == first[1] + second[1]
+        # The first block run apart is the estimate over its trials alone.
+        alone = fidelity_estimate(RELAY, noise, trials=stabsim._SEED_BLOCK, seed=3)
+        assert ([pair.passes for pair in alone.pairs], alone.all_pass_count) == first
 
     def test_tableau_runs_once_per_call_not_per_trial(self, monkeypatch):
         """The tableau work of an estimate is one pass over the schedule,
@@ -952,6 +863,66 @@ class TestMonteCarlo:
         noise = NoiseModel(swap_depolarize_p=1)
         est = estimate_operation_error(RELAY, noise, trials=2000, seed=0)
         assert abs(est - 0.75) < 0.05
+
+
+def ladder(copies: int, hops: int) -> SwapSchedule:
+    """``copies`` disjoint paths of ``hops`` hops: 2 * copies * hops qubits."""
+    return build_swap_schedule(
+        [
+            PathBundle(path=("s", *(f"p{c}_{j}" for j in range(1, hops)), "t"), multiplicity=1)
+            for c in range(copies)
+        ]
+    )
+
+
+# (copies, hops, swap noise, pair noise) of the ladders below.
+LADDER_NOISE = [
+    (1, 2, Fraction(1, 200), Fraction(1, 150)),
+    (1, 2, Fraction(1, 50), Fraction(2, 75)),
+    (2, 3, Fraction(1, 100), Fraction(1, 75)),
+    (2, 3, Fraction(1, 50), Fraction(2, 75)),
+    (4, 6, Fraction(1, 200), Fraction(1, 150)),
+    (4, 6, Fraction(1, 50), Fraction(2, 75)),
+    (9, 11, Fraction(1, 100), Fraction(1, 75)),
+    (9, 11, Fraction(1, 50), Fraction(2, 75)),
+    (10, 20, Fraction(1, 200), Fraction(1, 150)),
+    (10, 20, Fraction(1, 50), Fraction(2, 75)),
+    # Sites with p = 1 hit every lane.
+    (2, 3, Fraction(1), Fraction(0)),
+    (1, 2, Fraction(0), Fraction(1)),
+    (4, 6, Fraction(1, 50), Fraction(1)),
+    # No noise: every trial passes.
+    (9, 11, Fraction(0), Fraction(0)),
+]
+
+
+class TestSamplerStatistics:
+    """At fixed seeds, the all-pass count of ``fidelity_estimate`` lies
+    within 5 sigma of the closed form, the bound the benchmark's simulate
+    check uses, on ladders of 4 to 400 qubits. In the first ten cases every
+    edge's pair noise is 4/3 of the swap noise p, so a fresh pair sits at
+    trace distance p from ideal. 5000 trials span two blocks."""
+
+    TRIALS = 5000
+
+    @pytest.mark.parametrize(
+        "copies, hops, swap, pair",
+        LADDER_NOISE,
+        ids=[f"q{2 * c * h}-swap{float(s):g}-pair{float(p):.3g}" for c, h, s, p in LADDER_NOISE],
+    )
+    def test_all_pass_count_tracks_exact(self, copies, hops, swap, pair):
+        sched = ladder(copies, hops)
+        keys = {ins.edge for ins in sched.instructions if isinstance(ins, CreateBellPair)}
+        noise = NoiseModel(swap_depolarize_p=swap, pair_error=dict.fromkeys(keys, pair))
+        exact = exact_pass_probability(sched, noise)
+        est = fidelity_estimate(sched, noise, trials=self.TRIALS, seed=copies * 100 + hops)
+        mean = self.TRIALS * exact
+        sigma = math.sqrt(mean * (1 - exact))
+        assert abs(est.all_pass_count - mean) <= 5 * sigma, (
+            sched.n_qubits,
+            est.all_pass_count,
+            float(mean),
+        )
 
 
 class TestWilsonInterval:
