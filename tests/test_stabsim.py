@@ -795,7 +795,10 @@ class TestMonteCarlo:
         b = fidelity_estimate(RELAY, noise, trials=200, seed=11)
         assert a == b
 
-    def test_estimate_equals_its_blocks_run_apart(self):
+    def test_trials_are_independently_seeded(self):
+        """A block's generator is keyed by the seed and its index alone: the
+        estimate is the sum of its blocks run apart, and a one-trial
+        estimate is the run of ``run_schedule`` with the same seed."""
         noise = NoiseModel(swap_depolarize_p=Fraction(1, 4))
         plan = stabsim._plan(RELAY, noise)
         words = stabsim._entropy_words(3)
@@ -816,6 +819,9 @@ class TestMonteCarlo:
         # The first block run apart is the estimate over its trials alone.
         alone = fidelity_estimate(RELAY, noise, trials=stabsim._SEED_BLOCK, seed=3)
         assert ([pair.passes for pair in alone.pairs], alone.all_pass_count) == first
+        for seed in range(25):
+            one = fidelity_estimate(RELAY, noise, trials=1, seed=(6, seed))
+            assert one.all_pass_count == run_schedule(RELAY, noise, seed=(6, seed)).all_passed
 
     def test_tableau_runs_once_per_call_not_per_trial(self, monkeypatch):
         """The tableau work of an estimate is one pass over the schedule,
@@ -863,6 +869,29 @@ class TestMonteCarlo:
         noise = NoiseModel(swap_depolarize_p=1)
         est = estimate_operation_error(RELAY, noise, trials=2000, seed=0)
         assert abs(est - 0.75) < 0.05
+
+
+class TestBatchedSeeding:
+    """Trials drawn in blocks of ``_SEED_BLOCK`` bit lanes."""
+
+    def test_estimate_across_blocks_matches_reference(self):
+        """Every trial of both blocks of a two-block estimate passes where
+        the reference tableau, fed that trial's draws, passes."""
+        noise = NoiseModel(swap_depolarize_p=Fraction(1, 4))
+        plan = stabsim._plan(RELAY, noise)
+        words = stabsim._entropy_words(3)
+        refs = []
+        for block, lanes in ((0, stabsim._SEED_BLOCK), (1, 5)):
+            values = stabsim._draw(plan.steps, stabsim._block_key(words, block), lanes)
+            refs += [
+                reference_run_schedule(RELAY, noise, lane_draws(plan, values, lane))
+                for lane in range(lanes)
+            ]
+        est = fidelity_estimate(RELAY, noise, trials=len(refs), seed=3)
+        assert [pair.passes for pair in est.pairs] == [
+            sum(ref.pairs[i].passed for ref in refs) for i in range(len(RELAY.deliveries))
+        ]
+        assert est.all_pass_count == sum(ref.all_passed for ref in refs)
 
 
 def ladder(copies: int, hops: int) -> SwapSchedule:
