@@ -33,9 +33,16 @@ from .errors import (
     InfeasibleTarget,
     NegativeTarget,
     ParseError,
-    TooLarge,
 )
-from .netgraph import MILLI, _milli_text, as_fraction, load_network, min_cut
+from .netgraph import (
+    MILLI,
+    _frac,
+    _milli_text,
+    _too_long,
+    as_fraction,
+    load_network,
+    min_cut,
+)
 
 # The names the handlers take from the other modules, by module. They are
 # bound in this namespace on demand (``_bind``), so a process imports only
@@ -127,23 +134,6 @@ def _price_text(price: Fraction | None) -> str:
     except OverflowError:
         # Beyond float range: exact to the milli-unit instead.
         return _milli_text(round(price))
-
-
-def _too_long() -> TooLarge:
-    return TooLarge(
-        "an exact figure has more digits than Python writes as text "
-        f"({sys.get_int_max_str_digits()})"
-    )
-
-
-def _frac(value: Fraction) -> str:
-    try:
-        return str(Fraction(value))
-    except ValueError as exc:
-        # Each input number is bounded (``netgraph._NUMBER_LIMIT``), but a
-        # sum of many figures with unlike denominators can still outgrow
-        # the digits Python writes of an int.
-        raise _too_long() from exc
 
 
 def _flow_text(report: dict) -> str:

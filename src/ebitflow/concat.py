@@ -72,11 +72,13 @@ from .netgraph import (
     NetworkGraph,
     NodeId,
     _DOC_FIELDS,
+    _NUMBER_LIMIT,
     _converted,
     _load_json,
     _parse_flat,
     _parse_nodes,
     _set,
+    _too_large,
     _value_type,
     as_fraction,
     cost_to_milli,
@@ -647,6 +649,8 @@ def _parse_lower(raw: Mapping, index: int, memo: dict) -> dict:
         not isinstance(max_uses, int) or isinstance(max_uses, bool) or max_uses < 0
     ):
         raise ParseError(f"{where}: max_uses must be a non-negative integer")
+    if max_uses is not None and max_uses > _NUMBER_LIMIT:
+        raise _too_large(f"{where}.max_uses")
     out = {
         "network": raw["network"],
         "yield_fn": parse_yield(raw["yield"], max_uses),

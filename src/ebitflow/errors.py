@@ -34,7 +34,7 @@ class ScheduleViolation(EbitflowError):
 
 
 class InvariantViolation(EbitflowError):
-    """An internal invariant failed: a solver or simulator state is inconsistent."""
+    """An internal invariant failed: a solver or planner state is inconsistent."""
 
 
 class TooLarge(EbitflowError):

@@ -35,6 +35,7 @@ from .netgraph import (
     EdgeKey,
     NetworkGraph,
     NodeId,
+    _frac,
     _milli_text,
     _set,
     _value_type,
@@ -446,7 +447,7 @@ def solution_report(sol: FlowSolution) -> dict:
         "active_edges": [list(k) for k in sorted(sol.active_edges)],
         "net_flow": sol.net_flow,
         "total_cost_milli": sol.total_cost,
-        "unit_price_milli": None if price is None else str(price),
+        "unit_price_milli": None if price is None else _frac(price),
     }
 
 

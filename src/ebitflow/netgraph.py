@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections.abc import Iterable, Mapping, Sequence
 from decimal import Decimal
 from fractions import Fraction
@@ -54,7 +55,7 @@ from functools import cached_property
 from operator import attrgetter, eq, itemgetter
 from pathlib import Path
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, TooLarge, ValidationError
 
 NodeId = str
 EdgeKey = tuple[NodeId, NodeId]
@@ -125,6 +126,28 @@ def _value_type(cls):
 def _milli_text(milli: int) -> str:
     """A milli-unit amount in cost units with three decimals."""
     return f"{milli // MILLI}.{milli % MILLI:03d}"
+
+
+def _too_long() -> TooLarge:
+    return TooLarge(
+        "an exact figure has more digits than Python writes as text "
+        f"({sys.get_int_max_str_digits()})"
+    )
+
+
+def _frac(value: Fraction) -> str:
+    """An exact figure as ``Fraction`` text.
+
+    Raises:
+        TooLarge: If its numerator or denominator has more digits than
+            Python writes. Each input number is bounded (``_NUMBER_LIMIT``),
+            but a sum of many figures with unlike denominators, or a cost
+            multiplied level by level in a hierarchy, can still outgrow them.
+    """
+    try:
+        return str(Fraction(value))
+    except ValueError as exc:
+        raise _too_long() from exc
 
 
 _EDGE_FIELDS_REQUIRED = frozenset({"a", "b", "capacity", "cost"})

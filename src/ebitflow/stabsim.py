@@ -1,9 +1,10 @@
-"""Stabilizer-circuit simulation of swap schedules under Pauli noise.
+"""Simulation of swap schedules under Pauli noise.
 
-The simulator executes a ``SwapSchedule`` on Aaronson-Gottesman tableaus
-(arXiv:quant-ph/0406196): destabilizer and stabilizer generators with sign
-bits, so every operation stays polynomial in the qubit count. Supported
-noise:
+A swap schedule creates Bell pairs, joins them by Bell measurements and
+fixes the joined pairs with Pauli corrections, so every state it reaches
+is a product of Bell pairs, and Pauli noise and measurement outcomes
+only flip their XX and ZZ signs. The simulator therefore keeps Bell
+pairs and sign flips; it needs no stabilizer tableau. Supported noise:
 
 * ``swap_depolarize_p``: before each Bell measurement, with this probability
   a uniformly random two-qubit Pauli (identity included) hits the two
@@ -14,21 +15,12 @@ noise:
   (3/4) q from the ideal pair, so a trace-distance budget d converts to a
   replacement probability of (4/3) d.
 
-Layout. Each tableau is bit-packed into Python ints, one int per qubit
-column and one for the signs (see ``_Tableau``). A schedule is
-checked and laid out once (``_layout``) on small tableaus, one per group
-of qubits that interact: qubits tied by a pair creation, a Bell
-measurement or a delivery check share a tableau. Path copies share no
-qubits, so a 198-qubit schedule of nine copies runs as nine 22-qubit
-tableaus; their product is the joint state.
-
-Frame plan. Pauli noise and measurement outcomes change only the signs of
-a tableau, never its X and Z parts, so the tableaus run once per call: the
-reference pass (``_plan``) executes the schedule without noise, with every
-random outcome 0. A noisy run differs from it by a Pauli frame, kept as
-the draws that flip each stabilizer's sign: every draw sets GF(2)
-variables, and each outcome, correction and delivery check of a run is its
-reference value plus the parity of a fixed set of them. Trials are then
+Frame plan. A schedule is checked and planned in one walk (``_plan``),
+which keeps each live qubit's partner and, per pair, the draws that flip
+its XX and its ZZ sign. Every draw sets GF(2) variables, and each
+outcome, correction and delivery check of a run is the parity of a fixed
+set of them: with every variable 0, every outcome is 0, no correction
+fires and every check of a delivered pair reads +1. Trials are then
 sampled bit-parallel, as Stim samples Pauli frames across shots (Gidney,
 Quantum 5, 497, 2021, arXiv:2103.02202): one Python int per variable
 carries a block of trials, one bit lane each, and a check's failing lanes
@@ -46,11 +38,10 @@ created pair with a positive error probability, or a Bell measurement
 with positive swap noise) planes compared with the binary digits of its
 exact probability until no lane is tied, then, if any lane is hit, two per
 qubit, the X and Z part of a uniformly random Pauli, ANDed with the hits;
-per random measurement outcome one plane. Neither the split into copies
-nor the frame plan changes these draws (the reference pass draws
-nothing), so results depend only on (schedule, noise, seed, trials), and
-each block could run apart. ``fidelity_estimate`` stops drawing after its
-last step that can flip a check.
+per random measurement outcome one plane. The plan itself draws nothing,
+so results depend only on (schedule, noise, seed, trials), and each block
+could run apart. ``fidelity_estimate`` stops drawing after its last step
+that can flip a check.
 
 Besides Monte-Carlo estimation this module computes exact delivered-state
 error for small schedules: every Pauli-noise branch delivers a product of
@@ -73,7 +64,7 @@ import random
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
-from .errors import InvariantViolation, ScheduleViolation, TooLarge, ValidationError
+from .errors import ScheduleViolation, TooLarge, ValidationError
 from .netgraph import EdgeKey, NetworkGraph, _set, _value_type, as_fraction
 from .pathplan import (
     BellMeasure,
@@ -87,179 +78,6 @@ EXACT_QUBIT_LIMIT = 12
 
 # Two-sided 95% normal quantile, used for Wilson intervals.
 WILSON_Z = 1.959963984540054
-
-
-class _Tableau:
-    """Pure stabilizer state on ``n`` qubits, initially all-zeros.
-
-    Rows 0..n-1 of the tableau hold destabilizers, rows n..2n-1 hold
-    stabilizers. The tableau is stored by column: bit ``i`` of ``x[q]``
-    (of ``z[q]``) is set when generator ``i`` has an X (a Z) part on qubit
-    ``q``, and bit ``i`` of ``r`` when generator ``i`` has sign -1. Gates
-    and Pauli flips are a few integer operations; a measurement walks the
-    ``n`` columns once. Destabilizer signs are never read, so they are not
-    kept exact.
-    """
-
-    __slots__ = ("n", "x", "z", "r")
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.x = [1 << q for q in range(n)]
-        self.z = [1 << (n + q) for q in range(n)]
-        self.r = 0
-
-    def h(self, q: int) -> None:
-        x, z = self.x, self.z
-        self.r ^= x[q] & z[q]
-        x[q], z[q] = z[q], x[q]
-
-    def cnot(self, control: int, target: int) -> None:
-        x, z = self.x, self.z
-        xc, zt = x[control], z[target]
-        self.r ^= xc & zt & ~(x[target] ^ z[control])
-        x[target] ^= xc
-        z[control] ^= zt
-
-    def apply_x(self, q: int) -> None:
-        self.r ^= self.z[q]
-
-    def apply_z(self, q: int) -> None:
-        self.r ^= self.x[q]
-
-    def measure(self, q: int) -> tuple[int, int, int]:
-        """Measure qubit ``q`` in the computational basis; a random outcome
-        is 0.
-
-        Returns ``(outcome, pivot, rows)``, with stabilizers numbered 0..n-1
-        and sets of them as bitmasks. A determined outcome has ``pivot`` -1
-        and reads the sign of the product of the stabilizers ``rows``. A
-        random one replaces stabilizer ``pivot`` with +Z_q, after
-        multiplying it into the other stabilizers that anticommute with
-        Z_q, ``rows``.
-        """
-        n, x, z = self.n, self.x, self.z
-        col = x[q]
-        anti = col >> n
-        if not anti:
-            # Outcome determined: the stabilizers paired with the
-            # destabilizers that carry an X on q multiply to +-Z_q.
-            return self._product(col << n)[2], -1, col
-        # Outcome random: the first stabilizer anticommuting with Z_q is the
-        # pivot. Multiply it into every other row anticommuting with Z_q,
-        # move it to its destabilizer slot and replace it with +Z_q.
-        d = (anti & -anti).bit_length() - 1
-        p = n + d
-        others = col ^ (1 << p)
-        moved = (1 << p) | (1 << d)
-        keep = ~moved
-        # Bit-sliced mod-4 counters (c1 c0) of each row's phase exponent,
-        # summed over the pivot's support with the g function of
-        # Aaronson-Gottesman: an X, Y or Z pivot entry adds +1 or -1 by the
-        # row's entry on that qubit.
-        c0 = c1 = 0
-        for j in range(n):
-            xj, zj = x[j], z[j]
-            if not (xj | zj) & moved:
-                continue
-            px, pz = xj >> p & 1, zj >> p & 1
-            if px or pz:
-                if px and pz:
-                    up, down = others & zj & ~xj, others & xj & ~zj
-                elif px:
-                    up, down = others & zj & xj, others & zj & ~xj
-                else:
-                    up, down = others & xj & ~zj, others & xj & zj
-                carry = c0 & up
-                c0 ^= up
-                c1 ^= carry
-                borrow = down & ~c0
-                c0 ^= down
-                c1 ^= borrow
-                if px:
-                    xj ^= others
-                if pz:
-                    zj ^= others
-            x[j] = (xj & keep) | (px << d)
-            z[j] = (zj & keep) | (pz << d)
-        if (c0 & others) >> n:
-            raise InvariantViolation(
-                f"stabilizer sign became imaginary measuring q{q}: corrupted tableau"
-            )
-        r = self.r ^ c1
-        sign_p = r >> p & 1
-        if sign_p:
-            r ^= others
-        # The new stabilizer +Z_q has sign +1: the outcome is 0.
-        self.r = (r & keep) | (sign_p << d)
-        # Also multiply the new +Z_q into every destabilizer with a Z on q
-        # (their signs are never read), so rows stay short.
-        z[q] = (z[q] >> n | 1 << d) << n
-        return 0, d, others >> n
-
-    def _product(self, rows: int) -> tuple[int, int, int]:
-        """Product of the commuting generators in the row bitmask ``rows``.
-
-        Returns its X and Z parts as qubit bitmasks and its sign bit. In
-        X^x Z^z form a generator with sign bit s is i^(2s + |x & z|) X^x Z^z;
-        moving each X part left past the Z parts of earlier rows costs
-        (-1)^(z_k . x_l), and the product's own |x & z| leaves again.
-
-        Raises:
-            InvariantViolation: If the phase comes out imaginary, which
-                commuting generators cannot give: the tableau is corrupted.
-        """
-        e = 2 * (self.r & rows).bit_count()
-        prod_x = prod_z = 0
-        bit = 1
-        for xj, zj in zip(self.x, self.z):
-            xj &= rows
-            zj &= rows
-            if xj and zj:
-                e += (xj & zj).bit_count()
-                t = xj
-                while t:
-                    low = t & -t
-                    e += 2 * (zj & (low - 1)).bit_count()
-                    t ^= low
-            if xj and xj.bit_count() & 1:
-                prod_x |= bit
-            if zj and zj.bit_count() & 1:
-                prod_z |= bit
-            bit <<= 1
-        e -= (prod_x & prod_z).bit_count()
-        if e & 1:
-            raise InvariantViolation(
-                "stabilizer product has an imaginary phase: corrupted tableau"
-            )
-        return prod_x, prod_z, e >> 1 & 1
-
-    def _expectation(self, px: int, pz: int) -> tuple[int, int]:
-        """Expectation of the +1-phase Pauli with X part ``px`` and Z part
-        ``pz``, qubit bitmasks.
-
-        Returns ``(sign, rows)``: +1 or -1 when the Pauli (up to sign) is in
-        the stabilizer group, with ``rows`` the stabilizers whose product it
-        is, those paired with the destabilizers that anticommute with it;
-        ``(0, 0)`` otherwise.
-        """
-        x, z = self.x, self.z
-        anti = 0
-        support = px | pz
-        while support:
-            low = support & -support
-            j = low.bit_length() - 1
-            if pz & low:
-                anti ^= x[j]
-            if px & low:
-                anti ^= z[j]
-            support ^= low
-        if anti >> self.n:
-            return 0, 0
-        prod_x, prod_z, sign = self._product(anti << self.n)
-        if (prod_x, prod_z) != (px, pz):
-            return 0, 0
-        return 1 - 2 * sign, anti
 
 
 @_value_type
@@ -377,89 +195,6 @@ _PAULI_NAMES = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "XZ"}
 _OUTCOME = (Fraction(1), 1)
 
 
-def _layout(sched: SwapSchedule) -> tuple[dict[int, tuple[int, int]], list[int]]:
-    """Check a schedule in instruction order and lay its qubits out on
-    tableaus.
-
-    Qubits tied by a pair creation, a Bell measurement or a delivery check
-    share a tableau. Returns ``layout``, each created qubit's tableau and
-    index in it, and ``sizes``, the qubit count of each tableau.
-
-    Raises:
-        ScheduleViolation: As ``run_schedule`` documents.
-    """
-    n = sched.n_qubits
-    created: set[int] = set()
-    measured: set[int] = set()
-    indices: set[int] = set()
-    # The qubit pairs that must share a tableau: those of a two-qubit
-    # operation or a delivery check.
-    ties: list[tuple[int, int]] = []
-
-    def require_live(q: int, action: str) -> None:
-        if q not in created:
-            raise ScheduleViolation(f"{action} on qubit q{q} before creation")
-        if q in measured:
-            raise ScheduleViolation(f"{action} on already measured qubit q{q}")
-
-    for ins in sched.instructions:
-        if isinstance(ins, CreateBellPair):
-            for q in (ins.qubit_left, ins.qubit_right):
-                if not 0 <= q < n:
-                    raise ScheduleViolation(
-                        f"qubit q{q} outside the schedule's {n} qubits"
-                    )
-                if q in created:
-                    raise ScheduleViolation(f"qubit q{q} created twice")
-                created.add(q)
-            ties.append((ins.qubit_left, ins.qubit_right))
-        elif isinstance(ins, BellMeasure):
-            if ins.qubit_left == ins.qubit_right:
-                raise ScheduleViolation(
-                    f"Bell measurement m{ins.index} on one qubit q{ins.qubit_left}"
-                )
-            require_live(ins.qubit_left, "measurement")
-            require_live(ins.qubit_right, "measurement")
-            measured.add(ins.qubit_left)
-            measured.add(ins.qubit_right)
-            indices.add(ins.index)
-            ties.append((ins.qubit_left, ins.qubit_right))
-        elif isinstance(ins, PauliCorrect):
-            require_live(ins.qubit, "correction")
-            for src in ins.sources:
-                if src not in indices:
-                    raise ScheduleViolation(f"correction reads unknown outcome m{src}")
-        else:
-            raise ScheduleViolation(f"unknown instruction {ins!r}")
-    for d in sched.deliveries:
-        require_live(d.source_qubit, "delivery check")
-        require_live(d.sink_qubit, "delivery check")
-        ties.append((d.source_qubit, d.sink_qubit))
-
-    parent = list(range(n))
-
-    def find(q: int) -> int:
-        while parent[q] != q:
-            parent[q] = parent[parent[q]]
-            q = parent[q]
-        return q
-
-    for a, b in ties:
-        parent[find(a)] = find(b)
-    tableau_of: dict[int, int] = {}
-    layout: dict[int, tuple[int, int]] = {}
-    sizes: list[int] = []
-    for q in sorted(created):
-        root = find(q)
-        if root not in tableau_of:
-            tableau_of[root] = len(sizes)
-            sizes.append(0)
-        t = tableau_of[root]
-        layout[q] = (t, sizes[t])
-        sizes[t] += 1
-    return layout, sizes
-
-
 @_value_type
 class _Plan:
     """The frame plan of a schedule (see the module docstring).
@@ -467,7 +202,8 @@ class _Plan:
     The draws set GF(2) variables, numbered in draw order: two per noisy
     pair site (the X and Z part of the Pauli on its right qubit), four per
     noisy Bell measurement (the X and Z parts on its left, then its right
-    qubit) and one per random outcome. Sets of variables are bitmasks.
+    qubit) and one per random outcome. Sets of variables are bitmasks, and
+    a figure is the parity of the set variables in its mask.
 
     Attributes:
         steps: The draws in order, each ``(p, count)``: a site hit with
@@ -475,20 +211,18 @@ class _Plan:
             ``count`` variables, the next ones in order, with probability
             1/2. A noise site has two per qubit, so a hit puts a uniformly
             random Pauli on each; a random outcome is ``(1, 1)``.
-        outcomes: Per distinct measurement index, in sorted order,
-            ``((ref, mask), (ref, mask))``: an outcome is ``ref`` plus the
-            parity of the set variables in ``mask``.
-        fixes: Per correction, its X and Z frame as ``(ref, mask)`` each.
-        checks: Per delivery, its XX and ZZ check as ``(sign, mask)``
-            each: the reference sign (+1, -1, or 0 when the pair is not
-            stabilized, which no draw changes) and the variables that
-            flip it.
+        outcomes: Per distinct measurement index, in sorted order, the
+            masks of its two outcomes.
+        fixes: Per correction, the masks of its X and its Z part.
+        checks: Per delivery, the masks that flip its XX and its ZZ sign
+            from +1, or None when its two qubits share no pair: neither
+            sign is then stabilized, and the check fails whatever is drawn.
     """
 
     steps: tuple[tuple, ...]
-    outcomes: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-    fixes: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-    checks: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+    outcomes: tuple[tuple[int, int], ...]
+    fixes: tuple[tuple[int, int], ...]
+    checks: tuple[tuple[int, int] | None, ...]
 
     def __init__(self, steps, outcomes, fixes, checks) -> None:
         _set(self, "steps", steps)
@@ -498,117 +232,104 @@ class _Plan:
 
 
 def _plan(sched: SwapSchedule, noise: NoiseModel) -> _Plan:
-    """Check a schedule, run it once without noise and track its sign flips.
+    """Check a schedule and build its frame plan in one walk.
 
-    The Pauli frame that separates a noisy run from the reference run is
-    kept by its effect on the tableau: ``flips[t][i]``, a bitmask of
-    variables, holds the sum of those that flip the sign of stabilizer
-    ``i`` of tableau ``t``. Gates conjugate the frame and the stabilizers
-    alike, so they change no flip. A Pauli, as in ``apply_x``, flips the
-    stabilizers it anticommutes with. A random measurement multiplies its
-    pivot into the other stabilizers that anticommute with Z on the qubit,
-    which adds the pivot's flips to theirs, and gives the new stabilizer
-    the outcome's variable. A determined outcome, and a check, flips by
-    the sum over the stabilizers whose product it reads.
+    Every live qubit has a partner, the other half of its Bell pair, and
+    both share the pair's frame ``[xx, zz]``: the masks of the variables
+    that flip its XX and its ZZ sign. A Pauli X on a qubit flips its pair's
+    ZZ and a Pauli Z its XX. A Bell measurement of qubits a and b reads XX
+    on them, then ZZ. If they are one pair, the outcomes are the pair's own
+    masks. Otherwise both outcomes are random, a new variable each, and
+    the partners of a and b become a pair, whose XX is the product of the
+    two old XX and the measured one, and likewise its ZZ.
 
     Raises:
-        ScheduleViolation: As ``run_schedule`` documents, before any
-            tableau is built.
+        ScheduleViolation: As ``run_schedule`` documents: the first fault
+            in instruction order, then in delivery order.
     """
-    layout, sizes = _layout(sched)
-    tabs = [_Tableau(size) for size in sizes]
-    flips = [[0] * size for size in sizes]
+    n = sched.n_qubits
+    created: set[int] = set()
+    partner: dict[int, int] = {}
+    frame: dict[int, list[int]] = {}
     steps: list[tuple] = []
-    outcomes: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
+    outcomes: dict[int, tuple[int, int]] = {}
     fixes = []
+    pair_error = noise.pair_error
     swap_p = noise.swap_depolarize_p
     nv = 0
 
-    def flip(fl: list[int], rows: int, mask: int) -> None:
-        """Add ``mask`` to the flips of the stabilizers in ``rows``."""
-        while rows:
-            low = rows & -rows
-            fl[low.bit_length() - 1] ^= mask
-            rows ^= low
-
-    def total(fl: list[int], rows: int) -> int:
-        """The sum of the flips of the stabilizers in ``rows``."""
-        acc = 0
-        while rows:
-            low = rows & -rows
-            acc ^= fl[low.bit_length() - 1]
-            rows ^= low
-        return acc
-
-    def pauli(st: _Tableau, fl: list[int], q: int, mask_x: int, mask_z: int) -> None:
-        flip(fl, st.z[q] >> st.n, mask_x)
-        flip(fl, st.x[q] >> st.n, mask_z)
-
-    def add_noise(st: _Tableau, fl: list[int], p: Fraction, qubits: tuple[int, ...]) -> None:
-        nonlocal nv
-        for q in qubits:
-            pauli(st, fl, q, 1 << nv, 2 << nv)
-            nv += 2
-        steps.append((p, 2 * len(qubits)))
-
-    def measure(st: _Tableau, fl: list[int], q: int) -> tuple[int, int]:
-        nonlocal nv
-        outcome, pivot, rows = st.measure(q)
-        if pivot < 0:
-            return outcome, total(fl, rows)
-        flip(fl, rows, fl[pivot])
-        fl[pivot] = var = 1 << nv
-        steps.append(_OUTCOME)
-        nv += 1
-        return outcome, var
+    def require_live(q: int, action: str) -> None:
+        if q not in partner:
+            if q in created:
+                raise ScheduleViolation(f"{action} on already measured qubit q{q}")
+            raise ScheduleViolation(f"{action} on qubit q{q} before creation")
 
     for ins in sched.instructions:
         if isinstance(ins, CreateBellPair):
-            t, a = layout[ins.qubit_left]
-            b = layout[ins.qubit_right][1]
-            st = tabs[t]
-            st.h(a)
-            st.cnot(a, b)
-            error_p = noise.pair_error.get(ins.edge)
+            a, b = ins.qubit_left, ins.qubit_right
+            for q in (a, b):
+                if not 0 <= q < n:
+                    raise ScheduleViolation(
+                        f"qubit q{q} outside the schedule's {n} qubits"
+                    )
+                if q in created:
+                    raise ScheduleViolation(f"qubit q{q} created twice")
+                created.add(q)
+            error_p = pair_error.get(ins.edge)
             if error_p:
-                add_noise(st, flips[t], error_p, (b,))
+                # The X part on b flips ZZ, the Z part XX.
+                pair = [2 << nv, 1 << nv]
+                steps.append((error_p, 2))
+                nv += 2
+            else:
+                pair = [0, 0]
+            partner[a], partner[b] = b, a
+            frame[a] = frame[b] = pair
         elif isinstance(ins, BellMeasure):
-            t, a = layout[ins.qubit_left]
-            b = layout[ins.qubit_right][1]
-            st, fl = tabs[t], flips[t]
+            a, b = ins.qubit_left, ins.qubit_right
+            if a == b:
+                raise ScheduleViolation(f"Bell measurement m{ins.index} on one qubit q{a}")
+            require_live(a, "measurement")
+            require_live(b, "measurement")
+            c, d = partner.pop(a), partner.pop(b)
+            fa, fb = frame.pop(a), frame.pop(b)
             if swap_p > 0:
-                add_noise(st, fl, swap_p, (a, b))
-            st.cnot(a, b)
-            st.h(a)
-            outcomes[ins.index] = (measure(st, fl, a), measure(st, fl, b))
-        else:
-            t, q = layout[ins.qubit]
-            ref_x = mask_x = ref_z = mask_z = 0
+                fa[0] ^= 2 << nv
+                fa[1] ^= 1 << nv
+                fb[0] ^= 8 << nv
+                fb[1] ^= 4 << nv
+                steps.append((swap_p, 4))
+                nv += 4
+            if c == b:
+                outcomes[ins.index] = (fa[0], fa[1])
+            else:
+                m_a, m_b = 1 << nv, 2 << nv
+                steps += (_OUTCOME, _OUTCOME)
+                nv += 2
+                outcomes[ins.index] = (m_a, m_b)
+                partner[c], partner[d] = d, c
+                frame[c] = frame[d] = [fa[0] ^ fb[0] ^ m_a, fa[1] ^ fb[1] ^ m_b]
+        elif isinstance(ins, PauliCorrect):
+            require_live(ins.qubit, "correction")
+            mask_x = mask_z = 0
             for src in ins.sources:
-                (ra, ma), (rb, mb) = outcomes[src]
-                ref_z ^= ra
-                mask_z ^= ma
-                ref_x ^= rb
-                mask_x ^= mb
-            st = tabs[t]
-            if ref_x:
-                st.apply_x(q)
-            if ref_z:
-                st.apply_z(q)
-            pauli(st, flips[t], q, mask_x, mask_z)
-            fixes.append(((ref_x, mask_x), (ref_z, mask_z)))
+                if src not in outcomes:
+                    raise ScheduleViolation(f"correction reads unknown outcome m{src}")
+                m_a, m_b = outcomes[src]
+                mask_z ^= m_a
+                mask_x ^= m_b
+            pair = frame[ins.qubit]
+            pair[0] ^= mask_z
+            pair[1] ^= mask_x
+            fixes.append((mask_x, mask_z))
+        else:
+            raise ScheduleViolation(f"unknown instruction {ins!r}")
     checks = []
     for d in sched.deliveries:
-        t, a = layout[d.source_qubit]
-        b = layout[d.sink_qubit][1]
-        st, fl = tabs[t], flips[t]
-        both = (1 << a) | (1 << b)
-        checks.append(
-            tuple(
-                (sign, total(fl, rows))
-                for sign, rows in (st._expectation(both, 0), st._expectation(0, both))
-            )
-        )
+        s, t = d.source_qubit, d.sink_qubit
+        require_live(s, "delivery check")
+        require_live(t, "delivery check")
+        checks.append(tuple(frame[s]) if partner[s] == t else None)
     return _Plan(
         steps=tuple(steps),
         outcomes=tuple(outcomes[index] for index in sorted(outcomes)),
@@ -703,22 +424,25 @@ def _draw(steps: Sequence[tuple[Fraction, int]], key: int, lanes: int) -> list[i
     return values
 
 
-def _failing(checks: Sequence[tuple], values: Sequence[int], lanes: int) -> list[int]:
+def _failing(checks: Sequence[tuple | None], values: Sequence[int], lanes: int) -> list[int]:
     """Per delivery of ``_Plan.checks``, the lanes whose trial fails its XX
-    or its ZZ check, given the lane ints ``values`` of ``_draw``. A check
-    flips where the XOR of its variables is set; one that is not
-    stabilized (sign 0, no variables) fails everywhere."""
+    or its ZZ check, given the lane ints ``values`` of ``_draw``. A sign
+    flips where the XOR of its variables is set; a delivery whose qubits
+    share no pair (None) fails everywhere."""
     full = (1 << lanes) - 1
     out = []
-    for pair in checks:
+    for check in checks:
+        if check is None:
+            out.append(full)
+            continue
         fail = 0
-        for sign, mask in pair:
+        for mask in check:
             flips = 0
             while mask:
                 low = mask & -mask
                 flips ^= values[low.bit_length() - 1]
                 mask ^= low
-            fail |= flips if sign == 1 else full ^ flips
+            fail |= flips
         out.append(fail)
     return out
 
@@ -731,8 +455,8 @@ def run_schedule(
     """Execute a schedule once.
 
     Deterministic for a given (schedule, noise, seed) triple: the run is
-    lane 0 of a one-lane block 0 of ``fidelity_estimate``'s sampler, the
-    reference run of ``_plan`` shifted by the frame its draws set.
+    lane 0 of a one-lane block 0 of ``fidelity_estimate``'s sampler: each
+    figure is the parity of the frame-plan variables its draws set.
 
     Raises:
         ScheduleViolation: On double creation, qubits outside the schedule,
@@ -749,18 +473,13 @@ def run_schedule(
     for var, bit in enumerate(_draw(plan.steps, key, 1)):
         values |= bit << var
 
-    def value(term: tuple[int, int]) -> int:
-        ref, mask = term
-        return ref ^ ((mask & values).bit_count() & 1)
-
-    def sign(term: tuple[int, int]) -> int:
-        ref, mask = term
-        return -ref if (mask & values).bit_count() & 1 else ref
+    def parity(mask: int) -> int:
+        return (mask & values).bit_count() & 1
 
     return RunResult(
-        outcomes=tuple((value(a), value(b)) for a, b in plan.outcomes),
+        outcomes=tuple((parity(a), parity(b)) for a, b in plan.outcomes),
         corrections=tuple(
-            (ins.qubit, _PAULI_NAMES[value(fx), value(fz)])
+            (ins.qubit, _PAULI_NAMES[parity(fx), parity(fz)])
             for ins, (fx, fz) in zip(
                 (ins for ins in sched.instructions if isinstance(ins, PauliCorrect)),
                 plan.fixes,
@@ -771,10 +490,10 @@ def run_schedule(
                 copy=d.copy,
                 source_qubit=d.source_qubit,
                 sink_qubit=d.sink_qubit,
-                xx_sign=sign(xx),
-                zz_sign=sign(zz),
+                xx_sign=0 if check is None else 1 - 2 * parity(check[0]),
+                zz_sign=0 if check is None else 1 - 2 * parity(check[1]),
             )
-            for d, (xx, zz) in zip(sched.deliveries, plan.checks)
+            for d, check in zip(sched.deliveries, plan.checks)
         ),
     )
 
@@ -857,8 +576,8 @@ def fidelity_estimate(
 ) -> FidelityEstimate:
     """Estimate Pr[pair passes its XX and ZZ check] for every delivery.
 
-    The tableaus run once, for the reference pass of ``_plan``. Trials are
-    then sampled on bit lanes (``_draw``), in blocks of up to
+    The schedule is walked once, by ``_plan``. Trials are then sampled on
+    bit lanes (``_draw``), in blocks of up to
     ``_SEED_BLOCK`` trials: trial i is lane i mod 4096 of block i // 4096,
     whose generator is keyed by the seed and the block index alone, so
     estimates are reproducible and blocks could run apart without changing
@@ -880,9 +599,9 @@ def fidelity_estimate(
     # Draws after the last one that can flip a check change no verdict and
     # are left out; those before it keep their planes.
     relevant = 0
-    for pair in plan.checks:
-        for _, mask in pair:
-            relevant |= mask
+    for check in plan.checks:
+        if check is not None:
+            relevant |= check[0] | check[1]
     steps, drawn = [], 0
     for step in plan.steps:
         if drawn >= relevant.bit_length():

@@ -6,9 +6,10 @@ implementations, so an agreement between the two is meaningful. The
 exceptions are the reference stabilizer simulator, the XOR convolution,
 the reference min-cost flow and the reference hierarchical resolve at
 the end: the package's earlier numpy tableau, kept as the slow path
-whose runs its bit-packed frame plan must reproduce when both are fed
-the same draws, its earlier exact pass probability, which the closed
-form must equal exactly, its earlier three-search min-cost flow, which
+whose runs its Bell-pair frame plan must reproduce when both are fed
+the same draws, and itself pinned against a dense state vector, its
+earlier exact pass probability, which the closed form must equal
+exactly, its earlier three-search min-cost flow, which
 the one-search solver must reproduce arc for arc, and its earlier
 resolve with one lower solve per edge, which the resolve that shares
 solves between relabelled copies must reproduce, and its earlier
@@ -229,11 +230,12 @@ def random_network(
 
 # --- Reference stabilizer simulator -----------------------------------------
 # The int8 numpy tableau and schedule loop that ``ebitflow.stabsim`` used
-# before it moved to bit-packed per-copy tableaus and a frame plan, kept so
-# the fast engine can be pinned against it. The reference takes its random
-# decisions from a draw source in instruction order (``ReplayedDraws``), so
-# fed one trial's decisions it gives that trial's outcomes, corrections and
-# pair signs.
+# before it moved to bit-packed per-copy tableaus and then to a frame plan
+# built from Bell pairs alone, kept so that plan can be pinned against it;
+# a dense state vector (``StateVector``) pins the tableau in turn. The
+# reference takes its random decisions from a draw source in instruction
+# order (``ReplayedDraws``), so fed one trial's decisions it gives that
+# trial's outcomes, corrections and pair signs.
 
 
 class ReplayedDraws:
@@ -417,6 +419,75 @@ class ReferenceTableau:
         zs[qa] = zs[qb] = 1
         zz = self.expectation(np.zeros(self.n, dtype=np.int8), zs)
         return xx, zz
+
+
+class StateVector:
+    """Dense complex state vector on ``n`` qubits, initially all-zeros.
+
+    Amplitude ``amp[i]`` belongs to the basis state whose bit q is qubit
+    q. It has the gate and measurement methods of ``ReferenceTableau`` and
+    shares no idea with it, no tableau, phase rule or row product: each
+    expectation is an inner product. So it pins the tableau on small
+    circuits.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.index = np.arange(1 << n)
+        self.amp = np.zeros(1 << n, dtype=complex)
+        self.amp[0] = 1
+
+    def _bit(self, q: int) -> np.ndarray:
+        return self.index >> q & 1
+
+    def h(self, q: int) -> None:
+        self.amp = (self.amp[self.index ^ 1 << q] + (1 - 2 * self._bit(q)) * self.amp) / math.sqrt(2)
+
+    def cnot(self, control: int, target: int) -> None:
+        self.amp = self.amp[self.index ^ self._bit(control) << target]
+
+    def apply_x(self, q: int) -> None:
+        self.amp = self.amp[self.index ^ 1 << q]
+
+    def apply_z(self, q: int) -> None:
+        self.amp = self.amp * (1 - 2 * self._bit(q))
+
+    def apply_y(self, q: int) -> None:
+        # Y = iXZ.
+        self.apply_z(q)
+        self.apply_x(q)
+        self.amp = 1j * self.amp
+
+    def measure(self, q: int, draws) -> int:
+        """Measure qubit ``q`` in the computational basis; returns 0 or 1,
+        from ``draws.outcome()`` when both outcomes have weight."""
+        bit = self._bit(q)
+        p1 = float(np.sum(np.abs(self.amp[bit == 1]) ** 2))
+        if p1 < 1e-9:
+            outcome = 0
+        elif p1 > 1 - 1e-9:
+            outcome = 1
+        else:
+            outcome = draws.outcome()
+        weight = p1 if outcome else 1 - p1
+        self.amp = np.where(bit == outcome, self.amp, 0) / math.sqrt(weight)
+        return outcome
+
+    def expectation(self, xs: Sequence[int], zs: Sequence[int]) -> int:
+        """<psi|P|psi> for the Hermitian Pauli P with X part ``xs`` and Z
+        part ``zs`` (Y where both are set): +1, -1 or 0 on a stabilizer
+        state."""
+        flip = sum(x << q for q, x in enumerate(xs))
+        signs = np.ones(1 << self.n)
+        for q, z in enumerate(zs):
+            if z:
+                signs = signs * (1 - 2 * self._bit(q))
+        # X^x Z^z times i per Y turns it Hermitian.
+        phase = 1j ** sum(x & z for x, z in zip(xs, zs))
+        value = phase * np.vdot(self.amp, (signs * self.amp)[self.index ^ flip])
+        rounded = round(value.real)
+        assert abs(value - rounded) < 1e-9 and rounded in (-1, 0, 1), value
+        return rounded
 
 
 _PAULI_NAMES = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "XZ"}

@@ -597,6 +597,26 @@ def huge_doc(**fields):
     return {**CHAIN_DOC, "edges": [{**first, **fields}, second]}
 
 
+def use_bound_hierarchy(depth, max_uses):
+    """A hierarchy of ``depth`` one-edge levels over a one-edge leaf, each
+    wrapped edge with the use bound ``max_uses`` and a rate-1 yield."""
+    doc = {
+        "nodes": ["A", "B"],
+        "edges": [{"a": "A", "b": "B", "capacity": 2, "cost": 1}],
+        "source": "A",
+        "sink": "B",
+    }
+    for _ in range(depth):
+        lower = {
+            "network": doc,
+            "yield": {"kind": "linear-floor", "rate": "1"},
+            "max_uses": max_uses,
+            "delta_target": 0,
+        }
+        doc = {**doc, "edges": [{"a": "A", "b": "B", "lower": lower}]}
+    return doc
+
+
 class TestHugeNumbers:
     """A number past the limit of 10**400 in its numerator or denominator
     is a ParseError (exit 3), in a document or a flag, and is refused before
@@ -672,6 +692,25 @@ class TestHugeNumbers:
             doc = {**doc, "edges": [{"a": "s", "b": "t", "lower": lower}]}
         message = self.run(tmp_path, doc, command, *args)
         assert message.startswith(f"edges[0].{field}: ")
+
+    def test_huge_lower_use_bound(self, tmp_path):
+        doc = use_bound_hierarchy(1, 10**401)
+        message = self.run(tmp_path, doc, "concat", "--target", "1")
+        assert message.startswith("edges[0].max_uses: ")
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_deep_hierarchy_of_huge_use_bounds(self, tmp_path, fmt):
+        # Each bound is within the limit, but every level multiplies the
+        # per-use cost by its bound: twelve levels give a price with more
+        # digits than Python writes, which used to crash (exit 1).
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(use_bound_hierarchy(12, 10**400)))
+        proc = run_cli(
+            "concat", "--input", str(path), "--target", "1", "--format", fmt, timeout=30
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        assert_json_error(proc.stderr, "TooLarge")
 
     def test_budget_of_many_unlike_denominators(self, tmp_path):
         # Every delta is within the limit, but their sum's denominator is

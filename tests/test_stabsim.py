@@ -1,4 +1,5 @@
-"""Tableau simulator, noise model, and exact-error machinery."""
+"""Frame-plan simulator, noise model, exact-error machinery, and the
+reference tableau that judges the simulator."""
 
 import functools
 import math
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     ReferenceTableau,
     ReplayedDraws,
+    StateVector,
     convolved_pass_probability,
     reference_run_schedule,
 )
@@ -25,7 +27,6 @@ from ebitflow import (
     CreateBellPair,
     Delivery,
     ErrorBudget,
-    InvariantViolation,
     NetworkGraph,
     NoiseModel,
     PathBundle,
@@ -48,7 +49,6 @@ from ebitflow import (
     wilson_interval,
 )
 from ebitflow import stabsim
-from ebitflow.stabsim import _Tableau
 
 
 SINGLE = build_swap_schedule([PathBundle(path=("s", "t"), multiplicity=1)])
@@ -59,91 +59,81 @@ THREE_HOP = build_swap_schedule([PathBundle(path=("s", "a", "b", "t"), multiplic
 CORRECTION_NAMES = {"I", "X", "Z", "XZ"}
 
 
-def bell_state() -> _Tableau:
-    st_ = _Tableau(2)
+def bell_state() -> ReferenceTableau:
+    st_ = ReferenceTableau(2)
     st_.h(0)
     st_.cnot(0, 1)
     return st_
 
 
+def no_draws() -> ReplayedDraws:
+    """A draw source that any draw fails: the outcome must be determined."""
+    return ReplayedDraws([])
+
+
 class TestStabilizerState:
-    """The private tableau of the reference pass. Paulis are given as qubit
-    bitmasks (X part, Z part), and a random outcome is 0."""
+    """The reference tableau of ``tests/oracles.py``, which judges the
+    frame plan. Paulis are given as X and Z parts per qubit."""
 
     def test_fresh_state_measures_zero(self):
-        state = _Tableau(3)
+        state = ReferenceTableau(3)
         for q in range(3):
             # Determined: stabilizer q is Z_q.
-            assert state.measure(q) == (0, -1, 1 << q)
+            assert state.measure(q, no_draws()) == 0
 
     def test_fresh_state_z_stabilizers(self):
-        state = _Tableau(2)
-        assert state._expectation(0, 0b01)[0] == 1
-        assert state._expectation(0, 0b11)[0] == 1
+        state = ReferenceTableau(2)
+        assert state.expectation([0, 0], [1, 0]) == 1
+        assert state.expectation([0, 0], [1, 1]) == 1
         # X on either qubit anticommutes with the Z stabilizers.
-        assert state._expectation(0b01, 0) == (0, 0)
+        assert state.expectation([1, 0], [0, 0]) == 0
 
     def test_x_gate_flips_z_sign(self):
-        state = _Tableau(1)
+        state = ReferenceTableau(1)
         state.apply_x(0)
-        assert state._expectation(0, 1)[0] == -1
+        assert state.expectation([0], [1]) == -1
 
     def test_y_gate_flips_z_sign(self):
-        # Y is X then Z, up to a phase that no sign reads.
-        state = _Tableau(1)
-        state.apply_x(0)
-        state.apply_z(0)
-        assert state._expectation(0, 1)[0] == -1
+        state = ReferenceTableau(1)
+        state.apply_y(0)
+        assert state.expectation([0], [1]) == -1
         # H takes -Z to -X.
         state.h(0)
-        assert state._expectation(1, 0)[0] == -1
+        assert state.expectation([1], [0]) == -1
 
     def test_hadamard_makes_plus_state(self):
-        state = _Tableau(1)
+        state = ReferenceTableau(1)
         state.h(0)
-        assert state._expectation(1, 0)[0] == 1
-        assert state._expectation(0, 1) == (0, 0)
+        assert state.expectation([1], [0]) == 1
+        assert state.expectation([0], [1]) == 0
 
     def test_bell_pair_expectations(self):
-        state = bell_state()
-        assert state._expectation(0b11, 0)[0] == 1
-        assert state._expectation(0, 0b11)[0] == 1
+        assert bell_state().pair_expectations(0, 1) == (1, 1)
 
     def test_bell_pair_measurements_correlate(self):
-        # The first outcome is random, hence 0; the second one follows it.
-        for flip in (0, 1):
-            state = bell_state()
-            if flip:
-                state.apply_x(1)
-            # XX, stabilizer 0, is the pivot: it anticommutes with Z_0.
-            assert state.measure(0) == (0, 0, 0)
-            second, pivot, _ = state.measure(1)
-            assert (second, pivot) == (flip, -1)
+        # The first outcome is random and drawn; the second one follows it.
+        for first in (0, 1):
+            for flip in (0, 1):
+                state = bell_state()
+                if flip:
+                    state.apply_x(1)
+                draws = ReplayedDraws([("outcome", first)])
+                assert state.measure(0, draws) == first
+                assert draws.exhausted()
+                assert state.measure(1, no_draws()) == first ^ flip
 
     def test_measurement_outcome_repeatable(self):
         state = bell_state()
-        first, pivot, _ = state.measure(0)
-        assert pivot >= 0
+        first = state.measure(0, ReplayedDraws([("outcome", 1)]))
         # Collapsed state: the same qubit keeps answering the same way.
-        assert state.measure(0)[:2] == (first, -1)
+        assert state.measure(0, no_draws()) == first
         state.apply_x(0)
-        assert state.measure(0)[:2] == (1 - first, -1)
+        assert state.measure(0, no_draws()) == 1 - first
 
     def test_anticorrelated_pair_zz_negative(self):
         state = bell_state()
         state.apply_x(1)
-        assert state._expectation(0b11, 0)[0] == 1
-        assert state._expectation(0, 0b11)[0] == -1
-
-    def test_corrupted_tableau_raises_typed_error(self):
-        # Both destabilizers carry an X on qubit 0, so measuring it
-        # multiplies both stabilizers, X_1 and Z_1. They anticommute, which
-        # no sound tableau allows, and their product has an imaginary phase.
-        state = _Tableau(2)
-        state.x[:] = [0b0011, 0b0100]
-        state.z[:] = [0, 0b1000]
-        with pytest.raises(InvariantViolation):
-            state.measure(0)
+        assert state.pair_expectations(0, 1) == (1, -1)
 
 
 class TestNoiseModel:
@@ -346,8 +336,8 @@ class TestScheduleViolations:
             run_schedule(sched)
 
     def test_whole_schedule_is_checked_before_any_tableau(self, monkeypatch):
-        """A fault in the last delivery is found before the first tableau is
-        built, so a bad schedule costs no simulation."""
+        """A fault in the last delivery is found before anything is drawn,
+        so a bad schedule costs no sampling."""
         bundles = [PathBundle(path=("s", "a", "b", "t"), multiplicity=2)]
         good = build_swap_schedule(bundles)
         measured = next(ins for ins in good.instructions if isinstance(ins, BellMeasure))
@@ -359,23 +349,23 @@ class TestScheduleViolations:
             ),
             qubit_nodes=good.qubit_nodes,
         )
-        builds = 0
-        init = _Tableau.__init__
+        draws = 0
+        draw = stabsim._draw
 
-        def counted_init(self, n):
-            nonlocal builds
-            builds += 1
-            init(self, n)
+        def counted_draw(*args):
+            nonlocal draws
+            draws += 1
+            return draw(*args)
 
-        monkeypatch.setattr(_Tableau, "__init__", counted_init)
+        monkeypatch.setattr(stabsim, "_draw", counted_draw)
         message = f"delivery check on already measured qubit q{measured.qubit_left}"
         with pytest.raises(ScheduleViolation, match=message):
             run_schedule(bad)
         with pytest.raises(ScheduleViolation, match=message):
             fidelity_estimate(bad, trials=10)
-        assert builds == 0
+        assert draws == 0
         run_schedule(good)
-        assert builds == 2
+        assert draws == 1
 
 
 @st.composite
@@ -502,8 +492,11 @@ class TestClosedFormExact:
 
 
 class ZeroDraws:
-    """Draw source for ``ReferenceTableau.measure``: every random outcome
-    is 0, as in the package's reference pass."""
+    """Draw source of the reference run with every draw 0: each noise site
+    misses and each random outcome is 0."""
+
+    def hit(self) -> bool:
+        return False
 
     def outcome(self) -> int:
         return 0
@@ -570,41 +563,49 @@ def assert_runs_match_reference(sched, noise, seed, trials):
 
 
 class TestAgainstReferenceTableau:
-    """The bit-packed per-copy simulator and its frame plan reproduce the
-    joint int8 tableau of ``tests/oracles.py``, fed the same draws."""
+    """The frame plan and its bit-lane sampler reproduce the joint int8
+    tableau of ``tests/oracles.py``, fed the same draws, and that tableau
+    reproduces a dense state vector."""
 
     @pytest.mark.parametrize("seed", range(60))
     def test_random_clifford_circuits_match(self, seed):
         # Long circuits: short ones rarely give a generator the Y patterns
-        # on which the phase rules of the two tableaus could differ.
+        # on which the tableau's phase rules could go wrong.
         n = 2 + seed % 4
         rnd = random.Random(seed)
-        fast, ref = _Tableau(n), ReferenceTableau(n)
+        dense, ref = StateVector(n), ReferenceTableau(n)
         for _ in range(200):
             name = rnd.choice(["h", "apply_x", "apply_y", "apply_z", "measure", "cnot"])
             if name == "cnot":
                 control, target = rnd.sample(range(n), 2)
-                fast.cnot(control, target)
+                dense.cnot(control, target)
                 ref.cnot(control, target)
             elif name == "measure":
                 q = rnd.randrange(n)
-                assert fast.measure(q)[0] == ref.measure(q, ZeroDraws())
-            elif name == "apply_y":
-                q = rnd.randrange(n)
-                fast.apply_x(q)
-                fast.apply_z(q)
-                ref.apply_y(q)
+                assert dense.measure(q, ZeroDraws()) == ref.measure(q, ZeroDraws())
             else:
                 q = rnd.randrange(n)
-                getattr(fast, name)(q)
+                getattr(dense, name)(q)
                 getattr(ref, name)(q)
         # Equal expectations on every Pauli: the two states are the same.
         for code in range(4**n):
             xs = [code >> (2 * q) & 1 for q in range(n)]
             zs = [code >> (2 * q + 1) & 1 for q in range(n)]
-            px = sum(b << q for q, b in enumerate(xs))
-            pz = sum(b << q for q, b in enumerate(zs))
-            assert fast._expectation(px, pz)[0] == ref.expectation(xs, zs)
+            assert dense.expectation(xs, zs) == ref.expectation(xs, zs)
+
+    @settings(derandomize=True, max_examples=200)
+    @given(hand_built_schedules())
+    def test_noiseless_run_reads_no_minus_sign(self, case):
+        """With every draw 0 the run measures every outcome 0, applies no
+        correction and reads every check +1, or 0 where the two qubits
+        share no pair: a frame plan needs no reference values."""
+        sched, noise = case
+        run = reference_run_schedule(sched, noise, ZeroDraws())
+        assert set(run.outcomes) <= {(0, 0)}
+        assert {name for _, name in run.corrections} <= {"I"}
+        for pair in run.pairs:
+            assert pair.xx_sign == pair.zz_sign
+            assert pair.xx_sign in (1, 0)
 
     @given(noisy_schedules(), st.integers(0, 2**32), st.integers(1, 3))
     def test_runs_and_estimates_match(self, case, seed, trials):
@@ -618,7 +619,7 @@ class TestAgainstReferenceTableau:
     @pytest.mark.parametrize("seed", range(6))
     def test_tableaus_follow_interactions_not_copy_labels(self, seed):
         # A relay whose two pairs claim different copies: the measurement
-        # still ties them into one tableau.
+        # still joins them into one pair.
         sched = SwapSchedule(
             instructions=(
                 CreateBellPair("s", "r", 0, 1, 0),
@@ -761,7 +762,7 @@ class TestMonteCarlo:
             stabsim._entropy_words((1, -1))
 
     def test_annotations_resolve(self):
-        assert typing.get_type_hints(_Tableau.measure)["return"] == tuple[int, int, int]
+        assert typing.get_type_hints(stabsim._plan)["return"] is stabsim._Plan
         assert typing.get_type_hints(stabsim._draw)["return"] == list[int]
         seed = int | Sequence[int]
         for fn in (run_schedule, fidelity_estimate, estimate_operation_error):
@@ -824,8 +825,8 @@ class TestMonteCarlo:
             assert one.all_pass_count == run_schedule(RELAY, noise, seed=(6, seed)).all_passed
 
     def test_tableau_runs_once_per_call_not_per_trial(self, monkeypatch):
-        """The tableau work of an estimate is one pass over the schedule,
-        whatever the trial count. Counts calls; no timing is involved."""
+        """An estimate plans the schedule once, whatever the trial count.
+        Counts calls; no timing is involved."""
         bundles = [
             PathBundle(path=("s", *(f"p{c}_{j}" for j in range(1, 6)), "t"), multiplicity=1)
             for c in range(4)
@@ -837,27 +838,21 @@ class TestMonteCarlo:
             swap_depolarize_p=Fraction(1, 20),
             pair_error=dict.fromkeys(keys, Fraction(1, 10)),
         )
-        calls = {"init": 0, "measure": 0}
-        init, measure = _Tableau.__init__, _Tableau.measure
+        calls = 0
+        plan = stabsim._plan
 
-        def counted_init(self, n):
-            calls["init"] += 1
-            init(self, n)
+        def counted_plan(*args):
+            nonlocal calls
+            calls += 1
+            return plan(*args)
 
-        def counted_measure(self, q):
-            calls["measure"] += 1
-            return measure(self, q)
-
-        monkeypatch.setattr(_Tableau, "__init__", counted_init)
-        monkeypatch.setattr(_Tableau, "measure", counted_measure)
-        bsms = sum(isinstance(ins, BellMeasure) for ins in sched.instructions)
+        monkeypatch.setattr(stabsim, "_plan", counted_plan)
         for trials in (1, 500):
-            calls.update(init=0, measure=0)
+            calls = 0
             est = fidelity_estimate(sched, noise, trials=trials, seed=3)
             # The noise is live: some of the 500 trials fail.
             assert trials == 1 or est.all_pass_count < trials
-            # One tableau per path copy, two measurements per Bell measurement.
-            assert calls == {"init": 4, "measure": 2 * bsms}
+            assert calls == 1
 
     def test_operation_error_estimator_strips_pair_noise(self):
         noise = NoiseModel(
