@@ -39,13 +39,18 @@ Hierarchical documents extend the flat network format: every edge carries a
         "threshold": 0.1      # optional bound on the lower network's own error
     }}
 
-Parsing a hierarchical document converts each distinct cost and delta
-once: one conversion memo (see ``netgraph._converted``) lives for the
-whole document and is shared by every level and every lower copy, so
-relabelled copies of one lower network repeat no conversion. The same
-memo holds every level-0 graph built so far, so a copy whose checked
-columns equal an earlier copy's (labels included) gets its graph object
-rather than a new one, and ``_resolve`` keys each such graph once.
+Parsing a hierarchical document builds each distinct thing once: one
+memo (see ``netgraph._converted``) lives for the whole document and is
+shared by every level and every lower copy. It converts each distinct
+cost and delta once. It builds each distinct leaf edge row once, keyed
+by its exact-typed values with the raw delta, so relabelled copies of
+one lower network share every ``Edge`` away from their clients. A copy
+whose checked columns equal an earlier copy's (labels included) gets
+that copy's graph object, and ``_resolve`` keys each such graph once.
+Each distinct yield object of exact-typed values, with its use bound,
+is parsed into one ``YieldFunction``. ``HierEdge`` and
+``HierarchicalNetwork`` objects stay one per position in the document,
+since ``_resolve`` and ``plan_lower_uses`` key them by ``id``.
 
 Resolving, aggregating and lower-use planning walk the hierarchy with
 explicit stacks. Parsing (``parse_hierarchical``) and the CLI's lower-plan
@@ -72,8 +77,10 @@ from .netgraph import (
     NetworkGraph,
     NodeId,
     _DOC_FIELDS,
+    _MEMO_KINDS,
     _NUMBER_LIMIT,
     _converted,
+    _is_probability,
     _load_json,
     _parse_flat,
     _parse_nodes,
@@ -143,7 +150,7 @@ class HierEdge:
                 "do not coincide with the endpoints"
             )
         distill_error = as_fraction(distill_error, "distill_error")
-        if not 0 <= distill_error <= 1:
+        if not _is_probability(distill_error):
             raise ValidationError(f"edge {(a, b)}: distill_error outside [0, 1]")
         # A bool is an int, but True would also hash like 1 in the lower
         # solve key; reject it as netgraph.Edge does.
@@ -632,6 +639,22 @@ _LOWER_REQUIRED = frozenset({"network", "yield", "delta_target"})
 _LOWER_OPTIONAL = frozenset({"max_uses", "cost", "target", "threshold"})
 
 
+def _parsed_yield(memo: dict, raw: object, max_uses: int | None) -> YieldFunction:
+    """``parse_yield(raw, max_uses)``, remembered in ``memo`` when ``raw``
+    is an exact dict whose every value is an int, a float or a string (a
+    table's points are not). The key holds each value's exact type and
+    that of ``max_uses``, so ``1``, ``1.0``, ``True`` and ``"1"`` never
+    share a yield; a failed parse is never remembered."""
+    if type(raw) is not dict or not set(map(type, raw.values())) <= _MEMO_KINDS:
+        return parse_yield(raw, max_uses)
+    key = (type(max_uses), max_uses, *raw.items(), *map(type, raw.values()))
+    table = memo.setdefault(parse_yield, {})
+    fn = table.get(key)
+    if fn is None:
+        fn = table[key] = parse_yield(raw, max_uses)
+    return fn
+
+
 def _parse_lower(raw: Mapping, index: int, memo: dict) -> dict:
     """The fields of the ``lower`` object of ``edges[index]``; ``memo`` as
     in ``netgraph._converted``."""
@@ -653,7 +676,7 @@ def _parse_lower(raw: Mapping, index: int, memo: dict) -> dict:
         raise _too_large(f"{where}.max_uses")
     out = {
         "network": raw["network"],
-        "yield_fn": parse_yield(raw["yield"], max_uses),
+        "yield_fn": _parsed_yield(memo, raw["yield"], max_uses),
         "distill_error": _converted(
             memo, as_fraction, raw["delta_target"], index, "delta_target"
         ),
@@ -667,6 +690,8 @@ def _parse_lower(raw: Mapping, index: int, memo: dict) -> dict:
         tgt = raw["target"]
         if not isinstance(tgt, int) or isinstance(tgt, bool) or tgt < 0:
             raise ParseError(f"{where}: target must be a non-negative integer")
+        if tgt > _NUMBER_LIMIT:
+            raise _too_large(f"{where}.target")
         out["lower_target"] = tgt
     if "threshold" in raw:
         out["error_threshold"] = _converted(

@@ -40,7 +40,8 @@ or one that fails a column check, is parsed entry by entry from the start,
 and that parse is the only code that words an entry error, so every error
 is the same either way. One parse converts each distinct cost and delta
 once, and gives every network whose checked columns equal an earlier
-one's, in the same document, that network's graph object.
+one's, in the same document, that network's graph object. From the
+second such network on, each distinct edge row is built once and shared.
 """
 
 from __future__ import annotations
@@ -392,12 +393,7 @@ class NetworkGraph:
         for e in edges:
             if e.a not in node_set or e.b not in node_set:
                 raise ValidationError(f"edge {e.key} references an unknown node")
-        if source not in node_set:
-            raise ValidationError(f"unknown source node {source!r}")
-        if sink not in node_set:
-            raise ValidationError(f"unknown sink node {sink!r}")
-        if source == sink:
-            raise ValidationError("source and sink must differ")
+        _check_clients(node_set, source, sink)
         _set(self, "nodes", nodes)
         _set(self, "edges", edges)
         _set(self, "source", source)
@@ -428,6 +424,29 @@ class NetworkGraph:
             nodes.add(e.a)
             nodes.add(e.b)
         return cls(tuple(sorted(nodes)), tuple(built), source, sink)
+
+
+def _check_clients(node_set: set, source: NodeId, sink: NodeId) -> None:
+    if source not in node_set:
+        raise ValidationError(f"unknown source node {source!r}")
+    if sink not in node_set:
+        raise ValidationError(f"unknown sink node {sink!r}")
+    if source == sink:
+        raise ValidationError("source and sink must differ")
+
+
+def _trusted_graph(nodes, edges, source, sink, node_set) -> NetworkGraph:
+    """The NetworkGraph of labels and edges that the parse has proven
+    (unique non-empty string labels, known endpoints, no self-loop or
+    repeated pair), built with only the client checks of ``NetworkGraph``,
+    which keep its messages and order."""
+    _check_clients(node_set, source, sink)
+    graph = object.__new__(NetworkGraph)
+    _set(graph, "nodes", tuple(sorted(nodes)))
+    _set(graph, "edges", tuple(sorted(edges, key=_edge_key_of)))
+    _set(graph, "source", source)
+    _set(graph, "sink", sink)
+    return graph
 
 
 @_value_type
@@ -607,11 +626,15 @@ def _edge_columns(
     That shape is a list of exact dicts with one key set and no annotations,
     exact ``str`` endpoints of known nodes, exact ``int`` capacities and use
     bounds, one exact type per cost and delta column, and no repeated node
-    pair. Returns ``(key, columns)``: ``columns`` are the ``_trusted_edge``
-    arguments of each edge, every value passing the checks of ``Edge``,
-    and ``key`` is a hashable, exact-typed summary of them. Returns None for
-    any other array, or any value the per-entry parse would reject, so that
-    parse stays the only one that words entry errors.
+    pair. Returns ``(kind, raw, columns)``: ``columns`` are the
+    ``_trusted_edge`` arguments of each edge, every value passing the
+    checks of ``Edge``. ``raw`` holds the same columns with the raw delta
+    (None without one) in place of the generation error, so every value
+    is exact-typed and hashes fast, and ``kind`` is the delta column's
+    exact type or the default generation error: together they determine
+    ``columns``. Returns None for any other array, or any value the
+    per-entry parse would reject, so that parse stays the only one that
+    words entry errors.
     """
     if type(raw_edges) is not list or set(map(type, raw_edges)) != {dict}:
         return None
@@ -650,14 +673,15 @@ def _edge_columns(
         gen_error = _converted_column(memo, as_fraction, delta, _is_probability)
         if gen_error is None:
             return None
-        # The conversion depends only on the type and value, and the key
-        # hashes the raw column far faster than the Fractions.
-        delta_key = (type(delta[0]), delta)
+        # The conversion depends only on the type and value, and the raw
+        # column hashes far faster than the Fractions.
+        kind = type(delta[0])
     elif default_gen_error is _ZERO or (
         type(default_gen_error) is Fraction and _is_probability(default_gen_error)
     ):
         gen_error = (default_gen_error,) * len(a)
-        delta_key = default_gen_error
+        delta = (None,) * len(a)
+        kind = default_gen_error
     else:
         return None
     max_uses = optional.get("max_uses", (None,) * len(a))
@@ -667,8 +691,39 @@ def _edge_columns(
         or max(max_uses) > _NUMBER_LIMIT
     ):
         return None
-    key = (a, b, capacity, unit_cost, delta_key, max_uses)
-    return key, (a, b, capacity, unit_cost, gen_error, max_uses)
+    raw = (a, b, capacity, unit_cost, delta, max_uses)
+    return kind, raw, (a, b, capacity, unit_cost, gen_error, max_uses)
+
+
+def _column_edges(memo: dict, kind, raw: tuple, columns: tuple) -> Sequence[Edge]:
+    """The edges of ``_edge_columns``, one object per distinct row of
+    ``raw`` in the document that ``memo`` belongs to.
+
+    Rows of one ``kind`` share a table. The first network a document
+    builds from columns looks up no row, so a document of one network
+    pays nothing for sharing; its rows join their table when a second
+    network arrives.
+    """
+    # memo[_trusted_edge] keeps the first network's rows and edges until a
+    # second network puts them in their table, and is () from then on.
+    first = memo.get(_trusted_edge)
+    if first is None:
+        edges = tuple(map(_trusted_edge, *columns))
+        memo[_trusted_edge] = (kind, raw, edges)
+        return edges
+    if first:
+        memo[_trusted_edge] = ()
+        first_kind, first_raw, first_edges = first
+        rows = memo.setdefault((Edge, first_kind), {})
+        rows.update(zip(zip(*first_raw), first_edges))
+    rows = memo.setdefault((Edge, kind), {})
+    edges = []
+    for row, args in zip(zip(*raw), zip(*columns)):
+        edge = rows.get(row)
+        if edge is None:
+            edge = rows[row] = _trusted_edge(*args)
+        edges.append(edge)
+    return edges
 
 
 def _parse_nodes(raw: object) -> list[NodeId]:
@@ -712,9 +767,13 @@ def _parse_flat(
 ) -> NetworkDocument:
     """``parse_document`` of an object.
 
-    ``memo`` remembers cost and delta conversions (see ``_converted``) and
-    the graphs built from columns; it lives for one document, including
-    every level of a hierarchical one.
+    ``memo`` lives for one document, including every level of a
+    hierarchical one. It remembers cost and delta conversions (see
+    ``_converted``), each graph built from columns, so a repeated network
+    is built once, and each distinct edge row (see ``_column_edges``), so
+    relabelled copies share their edges away from the relabelled nodes.
+    A graph built from columns runs only the client checks of
+    ``NetworkGraph``; the columns prove the rest.
     """
     unknown = set(doc) - _DOC_FIELDS
     if unknown:
@@ -745,12 +804,12 @@ def _parse_flat(
         return NetworkDocument(graph=graph, channels=channels, yields=yields)
     # Equal columns make equal graphs, so a document that repeats a network
     # builds it once and hands every copy the same graph.
-    key, columns = found
-    key = (NetworkGraph, tuple(nodes), source, sink, key)
+    kind, raw, columns = found
+    key = (NetworkGraph, tuple(nodes), source, sink, kind, raw)
     graph = memo.get(key)
     if graph is None:
-        edges = tuple(map(_trusted_edge, *columns))
-        graph = memo[key] = NetworkGraph(tuple(nodes), edges, source, sink)
+        edges = _column_edges(memo, kind, raw, columns)
+        graph = memo[key] = _trusted_graph(nodes, edges, source, sink, node_set)
     return NetworkDocument(graph=graph, channels={}, yields={})
 
 

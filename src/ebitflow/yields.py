@@ -16,7 +16,7 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
 from .errors import ParseError, ValidationError, YieldShortfall
-from .netgraph import _set, _value_type, as_fraction
+from .netgraph import _NUMBER_LIMIT, _set, _too_large, _value_type, as_fraction
 
 _KINDS = ("identity", "linear-floor", "table")
 
@@ -179,4 +179,6 @@ def parse_yield(raw: Mapping, max_uses: int | None = None) -> YieldFunction:
             or not all(isinstance(v, int) and not isinstance(v, bool) for v in p)
         ):
             raise ParseError("yield: table points must be [uses, pairs] integer pairs")
+        if max(map(abs, p)) > _NUMBER_LIMIT:
+            raise _too_large("yield.points")
     return YieldFunction.table(pts, max_uses)

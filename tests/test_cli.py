@@ -698,6 +698,27 @@ class TestHugeNumbers:
         message = self.run(tmp_path, doc, "concat", "--target", "1")
         assert message.startswith("edges[0].max_uses: ")
 
+    def test_huge_lower_target(self, tmp_path):
+        # A per-use target of 10**500 used to reach the lower solve and
+        # exit 4 with its 501 digits in the message.
+        doc = use_bound_hierarchy(1, 8)
+        doc["edges"][0]["lower"]["target"] = 10**500
+        message = self.run(tmp_path, doc, "concat", "--target", "1")
+        assert message.startswith("edges[0].target: ")
+
+    @pytest.mark.parametrize("point", [[1, 10**500], [10**500, 1]], ids=["pairs", "uses"])
+    @pytest.mark.parametrize("command", ["plan", "concat"])
+    def test_huge_table_point(self, tmp_path, command, point):
+        # Both commands used to plan with such a table and exit 0.
+        table = {"kind": "table", "points": [point]}
+        if command == "plan":
+            doc = huge_doc(**{"yield": table})
+        else:
+            lower = {"network": CHAIN_DOC, "yield": table, "delta_target": 0}
+            doc = {**CHAIN_DOC, "edges": [{"a": "s", "b": "t", "lower": lower}]}
+        message = self.run(tmp_path, doc, command, "--target", "1")
+        assert message.startswith("yield.points: ")
+
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_deep_hierarchy_of_huge_use_bounds(self, tmp_path, fmt):
         # Each bound is within the limit, but every level multiplies the

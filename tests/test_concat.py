@@ -1412,6 +1412,62 @@ def repeated_leaf_hierarchies(draw):
     return {"nodes": ["s", "a", "b", "t"], "edges": top_edges, "source": "s", "sink": "t"}
 
 
+# Spellings of one wrapped field: the drawn value, equal values of other
+# types, other values in range, and values out of range or refused.
+WRAPPED_RESPELLINGS = {
+    "rate": ("1/2", 0.5, "0.5", "2/4", 1, 1.0, "1", True, "0", -0.5, "1e-999999"),
+    "delta_target": ("1/100", 0.01, "0.01", 0, 0.0, "0", False, 1, "3/2", -0.01),
+    "max_uses": (2, 3, 2.0, True, "2", 0, -1, 10**401),
+    "cost": (1, 1.0, "1", "1/2", True, 0.0005, -1),
+    "target": (1, 2, 1.0, True, "1", -1, 10**401),
+    "threshold": ("1/10", 0.1, "0.1", 0, True, "x", 2),
+}
+
+
+@st.composite
+def respelled_wrapper_hierarchies(draw):
+    """A depth-2 hierarchy whose twelve wrapped edges state one wrapper:
+    the same yield, use bound and delta target, and each of cost, target
+    and threshold either everywhere or nowhere, so the wrapped levels
+    share their parsed fields. One field of one wrapper may then be
+    respelled, in range or out of it."""
+    wrap = {"max_uses": 2, "delta_target": "1/100"}
+    for field, value in (("cost", 1), ("target", 1), ("threshold", "1/10")):
+        if draw(st.booleans()):
+            wrap[field] = value
+
+    def lower(network):
+        rate = {"kind": "linear-floor", "rate": "1/2"}
+        return {"network": network, "yield": rate, **wrap}
+
+    def leaf(x, y):
+        edge = {"a": x, "b": y, "capacity": 2, "cost": 1}
+        return {"nodes": [x, y], "edges": [edge], "source": x, "sink": y}
+
+    wrappers = []
+    top_edges = []
+    for x, y in DIAMOND_TOP:
+        lows = [lower(leaf(x, "u")), lower(leaf("u", y))]
+        middle = {
+            "nodes": [x, "u", y],
+            "edges": [{"a": x, "b": "u", "lower": lows[0]}, {"a": "u", "b": y, "lower": lows[1]}],
+            "source": x,
+            "sink": y,
+        }
+        top = lower(middle)
+        wrappers += [top, *lows]
+        top_edges.append({"a": x, "b": y, "lower": top})
+    if draw(st.booleans()):
+        chosen = draw(st.sampled_from(wrappers))
+        field = draw(st.sampled_from(sorted(WRAPPED_RESPELLINGS)))
+        value = draw(st.sampled_from(WRAPPED_RESPELLINGS[field]))
+        if field == "rate":
+            chosen["yield"]["rate"] = value
+        else:
+            chosen[field] = value
+    return {"nodes": ["s", "a", "b", "t"], "edges": top_edges, "source": "s", "sink": "t"}
+
+
 def ladder_document(rng, paths, hops):
     """Disjoint unit-capacity source-sink paths whose every edge states its
     own rational delta, as the benchmark's simulated ladders do."""
@@ -1439,6 +1495,18 @@ class TestColumnParse:
     )
     @given(repeated_leaf_hierarchies())
     def test_respelled_copy_parses_as_the_reference(self, doc):
+        got = typed_outcome(parse_hierarchical, doc)
+        assert got == typed_outcome(reference_parse_hierarchical, doc)
+        assert got == typed_outcome(load_hierarchical, json.dumps(doc))
+
+    @settings(
+        derandomize=True,
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(respelled_wrapper_hierarchies())
+    def test_respelled_wrapper_parses_as_the_reference(self, doc):
         got = typed_outcome(parse_hierarchical, doc)
         assert got == typed_outcome(reference_parse_hierarchical, doc)
         assert got == typed_outcome(load_hierarchical, json.dumps(doc))
@@ -1486,3 +1554,46 @@ class TestColumnParse:
         middles = [id(resolved.flat[id(n)]) for n in networks_of(net) if n.level == 1]
         assert sorted(keys) == sorted([*graphs, *middles])
         assert resolved.flat == reference_resolve(net).flat
+
+    def test_repeated_rows_and_yields_are_built_once(self, monkeypatch):
+        rng = random.Random("shared rows")
+        doc = benchmark_like_hierarchy(rng, 2, "diamond", 3)
+        wrappers, rows = [], set()
+        stack = [doc]
+        while stack:
+            for entry in stack.pop()["edges"]:
+                if "lower" in entry:
+                    wrappers.append(entry["lower"])
+                    stack.append(entry["lower"]["network"])
+                else:
+                    rows.add(tuple((k, type(v), v) for k, v in sorted(entry.items())))
+        yields = {(json.dumps(w["yield"]), w["max_uses"]) for w in wrappers}
+        # Relabelled copies repeat all but the rows at their clients, and
+        # every wrapper of a level repeats the level's yield.
+        assert (len(rows), len(yields)) == (42, 2)
+
+        calls = Counter()
+        real_edge, real_yield = netgraph._trusted_edge, concat.parse_yield
+
+        def counted_edge(*args):
+            calls["edge"] += 1
+            return real_edge(*args)
+
+        def counted_yield(*args):
+            calls["yield"] += 1
+            return real_yield(*args)
+
+        monkeypatch.setattr(netgraph, "_trusted_edge", counted_edge)
+        monkeypatch.setattr(concat, "parse_yield", counted_yield)
+        net = load_hierarchical(json.dumps(doc))
+        assert calls == {"edge": len(rows), "yield": len(yields)}
+
+        leaf_edges = [e for n in networks_of(net) if n.level == 0 for e in n.base.edges]
+        assert len({id(e) for e in leaf_edges}) == len(rows) < len(leaf_edges)
+        for e in leaf_edges:
+            fresh = Edge(e.a, e.b, e.capacity, e.unit_cost, e.gen_error, e.max_uses)
+            assert e == fresh and repr(e) == repr(fresh)
+        # 16 leaves, 4 middles and the top; 16 + 4 wrapped edges.
+        positions = [*networks_of(net), *(e for n in networks_of(net) for e in n.edges)]
+        assert len({id(x) for x in positions}) == len(positions) == 21 + 20
+        assert concat._resolve(net).flat == reference_resolve(net).flat
