@@ -78,7 +78,6 @@ _EXPORTS = {
         "PairOutcome",
         "PairStats",
         "RunResult",
-        "estimate_operation_error",
         "exact_operation_error",
         "exact_pass_probability",
         "exact_trace_distance",

@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import chain
 from pathlib import Path
 
-from . import __version__
+from . import _EXPORTS, _OWNER, __version__
 from .errors import (
     EbitflowError,
     InfeasibleTarget,
@@ -44,56 +44,25 @@ from .netgraph import (
     min_cut,
 )
 
-# The names the handlers take from the other modules, by module. They are
-# bound in this namespace on demand (``_bind``), so a process imports only
-# the modules its command uses.
-_LAZY = {
-    "mincostflow": (
-        "min_cost_flow",
-        "min_cost_max_flow",
-        "price_curve",
-        "solution_dot",
-        "solution_report",
-    ),
-    "pathplan": (
-        "build_swap_schedule",
-        "decompose_flow",
-        "plan_channel_uses",
-        "serialize_schedule",
-    ),
-    "yields": ("parse_yield",),
-    "stabsim": (
-        "EXACT_QUBIT_LIMIT",
-        "NoiseModel",
-        "exact_operation_error",
-        "exact_pass_probability",
-        "exact_trace_distance",
-        "fidelity_estimate",
-        "generation_error_budget",
-    ),
-    "concat": ("aggregate_level", "load_hierarchical", "plan_lower_uses", "total_lower_cost"),
-    "rates": ("asymptotic_rate", "channel_capacity", "parse_channel"),
-}
-
 
 def _bind(module: str) -> None:
-    """Import ``module`` and bind its names from ``_LAZY`` here. A name
+    """Import ``module`` and bind its public names (``ebitflow._EXPORTS``)
+    here, so a process imports only the modules its command uses. A name
     already bound, e.g. replaced from outside by a tracer, stays as it is."""
     qualified = f"{__package__}.{module}"
     # The import statement's path, which ``python -X importtime`` reports.
     __import__(qualified)
     source = sys.modules[qualified]
     namespace = globals()
-    for name in _LAZY[module]:
+    for name in _EXPORTS[module]:
         namespace.setdefault(name, getattr(source, name))
 
 
 def __getattr__(name: str):
-    for module, names in _LAZY.items():
-        if name in names:
-            _bind(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_OWNER[name])
+    return globals()[name]
 
 
 SCHEMA_VERSION = 1
@@ -436,7 +405,7 @@ _HANDLERS = {
     "concat": _cmd_concat,
     "rate": _cmd_rate,
 }
-# The modules of ``_LAZY`` whose names each handler calls.
+# The modules whose names each handler calls.
 _COMMAND_MODULES = {
     "mincut": (),
     "flow": ("mincostflow",),

@@ -69,7 +69,7 @@ from itertools import repeat
 from operator import contains
 from pathlib import Path
 
-from .errors import ParseError, ThresholdViolation, TooLarge, ValidationError
+from .errors import ParseError, ThresholdViolation, ValidationError
 from .mincostflow import FlowSolution, min_cost_flow, min_cost_max_flow
 from .netgraph import (
     Edge,
@@ -455,17 +455,10 @@ class AggregateResult:
 
     solution: FlowSolution
     budget: ErrorBudget
-    flat: NetworkGraph
 
-    def __init__(
-        self,
-        solution: FlowSolution,
-        budget: ErrorBudget,
-        flat: NetworkGraph,
-    ) -> None:
+    def __init__(self, solution: FlowSolution, budget: ErrorBudget) -> None:
         _set(self, "solution", solution)
         _set(self, "budget", budget)
-        _set(self, "flat", flat)
 
     @property
     def cost(self) -> int:
@@ -477,39 +470,27 @@ def aggregate_level(
     target: int,
     *,
     swap_depolarize_p=0,
-    operation_error: Fraction | None = None,
 ) -> AggregateResult:
     """Plan ``target`` end-to-end pairs across the top level of ``net``.
 
-    The operation error defaults to zero for noiseless swapping; with a
-    nonzero ``swap_depolarize_p`` it is computed exactly when the resulting
-    schedule is small enough, and must be supplied otherwise.
+    The operation error is zero for noiseless swapping; with a nonzero
+    ``swap_depolarize_p`` it is ``exact_operation_error`` of the flow's
+    swap schedule, at any size, which refuses a figure too long to write.
 
     Raises:
         InfeasibleTarget, NegativeTarget: From the underlying flow solve.
-        TooLarge: Noisy operation error requested beyond the exact regime.
     """
     flat = flatten(net)
     sol = min_cost_flow(flat, target)
     generation = generation_error_budget(flat, sol.active_edges)
-    if operation_error is not None:
-        operation = as_fraction(operation_error, "operation_error")
+    p = as_fraction(swap_depolarize_p, "swap_depolarize_p")
+    if p == 0:
+        operation = Fraction(0)
     else:
-        p = as_fraction(swap_depolarize_p, "swap_depolarize_p")
-        if p == 0:
-            operation = Fraction(0)
-        else:
-            sched = build_swap_schedule(decompose_flow(sol))
-            try:
-                operation = exact_operation_error(
-                    sched, NoiseModel(swap_depolarize_p=p)
-                )
-            except TooLarge as exc:
-                raise TooLarge(
-                    f"{exc}; supply operation_error explicitly for this size"
-                ) from exc
+        sched = build_swap_schedule(decompose_flow(sol))
+        operation = exact_operation_error(sched, NoiseModel(swap_depolarize_p=p))
     return AggregateResult(
-        solution=sol, budget=ErrorBudget(generation=generation, operation=operation), flat=flat
+        solution=sol, budget=ErrorBudget(generation=generation, operation=operation)
     )
 
 

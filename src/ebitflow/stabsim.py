@@ -44,7 +44,7 @@ could run apart. ``fidelity_estimate`` stops drawing after its last step
 that can flip a check.
 
 Besides Monte-Carlo estimation this module computes exact delivered-state
-error for small schedules: every Pauli-noise branch delivers a product of
+error at every schedule size: every Pauli-noise branch delivers a product of
 Bell states, so the output mixture is diagonal in the Bell-product basis,
 and because every noise site mixes its copy's Bell label uniformly the
 pass probability has a closed form in exact rationals (see
@@ -61,11 +61,12 @@ import math
 import numbers
 import operator
 import random
+import sys
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
-from .errors import ScheduleViolation, TooLarge, ValidationError
-from .netgraph import EdgeKey, NetworkGraph, _set, _value_type, as_fraction
+from .errors import ScheduleViolation, ValidationError
+from .netgraph import EdgeKey, NetworkGraph, _set, _too_long, _value_type, as_fraction
 from .pathplan import (
     BellMeasure,
     CreateBellPair,
@@ -73,7 +74,8 @@ from .pathplan import (
     SwapSchedule,
 )
 
-# Exact computations are contracted for at most this many qubits.
+# ``simulate`` reports exact figures for schedules of at most this many
+# qubits; the exact functions here take any size.
 EXACT_QUBIT_LIMIT = 12
 
 # Two-sided 95% normal quantile, used for Wilson intervals.
@@ -669,22 +671,40 @@ def exact_pass_probability(
     unless some site mixes it, and passes with probability
     P + (1 - P) / 4, where P is the product of (1 - q) over its sites.
     Copies are independent, so their probabilities multiply.
+
+    Raises:
+        TooLarge: Once a copy's P or the running product has a denominator
+            with more bits than a number of ``sys.get_int_max_str_digits()``
+            digits can have, so the figure could not be written as text.
+            The denominator of ``(1 - p) ** k`` is that of p to the k-th
+            power, so a swap-noise power that long is refused before it is
+            computed.
     """
     noise = noise or NoiseModel.zero()
+    # Bits of the longest denominator a figure may have (no bound when
+    # Python writes ints of any length).
+    max_bits = (sys.get_int_max_str_digits() or math.inf) * math.log2(10) + 1
+    swap = 1 - noise.swap_depolarize_p
+    swap_bits = swap.denominator.bit_length() - 1
     prob = Fraction(1)
     for edges, bsms in _copy_sites(sched).values():
-        unmixed = (1 - noise.swap_depolarize_p) ** bsms
+        # d ** k has at least k * (bits(d) - 1) + 1 bits.
+        if bsms * swap_bits + 1 > max_bits:
+            raise _too_long()
+        unmixed = swap**bsms
+        # Every copy has a created pair, so this checks the power too.
         for edge in edges:
-            unmixed *= 1 - noise.pair_error.get(edge, Fraction(0))
-        prob *= unmixed + (1 - unmixed) / 4
+            unmixed = _bounded(
+                unmixed * (1 - noise.pair_error.get(edge, Fraction(0))), max_bits
+            )
+        prob = _bounded(prob * (unmixed + (1 - unmixed) / 4), max_bits)
     return prob
 
 
-def _require_exact_regime(sched: SwapSchedule) -> None:
-    if sched.n_qubits > EXACT_QUBIT_LIMIT:
-        raise TooLarge(
-            f"{sched.n_qubits} qubits exceed the exact regime of {EXACT_QUBIT_LIMIT}"
-        )
+def _bounded(value: Fraction, max_bits: float) -> Fraction:
+    if value.denominator.bit_length() > max_bits:
+        raise _too_long()
+    return value
 
 
 def exact_operation_error(sched: SwapSchedule, noise: NoiseModel | None = None) -> Fraction:
@@ -694,9 +714,8 @@ def exact_operation_error(sched: SwapSchedule, noise: NoiseModel | None = None) 
     error the swapping operation itself introduces.
 
     Raises:
-        TooLarge: Beyond the exact-computation qubit limit.
+        TooLarge: As ``exact_pass_probability``.
     """
-    _require_exact_regime(sched)
     noise = noise or NoiseModel.zero()
     stripped = NoiseModel(swap_depolarize_p=noise.swap_depolarize_p)
     return 1 - exact_pass_probability(sched, stripped)
@@ -707,23 +726,9 @@ def exact_trace_distance(sched: SwapSchedule, noise: NoiseModel | None = None) -
     with both pair-generation and swap noise active.
 
     Raises:
-        TooLarge: Beyond the exact-computation qubit limit.
+        TooLarge: As ``exact_pass_probability``.
     """
-    _require_exact_regime(sched)
     return 1 - exact_pass_probability(sched, noise)
-
-
-def estimate_operation_error(
-    sched: SwapSchedule,
-    noise: NoiseModel | None = None,
-    trials: int = 1000,
-    seed: int | Sequence[int] = 0,
-) -> float:
-    """Monte-Carlo stand-in for ``exact_operation_error`` on large schedules."""
-    noise = noise or NoiseModel.zero()
-    stripped = NoiseModel(swap_depolarize_p=noise.swap_depolarize_p)
-    est = fidelity_estimate(sched, stripped, trials=trials, seed=seed)
-    return 1.0 - est.all_pass_rate
 
 
 def generation_error_budget(g: NetworkGraph, active: Iterable[EdgeKey]) -> Fraction:

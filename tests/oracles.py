@@ -51,8 +51,9 @@ from ebitflow import (
     generation_error_budget,
     min_cost_flow,
     min_cut,
+    parse_yield,
 )
-from ebitflow.concat import HierEdge, _EdgeInfo, _Resolved, _parse_lower
+from ebitflow.concat import HierEdge, _EdgeInfo, _Resolved
 from ebitflow.mincostflow import Arc, _cancel_cycles
 from ebitflow.netgraph import (
     MILLI,
@@ -1102,6 +1103,52 @@ def reference_parse_document(
     return NetworkDocument(graph=graph, channels=channels, yields=yields)
 
 
+def _reference_whole(raw: Mapping, name: str, where: str) -> int:
+    """``raw[name]``, which must be a non-negative int of at most 10**400."""
+    value = raw[name]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ParseError(f"{where}: {name} must be a non-negative integer")
+    if value > 10**400:
+        raise ParseError(
+            f"{where}.{name}: the numerator and denominator of a number may not "
+            "exceed 10**400"
+        )
+    return value
+
+
+def _reference_parse_lower(raw: object, index: int) -> dict:
+    """The ``HierEdge`` fields of the ``lower`` object of ``edges[index]``,
+    each value converted on its own, and its network document."""
+    where = f"edges[{index}]"
+    if not isinstance(raw, Mapping):
+        raise ParseError(f"{where}: lower must be an object")
+    required = {"network", "yield", "delta_target"}
+    unknown = set(raw) - required - {"max_uses", "cost", "target", "threshold"}
+    if unknown:
+        raise ParseError(f"{where}: unknown lower fields {sorted(unknown)}")
+    missing = required - set(raw)
+    if missing:
+        raise ParseError(f"{where}: missing lower fields {sorted(missing)}")
+    max_uses = None
+    if raw.get("max_uses") is not None:
+        max_uses = _reference_whole(raw, "max_uses", where)
+    fields = {
+        "network": raw["network"],
+        "yield_fn": parse_yield(raw["yield"], max_uses),
+        "distill_error": as_fraction(raw["delta_target"], f"{where}.delta_target"),
+        "unit_cost": None,
+        "lower_target": None,
+        "error_threshold": None,
+    }
+    if "cost" in raw:
+        fields["unit_cost"] = reference_cost_to_milli(raw["cost"], f"{where}.cost")
+    if "target" in raw:
+        fields["lower_target"] = _reference_whole(raw, "target", where)
+    if "threshold" in raw:
+        fields["error_threshold"] = as_fraction(raw["threshold"], f"{where}.threshold")
+    return fields
+
+
 def reference_parse_hierarchical(doc: Mapping) -> HierarchicalNetwork:
     """Parse a hierarchical document, every flat level through
     ``reference_parse_document``, checking each edge for being an object
@@ -1137,7 +1184,7 @@ def reference_parse_hierarchical(doc: Mapping) -> HierarchicalNetwork:
         a, b = entry["a"], entry["b"]
         if not isinstance(a, str) or not isinstance(b, str):
             raise ParseError(f"{where}: endpoints must be strings")
-        fields = _parse_lower(entry["lower"], i, {})
+        fields = _reference_parse_lower(entry["lower"], i)
         lower_net = reference_parse_hierarchical(fields.pop("network"))
         hier_edges.append(HierEdge(a=a, b=b, lower=lower_net, **fields))
     source, sink = doc.get("source"), doc.get("sink")

@@ -74,7 +74,6 @@ PUBLIC_NAMES = [
     "edge_key",
     "effective_min_cut",
     "errors",
-    "estimate_operation_error",
     "exact_operation_error",
     "exact_pass_probability",
     "exact_trace_distance",

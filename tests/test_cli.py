@@ -591,6 +591,35 @@ class TestZeroCostClique:
         }
 
 
+class TestExactErrorAtEverySize:
+    """Noisy ``concat`` reports the exact operation error above
+    ``EXACT_QUBIT_LIMIT`` and refuses one too long to write at once. Run in
+    a subprocess with a timeout so that a figure built to its full length
+    fails instead of hanging the suite."""
+
+    def run(self, tmp_path, capacity, target, noise_p):
+        doc = chain_doc(3)
+        for edge in doc["edges"]:
+            edge["capacity"] = capacity
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(doc))
+        args = ("--target", str(target), "--noise-p", noise_p)
+        return run_cli("concat", "--input", str(path), *args, timeout=30)
+
+    def test_eighteen_qubits(self, tmp_path):
+        # Three copies of a three-hop path, 18 qubits, used to exit 3: each
+        # copy passes its two half-depolarized swaps with 7/16.
+        proc = self.run(tmp_path, 3, 3, "1/2")
+        assert report(proc)["result"]["budget"]["operation"] == "3753/4096"
+
+    def test_figure_too_long_to_write(self, tmp_path):
+        # Each swap multiplies the figure's denominator by 10**399 + 7.
+        proc = self.run(tmp_path, 2000, 2000, f"1/{10**399 + 7}")
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        assert_json_error(proc.stderr, "TooLarge")
+
+
 def huge_doc(**fields):
     """CHAIN_DOC with ``fields`` set on its first edge."""
     first, second = CHAIN_DOC["edges"]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ebitflow import (
+    EXACT_QUBIT_LIMIT,
     Edge,
     HierEdge,
     HierarchicalNetwork,
@@ -16,7 +17,6 @@ from ebitflow import (
     NetworkGraph,
     ParseError,
     ThresholdViolation,
-    TooLarge,
     ValidationError,
     YieldFunction,
     aggregate_level,
@@ -316,14 +316,30 @@ class TestAggregateLevel:
             "A",
             "B",
         )
-        with pytest.raises(TooLarge, match="operation_error"):
-            aggregate_level(big, 7, swap_depolarize_p=Fraction(1, 2))
-        res = aggregate_level(
-            big, 7, swap_depolarize_p=Fraction(1, 2), operation_error=Fraction(1, 8)
+        res = aggregate_level(big, 7, swap_depolarize_p=Fraction(1, 2))
+        sched = build_swap_schedule(decompose_flow(res.solution))
+        assert sched.n_qubits == 14 > EXACT_QUBIT_LIMIT
+        # Seven one-hop copies: no swap, so no operation error at any size.
+        assert res.budget.operation == 0
+        three_hop = HierarchicalNetwork.build(
+            [
+                HierEdge(
+                    a=a,
+                    b=b,
+                    lower=phys(a, b, 3, 1000),
+                    yield_fn=YieldFunction.identity(3),
+                )
+                for a, b in (("A", "B"), ("B", "C"), ("C", "D"))
+            ],
+            "A",
+            "D",
         )
-        assert res.budget.operation == Fraction(1, 8)
-        # Noiseless swapping needs no schedule, so size does not matter.
-        assert aggregate_level(big, 7).budget.operation == 0
+        res = aggregate_level(three_hop, 3, swap_depolarize_p=Fraction(1, 2))
+        sched = build_swap_schedule(decompose_flow(res.solution))
+        assert sched.n_qubits == 18
+        # Each copy passes its two half-depolarized swaps with 7/16.
+        assert res.budget.operation == 1 - Fraction(7, 16) ** 3
+        assert aggregate_level(three_hop, 3).budget.operation == 0
 
 
 class TestSubstitutionMap:

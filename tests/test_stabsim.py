@@ -37,7 +37,6 @@ from ebitflow import (
     ValidationError,
     build_swap_schedule,
     decompose_flow,
-    estimate_operation_error,
     exact_operation_error,
     exact_pass_probability,
     exact_trace_distance,
@@ -685,14 +684,51 @@ class TestExactErrors:
             )
             assert exact_trace_distance(RELAY, noise) <= budget.total
 
-    def test_qubit_limit_enforced(self):
+    def test_exact_beyond_the_simulate_limit(self):
+        # ``EXACT_QUBIT_LIMIT`` bounds only what ``simulate`` reports.
         big = build_swap_schedule([PathBundle(path=("s", "t"), multiplicity=7)])
-        assert big.n_qubits == 14
-        assert big.n_qubits > EXACT_QUBIT_LIMIT
-        with pytest.raises(TooLarge):
-            exact_operation_error(big)
-        with pytest.raises(TooLarge):
-            exact_trace_distance(big)
+        assert big.n_qubits == 14 > EXACT_QUBIT_LIMIT
+        assert exact_operation_error(big) == 0
+        assert exact_trace_distance(big) == 0
+        chains = build_swap_schedule(
+            [PathBundle(path=("s", "a", "b", "t"), multiplicity=3)]
+        )
+        assert chains.n_qubits == 18
+        noise = NoiseModel(
+            swap_depolarize_p=Fraction(1, 2), pair_error={("a", "b"): Fraction(1, 3)}
+        )
+        # Per copy P is (1/2)**2 for the swaps alone, passing with 7/16, and
+        # (1/2)**2 * (2/3) with the pair noise, passing with 3/8.
+        assert exact_operation_error(chains, noise) == 1 - Fraction(7, 16) ** 3
+        assert exact_trace_distance(chains, noise) == 1 - Fraction(3, 8) ** 3
+
+    @pytest.mark.parametrize(
+        ("hops", "copies", "writable"),
+        [
+            (3, 1, True),
+            (3, 5, True),
+            (3, 6, False),
+            (11, 1, True),
+            (12, 1, False),
+        ],
+    )
+    def test_refuses_exactly_the_figures_too_long_to_write(self, hops, copies, writable):
+        # Each swap multiplies the denominator by 10**399 + 7 (1326 bits),
+        # and Python writes ints of up to 4300 digits by default (about
+        # 14 284 bits).
+        p = Fraction(1, 10**399 + 7)
+        path = ("s", *(f"r{i}" for i in range(hops - 1)), "t")
+        sched = build_swap_schedule([PathBundle(path=path, multiplicity=copies)])
+        noise = NoiseModel(swap_depolarize_p=p)
+        closed_form = 1 - ((3 * (1 - p) ** (hops - 1) + 1) / 4) ** copies
+        if writable:
+            assert exact_operation_error(sched, noise) == closed_form
+            assert str(closed_form)
+        else:
+            with pytest.raises(TooLarge, match="more digits than Python writes"):
+                exact_operation_error(sched, noise)
+            with pytest.raises(ValueError):
+                str(closed_form)
 
     def test_error_budget_totals(self):
         budget = ErrorBudget(generation=Fraction(1, 50), operation=Fraction(3, 8))
@@ -765,7 +801,7 @@ class TestMonteCarlo:
         assert typing.get_type_hints(stabsim._plan)["return"] is stabsim._Plan
         assert typing.get_type_hints(stabsim._draw)["return"] == list[int]
         seed = int | Sequence[int]
-        for fn in (run_schedule, fidelity_estimate, estimate_operation_error):
+        for fn in (run_schedule, fidelity_estimate):
             assert typing.get_type_hints(fn)["seed"] == seed
 
     def test_noiseless_estimate_is_one(self):
@@ -853,17 +889,6 @@ class TestMonteCarlo:
             # The noise is live: some of the 500 trials fail.
             assert trials == 1 or est.all_pass_count < trials
             assert calls == 1
-
-    def test_operation_error_estimator_strips_pair_noise(self):
-        noise = NoiseModel(
-            swap_depolarize_p=0, pair_error={("r", "s"): 1, ("r", "t"): 1}
-        )
-        assert estimate_operation_error(RELAY, noise, trials=40, seed=2) == 0.0
-
-    def test_operation_error_estimator_tracks_exact(self):
-        noise = NoiseModel(swap_depolarize_p=1)
-        est = estimate_operation_error(RELAY, noise, trials=2000, seed=0)
-        assert abs(est - 0.75) < 0.05
 
 
 class TestBatchedSeeding:
