@@ -253,16 +253,13 @@ def _cmd_simulate(args) -> tuple[dict, str | None]:
         ],
         "noise": {
             "swap_depolarize_p": _frac(noise.swap_depolarize_p),
-            "pair_error": [
-                {"a": k[0], "b": k[1], "q": _frac(q)}
-                for k, q in sorted(noise.pair_error.items())
-            ],
+            "pair_error": _pair_error_rows(noise.pair_error),
         },
         "exact": None,
     }
     if sched.n_qubits <= EXACT_QUBIT_LIMIT:
         pass_p = exact_pass_probability(sched, noise)
-        trace = exact_trace_distance(sched, noise)
+        trace = 1 - pass_p
         op_err = exact_operation_error(sched, noise)
         gen = generation_error_budget(g, sol.active_edges)
         bound = gen + op_err
@@ -301,6 +298,20 @@ def _cmd_simulate(args) -> tuple[dict, str | None]:
         ):
             lines.append(f"{label}: {exact[key + '_float']:.6f} ({exact[key]})")
     return result, "\n".join(lines) + "\n"
+
+
+def _pair_error_rows(pair_error) -> list[dict]:
+    """One report row per noisy edge, in key order; each distinct figure is
+    written once."""
+    texts: dict[tuple[int, int], str] = {}
+    rows = []
+    for (a, b), q in sorted(pair_error.items()):
+        ints = q.numerator, q.denominator
+        text = texts.get(ints)
+        if text is None:
+            text = texts[ints] = _frac(q)
+        rows.append({"a": a, "b": b, "q": text})
+    return rows
 
 
 def _plan_node_json(node) -> dict:

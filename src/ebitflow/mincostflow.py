@@ -6,19 +6,22 @@ most ``capacity`` pairs in total across both directions and each delivered
 pair on an edge costs ``unit_cost`` milli-units?
 
 Algorithm: successive shortest augmenting paths with node potentials, so
-Dijkstra always sees non-negative reduced costs. Each augmentation runs one
-Dijkstra, stopped once the sink is settled, and adds its distances, capped
-at the sink's, to the potentials; the cheapest paths are then exactly the
-paths of zero-reduced-cost arcs, and among them the lexicographically
-smallest node-label sequence is chosen, which makes results reproducible
-across runs and platforms. Path choice depends on the residual alone, not
-on the target, so one run passes every target's optimum and ends at the
-min-cut when the sink becomes unreachable; no entry point computes a
-separate min-cut. Each path adds its bottleneck in pairs at a slope equal
-to its cost, so the price curve is a running sum of path costs. Each
-solution is canonicalized: opposing flow on an edge is cancelled and any
-remaining zero-cost support cycles are removed, so for every edge at most
-one direction carries flow.
+Dijkstra always sees non-negative reduced costs. A Dijkstra, stopped once
+the sink is settled, adds its distances, capped at the sink's, to the
+potentials; the cheapest paths are then exactly the paths of
+zero-reduced-cost arcs, and among them the lexicographically smallest
+node-label sequence is chosen, which makes results reproducible across
+runs and platforms. A round whose sink distance is 0 leaves the
+potentials as they were, so the rounds after it take tight paths without
+a new Dijkstra until none is left (primal-dual augmentation). Path
+choice depends on the residual alone, not on the target, so one run
+passes every target's optimum and ends at the min-cut when the sink
+becomes unreachable; no entry point computes a separate min-cut. Each
+path adds its bottleneck in pairs at a slope equal to its cost, so the
+price curve is a running sum of path costs. Each solution is
+canonicalized: opposing flow on an edge is cancelled and any remaining
+zero-cost support cycles are removed, so for every edge at most one
+direction carries flow.
 
 All entry points are pure functions; solutions are immutable.
 """
@@ -164,15 +167,16 @@ class _Residual:
 
     def lexicographic_shortest_path(
         self, s: int, t: int, potential: list[int]
-    ) -> list[int]:
+    ) -> list[int] | None:
         """Arc ids of the cheapest s-t path whose node-label sequence is
-        lexicographically smallest among all cheapest simple paths.
+        lexicographically smallest among all cheapest simple paths, or None
+        if no s-t path is tight.
 
-        Needs ``t`` reachable and this round's capped distances from ``s``
-        already in ``potential``. One depth-first walk from ``s`` follows
-        tight arcs in ``adj`` order, so smaller head labels first, and
-        returns the first path that reaches ``t``; it takes each arc at
-        most once.
+        Needs potentials that leave every residual reduced cost
+        non-negative, so the tight paths are the cheapest ones when any
+        exists. One depth-first walk from ``s`` follows tight arcs in
+        ``adj`` order, so smaller head labels first, and returns the first
+        path that reaches ``t``; it takes each arc at most once.
 
         Entering a node marks it: ``untried[u]`` becomes an iterator over
         the arcs of ``u`` still to try, so the walk resumes ``u`` where it
@@ -205,32 +209,43 @@ class _Residual:
             else:
                 # Dead end: resume at the tail of the arc that entered u.
                 if not path_arcs:
-                    raise InvariantViolation("no tight path to a reachable sink")
+                    return None
                 u = to[path_arcs.pop() ^ 1]
 
     def augmenting_paths(self) -> Iterator[tuple[list[int], int]]:
         """Yield each cheapest source-sink path and its bottleneck until the
         sink is unreachable; the caller pushes along a path before the next.
 
-        Each round's Dijkstra stops at the sink, at distance D. A settled
+        A round's Dijkstra stops at the sink, at distance D. A settled
         node's potential grows by its distance and every other node's by D
         (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 9): that keeps
         every residual reduced cost non-negative, and on the nodes within D
         of the source, where all tight paths from it lie, the potentials
         match those of a full Dijkstra, so the walk picks the same path.
+
+        At D = 0 the potentials do not move, so while tight paths remain
+        each following round is the walk alone (§9.8): a Dijkstra would
+        find D = 0 again and change nothing. A Dijkstra runs again once the
+        walk finds no tight path.
         """
         s, t = self.index[self.graph.source], self.index[self.graph.sink]
         potential = [0] * len(self.nodes)
+        tight = False
         while True:
-            found = self.dijkstra(s, t, potential)
-            if found is None:
-                return
-            settled, dist = found
-            far = dist[t]
-            potential = [p + far for p in potential]
-            for v in settled:
-                potential[v] += dist[v] - far
-            path = self.lexicographic_shortest_path(s, t, potential)
+            path = self.lexicographic_shortest_path(s, t, potential) if tight else None
+            if path is None:
+                found = self.dijkstra(s, t, potential)
+                if found is None:
+                    return
+                settled, dist = found
+                far = dist[t]
+                tight = far == 0
+                potential = [p + far for p in potential]
+                for v in settled:
+                    potential[v] += dist[v] - far
+                path = self.lexicographic_shortest_path(s, t, potential)
+                if path is None:
+                    raise InvariantViolation("no tight path to a reachable sink")
             yield path, min(self.res[aid] for aid in path)
 
     def push(self, path: list[int], amount: int) -> None:

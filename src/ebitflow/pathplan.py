@@ -63,69 +63,101 @@ def decompose_flow(sol: FlowSolution) -> tuple[PathBundle, ...]:
     bottleneck multiplicity before continuing. The bundle multiplicities
     sum to the net flow and the per-edge path counts reproduce the flow.
 
+    Peeling runs in phases, as Dinic's blocking flows do. A phase's BFS
+    (``_levels``) finds each node's hop count to the sink, L at the source.
+    Peeling only removes arcs, so no count drops within the phase, and a
+    path of L hops still left runs down one level per arc. A depth-first
+    walk down the levels, heads in label order, finds the smallest one; it
+    keeps per node the next head to try and marks nodes whose heads run
+    out dead for the rest of the phase. A phase ends when the walk finds
+    no path.
+
     Raises:
         MalformedFlow: If the flow fails ``validate_flow`` or strands flow
             on no s-t path.
     """
     validate_flow(sol)
-    residual: dict[tuple[NodeId, NodeId], int] = {
-        arc: f for arc, f in sol.arc_flow.items() if f > 0
-    }
+    # The flow left on each arc, by tail then head, and each node's tails.
+    out: dict[NodeId, dict[NodeId, int]] = {}
+    tails: dict[NodeId, set[NodeId]] = {}
+    for (a, b), f in sol.arc_flow.items():
+        if f > 0:
+            out.setdefault(a, {})[b] = f
+            tails.setdefault(b, set()).add(a)
+    arcs_left = sum(map(len, out.values()))
     g = sol.graph
+    s, t = g.source, g.sink
     bundles: list[PathBundle] = []
-    while residual:
-        path = _fewest_hops_lexicographic(residual, g.source, g.sink)
-        if path is None:
+    while arcs_left:
+        level = _levels(tails, t, s)
+        if s not in level:
             raise MalformedFlow("positive flow remains but no source-sink path does")
-        arcs = list(zip(path, path[1:]))
-        width = min(residual[a] for a in arcs)
-        for a in arcs:
-            residual[a] -= width
-            if residual[a] == 0:
-                del residual[a]
-        bundles.append(PathBundle(path=tuple(path), multiplicity=width))
+        # Per node entered: its heads one level down, in label order, and
+        # the index of the next one to try, which is the next node of the
+        # walk's path while the node is on it.
+        heads: dict[NodeId, list[NodeId]] = {}
+        next_head: dict[NodeId, int] = {}
+        dead: set[NodeId] = set()
+        path = [s]
+        while path:
+            u = path[-1]
+            if u == t:
+                arcs = list(zip(path, path[1:]))
+                width = min(out[a][b] for a, b in arcs)
+                resume = None
+                for i, (a, b) in enumerate(arcs):
+                    left = out[a][b] - width
+                    if left:
+                        out[a][b] = left
+                        continue
+                    del out[a][b]
+                    tails[b].discard(a)
+                    arcs_left -= 1
+                    next_head[a] += 1
+                    if resume is None:
+                        resume = i
+                bundles.append(PathBundle(path=tuple(path), multiplicity=width))
+                # The walk resumes at the tail of the first arc used up.
+                del path[resume + 1 :]
+                continue
+            down = heads.get(u)
+            if down is None:
+                below = level[u] - 1
+                down = heads[u] = sorted(
+                    v for v in out.get(u, ()) if level.get(v) == below
+                )
+                next_head[u] = 0
+            i = next_head[u]
+            while i < len(down) and down[i] in dead:
+                i += 1
+            next_head[u] = i
+            if i < len(down):
+                path.append(down[i])
+            else:
+                dead.add(u)
+                path.pop()
     if sum(b.multiplicity for b in bundles) != sol.net_flow:
         raise InvariantViolation("path bundles do not sum to the net flow")
     return tuple(bundles)
 
 
-def _fewest_hops_lexicographic(
-    residual: Mapping[tuple[NodeId, NodeId], int], s: NodeId, t: NodeId
-) -> list[NodeId] | None:
-    succ: dict[NodeId, list[NodeId]] = {}
-    pred: dict[NodeId, list[NodeId]] = {}
-    for a, b in residual:
-        succ.setdefault(a, []).append(b)
-        pred.setdefault(b, []).append(a)
-
-    def bfs(start: NodeId, adj: Mapping[NodeId, list[NodeId]]) -> dict[NodeId, int]:
-        dist = {start: 0}
-        queue = [start]
-        for u in queue:
-            for v in adj.get(u, ()):
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        return dist
-
-    dist_s = bfs(s, succ)
-    if t not in dist_s:
-        return None
-    dist_t = bfs(t, pred)
-    total = dist_s[t]
-    # Every admissible arc strictly decreases the distance to t, so the
-    # greedy smallest-label walk terminates and is automatically simple.
-    path = [s]
-    node = s
-    while node != t:
-        nxt = min(
-            v
-            for v in succ.get(node, ())
-            if v in dist_t and dist_s[node] + 1 + dist_t[v] == total
-        )
-        path.append(nxt)
-        node = nxt
-    return path
+def _levels(
+    tails: Mapping[NodeId, set[NodeId]], t: NodeId, s: NodeId
+) -> dict[NodeId, int]:
+    """Hop counts to ``t`` over the arcs whose tails ``tails`` lists, by a
+    BFS back from ``t`` that stops once it reaches ``s``: every node nearer
+    to ``t`` than ``s`` has its count then."""
+    level = {t: 0}
+    queue = [t]
+    for v in queue:
+        above = level[v] + 1
+        for u in tails.get(v, ()):
+            if u not in level:
+                level[u] = above
+                if u == s:
+                    return level
+                queue.append(u)
+    return level
 
 
 @_value_type

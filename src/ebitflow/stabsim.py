@@ -66,7 +66,15 @@ from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
 from .errors import ScheduleViolation, ValidationError
-from .netgraph import EdgeKey, NetworkGraph, _set, _too_long, _value_type, as_fraction
+from .netgraph import (
+    EdgeKey,
+    NetworkGraph,
+    _is_probability,
+    _set,
+    _too_long,
+    _value_type,
+    as_fraction,
+)
 from .pathplan import (
     BellMeasure,
     CreateBellPair,
@@ -102,15 +110,21 @@ class NoiseModel:
         pair_error: Mapping[EdgeKey, Fraction] | None = None,
     ) -> None:
         p = as_fraction(swap_depolarize_p, "swap_depolarize_p")
-        if not 0 <= p <= 1:
+        if not _is_probability(p):
             raise ValidationError("swap_depolarize_p outside [0, 1]")
-        # Always a fresh dict, the caller's own mapping is never kept.
+        # Always a fresh dict, the caller's own mapping is never kept. Equal
+        # values share one Fraction, checked once.
         cleaned = {}
+        figures: dict[tuple[int, int], Fraction] = {}
         for key, q in dict(pair_error or {}).items():
             qf = as_fraction(q, f"pair_error[{key}]")
-            if not 0 <= qf <= 1:
-                raise ValidationError(f"pair_error[{key}] outside [0, 1]")
-            cleaned[key] = qf
+            ints = qf.numerator, qf.denominator
+            figure = figures.get(ints)
+            if figure is None:
+                if not _is_probability(qf):
+                    raise ValidationError(f"pair_error[{key}] outside [0, 1]")
+                figure = figures[ints] = qf
+            cleaned[key] = figure
         _set(self, "swap_depolarize_p", p)
         _set(self, "pair_error", cleaned)
 
@@ -127,15 +141,19 @@ class NoiseModel:
         above 3/4 cannot be saturated by this channel and are rejected.
         """
         pair_error = {}
+        figures: dict[tuple[int, int], Fraction] = {}
         for e in g.edges:
-            if e.gen_error == 0:
+            num, den = ints = e.gen_error.numerator, e.gen_error.denominator
+            if num == 0:
                 continue
-            q = e.gen_error * Fraction(4, 3)
-            if q > 1:
-                raise ValidationError(
-                    f"edge {e.key}: generation error {e.gen_error} above 3/4 "
-                    "cannot be realized as Bell-mixing noise"
-                )
+            q = figures.get(ints)
+            if q is None:
+                if 4 * num > 3 * den:
+                    raise ValidationError(
+                        f"edge {e.key}: generation error {e.gen_error} above 3/4 "
+                        "cannot be realized as Bell-mixing noise"
+                    )
+                q = figures[ints] = Fraction(4 * num, 3 * den)
             pair_error[e.key] = q
         return cls(swap_depolarize_p=swap_depolarize_p, pair_error=pair_error)
 
@@ -258,6 +276,7 @@ def _plan(sched: SwapSchedule, noise: NoiseModel) -> _Plan:
     fixes = []
     pair_error = noise.pair_error
     swap_p = noise.swap_depolarize_p
+    swap_noisy = swap_p > 0
     nv = 0
 
     def require_live(q: int, action: str) -> None:
@@ -295,7 +314,7 @@ def _plan(sched: SwapSchedule, noise: NoiseModel) -> _Plan:
             require_live(b, "measurement")
             c, d = partner.pop(a), partner.pop(b)
             fa, fb = frame.pop(a), frame.pop(b)
-            if swap_p > 0:
+            if swap_noisy:
                 fa[0] ^= 2 << nv
                 fa[1] ^= 1 << nv
                 fb[0] ^= 8 << nv
@@ -732,11 +751,17 @@ def exact_trace_distance(sched: SwapSchedule, noise: NoiseModel | None = None) -
 
 
 def generation_error_budget(g: NetworkGraph, active: Iterable[EdgeKey]) -> Fraction:
-    """Sum of per-edge generation-error budgets over ``active`` edges."""
-    total = Fraction(0)
+    """Sum of per-edge generation-error budgets over ``active`` edges.
+
+    Numerators are summed as ints per denominator, then one Fraction is
+    built per distinct denominator.
+    """
+    edge_map = g.edge_map
+    sums: dict[int, int] = {}
     for key in active:
-        total += g.edge_map[key].gen_error
-    return total
+        d = edge_map[key].gen_error
+        sums[d.denominator] = sums.get(d.denominator, 0) + d.numerator
+    return sum((Fraction(num, den) for den, num in sums.items()), Fraction(0))
 
 
 @_value_type

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -18,3 +19,22 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(owner, name)`` wraps ``owner.name`` for the test and
+    returns a one-item list that counts its calls."""
+
+    def count(owner, name: str) -> list[int]:
+        calls = [0]
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[0] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+        return calls
+
+    return count

@@ -10,7 +10,9 @@ whose runs its Bell-pair frame plan must reproduce when both are fed
 the same draws, and itself pinned against a dense state vector, its
 earlier exact pass probability, which the closed form must equal
 exactly, its earlier three-search min-cost flow, which
-the one-search solver must reproduce arc for arc, and its earlier
+the one-search solver must reproduce arc for arc, its earlier flow
+decomposition with one search per bundle, which the phased one must
+reproduce bundle for bundle, and its earlier
 resolve with one lower solve per edge, which the resolve that shares
 solves between relabelled copies must reproduce, and its earlier
 document parsers, whose Fraction-based cost conversion and per-entry
@@ -28,6 +30,7 @@ from itertools import combinations, product
 from typing import Mapping, Sequence
 
 import numpy as np
+from hypothesis import strategies as st
 
 from ebitflow import (
     BellMeasure,
@@ -37,12 +40,14 @@ from ebitflow import (
     HierarchicalNetwork,
     InfeasibleTarget,
     InvariantViolation,
+    MalformedFlow,
     NegativeTarget,
     NetworkDocument,
     NetworkGraph,
     NoiseModel,
     ParseError,
     PairOutcome,
+    PathBundle,
     PauliCorrect,
     RunResult,
     ScheduleViolation,
@@ -52,6 +57,7 @@ from ebitflow import (
     min_cost_flow,
     min_cut,
     parse_yield,
+    validate_flow,
 )
 from ebitflow.concat import HierEdge, _EdgeInfo, _Resolved
 from ebitflow.mincostflow import Arc, _cancel_cycles
@@ -227,6 +233,22 @@ def random_network(
         for a, b in chosen
     ]
     return NetworkGraph.from_edge_list(edges, source, sink, extra_nodes=labels)
+
+
+@st.composite
+def tie_graphs(draw):
+    """Networks where many cheapest paths tie: costs mostly 0 (zero-cost
+    cycles) or 1, labels assigned to positions in a random order."""
+    n = draw(st.integers(2, 12))
+    labels = draw(st.permutations([f"n{i:02d}" for i in range(n)]))
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                cap = draw(st.integers(0, 4))
+                cost = draw(st.sampled_from([0, 0, 1, 2]))
+                edges.append((labels[i], labels[j], cap, cost))
+    return NetworkGraph.from_edge_list(edges, labels[0], labels[1], extra_nodes=labels)
 
 
 # --- Reference stabilizer simulator -----------------------------------------
@@ -847,6 +869,82 @@ def reference_min_cost_flow(g: NetworkGraph, target: int) -> FlowSolution:
     return FlowSolution(
         graph=g, arc_flow=dict(sorted(arc_flow.items())), net_flow=net, total_cost=total_cost
     )
+
+
+# --- Reference flow decomposition -------------------------------------------
+# ``ebitflow.pathplan.decompose_flow`` before it peeled paths in BFS phases:
+# per bundle it rebuilt the successor and predecessor lists of the arcs
+# left and ran a BFS from each client. Kept so the phased version can be
+# pinned against it: same bundles in the same order, same errors.
+
+
+def reference_decompose_flow(sol: FlowSolution) -> tuple[PathBundle, ...]:
+    """Split a canonical flow into path bundles, fewest hops first, then
+    the lexicographically smallest node sequence, one search per bundle.
+
+    Raises:
+        MalformedFlow: If the flow fails ``validate_flow`` or strands flow
+            on no s-t path.
+    """
+    validate_flow(sol)
+    residual: dict[tuple[NodeId, NodeId], int] = {
+        arc: f for arc, f in sol.arc_flow.items() if f > 0
+    }
+    g = sol.graph
+    bundles: list[PathBundle] = []
+    while residual:
+        path = _fewest_hops_lexicographic(residual, g.source, g.sink)
+        if path is None:
+            raise MalformedFlow("positive flow remains but no source-sink path does")
+        arcs = list(zip(path, path[1:]))
+        width = min(residual[a] for a in arcs)
+        for a in arcs:
+            residual[a] -= width
+            if residual[a] == 0:
+                del residual[a]
+        bundles.append(PathBundle(path=tuple(path), multiplicity=width))
+    if sum(b.multiplicity for b in bundles) != sol.net_flow:
+        raise InvariantViolation("path bundles do not sum to the net flow")
+    return tuple(bundles)
+
+
+def _fewest_hops_lexicographic(
+    residual: Mapping[tuple[NodeId, NodeId], int], s: NodeId, t: NodeId
+) -> list[NodeId] | None:
+    succ: dict[NodeId, list[NodeId]] = {}
+    pred: dict[NodeId, list[NodeId]] = {}
+    for a, b in residual:
+        succ.setdefault(a, []).append(b)
+        pred.setdefault(b, []).append(a)
+
+    def bfs(start: NodeId, adj: Mapping[NodeId, list[NodeId]]) -> dict[NodeId, int]:
+        dist = {start: 0}
+        queue = [start]
+        for u in queue:
+            for v in adj.get(u, ()):
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        return dist
+
+    dist_s = bfs(s, succ)
+    if t not in dist_s:
+        return None
+    dist_t = bfs(t, pred)
+    total = dist_s[t]
+    # Every admissible arc strictly decreases the distance to t, so the
+    # greedy smallest-label walk terminates and is automatically simple.
+    path = [s]
+    node = s
+    while node != t:
+        nxt = min(
+            v
+            for v in succ.get(node, ())
+            if v in dist_t and dist_s[node] + 1 + dist_t[v] == total
+        )
+        path.append(nxt)
+        node = nxt
+    return path
 
 
 def reference_resolve(net: HierarchicalNetwork) -> _Resolved:

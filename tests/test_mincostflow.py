@@ -22,7 +22,12 @@ from ebitflow import (
     validate_flow,
 )
 from ebitflow.mincostflow import _Residual
-from oracles import min_cost_by_search, random_network, reference_min_cost_flow
+from oracles import (
+    min_cost_by_search,
+    random_network,
+    reference_min_cost_flow,
+    tie_graphs,
+)
 
 CHAIN = NetworkGraph.from_edge_list(
     [("r", "s", 3, 1000), ("r", "t", 2, 1000)], "s", "t"
@@ -328,22 +333,6 @@ class TestZeroCostEdges:
         assert sol.total_cost == 0
 
 
-@st.composite
-def tie_graphs(draw):
-    """Networks where many cheapest paths tie: costs mostly 0 (zero-cost
-    cycles) or 1, labels assigned to positions in a random order."""
-    n = draw(st.integers(2, 12))
-    labels = draw(st.permutations([f"n{i:02d}" for i in range(n)]))
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if draw(st.booleans()):
-                cap = draw(st.integers(0, 4))
-                cost = draw(st.sampled_from([0, 0, 1, 2]))
-                edges.append((labels[i], labels[j], cap, cost))
-    return NetworkGraph.from_edge_list(edges, labels[0], labels[1], extra_nodes=labels)
-
-
 class TestAgainstReferenceSolver:
     """The one-search solver reproduces the three-search solver it replaced."""
 
@@ -509,3 +498,44 @@ class TestEarlyStop:
         for arcs in r.adj:
             keys = [(r.nodes[r.to[aid]], aid) for aid in arcs]
             assert keys == sorted(keys)
+
+
+class TestTightRounds:
+    """A round at sink distance 0 leaves the potentials as they were, so the
+    rounds after it try the tight-path walk before any Dijkstra."""
+
+    def test_dijkstra_runs_again_once_no_tight_path_is_left(self, count_calls):
+        # s-a-t and s-b-t cost 2, s-c-t costs 4. Round 1 finds distance 2,
+        # round 2 distance 0; round 3's walk finds no tight path, so a
+        # Dijkstra finds s-c-t, and a fourth finds the sink unreachable.
+        g = NetworkGraph.from_edge_list(
+            [
+                ("a", "s", 1, 1),
+                ("a", "t", 1, 1),
+                ("b", "s", 1, 1),
+                ("b", "t", 1, 1),
+                ("c", "s", 1, 2),
+                ("c", "t", 1, 2),
+            ],
+            "s",
+            "t",
+        )
+        dijkstras = count_calls(_Residual, "dijkstra")
+        walks = count_calls(_Residual, "lexicographic_shortest_path")
+        sol = min_cost_max_flow(g)
+        assert_same(sol, reference_min_cost_flow(g, 3))
+        assert dijkstras == [4]
+        assert walks == [4]
+
+    def test_walk_returns_none_without_a_tight_path(self):
+        r = _Residual(CHAIN)
+        s, t = r.index["s"], r.index["t"]
+        assert r.lexicographic_shortest_path(s, t, [0] * len(r.nodes)) is None
+
+    def test_no_tight_path_to_a_reachable_sink_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            _Residual, "lexicographic_shortest_path", lambda self, s, t, potential: None
+        )
+        with pytest.raises(InvariantViolation) as got:
+            min_cost_flow(CHAIN, 1)
+        assert str(got.value) == "no tight path to a reachable sink"

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ebitflow import (
     BellMeasure,
@@ -27,7 +27,9 @@ from ebitflow import (
     plan_channel_uses,
     serialize_schedule,
 )
-from oracles import random_network
+from ebitflow import pathplan
+from ebitflow.mincostflow import _Residual
+from oracles import random_network, reference_decompose_flow, tie_graphs
 
 CHAIN = NetworkGraph.from_edge_list(
     [("r", "s", 3, 1000), ("r", "t", 2, 1000)], "s", "t"
@@ -116,6 +118,135 @@ class TestDecompose:
         bundles = decompose_flow(min_cost_flow(g, 2))
         assert bundles[0].path == ("s", "t")
         assert bundles[1].path == ("s", "r", "t")
+
+
+def ladder_graph(paths: int, hops: int) -> NetworkGraph:
+    """``paths`` disjoint s-t paths of ``hops`` unit-capacity edges each."""
+    edges = []
+    for p in range(paths):
+        labels = ["s", *(f"p{p}_{j}" for j in range(1, hops)), "t"]
+        edges += [(labels[j], labels[j + 1], 1, 1000) for j in range(hops)]
+    return NetworkGraph.from_edge_list(edges, "s", "t")
+
+
+@st.composite
+def hand_built_flows(draw):
+    """Flows summed from s-t paths of any length, plus circulations that
+    may strand flow off every s-t path, with opposing flow cancelled; some
+    are broken by one extra unit on an arc. Their paths differ in length,
+    so peeling them takes several phases."""
+    n = draw(st.integers(2, 8))
+    labels = draw(st.permutations([f"n{i}" for i in range(n)]))
+    s, t = labels[0], labels[1]
+    g = NetworkGraph.from_edge_list(
+        [(a, b, 100, 1000) for i, a in enumerate(labels) for b in labels[i + 1 :]],
+        s,
+        t,
+    )
+    flow: dict[tuple[str, str], int] = {}
+    net = 0
+    walks = []
+    for _ in range(draw(st.integers(0, 6))):
+        inner = draw(st.permutations(labels[2:]))
+        m = draw(st.integers(1, 3))
+        walks.append(([s, *inner[: draw(st.integers(0, len(inner)))], t], False, m))
+        net += m
+    if n >= 3:
+        for _ in range(draw(st.integers(0, 2))):
+            ring = draw(st.permutations(labels))[: draw(st.integers(3, n))]
+            walks.append((ring, True, draw(st.integers(1, 2))))
+    for nodes, closed, m in walks:
+        for arc in zip(nodes, nodes[1:] + nodes[:1] if closed else nodes[1:]):
+            flow[arc] = flow.get(arc, 0) + m
+    for a, b in list(flow):
+        if (b, a) in flow:
+            both = min(flow[(a, b)], flow[(b, a)])
+            flow[(a, b)] -= both
+            flow[(b, a)] -= both
+    if flow and draw(st.integers(0, 9)) == 0:
+        arc = draw(st.sampled_from(sorted(flow)))
+        flow[arc] += 1
+    arc_flow = {arc: f for arc, f in sorted(flow.items()) if f > 0}
+    return FlowSolution(graph=g, arc_flow=arc_flow, net_flow=net, total_cost=0)
+
+
+def assert_same_decomposition(sol: FlowSolution) -> None:
+    try:
+        expected = reference_decompose_flow(sol)
+    except MalformedFlow as exc:
+        with pytest.raises(MalformedFlow) as got:
+            decompose_flow(sol)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+        return
+    assert decompose_flow(sol) == expected
+
+
+class TestAgainstReferenceDecomposition:
+    """Peeling in BFS phases gives the bundles, in order, and the errors of
+    one search per bundle."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_random_networks_at_every_target(self, seed):
+        rnd = random.Random(seed)
+        g = random_network(rnd, max_nodes=9, max_cap=4)
+        for target in range(min_cut(g) + 1):
+            assert_same_decomposition(min_cost_flow(g, target))
+
+    @settings(
+        derandomize=True,
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(tie_graphs())
+    def test_tie_graphs_at_every_target(self, g):
+        for target in range(min_cut(g) + 1):
+            assert_same_decomposition(min_cost_flow(g, target))
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(hand_built_flows())
+    def test_hand_built_flows(self, sol):
+        assert_same_decomposition(sol)
+
+    @pytest.mark.parametrize("paths, hops", [(1, 1), (1, 12), (3, 2), (4, 6), (9, 11)])
+    def test_ladders(self, paths, hops):
+        g = ladder_graph(paths, hops)
+        for target in range(paths + 1):
+            assert_same_decomposition(min_cost_flow(g, target))
+
+    def test_one_phase_per_path_length(self, count_calls):
+        """Paths of 1, 2 and 3 hops take three phases."""
+        g = NetworkGraph.from_edge_list(
+            [(a, b, 5, 1000) for a, b in ("st", "sa", "at", "sb", "bc", "ct", "ac")],
+            "s",
+            "t",
+        )
+        flow = {("s", "t"): 2, ("s", "a"): 3, ("a", "t"): 3, ("s", "b"): 1}
+        flow.update({("b", "c"): 1, ("c", "t"): 1})
+        sol = FlowSolution(graph=g, arc_flow=flow, net_flow=6, total_cost=0)
+        levels = count_calls(pathplan, "_levels")
+        bundles = decompose_flow(sol)
+        assert [(b.path, b.multiplicity) for b in bundles] == [
+            (("s", "t"), 2),
+            (("s", "a", "t"), 3),
+            (("s", "b", "c", "t"), 1),
+        ]
+        assert levels == [3]
+        assert bundles == reference_decompose_flow(sol)
+
+    def test_ladder_runs_two_dijkstras_and_one_phase(self, count_calls):
+        """After the first two rounds the nine equal-cost paths are tight,
+        so they need no Dijkstra, and all nine have 11 hops, so one BFS
+        phase peels them."""
+        g = ladder_graph(9, 11)
+        dijkstras = count_calls(_Residual, "dijkstra")
+        levels = count_calls(pathplan, "_levels")
+        bundles = decompose_flow(min_cost_flow(g, 9))
+        assert dijkstras == [2]
+        assert levels == [1]
+        assert [b.path[1] for b in bundles] == [f"p{p}_1" for p in range(9)]
 
 
 class TestChannelUses:

@@ -2,6 +2,7 @@
 reference tableau that judges the simulator."""
 
 import functools
+import json
 import math
 import operator
 import random
@@ -29,6 +30,7 @@ from ebitflow import (
     ErrorBudget,
     NetworkGraph,
     NoiseModel,
+    ParseError,
     PathBundle,
     PauliCorrect,
     ScheduleViolation,
@@ -42,6 +44,7 @@ from ebitflow import (
     exact_trace_distance,
     fidelity_estimate,
     generation_error_budget,
+    load_network,
     min_cost_flow,
     min_cut,
     run_schedule,
@@ -176,6 +179,81 @@ class TestNoiseModel:
         )
         with pytest.raises(ValidationError):
             NoiseModel.from_graph(g)
+
+    def test_from_graph_names_the_first_unreachable_budget_in_edge_order(self):
+        """Each distinct budget is checked once, and the error still names
+        the first edge in edge order whose budget is above 3/4."""
+        g = NetworkGraph.from_edge_list(
+            [
+                ("d", "s", 1, 0, Fraction(4, 5)),
+                ("c", "s", 1, 0, Fraction(9, 10)),
+                ("a", "s", 1, 0, Fraction(1, 10)),
+                ("a", "t", 1, 0, Fraction(3, 4)),
+                ("b", "s", 1, 0, Fraction(4, 5)),
+            ],
+            "s",
+            "t",
+        )
+        with pytest.raises(ValidationError) as got:
+            NoiseModel.from_graph(g)
+        assert str(got.value) == (
+            "edge ('b', 's'): generation error 4/5 above 3/4 "
+            "cannot be realized as Bell-mixing noise"
+        )
+
+    def test_budget_of_three_quarters_saturates(self):
+        g = NetworkGraph.from_edge_list(
+            [("s", "t", 1, 0, Fraction(3, 4))], "s", "t"
+        )
+        assert NoiseModel.from_graph(g).pair_error == {("s", "t"): Fraction(1)}
+
+    def test_equal_budgets_share_one_figure(self):
+        doc = {
+            "nodes": ["s", "a", "b", "t"],
+            "source": "s",
+            "sink": "t",
+            "edges": [
+                {"a": "s", "b": "a", "capacity": 1, "cost": 1, "delta": 0.001},
+                {"a": "a", "b": "t", "capacity": 1, "cost": 1, "delta": "1/1000"},
+                {"a": "s", "b": "b", "capacity": 1, "cost": 1, "delta": "2/2000"},
+                {"a": "b", "b": "t", "capacity": 1, "cost": 1, "delta": "1/500"},
+            ],
+        }
+        g = load_network(json.dumps(doc)).graph
+        figures = NoiseModel.from_graph(g).pair_error
+        assert figures[("a", "s")] is figures[("a", "t")] is figures[("b", "s")]
+        assert figures[("a", "s")] == Fraction(4, 3000)
+        assert figures[("b", "t")] == Fraction(8, 3000)
+        raw = NoiseModel(
+            pair_error={("a", "s"): 0.001, ("a", "t"): "1/1000", ("b", "s"): "2/2000"}
+        ).pair_error
+        assert raw[("a", "s")] is raw[("a", "t")] is raw[("b", "s")]
+        assert raw[("a", "s")] == Fraction(1, 1000)
+
+    @pytest.mark.parametrize(
+        "value, error, message",
+        [
+            ("abc", ParseError, "pair_error[('a', 'c')]: not a valid rational: 'abc'"),
+            (True, ParseError, "pair_error[('a', 'c')]: expected a number, got a boolean"),
+            (None, ParseError, "pair_error[('a', 'c')]: expected a number, got NoneType"),
+            ([1], ParseError, "pair_error[('a', 'c')]: expected a number, got list"),
+            ("1/0", ParseError, "pair_error[('a', 'c')]: not a valid rational: '1/0'"),
+            (math.nan, ParseError, "pair_error[('a', 'c')]: not a finite number: nan"),
+            (Fraction(5, 4), ValidationError, "pair_error[('a', 'c')] outside [0, 1]"),
+            (-0.5, ValidationError, "pair_error[('a', 'c')] outside [0, 1]"),
+            (2, ValidationError, "pair_error[('a', 'c')] outside [0, 1]"),
+            ("-1/3", ValidationError, "pair_error[('a', 'c')] outside [0, 1]"),
+        ],
+    )
+    def test_pair_error_messages(self, value, error, message):
+        """A bad value is named at its first key, also when a later key
+        repeats it and an earlier one holds a valid figure."""
+        with pytest.raises(error) as got:
+            NoiseModel(
+                pair_error={("a", "b"): "1/2", ("a", "c"): value, ("b", "c"): value}
+            )
+        assert type(got.value) is error
+        assert str(got.value) == message
 
 
 class TestNoiselessRuns:
@@ -1026,3 +1104,28 @@ class TestGenerationBudget:
         g = NetworkGraph.from_edge_list([("s", "t", 1, 1000)], "s", "t")
         with pytest.raises(KeyError):
             generation_error_budget(g, [("s", "x")])
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 40), st.sampled_from([1, 3, 8, 20, 1000, 1024])),
+            min_size=1,
+            max_size=12,
+        ),
+        st.data(),
+    )
+    def test_equals_a_sum_of_fractions(self, budgets, data):
+        """Summing numerators per denominator gives the exact Fraction sum,
+        whatever the denominators and the order of the active edges."""
+        edges = [
+            ("s", f"n{i:02d}", 1, 0, min(Fraction(num, den), Fraction(1)))
+            for i, (num, den) in enumerate(budgets)
+        ]
+        g = NetworkGraph.from_edge_list(edges, "s", "n00")
+        keys = data.draw(st.permutations([e.key for e in g.edges]))
+        active = keys[: data.draw(st.integers(0, len(keys)))]
+        expected = Fraction(0)
+        for key in active:
+            expected += g.edge_map[key].gen_error
+        got = generation_error_budget(g, active)
+        assert type(got) is Fraction
+        assert got == expected
