@@ -91,13 +91,15 @@ from .netgraph import (
     cost_to_milli,
     min_cut,
 )
-from .pathplan import build_swap_schedule, decompose_flow
+from .pathplan import build_swap_schedule  # noqa: F401  bench/tracing.py patches this name
+from .pathplan import decompose_flow
 from .stabsim import (
     ErrorBudget,
     NoiseModel,
-    exact_operation_error,
+    _pass_probability,
     generation_error_budget,
 )
+from .stabsim import exact_operation_error  # noqa: F401  bench/tracing.py patches this name
 from .yields import YieldFunction, parse_yield
 
 @_value_type
@@ -475,10 +477,13 @@ def aggregate_level(
 
     The operation error is zero for noiseless swapping; with a nonzero
     ``swap_depolarize_p`` it is ``exact_operation_error`` of the flow's
-    swap schedule, at any size, which refuses a figure too long to write.
+    swap schedule, computed at any size from the flow's path bundles
+    without building that schedule: one power per bundle.
 
     Raises:
         InfeasibleTarget, NegativeTarget: From the underlying flow solve.
+        TooLarge: On an operation error too long to write, before its
+            power is computed.
     """
     flat = flatten(net)
     sol = min_cost_flow(flat, target)
@@ -487,8 +492,10 @@ def aggregate_level(
     if p == 0:
         operation = Fraction(0)
     else:
-        sched = build_swap_schedule(decompose_flow(sol))
-        operation = exact_operation_error(sched, NoiseModel(swap_depolarize_p=p))
+        # Pair noise is excluded from the operation error, so only the
+        # swaps of each copy count.
+        groups = (((), b.hops - 1, b.multiplicity) for b in decompose_flow(sol))
+        operation = 1 - _pass_probability(groups, NoiseModel(swap_depolarize_p=p))
     return AggregateResult(
         solution=sol, budget=ErrorBudget(generation=generation, operation=operation)
     )

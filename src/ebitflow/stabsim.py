@@ -48,7 +48,7 @@ error at every schedule size: every Pauli-noise branch delivers a product of
 Bell states, so the output mixture is diagonal in the Bell-product basis,
 and because every noise site mixes its copy's Bell label uniformly the
 pass probability has a closed form in exact rationals (see
-``exact_pass_probability``).
+``exact_pass_probability``), computed per group of equal path copies.
 
 Trace distance here is (1/2) the trace norm of the difference, so the
 distance between a Bell state and the maximally mixed two-qubit state
@@ -692,31 +692,42 @@ def exact_pass_probability(
     Copies are independent, so their probabilities multiply.
 
     Raises:
-        TooLarge: Once a copy's P or the running product has a denominator
-            with more bits than a number of ``sys.get_int_max_str_digits()``
-            digits can have, so the figure could not be written as text.
-            The denominator of ``(1 - p) ** k`` is that of p to the k-th
-            power, so a swap-noise power that long is refused before it is
-            computed.
+        TooLarge: As ``_pass_probability``, over one group per copy.
     """
-    noise = noise or NoiseModel.zero()
+    groups = ((edges, swaps, 1) for edges, swaps in _copy_sites(sched).values())
+    return _pass_probability(groups, noise or NoiseModel.zero())
+
+
+def _pass_probability(groups: Iterable[tuple], noise: NoiseModel) -> Fraction:
+    """``exact_pass_probability`` over groups of equal path copies, each
+    ``(edges, swaps, copies)``: the product of ``((3P + 1) / 4) ** copies``,
+    with P the product of ``(1 - p) ** swaps`` and of ``1 - q`` per edge.
+
+    Raises:
+        TooLarge: Once a power, a copy's P or the running product has a
+            denominator with more bits than a number of
+            ``sys.get_int_max_str_digits()`` digits can have, so the figure
+            could not be written as text. A power is refused before it is
+            computed: ``x ** k`` has the k-th power of x's denominator.
+    """
     # Bits of the longest denominator a figure may have (no bound when
     # Python writes ints of any length).
     max_bits = (sys.get_int_max_str_digits() or math.inf) * math.log2(10) + 1
-    swap = 1 - noise.swap_depolarize_p
-    swap_bits = swap.denominator.bit_length() - 1
-    prob = Fraction(1)
-    for edges, bsms in _copy_sites(sched).values():
+
+    def power(x: Fraction, k: int) -> Fraction:
         # d ** k has at least k * (bits(d) - 1) + 1 bits.
-        if bsms * swap_bits + 1 > max_bits:
+        if k * (x.denominator.bit_length() - 1) + 1 > max_bits:
             raise _too_long()
-        unmixed = swap**bsms
-        # Every copy has a created pair, so this checks the power too.
+        return x**k
+
+    swap = 1 - noise.swap_depolarize_p
+    pair_error = noise.pair_error
+    prob = Fraction(1)
+    for edges, swaps, copies in groups:
+        unmixed = power(swap, swaps)
         for edge in edges:
-            unmixed = _bounded(
-                unmixed * (1 - noise.pair_error.get(edge, Fraction(0))), max_bits
-            )
-        prob = _bounded(prob * (unmixed + (1 - unmixed) / 4), max_bits)
+            unmixed = _bounded(unmixed * (1 - pair_error.get(edge, 0)), max_bits)
+        prob = _bounded(prob * power((3 * unmixed + 1) / 4, copies), max_bits)
     return prob
 
 

@@ -594,8 +594,9 @@ class TestZeroCostClique:
 class TestExactErrorAtEverySize:
     """Noisy ``concat`` reports the exact operation error above
     ``EXACT_QUBIT_LIMIT`` and refuses one too long to write at once. Run in
-    a subprocess with a timeout so that a figure built to its full length
-    fails instead of hanging the suite."""
+    a subprocess with a timeout so that a figure built to its full length,
+    or a swap schedule of one copy per target pair, fails instead of
+    hanging the suite."""
 
     def run(self, tmp_path, capacity, target, noise_p):
         doc = chain_doc(3)
@@ -618,6 +619,23 @@ class TestExactErrorAtEverySize:
         assert proc.returncode == 3, proc.stderr
         assert proc.stdout == ""
         assert_json_error(proc.stderr, "TooLarge")
+
+    @pytest.mark.parametrize("copies", [10**6, 10**8])
+    def test_figure_too_long_to_write_at_any_target(self, tmp_path, copies):
+        # One bundle of ``copies`` copies, each passing with 7/16. No
+        # schedule of six qubits per copy is built (at 10**6 that ran past
+        # 20 s), and the power with denominator 16**copies is refused before
+        # it is computed (at 10**8 computing it outlasts the timeout).
+        proc = self.run(tmp_path, copies, copies, "1/2")
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        assert_json_error(proc.stderr, "TooLarge")
+
+    def test_three_thousand_copies(self, tmp_path):
+        # 16**3000 has 3613 digits, short enough to write.
+        proc = self.run(tmp_path, 10**6, 3000, "1/2")
+        operation = report(proc)["result"]["budget"]["operation"]
+        assert Fraction(operation) == 1 - Fraction(7, 16) ** 3000
 
 
 def huge_doc(**fields):

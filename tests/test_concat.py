@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from ebitflow import (
     EXACT_QUBIT_LIMIT,
@@ -34,14 +34,41 @@ from ebitflow import (
     total_lower_cost,
     NoiseModel,
 )
-from ebitflow import concat, netgraph
-from oracles import random_network, reference_parse_hierarchical, reference_resolve
+from ebitflow import concat, netgraph, stabsim
+from oracles import (
+    convolved_pass_probability,
+    random_network,
+    reference_parse_hierarchical,
+    reference_resolve,
+)
 
 
 def phys(a, b, cap, cost_milli, delta=0):
     """Level-0 wrapper around a single physical edge with clients (a, b)."""
     g = NetworkGraph.from_edge_list([(a, b, cap, cost_milli, delta)], a, b)
     return HierarchicalNetwork.from_graph(g)
+
+
+def wrap_edges(g, deltas=None):
+    """The level-1 hierarchy of ``g``'s edges of positive capacity (the
+    others carry no flow and cannot be wrapped), each wrapping a one-edge
+    network with an identity yield at its capacity and its unit cost as
+    price, and distillation target ``deltas[key]`` (default 0)."""
+    edges = [
+        HierEdge(
+            a=e.a,
+            b=e.b,
+            lower=HierarchicalNetwork.from_graph(
+                NetworkGraph.from_edge_list([(e.a, e.b, e.capacity, e.unit_cost)], e.a, e.b)
+            ),
+            yield_fn=YieldFunction.identity(e.capacity),
+            unit_cost=e.unit_cost,
+            distill_error=(deltas or {}).get(e.key, 0),
+        )
+        for e in g.edges
+        if e.capacity > 0
+    ]
+    return HierarchicalNetwork.build(edges, g.source, g.sink, extra_nodes=g.nodes)
 
 
 def chain42():
@@ -341,6 +368,41 @@ class TestAggregateLevel:
         assert res.budget.operation == 1 - Fraction(7, 16) ** 3
         assert aggregate_level(three_hop, 3).budget.operation == 0
 
+    @given(
+        st.randoms(use_true_random=False),
+        st.sampled_from([Fraction(0), Fraction(1, 5), Fraction(1, 2), Fraction(1)]),
+        st.data(),
+    )
+    def test_operation_error_matches_convolution_of_its_schedule(self, rnd, p, data):
+        g = random_network(rnd, max_nodes=7, max_cap=4, max_cost_units=2)
+        assume(any(e.capacity for e in g.edges))
+        deltas = {
+            e.key: data.draw(st.sampled_from([Fraction(0), Fraction(1, 20), Fraction(3, 8)]))
+            for e in g.edges
+        }
+        net = wrap_edges(g, deltas)
+        target = data.draw(st.integers(0, effective_min_cut(net)))
+        res = aggregate_level(net, target, swap_depolarize_p=p)
+        sched = build_swap_schedule(decompose_flow(res.solution))
+        # The distillation targets become pair noise, which the operation
+        # error leaves out.
+        noise = NoiseModel.from_graph(flatten(net), swap_depolarize_p=p)
+        assert res.budget.operation == 1 - convolved_pass_probability(
+            sched, noise, include_pair_error=False
+        )
+
+    def test_noisy_level_builds_no_schedule(self, count_calls):
+        builds = count_calls(concat, "build_swap_schedule")
+        walks = count_calls(stabsim, "_copy_sites")
+        chain = NetworkGraph.from_edge_list(
+            [("A", "B", 9, 1000), ("B", "C", 9, 1000), ("C", "D", 9, 1000)], "A", "D"
+        )
+        # Nine copies of one three-hop bundle, each passing with 7/16.
+        res = aggregate_level(wrap_edges(chain), 9, swap_depolarize_p=Fraction(1, 2))
+        assert res.budget.operation == 1 - Fraction(7, 16) ** 9
+        assert builds == [0]
+        assert walks == [0]
+
 
 class TestSubstitutionMap:
     def test_flat_edges_carry_theta_and_pound(self):
@@ -389,23 +451,7 @@ class TestSubstitutionMap:
             ref_graph = NetworkGraph.from_edge_list(
                 kept, g.source, g.sink, extra_nodes=g.nodes
             )
-            edges = [
-                HierEdge(
-                    a=e.a,
-                    b=e.b,
-                    lower=HierarchicalNetwork.from_graph(
-                        NetworkGraph.from_edge_list(
-                            [(e.a, e.b, e.capacity, e.unit_cost)], e.a, e.b
-                        )
-                    ),
-                    yield_fn=YieldFunction.identity(e.capacity),
-                    unit_cost=e.unit_cost,
-                )
-                for e in kept
-            ]
-            net = HierarchicalNetwork.build(
-                edges, g.source, g.sink, extra_nodes=g.nodes
-            )
+            net = wrap_edges(g)
             flat = flatten(net)
             for key, edge in flat.edge_map.items():
                 orig = ref_graph.edge_map[key]

@@ -18,7 +18,9 @@ from oracles import (
     ReplayedDraws,
     StateVector,
     convolved_pass_probability,
+    random_network,
     reference_run_schedule,
+    tie_graphs,
 )
 
 from ebitflow import (
@@ -28,6 +30,7 @@ from ebitflow import (
     CreateBellPair,
     Delivery,
     ErrorBudget,
+    HierarchicalNetwork,
     NetworkGraph,
     NoiseModel,
     ParseError,
@@ -37,6 +40,7 @@ from ebitflow import (
     SwapSchedule,
     TooLarge,
     ValidationError,
+    aggregate_level,
     build_swap_schedule,
     decompose_flow,
     exact_operation_error,
@@ -568,6 +572,56 @@ class TestClosedFormExact:
         )
 
 
+# The noise figures of ``flow_bundles``.
+BUNDLE_NOISE = st.sampled_from([Fraction(0), Fraction(1, 5), Fraction(1, 2), Fraction(1)])
+
+
+@st.composite
+def flow_bundles(draw):
+    """The path bundles of a minimum-cost flow at a random positive target
+    (0 at a cut of 0) on a random network, a tie graph or a ladder of 1-4
+    parallel paths of capacity 1-4, with pair noise per edge and swap noise
+    from ``BUNDLE_NOISE``. Capacities above 1 give multiplicities above 1."""
+    kind = draw(st.sampled_from(["random", "ties", "ladder"]))
+    if kind == "random":
+        rnd = draw(st.randoms(use_true_random=False))
+        g = random_network(rnd, max_nodes=8, max_cap=4, max_cost_units=2)
+    elif kind == "ties":
+        g = draw(tie_graphs())
+    else:
+        edges = []
+        for c in range(draw(st.integers(1, 4))):
+            # Only the first path may be the one-hop edge s-t.
+            hops = draw(st.integers(1 if c == 0 else 2, 6))
+            path = ("s", *(f"p{c}_{j}" for j in range(1, hops)), "t")
+            cap = draw(st.integers(1, 4))
+            edges += [(a, b, cap, 1000) for a, b in zip(path, path[1:])]
+        g = NetworkGraph.from_edge_list(edges, "s", "t")
+    cut = min_cut(g)
+    bundles = decompose_flow(min_cost_flow(g, draw(st.integers(min(1, cut), cut))))
+    pair_error = {e.key: draw(BUNDLE_NOISE) for e in g.edges}
+    return bundles, NoiseModel(swap_depolarize_p=draw(BUNDLE_NOISE), pair_error=pair_error)
+
+
+class TestBundleClosedForm:
+    """The closed-form core over one group per path bundle, ``(edges,
+    hops - 1, multiplicity)``, equals the XOR convolution of
+    ``tests/oracles.py`` over every copy of the bundles' swap schedule,
+    with the flags and stripping of ``TestClosedFormExact``."""
+
+    @given(flow_bundles(), st.booleans(), st.booleans())
+    def test_matches_convolution_of_the_schedule(self, case, pair, swap):
+        bundles, noise = case
+        stripped = NoiseModel(
+            swap_depolarize_p=noise.swap_depolarize_p if swap else 0,
+            pair_error=noise.pair_error if pair else {},
+        )
+        groups = [(b.edges(), b.hops - 1, b.multiplicity) for b in bundles]
+        assert stabsim._pass_probability(groups, stripped) == convolved_pass_probability(
+            build_swap_schedule(bundles), noise, include_pair_error=pair, include_swap_error=swap
+        )
+
+
 class ZeroDraws:
     """Draw source of the reference run with every draw 0: each noise site
     misses and each random outcome is 0."""
@@ -711,6 +765,27 @@ class TestAgainstReferenceTableau:
         assert run_schedule(sched, noise, seed=seed) == reference_lane0(sched, noise, seed)
 
 
+def schedule_operation_error(path, copies, p):
+    """``exact_operation_error`` on ``copies`` copies of ``path`` at swap
+    noise ``p``."""
+    sched = build_swap_schedule([PathBundle(path=path, multiplicity=copies)])
+    return exact_operation_error(sched, NoiseModel(swap_depolarize_p=p))
+
+
+def aggregate_operation_error(path, copies, p):
+    """The operation error of ``aggregate_level`` at target ``copies`` on
+    the chain ``path`` of capacity ``copies``, at swap noise ``p``."""
+    g = NetworkGraph.from_edge_list(
+        [(a, b, copies, 1000) for a, b in zip(path, path[1:])], path[0], path[-1]
+    )
+    net = HierarchicalNetwork.from_graph(g)
+    return aggregate_level(net, copies, swap_depolarize_p=p).budget.operation
+
+
+# (hops, copies, writable) of the refusal cases below.
+REFUSAL_CASES = [(3, 1, True), (3, 5, True), (3, 6, False), (11, 1, True), (12, 1, False)]
+
+
 class TestExactErrors:
     def test_full_depolarizing_swap(self):
         noise = NoiseModel(swap_depolarize_p=1)
@@ -781,30 +856,31 @@ class TestExactErrors:
         assert exact_trace_distance(chains, noise) == 1 - Fraction(3, 8) ** 3
 
     @pytest.mark.parametrize(
-        ("hops", "copies", "writable"),
+        ("hops", "copies", "writable", "operation_error"),
         [
-            (3, 1, True),
-            (3, 5, True),
-            (3, 6, False),
-            (11, 1, True),
-            (12, 1, False),
+            pytest.param(*case, figure, id="-".join(map(str, case)) + suffix)
+            for figure, suffix in (
+                (schedule_operation_error, ""),
+                (aggregate_operation_error, "-aggregate"),
+            )
+            for case in REFUSAL_CASES
         ],
     )
-    def test_refuses_exactly_the_figures_too_long_to_write(self, hops, copies, writable):
+    def test_refuses_exactly_the_figures_too_long_to_write(
+        self, hops, copies, writable, operation_error
+    ):
         # Each swap multiplies the denominator by 10**399 + 7 (1326 bits),
         # and Python writes ints of up to 4300 digits by default (about
         # 14 284 bits).
         p = Fraction(1, 10**399 + 7)
         path = ("s", *(f"r{i}" for i in range(hops - 1)), "t")
-        sched = build_swap_schedule([PathBundle(path=path, multiplicity=copies)])
-        noise = NoiseModel(swap_depolarize_p=p)
         closed_form = 1 - ((3 * (1 - p) ** (hops - 1) + 1) / 4) ** copies
         if writable:
-            assert exact_operation_error(sched, noise) == closed_form
+            assert operation_error(path, copies, p) == closed_form
             assert str(closed_form)
         else:
             with pytest.raises(TooLarge, match="more digits than Python writes"):
-                exact_operation_error(sched, noise)
+                operation_error(path, copies, p)
             with pytest.raises(ValueError):
                 str(closed_form)
 
