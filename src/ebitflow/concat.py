@@ -348,10 +348,11 @@ def _resolve(net: HierarchicalNetwork) -> _Resolved:
     Each distinct lower solve runs once per call: solutions are kept under
     ``_lower_key``, which ranks the labels of the flattened lower network
     in sorted order, and a copy with the same key maps the first flow onto
-    its own labels. That is exact because the solver only compares labels
-    (its tie-break, cycle cancelling and the sorted ``arc_flow``); inside
-    the search it sees only their sorted ranks, heap keys included, so an
-    order-preserving bijection maps one solution onto the other. Replacing
+    its own labels. That is exact because the solver sees labels only as
+    their sorted ranks: its search (heap keys included), its tie-break,
+    its cycle cancelling and the order of ``arc_flow`` all work on node
+    indices until the labels are written, so an order-preserving
+    bijection maps one solution onto the other. Replacing
     only the client labels would not do: which of two equal-cost paths
     wins can depend on where the sink sorts among the interior labels.
     """

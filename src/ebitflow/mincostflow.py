@@ -6,22 +6,27 @@ most ``capacity`` pairs in total across both directions and each delivered
 pair on an edge costs ``unit_cost`` milli-units?
 
 Algorithm: successive shortest augmenting paths with node potentials, so
-Dijkstra always sees non-negative reduced costs. A Dijkstra, stopped once
-the sink is settled, adds its distances, capped at the sink's, to the
-potentials; the cheapest paths are then exactly the paths of
-zero-reduced-cost arcs, and among them the lexicographically smallest
-node-label sequence is chosen, which makes results reproducible across
-runs and platforms. A round whose sink distance is 0 leaves the
-potentials as they were, so the rounds after it take tight paths without
-a new Dijkstra until none is left (primal-dual augmentation). Path
-choice depends on the residual alone, not on the target, so one run
-passes every target's optimum and ends at the min-cut when the sink
-becomes unreachable; no entry point computes a separate min-cut. Each
-path adds its bottleneck in pairs at a slope equal to its cost, so the
-price curve is a running sum of path costs. Each solution is
-canonicalized: opposing flow on an edge is cancelled and any remaining
-zero-cost support cycles are removed, so for every edge at most one
-direction carries flow.
+Dijkstra always sees non-negative reduced costs. The potentials are
+distances to the sink: a Dijkstra runs backwards from the sink over
+in-arcs, stops once the source is settled, and adds its distances,
+capped at the source's, to the potentials. The cheapest paths are then
+exactly the source-sink paths of zero-reduced-cost arcs, and among them
+the lexicographically smallest node-label sequence is chosen, which
+makes results reproducible across runs and platforms. A tight arc out of
+a node settled closer to the sink than the source lies on a cheapest path
+from that node to the sink, so the walk that picks the path stays near
+the cheapest paths instead of wandering into tight dead ends.
+A round whose source distance is 0 leaves the potentials as they were,
+so the rounds after it take tight paths without a new Dijkstra until
+none is left (primal-dual augmentation). Path choice depends on the
+residual alone, not on the target, so one run passes every target's
+optimum and ends at the min-cut when the sink becomes unreachable; no
+entry point computes a separate min-cut. Each path adds its bottleneck
+in pairs at a slope equal to its cost, so the price curve is a running
+sum of path costs. Each solution is canonicalized: each edge carries its
+net pushed flow, so opposing flow cancels, and any remaining zero-cost
+support cycles are removed, so for every edge at most one direction
+carries flow.
 
 All entry points are pure functions; solutions are immutable.
 """
@@ -94,11 +99,20 @@ class FlowSolution:
 class _Residual:
     """Residual digraph with one forward arc per edge orientation.
 
-    Arc ``i`` and ``i ^ 1`` are mutual reverses. Forward arcs carry the edge
-    cost, reverse arcs its negation. ``res`` holds remaining capacity and
-    ``pushed`` the pairs sent so far. An arc is tight when it has remaining
-    capacity and zero reduced cost; once the potentials include a Dijkstra's
-    distances from the source, the cheapest paths are the tight-arc paths.
+    Edge ``j`` of ``graph.edges``, from ``a`` to ``b``, owns arcs
+    ``4j..4j+3``: a->b, its reverse, b->a, its reverse. Arc ``i`` and
+    ``i ^ 1`` are mutual reverses. Forward arcs carry the edge cost,
+    reverse arcs its negation. ``res`` holds remaining capacity, so
+    ``res[4j+1] - res[4j+3]`` is the net flow pushed from a to b, and
+    ``pushed`` the pairs sent so far. Arc ``i`` runs from ``tail[i]`` to
+    ``to[i]``; ``adj[u]`` lists the arcs out of ``u`` and ``radj[v]`` the
+    arcs into ``v``.
+
+    The potentials are reduced distances to the sink, so arc u->v has
+    reduced cost ``cost + potential[v] - potential[u]``. An arc is tight
+    when it has remaining capacity and zero reduced cost; once the
+    potentials include a Dijkstra's distances to the sink, the cheapest
+    source-sink paths are the tight-arc paths.
 
     Node ``i`` is the ``i``-th label in sorted order, so comparing indices
     compares labels. ``NetworkGraph`` sorts its edges by key, so every
@@ -114,15 +128,21 @@ class _Residual:
         self.nodes = list(g.nodes)
         self.index = {v: i for i, v in enumerate(self.nodes)}
         self.adj: list[list[int]] = [[] for _ in self.nodes]
+        self.radj: list[list[int]] = [[] for _ in self.nodes]
+        self.tail: list[int] = []
         self.to: list[int] = []
         self.res: list[int] = []
         self.cost: list[int] = []
-        adj, to, res, cost, index = self.adj, self.to, self.res, self.cost, self.index
+        adj, radj, tail, to = self.adj, self.radj, self.tail, self.to
+        res, cost, index = self.res, self.cost, self.index
         for e in g.edges:
             # Arcs k..k+3: a->b, its reverse, b->a, its reverse.
             k, ia, ib, c = len(to), index[e.a], index[e.b], e.unit_cost
             adj[ia] += (k, k + 3)
             adj[ib] += (k + 1, k + 2)
+            radj[ia] += (k + 1, k + 2)
+            radj[ib] += (k, k + 3)
+            tail += (ia, ib, ib, ia)
             to += (ib, ia, ia, ib)
             res += (e.capacity, 0, e.capacity, 0)
             cost += (c, -c, c, -c)
@@ -130,39 +150,40 @@ class _Residual:
     def dijkstra(
         self, s: int, t: int, potential: list[int]
     ) -> tuple[list[int], list[int | None]] | None:
-        """Reduced-cost Dijkstra from ``s`` that stops once ``t`` is settled.
+        """Reduced-cost Dijkstra backwards from ``t`` over in-arcs that
+        stops once ``s`` is settled.
 
-        Returns the settled nodes in settling order, ``t`` last, and the
-        distances, exact for the settled nodes; None if ``t`` is unreachable.
-        The heap holds ``d * n + v``, which orders like ``(d, v)`` since the
-        reduced costs are non-negative.
+        Returns the settled nodes in settling order, ``s`` last, and the
+        distances to ``t``, exact for the settled nodes; None if ``s``
+        cannot reach ``t``. The heap holds ``d * n + v``, which orders like
+        ``(d, v)`` since the reduced costs are non-negative.
         """
         n = len(self.nodes)
-        adj, res, to, cost = self.adj, self.res, self.to, self.cost
+        radj, res, tail, cost = self.radj, self.res, self.tail, self.cost
         heappush, heappop = heapq.heappush, heapq.heappop
         dist: list[int | None] = [None] * n
         done = [False] * n
         settled: list[int] = []
-        dist[s] = 0
-        heap = [s]
+        dist[t] = 0
+        heap = [t]
         while heap:
-            u = heappop(heap) % n
-            if done[u]:
+            v = heappop(heap) % n
+            if done[v]:
                 continue
-            done[u] = True
-            settled.append(u)
-            if u == t:
+            done[v] = True
+            settled.append(v)
+            if v == s:
                 return settled, dist
-            base = dist[u] + potential[u]
-            for aid in adj[u]:
+            base = dist[v] + potential[v]
+            for aid in radj[v]:
                 if res[aid] > 0:
-                    v = to[aid]
-                    if not done[v]:
-                        nd = base + cost[aid] - potential[v]
-                        dv = dist[v]
-                        if dv is None or nd < dv:
-                            dist[v] = nd
-                            heappush(heap, nd * n + v)
+                    u = tail[aid]
+                    if not done[u]:
+                        nd = base + cost[aid] - potential[u]
+                        du = dist[u]
+                        if du is None or nd < du:
+                            dist[u] = nd
+                            heappush(heap, nd * n + u)
         return None
 
     def lexicographic_shortest_path(
@@ -176,7 +197,11 @@ class _Residual:
         non-negative, so the tight paths are the cheapest ones when any
         exists. One depth-first walk from ``s`` follows tight arcs in
         ``adj`` order, so smaller head labels first, and returns the first
-        path that reaches ``t``; it takes each arc at most once.
+        path that reaches ``t``; it takes each arc at most once. With
+        potentials that are distances to the sink, a tight arc out of a
+        node the last Dijkstra settled closer to the sink than ``s`` lies
+        on a cheapest path from that node to the sink, so the walk seldom
+        backs out.
 
         Entering a node marks it: ``untried[u]`` becomes an iterator over
         the arcs of ``u`` still to try, so the walk resumes ``u`` where it
@@ -190,7 +215,7 @@ class _Residual:
         can never help a later path, and the first path found is the
         lexicographically smallest cheapest simple path.
         """
-        adj, res, to, cost = self.adj, self.res, self.to, self.cost
+        adj, res, tail, to, cost = self.adj, self.res, self.tail, self.to, self.cost
         untried: list[Iterator[int] | None] = [None] * len(self.nodes)
         untried[s] = iter(adj[s])
         path_arcs: list[int] = []
@@ -199,7 +224,7 @@ class _Residual:
             pu = potential[u]
             for aid in untried[u]:
                 v = to[aid]
-                if untried[v] is None and res[aid] > 0 and cost[aid] + pu == potential[v]:
+                if untried[v] is None and res[aid] > 0 and cost[aid] + potential[v] == pu:
                     path_arcs.append(aid)
                     if v == t:
                         return path_arcs
@@ -210,18 +235,21 @@ class _Residual:
                 # Dead end: resume at the tail of the arc that entered u.
                 if not path_arcs:
                     return None
-                u = to[path_arcs.pop() ^ 1]
+                u = tail[path_arcs.pop()]
 
     def augmenting_paths(self) -> Iterator[tuple[list[int], int]]:
         """Yield each cheapest source-sink path and its bottleneck until the
         sink is unreachable; the caller pushes along a path before the next.
 
-        A round's Dijkstra stops at the sink, at distance D. A settled
-        node's potential grows by its distance and every other node's by D
-        (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 9): that keeps
-        every residual reduced cost non-negative, and on the nodes within D
-        of the source, where all tight paths from it lie, the potentials
-        match those of a full Dijkstra, so the walk picks the same path.
+        A round's Dijkstra runs backwards from the sink and stops at the
+        source, at distance D. A settled node's potential grows by its
+        distance and every other node's by D (Ahuja, Magnanti & Orlin,
+        *Network Flows*, 1993, ch. 9, with distances to the sink in place
+        of distances from the source): that keeps every residual reduced
+        cost non-negative, and on the nodes within D of the sink, where
+        all cheapest paths from the source lie, the potentials match those
+        of a full Dijkstra. Every tight source-sink path then costs
+        exactly the cheapest path's cost, so the walk picks the same path.
 
         At D = 0 the potentials do not move, so while tight paths remain
         each following round is the walk alone (§9.8): a Dijkstra would
@@ -238,7 +266,7 @@ class _Residual:
                 if found is None:
                     return
                 settled, dist = found
-                far = dist[t]
+                far = dist[s]
                 tight = far == 0
                 potential = [p + far for p in potential]
                 for v in settled:
@@ -255,88 +283,86 @@ class _Residual:
         self.pushed += amount
 
     def solution(self) -> FlowSolution:
-        """The canonical flow of everything pushed so far."""
-        g = self.graph
-        arc_flow: dict[Arc, int] = {}
-        for aid in range(0, len(self.to), 2):
-            f = self.res[aid ^ 1]
+        """The canonical flow of everything pushed so far.
+
+        One subtraction per edge, ``res[4j+1] - res[4j+3]``, gives the
+        edge's flow arc and its cost with opposing flow already cancelled.
+        Zero-cost cycles left in the support are then removed one at a
+        time, each the first that ``_find_cycle`` finds; an optimal flow
+        has no other cycles, so removal never changes net flow or cost.
+        Arcs stay pairs of node indices until the labels are written.
+        Index order is label order, so the cycles removed and the order of
+        ``arc_flow`` are those of the same search over labels.
+        """
+        g, nodes, to, res, cost = self.graph, self.nodes, self.to, self.res, self.cost
+        flow: dict[tuple[int, int], int] = {}
+        total_cost = 0
+        for k in range(0, len(to), 4):
+            f = res[k + 1] - res[k + 3]
             if f > 0:
-                a = self.nodes[self.to[aid ^ 1]]
-                b = self.nodes[self.to[aid]]
-                arc_flow[(a, b)] = arc_flow.get((a, b), 0) + f
-        _cancel_cycles(arc_flow, g)
-        total_cost = sum(
-            g.edge_between(a, b).unit_cost * f for (a, b), f in arc_flow.items()
-        )
-        net = sum(f for (a, _), f in arc_flow.items() if a == g.source) - sum(
-            f for (_, b), f in arc_flow.items() if b == g.source
-        )
+                flow[to[k + 1], to[k]] = f
+                total_cost += cost[k] * f
+            elif f < 0:
+                flow[to[k], to[k + 1]] = -f
+                total_cost -= cost[k] * f
+        flow = dict(sorted(flow.items()))
+        while True:
+            succ: list[list[int]] = [[] for _ in nodes]
+            for u, v in flow:
+                succ[u].append(v)
+            cycle = _find_cycle(succ)
+            if cycle is None:
+                break
+            arcs = list(zip(cycle, cycle[1:] + cycle[:1]))
+            if any(g.edge_between(nodes[u], nodes[v]).unit_cost for u, v in arcs):
+                raise InvariantViolation("positive-cost cycle in an optimal flow")
+            bottleneck = min(flow[arc] for arc in arcs)
+            for arc in arcs:
+                flow[arc] -= bottleneck
+                if not flow[arc]:
+                    del flow[arc]
+        s = self.index[g.source]
+        net = 0
+        arc_flow: dict[Arc, int] = {}
+        for (u, v), f in flow.items():
+            arc_flow[nodes[u], nodes[v]] = f
+            if u == s:
+                net += f
+            elif v == s:
+                net -= f
         if net != self.pushed:
             raise InvariantViolation("solver delivered a different net flow than requested")
-        return FlowSolution(
-            graph=g, arc_flow=dict(sorted(arc_flow.items())), net_flow=net, total_cost=total_cost
-        )
+        return FlowSolution(graph=g, arc_flow=arc_flow, net_flow=net, total_cost=total_cost)
 
 
-def _cancel_cycles(arc_flow: dict[Arc, int], g: NetworkGraph) -> None:
-    """Remove opposing flow pairs and any remaining support cycles in place.
-
-    Cycles surviving opposing-pair cancellation must cost zero in an optimal
-    flow, so removal never changes net flow and never increases cost.
-    """
-    for key in sorted({edge_key(a, b) for (a, b) in arc_flow}):
-        f_ab = arc_flow.get(key, 0)
-        f_ba = arc_flow.get((key[1], key[0]), 0)
-        m = min(f_ab, f_ba)
-        if m > 0:
-            arc_flow[key] = f_ab - m
-            arc_flow[(key[1], key[0])] = f_ba - m
-    for arc in [a for a, f in arc_flow.items() if f <= 0]:
-        del arc_flow[arc]
-
-    while True:
-        succ: dict[NodeId, list[NodeId]] = {}
-        for a, b in arc_flow:
-            succ.setdefault(a, []).append(b)
-        for heads in succ.values():
-            heads.sort()
-        cycle = _find_cycle(succ)
-        if cycle is None:
-            return
-        arcs = list(zip(cycle, cycle[1:] + cycle[:1]))
-        bottleneck = min(arc_flow[arc] for arc in arcs)
-        if sum(g.edge_between(*arc).unit_cost for arc in arcs) != 0:
-            raise InvariantViolation("positive-cost cycle in an optimal flow")
-        for arc in arcs:
-            arc_flow[arc] -= bottleneck
-            if arc_flow[arc] == 0:
-                del arc_flow[arc]
-
-
-def _find_cycle(succ: Mapping[NodeId, list[NodeId]]) -> list[NodeId] | None:
-    visited: set[NodeId] = set()
-    for start in sorted(succ):
-        if start in visited:
+def _find_cycle(succ: list[list[int]]) -> list[int] | None:
+    """The first cycle, as its nodes in order, of a depth-first search that
+    tries start nodes in increasing order and each node's successors in
+    ``succ`` order; None if the digraph has no cycle."""
+    n = len(succ)
+    done = [False] * n
+    # Position on the trail of each node the search is inside, else -1.
+    pos = [-1] * n
+    for start in range(n):
+        if done[start] or not succ[start]:
             continue
-        trail: list[NodeId] = [start]
-        pos: dict[NodeId, int] = {start: 0}
-        stack = [(start, iter(succ.get(start, ())))]
+        trail = [start]
+        pos[start] = 0
+        stack = [iter(succ[start])]
         while stack:
-            node, it = stack[-1]
-            for nxt in it:
-                if nxt in pos:
+            for nxt in stack[-1]:
+                if pos[nxt] >= 0:
                     return trail[pos[nxt] :]
-                if nxt in visited:
-                    continue
-                trail.append(nxt)
-                pos[nxt] = len(trail) - 1
-                stack.append((nxt, iter(succ.get(nxt, ()))))
-                break
+                if not done[nxt]:
+                    pos[nxt] = len(trail)
+                    trail.append(nxt)
+                    stack.append(iter(succ[nxt]))
+                    break
             else:
                 stack.pop()
-                visited.add(node)
-                del pos[node]
-                trail.pop()
+                node = trail.pop()
+                done[node] = True
+                pos[node] = -1
     return None
 
 
@@ -411,8 +437,18 @@ def price_curve(g: NetworkGraph) -> tuple[tuple[int, ...], int]:
     # One extraction runs the net-flow and cycle checks on the whole run.
     if residual.solution().total_cost != total:
         raise InvariantViolation("path costs disagree with the cost of the flow")
-    best = min(range(1, len(costs) + 1), key=lambda k: Fraction(costs[k - 1], k))
-    return tuple(costs), best
+    return tuple(costs), _best_target(costs)
+
+
+def _best_target(costs: list[int]) -> int:
+    """The target k with the lowest average cost ``costs[k-1] / k``; ties
+    go to the smallest. Averages compare by cross-multiplying, and only a
+    strictly lower one replaces the best so far."""
+    best = 1
+    for k in range(2, len(costs) + 1):
+        if costs[k - 1] * best < costs[best - 1] * k:
+            best = k
+    return best
 
 
 def validate_flow(sol: FlowSolution) -> None:

@@ -10,7 +10,9 @@ whose runs its Bell-pair frame plan must reproduce when both are fed
 the same draws, and itself pinned against a dense state vector, its
 earlier exact pass probability, which the closed form must equal
 exactly, its earlier three-search min-cost flow, which
-the one-search solver must reproduce arc for arc, its earlier flow
+the one-search solver must reproduce arc for arc, its earlier
+canonicalization of a flow on node labels, which the one on arc indices
+must reproduce, its earlier flow
 decomposition with one search per bundle, which the phased one must
 reproduce bundle for bundle, and its earlier
 resolve with one lower solve per edge, which the resolve that shares
@@ -60,7 +62,7 @@ from ebitflow import (
     validate_flow,
 )
 from ebitflow.concat import HierEdge, _EdgeInfo, _Resolved
-from ebitflow.mincostflow import Arc, _cancel_cycles
+from ebitflow.mincostflow import Arc
 from ebitflow.netgraph import (
     MILLI,
     EdgeKey,
@@ -664,9 +666,10 @@ def convolved_pass_probability(
 # Dijkstra per augmentation: a second forward Dijkstra and a reverse one per
 # path search, and a Dinic min-cut before the first augmentation. Kept
 # unchanged so the one-search version can be pinned against it: same arcs,
-# same tie-break, same errors. The canonicalization after the loop is the
-# package's own ``_cancel_cycles``; both solvers share it, so the pin is on
-# the augmenting-path search.
+# same tie-break, same errors. The canonicalization after the loop is
+# ``reference_cancel_cycles``, the package's earlier one on node labels; the
+# package now canonicalizes on arc and node indices and is pinned against it
+# (``reference_residual_solution``).
 
 
 class _ReferenceResidual:
@@ -856,7 +859,7 @@ def reference_min_cost_flow(g: NetworkGraph, target: int) -> FlowSolution:
         if f > 0:
             a, b = residual.arc_ends[aid]
             arc_flow[(a, b)] = arc_flow.get((a, b), 0) + f
-    _cancel_cycles(arc_flow, g)
+    reference_cancel_cycles(arc_flow, g)
 
     total_cost = sum(
         g.edge_between(a, b).unit_cost * f for (a, b), f in arc_flow.items()
@@ -865,6 +868,94 @@ def reference_min_cost_flow(g: NetworkGraph, target: int) -> FlowSolution:
         f for (_, b), f in arc_flow.items() if b == g.source
     )
     if net != target:
+        raise InvariantViolation("solver delivered a different net flow than requested")
+    return FlowSolution(
+        graph=g, arc_flow=dict(sorted(arc_flow.items())), net_flow=net, total_cost=total_cost
+    )
+
+
+def reference_cancel_cycles(arc_flow: dict[Arc, int], g: NetworkGraph) -> None:
+    """Remove opposing flow pairs and any remaining support cycles in place.
+
+    Cycles surviving opposing-pair cancellation must cost zero in an optimal
+    flow, so removal never changes net flow and never increases cost.
+    """
+    for key in sorted({edge_key(a, b) for (a, b) in arc_flow}):
+        f_ab = arc_flow.get(key, 0)
+        f_ba = arc_flow.get((key[1], key[0]), 0)
+        m = min(f_ab, f_ba)
+        if m > 0:
+            arc_flow[key] = f_ab - m
+            arc_flow[(key[1], key[0])] = f_ba - m
+    for arc in [a for a, f in arc_flow.items() if f <= 0]:
+        del arc_flow[arc]
+
+    while True:
+        succ: dict[NodeId, list[NodeId]] = {}
+        for a, b in arc_flow:
+            succ.setdefault(a, []).append(b)
+        for heads in succ.values():
+            heads.sort()
+        cycle = _find_label_cycle(succ)
+        if cycle is None:
+            return
+        arcs = list(zip(cycle, cycle[1:] + cycle[:1]))
+        bottleneck = min(arc_flow[arc] for arc in arcs)
+        if sum(g.edge_between(*arc).unit_cost for arc in arcs) != 0:
+            raise InvariantViolation("positive-cost cycle in an optimal flow")
+        for arc in arcs:
+            arc_flow[arc] -= bottleneck
+            if arc_flow[arc] == 0:
+                del arc_flow[arc]
+
+
+def _find_label_cycle(succ: Mapping[NodeId, list[NodeId]]) -> list[NodeId] | None:
+    visited: set[NodeId] = set()
+    for start in sorted(succ):
+        if start in visited:
+            continue
+        trail: list[NodeId] = [start]
+        pos: dict[NodeId, int] = {start: 0}
+        stack = [(start, iter(succ.get(start, ())))]
+        while stack:
+            node, it = stack[-1]
+            for nxt in it:
+                if nxt in pos:
+                    return trail[pos[nxt] :]
+                if nxt in visited:
+                    continue
+                trail.append(nxt)
+                pos[nxt] = len(trail) - 1
+                stack.append((nxt, iter(succ.get(nxt, ()))))
+                break
+            else:
+                stack.pop()
+                visited.add(node)
+                del pos[node]
+                trail.pop()
+    return None
+
+
+def reference_residual_solution(residual) -> FlowSolution:
+    """The canonical flow of a package ``_Residual`` as its ``solution``
+    read it before it worked on arc indices: per-arc flows on labels,
+    summed per orientation, then ``reference_cancel_cycles``."""
+    g = residual.graph
+    arc_flow: dict[Arc, int] = {}
+    for aid in range(0, len(residual.to), 2):
+        f = residual.res[aid ^ 1]
+        if f > 0:
+            a = residual.nodes[residual.to[aid ^ 1]]
+            b = residual.nodes[residual.to[aid]]
+            arc_flow[(a, b)] = arc_flow.get((a, b), 0) + f
+    reference_cancel_cycles(arc_flow, g)
+    total_cost = sum(
+        g.edge_between(a, b).unit_cost * f for (a, b), f in arc_flow.items()
+    )
+    net = sum(f for (a, _), f in arc_flow.items() if a == g.source) - sum(
+        f for (_, b), f in arc_flow.items() if b == g.source
+    )
+    if net != residual.pushed:
         raise InvariantViolation("solver delivered a different net flow than requested")
     return FlowSolution(
         graph=g, arc_flow=dict(sorted(arc_flow.items())), net_flow=net, total_cost=total_cost

@@ -21,11 +21,12 @@ from ebitflow import (
     unit_price,
     validate_flow,
 )
-from ebitflow.mincostflow import _Residual
+from ebitflow.mincostflow import _Residual, _best_target
 from oracles import (
     min_cost_by_search,
     random_network,
     reference_min_cost_flow,
+    reference_residual_solution,
     tie_graphs,
 )
 
@@ -136,6 +137,30 @@ class TestUnitPrice:
         g = NetworkGraph.from_edge_list([], "s", "t", extra_nodes=["s", "t"])
         with pytest.raises(InfeasibleTarget):
             price_curve(g)
+
+
+class TestBestTarget:
+    """``_best_target`` compares average costs by cross-multiplying; it must
+    pick what a ``Fraction`` key picks, ties included."""
+
+    @staticmethod
+    def by_fraction(costs):
+        return min(range(1, len(costs) + 1), key=lambda k: Fraction(costs[k - 1], k))
+
+    @given(st.lists(st.integers(0, 12), min_size=1, max_size=24))
+    def test_small_costs_with_ties(self, costs):
+        assert _best_target(costs) == self.by_fraction(costs)
+
+    @given(
+        st.lists(st.integers(0, 5), min_size=1, max_size=24),
+        st.sampled_from([1, 1000, 10**400]),
+    )
+    def test_convex_curves(self, slopes, scale):
+        costs, total = [], 0
+        for slope in sorted(slopes):
+            total += slope * scale
+            costs.append(total)
+        assert _best_target(costs) == self.by_fraction(costs)
 
 
 class TestPriceCurveExtraction:
@@ -460,8 +485,9 @@ class TestGridsAgainstReferenceSolver:
 
 
 class TestEarlyStop:
-    def test_search_stops_at_the_sink(self):
-        # A chain s-m-t with a costly branch through z: z is never settled.
+    def test_search_stops_at_the_source(self):
+        # A chain s-m-t with a costly branch through z: the search runs
+        # backwards from t, and z is never settled.
         g = NetworkGraph.from_edge_list(
             [("m", "s", 1, 1), ("m", "t", 1, 1), ("s", "z", 1, 100), ("t", "z", 1, 100)],
             "s",
@@ -469,25 +495,63 @@ class TestEarlyStop:
         )
         r = _Residual(g)
         settled, dist = r.dijkstra(r.index["s"], r.index["t"], [0] * len(r.nodes))
-        assert [r.nodes[v] for v in settled] == ["s", "m", "t"]
-        assert dist[r.index["t"]] == 2
+        assert [r.nodes[v] for v in settled] == ["t", "m", "s"]
+        assert dist[r.index["s"]] == 2
 
-    def test_unsettled_node_at_the_sink_distance_carries_the_path(self):
-        # Nodes a, b, c (the sink) and d all lie at distance 1 and settle in
-        # label order, so the search stops with d unsettled, yet s-a-d-c is
-        # the lexicographically smallest cheapest path.
+    def test_unsettled_node_at_the_source_distance_carries_the_path(self):
+        # The source a and node c both lie at distance 1 from the sink t, d
+        # at 0. Nodes settle in (distance, label) order, so the search stops
+        # at a with c unsettled, yet a-c-t is the lexicographically smallest
+        # cheapest path.
         g = NetworkGraph.from_edge_list(
-            [("a", "s", 1, 1), ("a", "d", 1, 0), ("c", "d", 1, 0), ("b", "s", 1, 1), ("b", "c", 1, 0)],
-            "s",
-            "c",
+            [("a", "c", 1, 0), ("c", "t", 1, 1), ("a", "d", 1, 1), ("d", "t", 1, 0)],
+            "a",
+            "t",
         )
         r = _Residual(g)
-        settled, _ = r.dijkstra(r.index["s"], r.index["c"], [0] * len(r.nodes))
-        assert r.index["d"] not in settled
+        settled, _ = r.dijkstra(r.index["a"], r.index["t"], [0] * len(r.nodes))
+        assert [r.nodes[v] for v in settled] == ["t", "d", "a"]
         sol = min_cost_flow(g, 1)
-        assert sol.arc_flow == {("a", "d"): 1, ("d", "c"): 1, ("s", "a"): 1}
+        assert sol.arc_flow == {("a", "c"): 1, ("c", "t"): 1}
         assert_same(sol, reference_min_cost_flow(g, 1))
         assert_same(min_cost_max_flow(g), reference_min_cost_flow(g, 2))
+
+    def test_no_tight_arc_into_a_cheap_dead_end(self, monkeypatch):
+        # The source's smallest neighbour a leads only into the zero-cost
+        # branch a-b-c, one unit from s; the one path s-m-t costs 2. With
+        # distances from s the whole branch would be tight from s. With
+        # distances to t, a lies 3 from t, above the cap 2, so s->a keeps a
+        # reduced cost of 1 and the walk never enters the branch.
+        g = NetworkGraph.from_edge_list(
+            [
+                ("a", "s", 1, 1),
+                ("a", "b", 1, 0),
+                ("b", "c", 1, 0),
+                ("m", "s", 1, 1),
+                ("m", "t", 1, 1),
+            ],
+            "s",
+            "t",
+        )
+        potentials = []
+        walk = _Residual.lexicographic_shortest_path
+
+        def recorded(self, s, t, potential):
+            potentials.append(list(potential))
+            return walk(self, s, t, potential)
+
+        monkeypatch.setattr(_Residual, "lexicographic_shortest_path", recorded)
+        r = _Residual(g)
+        path, _ = next(r.augmenting_paths())
+        [potential] = potentials
+        s = r.index["s"]
+        tight_heads = [
+            r.nodes[r.to[aid]]
+            for aid in r.adj[s]
+            if r.res[aid] > 0 and r.cost[aid] + potential[r.to[aid]] == potential[s]
+        ]
+        assert tight_heads == ["m"]
+        assert [r.nodes[r.to[aid]] for aid in path] == ["m", "t"]
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(tie_graphs())
@@ -539,3 +603,64 @@ class TestTightRounds:
         with pytest.raises(InvariantViolation) as got:
             min_cost_flow(CHAIN, 1)
         assert str(got.value) == "no tight path to a reachable sink"
+
+
+@st.composite
+def pushed_residuals(draw):
+    """A ``_Residual`` of a tie-heavy graph, or of the same graph at zero
+    cost, after random pushes: along residual source-sink paths and around
+    residual cycles, which leaves opposing flow and support cycles."""
+    g = draw(tie_graphs())
+    if draw(st.booleans()):
+        g = NetworkGraph.from_edge_list(
+            [(e.a, e.b, e.capacity, 0) for e in g.edges], g.source, g.sink, extra_nodes=g.nodes
+        )
+    r = _Residual(g)
+    rnd = draw(st.randoms(use_true_random=False))
+    s, t = r.index[g.source], r.index[g.sink]
+    for _ in range(draw(st.integers(0, 8))):
+        # Walk from s along arcs with capacity left until the walk reaches t
+        # or closes a cycle, then push a random amount along what it found.
+        nodes, arcs = [s], []
+        while True:
+            out = [aid for aid in r.adj[nodes[-1]] if r.res[aid] > 0]
+            if not out:
+                break
+            aid = rnd.choice(out)
+            v = r.to[aid]
+            if v in nodes:
+                cycle = arcs[nodes.index(v) :] + [aid]
+                amount = rnd.randint(1, min(r.res[a] for a in cycle))
+                for a in cycle:
+                    r.res[a] -= amount
+                    r.res[a ^ 1] += amount
+                break
+            nodes.append(v)
+            arcs.append(aid)
+            if v == t:
+                r.push(arcs, rnd.randint(1, min(r.res[a] for a in arcs)))
+                break
+    return r
+
+
+class TestCanonicalFlow:
+    """``_Residual.solution`` reads each edge's net flow off its arc indices
+    and removes cycles on node indices; it must give the flow, or the
+    error, of the label-based canonicalization it replaced."""
+
+    @settings(
+        derandomize=True,
+        max_examples=400,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(pushed_residuals())
+    def test_matches_the_label_canonicalization(self, r):
+        try:
+            expected = reference_residual_solution(r)
+        except InvariantViolation as exc:
+            with pytest.raises(InvariantViolation) as got:
+                r.solution()
+            assert str(got.value) == str(exc)
+            return
+        assert_same(r.solution(), expected)
