@@ -79,7 +79,9 @@ from .netgraph import (
     _DOC_FIELDS,
     _MEMO_KINDS,
     _NUMBER_LIMIT,
+    _checked_layout,
     _converted,
+    _endpoints,
     _is_probability,
     _load_json,
     _parse_flat,
@@ -140,12 +142,7 @@ class HierEdge:
         lower_target: int | None = None,
         error_threshold: Fraction | None = None,
     ) -> None:
-        if not isinstance(a, str) or not isinstance(b, str):
-            raise ValidationError(f"edge endpoints must be strings, got {a!r} and {b!r}")
-        if a == b:
-            raise ValidationError(f"self-loop at node {a!r}")
-        if a > b:
-            a, b = b, a
+        a, b = _endpoints(a, b)
         if {lower.clients[0], lower.clients[1]} != {a, b}:
             raise ValidationError(
                 f"edge {(a, b)}: lower network clients {lower.clients} "
@@ -210,33 +207,13 @@ class HierarchicalNetwork:
         else:
             if base is not None:
                 raise ValidationError("only level-0 networks carry a base graph")
-            # Labels are checked before they are sorted, which needs strings.
-            for n in nodes:
-                if not isinstance(n, str) or not n:
-                    raise ValidationError(
-                        f"node labels must be non-empty strings: {n!r}"
-                    )
-            nodes = tuple(sorted(nodes))
-            if len(set(nodes)) != len(nodes):
-                raise ValidationError("duplicate node labels")
-            edges = tuple(sorted(edges, key=lambda e: e.key))
-            keys = [e.key for e in edges]
-            if len(set(keys)) != len(keys):
-                raise ValidationError("duplicate edge between the same node pair")
-            node_set = set(nodes)
+            nodes, edges = _checked_layout(nodes, edges, *clients)
             for e in edges:
-                if e.a not in node_set or e.b not in node_set:
-                    raise ValidationError(f"edge {e.key} references an unknown node")
                 if e.lower.level != level - 1:
                     raise ValidationError(
                         f"edge {e.key}: level-{level} edges must wrap "
                         f"level-{level - 1} networks, got level {e.lower.level}"
                     )
-            src, snk = clients
-            if src not in node_set or snk not in node_set:
-                raise ValidationError("clients must be nodes of the network")
-            if src == snk:
-                raise ValidationError("client nodes must differ")
         _set(self, "level", level)
         _set(self, "nodes", nodes)
         _set(self, "edges", edges)
@@ -483,20 +460,21 @@ def aggregate_level(
 
     Raises:
         InfeasibleTarget, NegativeTarget: From the underlying flow solve.
+        ValidationError: On a ``swap_depolarize_p`` outside [0, 1].
         TooLarge: On an operation error too long to write, before its
             power is computed.
     """
     flat = flatten(net)
     sol = min_cost_flow(flat, target)
     generation = generation_error_budget(flat, sol.active_edges)
-    p = as_fraction(swap_depolarize_p, "swap_depolarize_p")
+    p = NoiseModel(swap_depolarize_p=swap_depolarize_p).swap_depolarize_p
     if p == 0:
         operation = Fraction(0)
     else:
         # Pair noise is excluded from the operation error, so only the
         # swaps of each copy count.
-        groups = (((), b.hops - 1, b.multiplicity) for b in decompose_flow(sol))
-        operation = 1 - _pass_probability(groups, NoiseModel(swap_depolarize_p=p))
+        groups = (([1 - p] * (b.hops - 1), b.multiplicity) for b in decompose_flow(sol))
+        operation = 1 - _pass_probability(groups)
     return AggregateResult(
         solution=sol, budget=ErrorBudget(generation=generation, operation=operation)
     )

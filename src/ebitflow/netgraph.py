@@ -282,12 +282,7 @@ class Edge:
         gen_error: Fraction = _ZERO,
         max_uses: int | None = None,
     ) -> None:
-        if not isinstance(a, str) or not isinstance(b, str):
-            raise ValidationError(f"edge endpoints must be strings, got {a!r} and {b!r}")
-        if a == b:
-            raise ValidationError(f"self-loop at node {a!r}")
-        if a > b:
-            a, b = b, a
+        a, b = _endpoints(a, b)
         # Each integer check tries the exact type first; the isinstance
         # fallback accepts subclasses and rejects bools.
         if type(capacity) is not int and (
@@ -332,6 +327,16 @@ class Edge:
         if node == self.b:
             return self.a
         raise KeyError(node)
+
+
+def _endpoints(a: object, b: object) -> EdgeKey:
+    """An edge's endpoints in sorted order, after the checks every edge
+    type shares: two strings, not one node twice."""
+    if not isinstance(a, str) or not isinstance(b, str):
+        raise ValidationError(f"edge endpoints must be strings, got {a!r} and {b!r}")
+    if a == b:
+        raise ValidationError(f"self-loop at node {a!r}")
+    return (a, b) if a < b else (b, a)
 
 
 # The key of an Edge, as ``Edge.key`` gives it, without a property call.
@@ -379,21 +384,7 @@ class NetworkGraph:
         source: NodeId,
         sink: NodeId,
     ) -> None:
-        # Labels are checked before they are sorted, which needs strings.
-        for n in nodes:
-            if not isinstance(n, str) or not n:
-                raise ValidationError(f"node labels must be non-empty strings: {n!r}")
-        nodes = tuple(sorted(nodes))
-        if len(set(nodes)) != len(nodes):
-            raise ValidationError("duplicate node labels")
-        edges = tuple(sorted(edges, key=_edge_key_of))
-        if len(set(map(_edge_key_of, edges))) != len(edges):
-            raise ValidationError("duplicate edge between the same node pair")
-        node_set = set(nodes)
-        for e in edges:
-            if e.a not in node_set or e.b not in node_set:
-                raise ValidationError(f"edge {e.key} references an unknown node")
-        _check_clients(node_set, source, sink)
+        nodes, edges = _checked_layout(nodes, edges, source, sink)
         _set(self, "nodes", nodes)
         _set(self, "edges", edges)
         _set(self, "source", source)
@@ -424,6 +415,28 @@ class NetworkGraph:
             nodes.add(e.a)
             nodes.add(e.b)
         return cls(tuple(sorted(nodes)), tuple(built), source, sink)
+
+
+def _checked_layout(nodes, edges, source, sink) -> tuple[tuple, tuple]:
+    """A network's nodes and edges (anything with ends ``a`` and ``b``),
+    each sorted, after the checks every network type shares: unique labels,
+    one edge per node pair, known endpoints and two distinct clients."""
+    # Labels are checked before they are sorted, which needs strings.
+    for n in nodes:
+        if not isinstance(n, str) or not n:
+            raise ValidationError(f"node labels must be non-empty strings: {n!r}")
+    nodes = tuple(sorted(nodes))
+    if len(set(nodes)) != len(nodes):
+        raise ValidationError("duplicate node labels")
+    edges = tuple(sorted(edges, key=_edge_key_of))
+    if len(set(map(_edge_key_of, edges))) != len(edges):
+        raise ValidationError("duplicate edge between the same node pair")
+    node_set = set(nodes)
+    for e in edges:
+        if e.a not in node_set or e.b not in node_set:
+            raise ValidationError(f"edge {e.key} references an unknown node")
+    _check_clients(node_set, source, sink)
+    return nodes, edges
 
 
 def _check_clients(node_set: set, source: NodeId, sink: NodeId) -> None:

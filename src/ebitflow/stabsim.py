@@ -44,11 +44,11 @@ could run apart. ``fidelity_estimate`` stops drawing after its last step
 that can flip a check.
 
 Besides Monte-Carlo estimation this module computes exact delivered-state
-error at every schedule size: every Pauli-noise branch delivers a product of
-Bell states, so the output mixture is diagonal in the Bell-product basis,
-and because every noise site mixes its copy's Bell label uniformly the
-pass probability has a closed form in exact rationals (see
-``exact_pass_probability``), computed per group of equal path copies.
+error at every schedule size, read off the same frame plan: a hit noise
+site mixes the Bell label of each delivery that reads it uniformly, so the
+pass probability has a closed form in exact rationals
+(``exact_pass_probability``). A schedule with no such form is refused, never
+given a figure that disagrees with the estimate.
 
 Trace distance here is (1/2) the trace norm of the difference, so the
 distance between a Bell state and the maximally mixed two-qubit state
@@ -62,6 +62,7 @@ import numbers
 import operator
 import random
 import sys
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
@@ -655,53 +656,63 @@ def fidelity_estimate(
     return FidelityEstimate(trials=trials, pairs=tuple(stats), all_pass_count=all_pass)
 
 
-def _copy_sites(sched: SwapSchedule) -> dict[int, tuple[list[EdgeKey], int]]:
-    """Per path copy: the edges of its created pairs and its measurement count."""
-    qubit_copy: dict[int, int] = {}
-    sites: dict[int, tuple[list[EdgeKey], int]] = {}
-    for ins in sched.instructions:
-        if isinstance(ins, CreateBellPair):
-            qubit_copy[ins.qubit_left] = ins.copy
-            qubit_copy[ins.qubit_right] = ins.copy
-            edges, bsms = sites.setdefault(ins.copy, ([], 0))
-            edges.append(ins.edge)
-        elif isinstance(ins, BellMeasure):
-            copy = qubit_copy.get(ins.qubit_left)
-            if copy is None or qubit_copy.get(ins.qubit_right) != copy:
-                raise ScheduleViolation(
-                    "measurement couples qubits from different path copies"
-                )
-            edges, bsms = sites[copy]
-            sites[copy] = (edges, bsms + 1)
-    return sites
-
-
 def exact_pass_probability(
     sched: SwapSchedule,
     noise: NoiseModel | None = None,
 ) -> Fraction:
-    """Exact probability that every delivered pair passes its Bell check.
+    """Exact probability that every delivered pair passes its Bell check,
+    read off the frame plan that ``fidelity_estimate`` samples.
 
-    Each noise site on a path copy mixes the delivered Bell label
-    uniformly: with probability q a replaced pair picks a random label,
-    and a uniformly random Pauli on qubits that feed a Bell measurement
-    flips the label's X and Z bits uniformly. A uniform label stays
-    uniform whatever the other sites do, so a copy keeps its ideal label
-    unless some site mixes it, and passes with probability
-    P + (1 - P) / 4, where P is the product of (1 - q) over its sites.
-    Copies are independent, so their probabilities multiply.
+    Every plan variable is born into the XX or the ZZ channel and stays
+    there (a noise site puts Z parts in XX and X parts in ZZ, a random
+    outcome ``m_a`` in XX and ``m_b`` in ZZ, and corrections keep them
+    apart), and a hit site sets its variables uniformly. So a delivery whose
+    XX and ZZ signs read the same sites keeps its ideal Bell label unless
+    one is hit, and passes with probability (3P + 1) / 4, P the product of
+    (1 - p) over those sites. Deliveries on disjoint sites multiply, and one
+    whose qubits share no pair never passes.
 
     Raises:
-        TooLarge: As ``_pass_probability``, over one group per copy.
+        ScheduleViolation: As ``fidelity_estimate``; or when a delivery's
+            XX and ZZ signs read different sites (an outcome no correction
+            cancels, say), or two deliveries read one site.
+        TooLarge: As ``_pass_probability``.
     """
-    groups = ((edges, swaps, 1) for edges, swaps in _copy_sites(sched).values())
-    return _pass_probability(groups, noise or NoiseModel.zero())
+    plan = _plan(sched, noise or NoiseModel.zero())
+    if None in plan.checks:
+        return Fraction(0)
+    step_of = [i for i, (_, count) in enumerate(plan.steps) for _ in range(count)]
+    read: set[int] = set()
+    figures = []
+    for d, (xx, zz) in zip(sched.deliveries, plan.checks):
+        sites = _sites(xx, step_of)
+        where = f"delivery check of q{d.source_qubit} and q{d.sink_qubit}"
+        if sites != _sites(zz, step_of):
+            raise ScheduleViolation(f"{where}: XX and ZZ read different draws")
+        if not read.isdisjoint(sites):
+            raise ScheduleViolation(f"{where}: reads a noise site read before")
+        read |= sites
+        figures.append(tuple(plan.steps[i][0] for i in sorted(sites)))
+    # Deliveries whose sites have the same figures, in order, pass alike.
+    groups = Counter(figures).items()
+    return _pass_probability(([1 - p for p in key], copies) for key, copies in groups)
 
 
-def _pass_probability(groups: Iterable[tuple], noise: NoiseModel) -> Fraction:
-    """``exact_pass_probability`` over groups of equal path copies, each
-    ``(edges, swaps, copies)``: the product of ``((3P + 1) / 4) ** copies``,
-    with P the product of ``(1 - p) ** swaps`` and of ``1 - q`` per edge.
+def _sites(mask: int, step_of: Sequence[int]) -> set[int]:
+    """The plan steps that ``mask`` reads, ``step_of[v]`` the step of v."""
+    sites, var = set(), 0
+    while mask:
+        skip = (mask & -mask).bit_length()
+        var += skip
+        mask >>= skip
+        sites.add(step_of[var - 1])
+    return sites
+
+
+def _pass_probability(groups: Iterable[tuple]) -> Fraction:
+    """The product over groups ``(keep, copies)`` of ``((3P + 1) / 4) **
+    copies``, with P the product of the factors in ``keep``: the ``1 - p``
+    of each noise site of one of ``copies`` equal path copies.
 
     Raises:
         TooLarge: Once a power, a copy's P or the running product has a
@@ -713,21 +724,16 @@ def _pass_probability(groups: Iterable[tuple], noise: NoiseModel) -> Fraction:
     # Bits of the longest denominator a figure may have (no bound when
     # Python writes ints of any length).
     max_bits = (sys.get_int_max_str_digits() or math.inf) * math.log2(10) + 1
-
-    def power(x: Fraction, k: int) -> Fraction:
-        # d ** k has at least k * (bits(d) - 1) + 1 bits.
-        if k * (x.denominator.bit_length() - 1) + 1 > max_bits:
-            raise _too_long()
-        return x**k
-
-    swap = 1 - noise.swap_depolarize_p
-    pair_error = noise.pair_error
     prob = Fraction(1)
-    for edges, swaps, copies in groups:
-        unmixed = power(swap, swaps)
-        for edge in edges:
-            unmixed = _bounded(unmixed * (1 - pair_error.get(edge, 0)), max_bits)
-        prob = _bounded(prob * power((3 * unmixed + 1) / 4, copies), max_bits)
+    for keep, copies in groups:
+        unmixed = Fraction(1)
+        for factor in keep:
+            unmixed = _bounded(unmixed * factor, max_bits)
+        base = (3 * unmixed + 1) / 4
+        # d ** k has at least k * (bits(d) - 1) + 1 bits.
+        if copies * (base.denominator.bit_length() - 1) + 1 > max_bits:
+            raise _too_long()
+        prob = _bounded(prob * base**copies, max_bits)
     return prob
 
 

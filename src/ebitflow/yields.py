@@ -49,6 +49,7 @@ class YieldFunction:
         if max_uses is not None and (not isinstance(max_uses, int) or max_uses < 0):
             raise ValidationError("max_uses must be a non-negative integer")
         if kind == "linear-floor":
+            rate = None if rate is None else as_fraction(rate, "rate")
             if rate is None or rate <= 0:
                 raise ValidationError("linear-floor requires a positive rate")
         elif rate is not None:
@@ -78,7 +79,7 @@ class YieldFunction:
 
     @classmethod
     def linear_floor(cls, rate, max_uses: int | None = None) -> "YieldFunction":
-        return cls(kind="linear-floor", rate=as_fraction(rate, "rate"), max_uses=max_uses)
+        return cls(kind="linear-floor", rate=rate, max_uses=max_uses)
 
     @classmethod
     def table(

@@ -22,6 +22,8 @@ field dicts the lean parsers must reproduce value for value and error
 for error, and the checks of ``Edge`` before their exact-type fast
 paths, and the frozen dataclasses the package's value types were, whose
 repr, equality, hashing and defaults those types must keep.
+``mutate_schedule`` is test tooling, not an oracle: it writes hand-made
+faults into schedule text.
 """
 
 import dataclasses
@@ -659,6 +661,51 @@ def convolved_pass_probability(
     for dist in labels.values():
         prob *= dist[(0, 0)]
     return prob
+
+
+# The hand-made faults of ``mutate_schedule``, each with the lines it
+# applies to.
+SCHEDULE_MUTATIONS = {
+    "drop-fix": "fix ",
+    "drop-deliver": "deliver ",
+    "duplicate-deliver": "deliver ",
+    "relabel-copy": "pair ",
+    "idle-pair": "pair ",
+}
+
+
+def mutate_schedule(text: str, kind: str, pick: int) -> str:
+    """``serialize_schedule`` text with one fault of ``kind`` written in by
+    hand, at line ``pick`` (modulo their count) of the lines it applies to:
+
+    * ``drop-fix`` drops a ``fix`` line;
+    * ``drop-deliver`` drops a ``deliver`` line;
+    * ``duplicate-deliver`` repeats a ``deliver`` line at the end;
+    * ``relabel-copy`` moves a ``pair`` line ``pick + 1`` copies on;
+    * ``idle-pair`` appends a ``pair`` on two new qubits at the nodes of an
+      existing one, which no line delivers.
+
+    ``parse_schedule`` reads every result. Text with no line of the kind
+    comes back unchanged."""
+    lines = text.splitlines()
+    fitting = [i for i, line in enumerate(lines) if line.startswith(SCHEDULE_MUTATIONS[kind])]
+    if not fitting:
+        return text
+    at = fitting[pick % len(fitting)]
+    if kind in ("drop-fix", "drop-deliver"):
+        del lines[at]
+    elif kind == "duplicate-deliver":
+        lines.append(lines[at])
+    elif kind == "relabel-copy":
+        head, copy = lines[at].rsplit(" ", 1)
+        lines[at] = f"{head} {int(copy) + pick + 1}"
+    else:
+        # Qubit ids are dense and only pair lines create them.
+        fresh = 2 * len(fitting)
+        _, left, right, _, copy = lines[at].split()
+        left, right = left.partition("@")[2], right.partition("@")[2]
+        lines.append(f"pair q{fresh}@{left} q{fresh + 1}@{right} copy {copy}")
+    return "\n".join(lines) + "\n"
 
 
 # --- Reference min-cost flow ------------------------------------------------

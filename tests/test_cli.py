@@ -809,6 +809,14 @@ def test_concat_resolves_the_hierarchy_once(docs, monkeypatch):
     assert len(calls) == 1
 
 
+def test_concat_refuses_a_swap_noise_outside_the_unit_interval(docs):
+    proc = run_cli("concat", "--input", docs["hier"], "--target", "2", "--noise-p", "2")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert_json_error(proc.stderr, "ValidationError")
+    assert json.loads(proc.stderr)["error"]["message"] == "swap_depolarize_p outside [0, 1]"
+
+
 class TestDeterminism:
     def test_simulate_runs_are_byte_identical(self, docs):
         args = (

@@ -323,6 +323,11 @@ class TestAggregateLevel:
         assert res.cost == 4000
         assert res.budget.generation == Fraction(1, 25)
 
+    @pytest.mark.parametrize("p", [2, Fraction(-1, 2)], ids=str)
+    def test_swap_noise_outside_the_unit_interval_is_refused(self, p):
+        with pytest.raises(ValidationError, match=r"^swap_depolarize_p outside \[0, 1\]$"):
+            aggregate_level(chain42(), 1, swap_depolarize_p=p)
+
     def test_noisy_operation_error_is_exact(self):
         res = aggregate_level(chain42(), 1, swap_depolarize_p=Fraction(1, 2))
         assert res.budget.operation == Fraction(3, 8)
@@ -393,7 +398,7 @@ class TestAggregateLevel:
 
     def test_noisy_level_builds_no_schedule(self, count_calls):
         builds = count_calls(concat, "build_swap_schedule")
-        walks = count_calls(stabsim, "_copy_sites")
+        walks = count_calls(stabsim, "_plan")
         chain = NetworkGraph.from_edge_list(
             [("A", "B", 9, 1000), ("B", "C", 9, 1000), ("C", "D", 9, 1000)], "A", "D"
         )

@@ -14,10 +14,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (
+    SCHEDULE_MUTATIONS,
     ReferenceTableau,
     ReplayedDraws,
     StateVector,
     convolved_pass_probability,
+    mutate_schedule,
     random_network,
     reference_run_schedule,
     tie_graphs,
@@ -51,7 +53,9 @@ from ebitflow import (
     load_network,
     min_cost_flow,
     min_cut,
+    parse_schedule,
     run_schedule,
+    serialize_schedule,
     wilson_interval,
 )
 from ebitflow import stabsim
@@ -604,20 +608,22 @@ def flow_bundles(draw):
 
 
 class TestBundleClosedForm:
-    """The closed-form core over one group per path bundle, ``(edges,
-    hops - 1, multiplicity)``, equals the XOR convolution of
-    ``tests/oracles.py`` over every copy of the bundles' swap schedule,
-    with the flags and stripping of ``TestClosedFormExact``."""
+    """The closed-form core over one group per path bundle, ``(keep,
+    multiplicity)`` with ``keep`` the ``1 - q`` of each of a copy's path
+    edges and the ``1 - p`` of each of its ``hops - 1`` swaps, equals the
+    XOR convolution of ``tests/oracles.py`` over every copy of the
+    bundles' swap schedule, with the flags of ``TestClosedFormExact``."""
 
     @given(flow_bundles(), st.booleans(), st.booleans())
     def test_matches_convolution_of_the_schedule(self, case, pair, swap):
         bundles, noise = case
-        stripped = NoiseModel(
-            swap_depolarize_p=noise.swap_depolarize_p if swap else 0,
-            pair_error=noise.pair_error if pair else {},
-        )
-        groups = [(b.edges(), b.hops - 1, b.multiplicity) for b in bundles]
-        assert stabsim._pass_probability(groups, stripped) == convolved_pass_probability(
+        groups = []
+        for b in bundles:
+            keep = [1 - noise.pair_error[edge] for edge in b.edges()] if pair else []
+            if swap:
+                keep += [1 - noise.swap_depolarize_p] * (b.hops - 1)
+            groups.append((keep, b.multiplicity))
+        assert stabsim._pass_probability(groups) == convolved_pass_probability(
             build_swap_schedule(bundles), noise, include_pair_error=pair, include_swap_error=swap
         )
 
@@ -887,6 +893,139 @@ class TestExactErrors:
     def test_error_budget_totals(self):
         budget = ErrorBudget(generation=Fraction(1, 50), operation=Fraction(3, 8))
         assert budget.total == Fraction(1, 50) + Fraction(3, 8)
+
+
+# Hand-written schedules on which the exact figures once read the schedule
+# apart from the frame plan: a relay chain s-r-t, the same chain with no
+# correction, with a pair that is never delivered, with a delivery of the
+# measured relay qubit, and with its two pairs labelled as two copies.
+CHAIN_TEXT = """\
+pair q0@s q1@r copy 0
+pair q2@r q3@t copy 0
+swap r q1 q2 -> m0
+fix t q3 m0
+deliver copy 0 q0 q3
+"""
+CHAIN_NO_FIX = CHAIN_TEXT.replace("fix t q3 m0\n", "")
+CHAIN_IDLE_PAIR = CHAIN_TEXT.replace("swap", "pair q4@s q5@r copy 1\nswap")
+CHAIN_MEASURED = CHAIN_TEXT.replace("deliver copy 0 q0 q3", "deliver copy 0 q0 q1")
+CHAIN_TWO_COPIES = CHAIN_TEXT.replace("q3@t copy 0", "q3@t copy 1")
+HAND_NOISE = NoiseModel(
+    swap_depolarize_p=Fraction(1, 5),
+    pair_error={("r", "s"): Fraction(1, 4), ("r", "t"): Fraction(1, 10)},
+)
+EXACT_FIGURES = (exact_pass_probability, exact_operation_error, exact_trace_distance)
+
+
+def assert_exact_is_the_estimate(sched, noise, trials, seed=1):
+    """``exact_pass_probability`` is within 4 sigma of the all-pass rate of
+    ``trials`` trials, and equal to it where it is 0 or 1."""
+    exact = exact_pass_probability(sched, noise)
+    rate = fidelity_estimate(sched, noise, trials=trials, seed=seed).all_pass_rate
+    sigma = math.sqrt(exact * (1 - exact) / trials)
+    assert abs(rate - exact) <= 4 * sigma, (exact, rate)
+
+
+class TestExactFromThePlan:
+    """Exact figures are read off the frame plan that ``fidelity_estimate``
+    samples, so on schedules that ``parse_schedule`` reads the two never
+    disagree: the exact figure is within 4 sigma of the estimate, or the
+    schedule is refused."""
+
+    def test_uncorrected_outcome_is_refused(self):
+        sched = parse_schedule(CHAIN_NO_FIX)
+        for figure in EXACT_FIGURES:
+            with pytest.raises(ScheduleViolation, match="XX and ZZ read different draws"):
+                figure(sched)
+        # The delivered pair is a uniformly random Bell state.
+        rate = fidelity_estimate(sched, trials=200_000, seed=1).all_pass_rate
+        assert abs(rate - 1 / 4) <= 4 * math.sqrt(3 / 16 / 200_000)
+
+    def test_pair_never_delivered_is_not_read(self):
+        sched = parse_schedule(CHAIN_IDLE_PAIR)
+        # P = (3/4)(9/10)(4/5) over the chain's two pairs and its swap.
+        assert exact_pass_probability(sched, HAND_NOISE) == Fraction(131, 200)
+        assert exact_operation_error(sched, HAND_NOISE) == Fraction(3, 20)
+        assert_exact_is_the_estimate(sched, HAND_NOISE, 200_000)
+
+    def test_delivery_of_a_measured_qubit_raises_as_the_estimate(self):
+        sched = parse_schedule(CHAIN_MEASURED)
+        for figure in (fidelity_estimate, *EXACT_FIGURES):
+            with pytest.raises(
+                ScheduleViolation, match="^delivery check on already measured qubit q1$"
+            ):
+                figure(sched, HAND_NOISE)
+
+    def test_copy_labels_are_not_read(self):
+        sched = parse_schedule(CHAIN_TWO_COPIES)
+        assert exact_pass_probability(sched) == 1
+        assert fidelity_estimate(sched, trials=200_000, seed=1).all_pass_rate == 1
+        assert exact_pass_probability(sched, HAND_NOISE) == exact_pass_probability(
+            parse_schedule(CHAIN_TEXT), HAND_NOISE
+        )
+
+    def test_deliveries_sharing_a_site_are_refused(self):
+        sched = parse_schedule(CHAIN_TEXT + "deliver copy 0 q0 q3\n")
+        with pytest.raises(ScheduleViolation, match="reads a noise site read before"):
+            exact_pass_probability(sched, HAND_NOISE)
+        # Noiseless, the two checks read no site and both pass.
+        assert exact_pass_probability(sched) == 1
+
+    def test_delivery_of_two_qubits_sharing_no_pair_never_passes(self):
+        sched = parse_schedule(CHAIN_TEXT.replace("q0 q3", "q0 q0"))
+        assert exact_pass_probability(sched, HAND_NOISE) == 0
+        assert fidelity_estimate(sched, HAND_NOISE, trials=50).all_pass_count == 0
+
+
+# Pair and swap noise figures of ``mutated_schedules``.
+MUTATED_NOISE = st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(1, 4)])
+
+
+@st.composite
+def mutated_schedules(draw):
+    """``serialize_schedule`` text of 1-3 path bundles of 1-4 hops and
+    multiplicity 1-2, with one or two faults of ``mutate_schedule`` written
+    in, read back by ``parse_schedule``; pair and swap noise from
+    ``MUTATED_NOISE``."""
+    bundles = []
+    for c in range(draw(st.integers(1, 3))):
+        hops = draw(st.integers(1, 4))
+        path = ("s", *(f"p{c}_{j}" for j in range(1, hops)), "t")
+        bundles.append(PathBundle(path=path, multiplicity=draw(st.integers(1, 2))))
+    text = serialize_schedule(build_swap_schedule(bundles))
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(sorted(SCHEDULE_MUTATIONS)))
+        text = mutate_schedule(text, kind, draw(st.integers(0, 5)))
+    pair_error = {key: draw(MUTATED_NOISE) for b in bundles for key in b.edges()}
+    noise = NoiseModel(swap_depolarize_p=draw(MUTATED_NOISE), pair_error=pair_error)
+    return parse_schedule(text), noise
+
+
+class TestExactOnFaultySchedules:
+    """Wherever ``exact_pass_probability`` gives a figure it is within 4
+    sigma of the estimate at 20 000 trials; elsewhere it raises
+    ``ScheduleViolation``. Derandomized, so each run checks the same
+    schedules at the same seeds."""
+
+    @settings(derandomize=True)
+    @given(mutated_schedules())
+    def test_mutated_schedules(self, case):
+        sched, noise = case
+        try:
+            exact_pass_probability(sched, noise)
+        except ScheduleViolation:
+            return
+        assert_exact_is_the_estimate(sched, noise, 20_000, seed=3)
+
+    @settings(derandomize=True)
+    @given(hand_built_schedules())
+    def test_hand_built_schedules(self, case):
+        sched, noise = case
+        try:
+            exact_pass_probability(sched, noise)
+        except ScheduleViolation:
+            return
+        assert_exact_is_the_estimate(sched, noise, 20_000, seed=5)
 
 
 class TestMonteCarlo:

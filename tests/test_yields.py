@@ -64,6 +64,18 @@ class TestValidation:
         with pytest.raises(ValidationError):
             YieldFunction.table([(1, 2), (4, 1)])
 
+    @pytest.mark.parametrize("rate", [0.5, "1/2"], ids=repr)
+    def test_rate_is_converted_like_an_edge_error(self, rate):
+        yf = YieldFunction("linear-floor", rate=rate, max_uses=10)
+        assert yf == YieldFunction.linear_floor(Fraction(1, 2), 10)
+        assert type(yf.rate) is Fraction
+        assert yf.cap() == 5
+
+    @pytest.mark.parametrize("rate", ["half", True, [1]], ids=repr)
+    def test_bad_rate_is_a_parse_error(self, rate):
+        with pytest.raises(ParseError, match="^rate: "):
+            YieldFunction("linear-floor", rate=rate, max_uses=10)
+
     def test_kind_field_exclusivity(self):
         with pytest.raises(ValidationError):
             YieldFunction(kind="identity", rate=Fraction(1, 2))
