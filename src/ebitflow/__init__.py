@@ -78,6 +78,7 @@ _EXPORTS = {
         "PairOutcome",
         "PairStats",
         "RunResult",
+        "exact_figures",
         "exact_operation_error",
         "exact_pass_probability",
         "exact_trace_distance",

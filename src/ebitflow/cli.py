@@ -258,9 +258,8 @@ def _cmd_simulate(args) -> tuple[dict, str | None]:
         "exact": None,
     }
     if sched.n_qubits <= EXACT_QUBIT_LIMIT:
-        pass_p = exact_pass_probability(sched, noise)
+        pass_p, op_err = exact_figures(sched, noise)
         trace = 1 - pass_p
-        op_err = exact_operation_error(sched, noise)
         gen = generation_error_budget(g, sol.active_edges)
         bound = gen + op_err
         result["exact"] = {

@@ -473,7 +473,8 @@ def aggregate_level(
     else:
         # Pair noise is excluded from the operation error, so only the
         # swaps of each copy count.
-        groups = (([1 - p] * (b.hops - 1), b.multiplicity) for b in decompose_flow(sol))
+        keep = (p.denominator - p.numerator, p.denominator)
+        groups = (([keep] * (b.hops - 1), b.multiplicity) for b in decompose_flow(sol))
         operation = 1 - _pass_probability(groups)
     return AggregateResult(
         solution=sol, budget=ErrorBudget(generation=generation, operation=operation)

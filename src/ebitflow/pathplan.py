@@ -199,17 +199,18 @@ def plan_channel_uses(
     yields = yields or {}
     uses: dict[EdgeKey, int] = {}
     achieved: dict[EdgeKey, int] = {}
+    flow = sol.undirected_flow
     for e in g.edges:
-        needed = sol.undirected_flow.get(e.key, 0)
+        needed = flow.get(e.key, 0)
+        if needed == 0:
+            uses[e.key] = 0
+            achieved[e.key] = 0
+            continue
         fn = yields.get(e.key)
         if fn is None:
             fn = YieldFunction.identity(e.max_uses)
         elif fn.max_uses is None and e.max_uses is not None:
             fn = YieldFunction(fn.kind, fn.rate, fn.points, e.max_uses)
-        if needed == 0:
-            uses[e.key] = 0
-            achieved[e.key] = 0
-            continue
         try:
             m = fn.invert(needed)
         except YieldShortfall as exc:

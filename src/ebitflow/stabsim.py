@@ -36,9 +36,9 @@ of the seed's entropy words and b, and every draw is one bit plane,
 drawn step by step in instruction order (``_draw``): per noise site (a
 created pair with a positive error probability, or a Bell measurement
 with positive swap noise) planes compared with the binary digits of its
-exact probability until no lane is tied, then, if any lane is hit, two per
-qubit, the X and Z part of a uniformly random Pauli, ANDed with the hits;
-per random measurement outcome one plane. The plan itself draws nothing,
+exact probability (a ratio of ints) until no lane is tied, then, if any
+lane is hit, two per qubit, the X and Z part of a uniformly random Pauli,
+ANDed with the hits; per random measurement outcome one plane. The plan itself draws nothing,
 so results depend only on (schedule, noise, seed, trials), and each block
 could run apart. ``fidelity_estimate`` stops drawing after its last step
 that can flip a check.
@@ -46,9 +46,10 @@ that can flip a check.
 Besides Monte-Carlo estimation this module computes exact delivered-state
 error at every schedule size, read off the same frame plan: a hit noise
 site mixes the Bell label of each delivery that reads it uniformly, so the
-pass probability has a closed form in exact rationals
-(``exact_pass_probability``). A schedule with no such form is refused, never
-given a figure that disagrees with the estimate.
+pass probability has a closed form, and the operation error the same
+form over the swap sites alone, both in ratios of ints up to the one
+Fraction returned (``exact_figures``). A schedule with no such form is
+refused, never given a figure that disagrees with the estimate.
 
 Trace distance here is (1/2) the trace norm of the difference, so the
 distance between a Bell state and the maximally mixed two-qubit state
@@ -62,7 +63,6 @@ import numbers
 import operator
 import random
 import sys
-from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
@@ -139,7 +139,8 @@ class NoiseModel:
 
         An edge budget d becomes replacement probability (4/3) d, which puts
         the generated pair at trace distance exactly d from ideal. Budgets
-        above 3/4 cannot be saturated by this channel and are rejected.
+        above 3/4 cannot be saturated by this channel and are rejected;
+        each distinct budget is checked once, here alone.
         """
         pair_error = {}
         figures: dict[tuple[int, int], Fraction] = {}
@@ -156,7 +157,9 @@ class NoiseModel:
                     )
                 q = figures[ints] = Fraction(4 * num, 3 * den)
             pair_error[e.key] = q
-        return cls(swap_depolarize_p=swap_depolarize_p, pair_error=pair_error)
+        model = cls(swap_depolarize_p=swap_depolarize_p)
+        _set(model, "pair_error", pair_error)
+        return model
 
 
 @_value_type
@@ -213,7 +216,7 @@ class RunResult:
 
 _PAULI_NAMES = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "XZ"}
 # The frame-plan step of a random measurement outcome (see ``_Plan``).
-_OUTCOME = (Fraction(1), 1)
+_OUTCOME = (1, 1, 1)
 
 
 @_value_type
@@ -227,11 +230,12 @@ class _Plan:
     a figure is the parity of the set variables in its mask.
 
     Attributes:
-        steps: The draws in order, each ``(p, count)``: a site hit with
-            probability ``p``, an exact Fraction, that then sets each of its
-            ``count`` variables, the next ones in order, with probability
-            1/2. A noise site has two per qubit, so a hit puts a uniformly
-            random Pauli on each; a random outcome is ``(1, 1)``.
+        steps: The draws in order, each ``(num, den, count)``: a site hit
+            with probability num / den, ints in lowest terms, that then sets
+            each of its ``count`` variables, the next ones in order, with
+            probability 1/2. A noise site has two per qubit (count 2 on a
+            pair, 4 on a measurement), so a hit puts a uniformly random
+            Pauli on each; a random outcome is ``(1, 1, 1)``.
         outcomes: Per distinct measurement index, in sorted order, the
             masks of its two outcomes.
         fixes: Per correction, the masks of its X and its Z part.
@@ -277,7 +281,8 @@ def _plan(sched: SwapSchedule, noise: NoiseModel) -> _Plan:
     fixes = []
     pair_error = noise.pair_error
     swap_p = noise.swap_depolarize_p
-    swap_noisy = swap_p > 0
+    swap_step = swap_p.numerator, swap_p.denominator, 4
+    swap_noisy = swap_p.numerator > 0
     nv = 0
 
     def require_live(q: int, action: str) -> None:
@@ -297,11 +302,11 @@ def _plan(sched: SwapSchedule, noise: NoiseModel) -> _Plan:
                 if q in created:
                     raise ScheduleViolation(f"qubit q{q} created twice")
                 created.add(q)
-            error_p = pair_error.get(ins.edge)
-            if error_p:
+            q = pair_error.get(ins.edge)
+            if q:
                 # The X part on b flips ZZ, the Z part XX.
                 pair = [2 << nv, 1 << nv]
-                steps.append((error_p, 2))
+                steps.append((q.numerator, q.denominator, 2))
                 nv += 2
             else:
                 pair = [0, 0]
@@ -320,7 +325,7 @@ def _plan(sched: SwapSchedule, noise: NoiseModel) -> _Plan:
                 fa[1] ^= 1 << nv
                 fb[0] ^= 8 << nv
                 fb[1] ^= 4 << nv
-                steps.append((swap_p, 4))
+                steps.append(swap_step)
                 nv += 4
             if c == b:
                 outcomes[ins.index] = (fa[0], fa[1])
@@ -407,24 +412,23 @@ def _block_key(seed_words: Sequence[int], block: int) -> int:
     return key << 32 | len(seed_words)
 
 
-def _draw(steps: Sequence[tuple[Fraction, int]], key: int, lanes: int) -> list[int]:
+def _draw(steps: Sequence[tuple[int, int, int]], key: int, lanes: int) -> list[int]:
     """Sample ``lanes`` trials of a frame plan at once, one bit lane each.
 
     Returns one int per plan variable, with bit k set when trial k sets
     the variable. Every draw is a bit plane, ``getrandbits(lanes)`` of
-    ``random.Random(key)``, taken step by step in order. A step ``(p,
-    count)`` hits the lanes whose uniform draw in [0, 1) lies below p: the
-    planes are the draw's binary digits, compared with the exact digits of
-    p, most significant first, until no lane is tied; p = 1 hits every
-    lane without a plane. If any lane is hit, each of the ``count``
-    variables then takes one plane ANDed with the hits; otherwise the step
-    draws nothing more.
+    ``random.Random(key)``, taken step by step in order. A step ``(num,
+    den, count)`` hits the lanes whose uniform draw in [0, 1) lies below
+    p = num / den: the planes are the draw's binary digits, compared with
+    p's digits by long division, most significant first, until no lane is
+    tied; p = 1 hits every lane without a plane. If any lane is hit, each
+    of the ``count`` variables then takes one plane ANDed with the hits;
+    otherwise the step draws nothing more.
     """
     getrandbits = random.Random(key).getrandbits
     full = (1 << lanes) - 1
     values: list[int] = []
-    for p, count in steps:
-        num, den = p.numerator, p.denominator
+    for num, den, count in steps:
         if num == den:
             hit = full
         else:
@@ -629,7 +633,7 @@ def fidelity_estimate(
         if drawn >= relevant.bit_length():
             break
         steps.append(step)
-        drawn += step[1]
+        drawn += step[2]
     passes = [0] * len(plan.checks)
     all_pass = 0
     for block, first in enumerate(range(0, trials, _SEED_BLOCK)):
@@ -656,12 +660,11 @@ def fidelity_estimate(
     return FidelityEstimate(trials=trials, pairs=tuple(stats), all_pass_count=all_pass)
 
 
-def exact_pass_probability(
-    sched: SwapSchedule,
-    noise: NoiseModel | None = None,
-) -> Fraction:
-    """Exact probability that every delivered pair passes its Bell check,
-    read off the frame plan that ``fidelity_estimate`` samples.
+def exact_figures(
+    sched: SwapSchedule, noise: NoiseModel | None = None
+) -> tuple[Fraction, Fraction]:
+    """Exact pass probability and operation error of a schedule, read off
+    the frame plan that ``fidelity_estimate`` samples.
 
     Every plan variable is born into the XX or the ZZ channel and stays
     there (a noise site puts Z parts in XX and X parts in ZZ, a random
@@ -670,20 +673,40 @@ def exact_pass_probability(
     XX and ZZ signs read the same sites keeps its ideal Bell label unless
     one is hit, and passes with probability (3P + 1) / 4, P the product of
     (1 - p) over those sites. Deliveries on disjoint sites multiply, and one
-    whose qubits share no pair never passes.
+    whose qubits share no pair never passes. The operation error is 1 minus
+    the same form over the swap sites alone, those read without pair noise.
 
     Raises:
         ScheduleViolation: As ``fidelity_estimate``; or when a delivery's
             XX and ZZ signs read different sites (an outcome no correction
             cancels, say), or two deliveries read one site.
-        TooLarge: As ``_pass_probability``.
+        TooLarge: As ``_pass_probability``, the pass probability first.
     """
+    groups = _site_groups(sched, noise)
+    if groups is None:
+        return Fraction(0), Fraction(1)
+    return _pass_probability(groups[0].items()), 1 - _pass_probability(groups[1].items())
+
+
+def exact_pass_probability(sched: SwapSchedule, noise: NoiseModel | None = None) -> Fraction:
+    """Exact probability that every delivered pair passes its Bell check:
+    the first figure of ``exact_figures``, with no operation error computed.
+    Raises as ``exact_figures``.
+    """
+    groups = _site_groups(sched, noise)
+    return Fraction(0) if groups is None else _pass_probability(groups[0].items())
+
+
+def _site_groups(sched: SwapSchedule, noise: NoiseModel | None) -> tuple[dict, dict] | None:
+    """The ``_pass_probability`` groups ``{keep: copies}`` of both exact
+    figures, or None if some delivery's qubits share no pair: deliveries
+    whose sites have the same figures, in order, pass alike."""
     plan = _plan(sched, noise or NoiseModel.zero())
     if None in plan.checks:
-        return Fraction(0)
-    step_of = [i for i, (_, count) in enumerate(plan.steps) for _ in range(count)]
+        return None
+    step_of = [i for i, (_, _, count) in enumerate(plan.steps) for _ in range(count)]
     read: set[int] = set()
-    figures = []
+    groups: tuple[dict, dict] = ({}, {})
     for d, (xx, zz) in zip(sched.deliveries, plan.checks):
         sites = _sites(xx, step_of)
         where = f"delivery check of q{d.source_qubit} and q{d.sink_qubit}"
@@ -692,10 +715,11 @@ def exact_pass_probability(
         if not read.isdisjoint(sites):
             raise ScheduleViolation(f"{where}: reads a noise site read before")
         read |= sites
-        figures.append(tuple(plan.steps[i][0] for i in sorted(sites)))
-    # Deliveries whose sites have the same figures, in order, pass alike.
-    groups = Counter(figures).items()
-    return _pass_probability(([1 - p for p in key], copies) for key, copies in groups)
+        figures = [plan.steps[i] for i in sorted(sites)]
+        for group, read_steps in zip(groups, (figures, [s for s in figures if s[2] != 2])):
+            keep = tuple((den - num, den) for num, den, _ in read_steps)
+            group[keep] = group.get(keep, 0) + 1
+    return groups
 
 
 def _sites(mask: int, step_of: Sequence[int]) -> set[int]:
@@ -711,8 +735,10 @@ def _sites(mask: int, step_of: Sequence[int]) -> set[int]:
 
 def _pass_probability(groups: Iterable[tuple]) -> Fraction:
     """The product over groups ``(keep, copies)`` of ``((3P + 1) / 4) **
-    copies``, with P the product of the factors in ``keep``: the ``1 - p``
-    of each noise site of one of ``copies`` equal path copies.
+    copies``, with P the product of the int pairs ``(den - num, den)`` in
+    ``keep``: the ``1 - p`` of each noise site ``p = num / den`` of one of
+    ``copies`` equal path copies. Int ratios are reduced by ``math.gcd``
+    where a Fraction would be; one Fraction is built at the end.
 
     Raises:
         TooLarge: Once a power, a copy's P or the running product has a
@@ -724,23 +750,27 @@ def _pass_probability(groups: Iterable[tuple]) -> Fraction:
     # Bits of the longest denominator a figure may have (no bound when
     # Python writes ints of any length).
     max_bits = (sys.get_int_max_str_digits() or math.inf) * math.log2(10) + 1
-    prob = Fraction(1)
+    num = den = 1
     for keep, copies in groups:
-        unmixed = Fraction(1)
+        p_num = p_den = 1
         for factor in keep:
-            unmixed = _bounded(unmixed * factor, max_bits)
-        base = (3 * unmixed + 1) / 4
+            p_num, p_den = _product(p_num, p_den, *factor, max_bits)
+        g = math.gcd(3 * p_num + p_den, 4 * p_den)
+        base_num, base_den = (3 * p_num + p_den) // g, 4 * p_den // g
         # d ** k has at least k * (bits(d) - 1) + 1 bits.
-        if copies * (base.denominator.bit_length() - 1) + 1 > max_bits:
+        if copies * (base_den.bit_length() - 1) + 1 > max_bits:
             raise _too_long()
-        prob = _bounded(prob * base**copies, max_bits)
-    return prob
+        num, den = _product(num, den, base_num**copies, base_den**copies, max_bits)
+    return Fraction(num, den)
 
 
-def _bounded(value: Fraction, max_bits: float) -> Fraction:
-    if value.denominator.bit_length() > max_bits:
+def _product(n1: int, d1: int, n2: int, d2: int, max_bits: float) -> tuple[int, int]:
+    """(n1 / d1) (n2 / d2), both in lowest terms, reduced as Fraction does."""
+    g1, g2 = math.gcd(n1, d2), math.gcd(n2, d1)
+    den = (d1 // g2) * (d2 // g1)
+    if den.bit_length() > max_bits:
         raise _too_long()
-    return value
+    return (n1 // g1) * (n2 // g2), den
 
 
 def exact_operation_error(sched: SwapSchedule, noise: NoiseModel | None = None) -> Fraction:

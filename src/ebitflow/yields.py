@@ -46,7 +46,7 @@ class YieldFunction:
     ) -> None:
         if kind not in _KINDS:
             raise ValidationError(f"unknown yield kind {kind!r}")
-        if max_uses is not None and (not isinstance(max_uses, int) or max_uses < 0):
+        if max_uses is not None and (not _is_int(max_uses) or max_uses < 0):
             raise ValidationError("max_uses must be a non-negative integer")
         if kind == "linear-floor":
             rate = None if rate is None else as_fraction(rate, "rate")
@@ -57,6 +57,7 @@ class YieldFunction:
         if kind == "table":
             if not points:
                 raise ValidationError("table yield requires at least one point")
+            points = _table_points(points)
             last_m, last_y = 0, 0
             for m, y in points:
                 if m < 1:
@@ -85,7 +86,7 @@ class YieldFunction:
     def table(
         cls, points: Sequence[Sequence[int]], max_uses: int | None = None
     ) -> "YieldFunction":
-        pts = tuple((int(m), int(y)) for m, y in points)
+        pts = _table_points(points)
         if max_uses is None and pts:
             max_uses = pts[-1][0]
         return cls(kind="table", points=pts, max_uses=max_uses)
@@ -146,6 +147,23 @@ class YieldFunction:
         if self.points is not None:
             out["points"] = [list(p) for p in self.points]
         return out
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _table_points(points: Sequence[Sequence[int]]) -> tuple[tuple[int, int], ...]:
+    """``points`` as a tuple of (uses, pairs) int pairs.
+
+    Raises:
+        ValidationError: Unless ``points`` is a sequence of pairs of ints.
+    """
+    if not isinstance(points, Sequence) or not all(
+        isinstance(p, Sequence) and len(p) == 2 and all(map(_is_int, p)) for p in points
+    ):
+        raise ValidationError("table points must be (uses, pairs) integer pairs")
+    return tuple((int(m), int(y)) for m, y in points)
 
 
 def parse_yield(raw: Mapping, max_uses: int | None = None) -> YieldFunction:

@@ -74,6 +74,7 @@ PUBLIC_NAMES = [
     "edge_key",
     "effective_min_cut",
     "errors",
+    "exact_figures",
     "exact_operation_error",
     "exact_pass_probability",
     "exact_trace_distance",

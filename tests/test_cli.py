@@ -809,6 +809,37 @@ def test_concat_resolves_the_hierarchy_once(docs, monkeypatch):
     assert len(calls) == 1
 
 
+def ladder_doc(paths, hops):
+    """``paths`` disjoint s-t paths of ``hops`` edges, each edge with its own
+    generation-error budget: ``2 * paths * hops`` qubits at target
+    ``paths``."""
+    nodes, edges = ["s", "t"], []
+    for p in range(paths):
+        labels = ["s", *(f"p{p}_{j}" for j in range(1, hops)), "t"]
+        nodes += labels[1:-1]
+        edges += [
+            {"a": a, "b": b, "capacity": 1, "cost": 1, "delta": f"{3 + j + 4 * p}/1000"}
+            for j, (a, b) in enumerate(zip(labels, labels[1:]))
+        ]
+    return {"nodes": nodes, "edges": edges, "source": "s", "sink": "t"}
+
+
+@pytest.mark.parametrize(("paths", "hops"), [(1, 2), (2, 3)], ids=["q4", "q12"])
+def test_noisy_simulate_hashes_no_fraction(tmp_path, count_calls, paths, hops):
+    """The exact figures of a noisy ``simulate`` report are read on int
+    ratios: no ``Fraction`` is hashed, to group deliveries or elsewhere."""
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps(ladder_doc(paths, hops)))
+    hashes = count_calls(Fraction, "__hash__")
+    args = ("--target", str(paths), "--trials", "50", "--noise-p", "1/50")
+    code, out, err = call_main("simulate", "--input", str(path), *args)
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert result["qubits"] == 2 * paths * hops
+    assert result["exact"] is not None
+    assert hashes == [0]
+
+
 def test_concat_refuses_a_swap_noise_outside_the_unit_interval(docs):
     proc = run_cli("concat", "--input", docs["hier"], "--target", "2", "--noise-p", "2")
     assert proc.returncode == 3, proc.stderr

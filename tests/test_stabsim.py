@@ -31,6 +31,7 @@ from ebitflow import (
     BellMeasure,
     CreateBellPair,
     Delivery,
+    EbitflowError,
     ErrorBudget,
     HierarchicalNetwork,
     NetworkGraph,
@@ -45,6 +46,7 @@ from ebitflow import (
     aggregate_level,
     build_swap_schedule,
     decompose_flow,
+    exact_figures,
     exact_operation_error,
     exact_pass_probability,
     exact_trace_distance,
@@ -180,6 +182,35 @@ class TestNoiseModel:
         assert ("r", "t") not in nm.pair_error
         assert nm.pair_error[("r", "s")] == Fraction(1, 75)
         assert nm.swap_depolarize_p == Fraction(1, 8)
+
+    @pytest.mark.parametrize("swap", [0, Fraction(1, 8), "1/50", 1])
+    def test_from_graph_converts_each_figure_once(self, count_calls, swap):
+        """``from_graph`` builds the model the checked constructor builds
+        from its figures, and converts nothing but the swap noise again."""
+        g = NetworkGraph.from_edge_list(
+            [
+                ("s", "a", 1, 0, Fraction(1, 100)),
+                ("a", "t", 1, 0, Fraction(1, 100)),
+                ("s", "b", 1, 0, Fraction(3, 4)),
+                ("b", "t", 1, 0),
+            ],
+            "s",
+            "t",
+        )
+        conversions = count_calls(stabsim, "as_fraction")
+        nm = NoiseModel.from_graph(g, swap_depolarize_p=swap)
+        assert conversions == [1]
+        assert nm == NoiseModel(swap_depolarize_p=swap, pair_error=dict(nm.pair_error))
+        assert nm.pair_error == {
+            ("a", "s"): Fraction(1, 75),
+            ("a", "t"): Fraction(1, 75),
+            ("b", "s"): Fraction(1),
+        }
+
+    def test_from_graph_checks_the_swap_noise(self):
+        g = NetworkGraph.from_edge_list([("s", "t", 1, 1000, Fraction(1, 20))], "s", "t")
+        with pytest.raises(ValidationError, match="^swap_depolarize_p outside"):
+            NoiseModel.from_graph(g, swap_depolarize_p=Fraction(3, 2))
 
     def test_from_graph_rejects_unreachable_budget(self):
         g = NetworkGraph.from_edge_list(
@@ -607,21 +638,27 @@ def flow_bundles(draw):
     return bundles, NoiseModel(swap_depolarize_p=draw(BUNDLE_NOISE), pair_error=pair_error)
 
 
+def keep_pair(p: Fraction) -> tuple[int, int]:
+    """The closed-form core's int pair ``(den - num, den)`` of ``1 - p``."""
+    return p.denominator - p.numerator, p.denominator
+
+
 class TestBundleClosedForm:
     """The closed-form core over one group per path bundle, ``(keep,
-    multiplicity)`` with ``keep`` the ``1 - q`` of each of a copy's path
-    edges and the ``1 - p`` of each of its ``hops - 1`` swaps, equals the
-    XOR convolution of ``tests/oracles.py`` over every copy of the
-    bundles' swap schedule, with the flags of ``TestClosedFormExact``."""
+    multiplicity)`` with ``keep`` the int pairs of the ``1 - q`` of each of
+    a copy's path edges and of the ``1 - p`` of each of its ``hops - 1``
+    swaps, equals the XOR convolution of ``tests/oracles.py`` over every
+    copy of the bundles' swap schedule, with the flags of
+    ``TestClosedFormExact``."""
 
     @given(flow_bundles(), st.booleans(), st.booleans())
     def test_matches_convolution_of_the_schedule(self, case, pair, swap):
         bundles, noise = case
         groups = []
         for b in bundles:
-            keep = [1 - noise.pair_error[edge] for edge in b.edges()] if pair else []
+            keep = [keep_pair(noise.pair_error[edge]) for edge in b.edges()] if pair else []
             if swap:
-                keep += [1 - noise.swap_depolarize_p] * (b.hops - 1)
+                keep += [keep_pair(noise.swap_depolarize_p)] * (b.hops - 1)
             groups.append((keep, b.multiplicity))
         assert stabsim._pass_probability(groups) == convolved_pass_probability(
             build_swap_schedule(bundles), noise, include_pair_error=pair, include_swap_error=swap
@@ -655,7 +692,7 @@ def lane_draws(plan, values, lane) -> ReplayedDraws:
     whose Paulis are all the identity acts as a miss."""
     decisions, var = [], 0
     for step in plan.steps:
-        count = step[1]
+        count = step[-1]
         bits = [values[v] >> lane & 1 for v in range(var, var + count)]
         var += count
         if step == stabsim._OUTCOME:
@@ -1026,6 +1063,51 @@ class TestExactOnFaultySchedules:
         except ScheduleViolation:
             return
         assert_exact_is_the_estimate(sched, noise, 20_000, seed=5)
+
+
+def figure_or_fault(figure, sched, noise):
+    """``figure(sched, noise)``, or the type and message of the error it
+    raises."""
+    try:
+        return figure(sched, noise)
+    except EbitflowError as exc:
+        return type(exc), str(exc)
+
+
+class TestExactFigures:
+    """``exact_figures`` reads both exact figures off one plan: it equals
+    ``exact_pass_probability`` and ``exact_operation_error``, and refuses
+    as the first of them does."""
+
+    @given(flow_bundles(), st.booleans(), st.booleans())
+    def test_equals_the_two_figures_on_flow_schedules(self, case, pair, swap):
+        bundles, noise = case
+        noise = NoiseModel(
+            swap_depolarize_p=noise.swap_depolarize_p if swap else 0,
+            pair_error=noise.pair_error if pair else {},
+        )
+        sched = build_swap_schedule(bundles)
+        assert exact_figures(sched, noise) == (
+            exact_pass_probability(sched, noise),
+            exact_operation_error(sched, noise),
+        )
+
+    @settings(derandomize=True)
+    @given(st.one_of(mutated_schedules(), hand_built_schedules()))
+    def test_faulty_schedules_raise_as_the_pass_probability(self, case):
+        sched, noise = case
+        figures = figure_or_fault(exact_figures, sched, noise)
+        passing = figure_or_fault(exact_pass_probability, sched, noise)
+        if isinstance(passing, Fraction):
+            # A plan with pair sites that has a figure has one without them.
+            assert figures == (passing, exact_operation_error(sched, noise))
+        else:
+            assert figures == passing
+
+    def test_a_delivery_sharing_no_pair_never_passes(self):
+        sched = parse_schedule(CHAIN_TEXT.replace("q0 q3", "q0 q0"))
+        assert exact_figures(sched, HAND_NOISE) == (0, 1)
+        assert exact_operation_error(sched, HAND_NOISE) == 1
 
 
 class TestMonteCarlo:

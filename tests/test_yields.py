@@ -76,6 +76,38 @@ class TestValidation:
         with pytest.raises(ParseError, match="^rate: "):
             YieldFunction("linear-floor", rate=rate, max_uses=10)
 
+    @pytest.mark.parametrize("max_uses", [True, False, 2.0, "3", -1], ids=repr)
+    def test_max_uses_must_be_a_non_negative_int(self, max_uses):
+        # Bools are refused as ``Edge`` and ``HierEdge`` refuse them.
+        with pytest.raises(ValidationError, match="^max_uses must be a non-negative integer$"):
+            YieldFunction.identity(max_uses)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(1.7, 1), (2, 2)],
+            [("x", 1)],
+            [(1, "a")],
+            [(True, 1)],
+            [(1, 2, 3)],
+            [5],
+            "ab",
+            5,
+        ],
+        ids=repr,
+    )
+    def test_table_points_must_be_int_pairs(self, points):
+        message = "^table points must be \\(uses, pairs\\) integer pairs$"
+        with pytest.raises(ValidationError, match=message):
+            YieldFunction.table(points)
+        with pytest.raises(ValidationError, match=message):
+            YieldFunction("table", points=points, max_uses=3)
+
+    def test_table_points_are_stored_as_int_tuples(self):
+        yf = YieldFunction("table", points=[[1, 0], [4, 2]], max_uses=4)
+        assert yf.points == ((1, 0), (4, 2))
+        assert yf == YieldFunction.table([(1, 0), (4, 2)])
+
     def test_kind_field_exclusivity(self):
         with pytest.raises(ValidationError):
             YieldFunction(kind="identity", rate=Fraction(1, 2))
