@@ -716,8 +716,9 @@ def _site_groups(sched: SwapSchedule, noise: NoiseModel | None) -> tuple[dict, d
             raise ScheduleViolation(f"{where}: reads a noise site read before")
         read |= sites
         figures = [plan.steps[i] for i in sorted(sites)]
-        for group, read_steps in zip(groups, (figures, [s for s in figures if s[2] != 2])):
-            keep = tuple((den - num, den) for num, den, _ in read_steps)
+        swaps = [step for step in figures if step[2] != 2]
+        for group, steps in zip(groups, (figures, swaps)):
+            keep = tuple((den - num, den) for num, den, _ in steps)
             group[keep] = group.get(keep, 0) + 1
     return groups
 
