@@ -16,6 +16,11 @@ flow machinery, and the per-edge generation errors of the active edges add
 into the level's error budget regardless of how large the lower networks
 are.
 
+A hierarchy is resolved once into a tree that mirrors it: each network's
+node holds its flattened graph and, under each wrapped edge's key, that
+edge's lower solve and the lower network's node. Lower-use planning
+descends that tree by the keys of the active edges.
+
 Resolving a hierarchy solves each distinct lower network once, with one
 augmenting-path run: at the edge's per-use target, or else to its end at
 the min-cut (``min_cost_max_flow``). A lower solve is keyed by its
@@ -48,9 +53,7 @@ one lower network share every ``Edge`` away from their clients. A copy
 whose checked columns equal an earlier copy's (labels included) gets
 that copy's graph object, and ``_resolve`` keys each such graph once.
 Each distinct yield object of exact-typed values, with its use bound,
-is parsed into one ``YieldFunction``. ``HierEdge`` and
-``HierarchicalNetwork`` objects stay one per position in the document,
-since ``_resolve`` and ``plan_lower_uses`` key them by ``id``.
+is parsed into one ``YieldFunction``.
 
 Resolving, aggregating and lower-use planning walk the hierarchy with
 explicit stacks. Parsing (``parse_hierarchical``) and the CLI's lower-plan
@@ -259,33 +262,22 @@ class HierarchicalNetwork:
 
 
 @_value_type
-class _EdgeInfo:
-    """The solution of a wrapped edge's lower network and its generation
-    error budget."""
-
-    lower_solution: FlowSolution
-    lower_generation: Fraction
-
-    def __init__(
-        self, lower_solution: FlowSolution, lower_generation: Fraction
-    ) -> None:
-        _set(self, "lower_solution", lower_solution)
-        _set(self, "lower_generation", lower_generation)
-
-
-@_value_type
 class _Resolved:
-    """A hierarchy resolved once: each network's flattened graph and each
-    wrapped edge's lower solve."""
+    """A network resolved once, as a tree that mirrors the hierarchy:
+    ``graph`` is its flattened graph, and ``rows[key]`` holds the wrapped
+    edge under ``key``, its lower solve, that solve's generation error
+    budget and the lower network resolved in turn."""
 
-    flat: Mapping[int, NetworkGraph]  # id(network) -> flattened graph
-    edges: Mapping[int, _EdgeInfo]  # id(edge) -> resolution
+    graph: NetworkGraph
+    rows: Mapping[EdgeKey, tuple[HierEdge, FlowSolution, Fraction, "_Resolved"]]
 
     def __init__(
-        self, flat: Mapping[int, NetworkGraph], edges: Mapping[int, _EdgeInfo]
+        self,
+        graph: NetworkGraph,
+        rows: Mapping[EdgeKey, tuple[HierEdge, FlowSolution, Fraction, "_Resolved"]],
     ) -> None:
-        _set(self, "flat", flat)
-        _set(self, "edges", edges)
+        _set(self, "graph", graph)
+        _set(self, "rows", rows)
 
 
 def _lower_key(lower_flat: NetworkGraph, lower_target: int | None) -> tuple:
@@ -315,7 +307,9 @@ def _lower_key(lower_flat: NetworkGraph, lower_target: int | None) -> tuple:
 
 
 def _resolve(net: HierarchicalNetwork) -> _Resolved:
-    """Flatten every nested network bottom-up, resolving default costs.
+    """Resolve ``net`` bottom-up into a tree of ``_Resolved`` nodes, one per
+    network, each holding its flattened graph and, under each wrapped
+    edge's key, that edge's lower solve and the lower network's node.
 
     The constant-efficiency default prices a distilled pair at the edge's
     use bound: ceil(max_uses * per_use_cost / capacity) milli-units, where
@@ -341,21 +335,23 @@ def _resolve(net: HierarchicalNetwork) -> _Resolved:
         for e in n.edges:
             queue.append(e.lower)
 
-    flat: dict[int, NetworkGraph] = {}
-    infos: dict[int, _EdgeInfo] = {}
-    solved: dict[tuple, _EdgeInfo] = {}
+    # id(network) -> its node, for the lower networks of the next level up.
+    done: dict[int, _Resolved] = {}
+    solved: dict[tuple, tuple[FlowSolution, Fraction]] = {}
     # Copies of a lower network may share one graph object (the parser
     # builds a repeated network once): such a graph is keyed once and
-    # reuses its solution as is. Every graph stays alive in ``flat`` for
+    # reuses its solution as is. Every graph stays alive in ``done`` for
     # the call, so ids stay unique.
     keys: dict[tuple[int, int | None], tuple] = {}
     for n in sorted(networks, key=lambda n: n.level):
         if n.level == 0:
-            flat[id(n)] = n.base
+            done[id(n)] = _Resolved(n.base, {})
             continue
+        rows = {}
         flat_edges = []
         for e in n.edges:
-            lower_flat = flat[id(e.lower)]
+            lower = done[id(e.lower)]
+            lower_flat = lower.graph
             key = keys.get((id(lower_flat), e.lower_target))
             if key is None:
                 key = keys[id(lower_flat), e.lower_target] = _lower_key(
@@ -368,32 +364,29 @@ def _resolve(net: HierarchicalNetwork) -> _Resolved:
                 else:
                     lower_sol = min_cost_flow(lower_flat, e.lower_target)
                 generation = generation_error_budget(lower_flat, lower_sol.active_edges)
-                info = solved[key] = _EdgeInfo(lower_sol, generation)
-            elif first.lower_solution.graph is lower_flat:
-                info = first
+                solved[key] = lower_sol, generation
             else:
-                sol = first.lower_solution
-                label = dict(zip(sol.graph.nodes, lower_flat.nodes))
-                info = _EdgeInfo(
-                    FlowSolution(
+                sol, generation = first
+                if sol.graph is lower_flat:
+                    lower_sol = sol
+                else:
+                    label = dict(zip(sol.graph.nodes, lower_flat.nodes))
+                    lower_sol = FlowSolution(
                         graph=lower_flat,
                         arc_flow={
                             (label[a], label[b]): f for (a, b), f in sol.arc_flow.items()
                         },
                         net_flow=sol.net_flow,
                         total_cost=sol.total_cost,
-                    ),
-                    first.lower_generation,
-                )
-            infos[id(e)] = info
+                    )
+            rows[e.key] = e, lower_sol, generation, lower
             theta = e.yield_fn.cap()
-            per_use = info.lower_solution.total_cost
             if e.unit_cost is not None:
                 pounds = e.unit_cost
             elif theta == 0:
                 pounds = 0
             else:
-                pounds = -((-e.yield_fn.max_uses * per_use) // theta)
+                pounds = -((-e.yield_fn.max_uses * lower_sol.total_cost) // theta)
             flat_edges.append(
                 Edge(
                     e.a,
@@ -404,18 +397,19 @@ def _resolve(net: HierarchicalNetwork) -> _Resolved:
                     max_uses=e.yield_fn.max_uses,
                 )
             )
-        flat[id(n)] = NetworkGraph(
+        graph = NetworkGraph(
             nodes=n.nodes,
             edges=tuple(flat_edges),
             source=n.clients[0],
             sink=n.clients[1],
         )
-    return _Resolved(flat=flat, edges=infos)
+        done[id(n)] = _Resolved(graph, rows)
+    return done[id(net)]
 
 
 def flatten(net: HierarchicalNetwork) -> NetworkGraph:
     """The equivalent flat network of a hierarchical one."""
-    return net._resolved.flat[id(net)]
+    return net._resolved.graph
 
 
 def effective_min_cut(net: HierarchicalNetwork) -> int:
@@ -536,20 +530,17 @@ def plan_lower_uses(
     """
     if net.level == 0:
         return ()
-    resolved = net._resolved
     created: list[dict] = []
     roots: list[dict] = []
-    stack: list[tuple[HierarchicalNetwork, FlowSolution, int, list[dict]]] = [
-        (net, sol, 1, roots)
+    stack: list[tuple[_Resolved, FlowSolution, int, list[dict]]] = [
+        (net._resolved, sol, 1, roots)
     ]
     while stack:
-        network, solution, multiplier, out = stack.pop()
+        resolved, solution, multiplier, out = stack.pop()
         for key in sorted(solution.active_edges):
-            edge = network.edge_by_key(key)
-            info = resolved.edges[id(edge)]
+            edge, lower_sol, lower_error, lower = resolved.rows[key]
             pairs = solution.undirected_flow[key]
             uses = edge.yield_fn.invert(pairs)
-            lower_error = info.lower_generation
             if edge.error_threshold is not None and lower_error > edge.error_threshold:
                 raise ThresholdViolation(
                     f"edge {key}: lower error {lower_error} exceeds "
@@ -559,18 +550,16 @@ def plan_lower_uses(
                 "edge": key,
                 "pairs": pairs,
                 "uses": uses,
-                "per_use_target": info.lower_solution.net_flow,
-                "per_use_cost": info.lower_solution.total_cost,
+                "per_use_target": lower_sol.net_flow,
+                "per_use_cost": lower_sol.total_cost,
                 "total_uses": uses * multiplier,
                 "lower_error": lower_error,
                 "sub": [],
             }
             created.append(node)
             out.append(node)
-            if edge.lower.level >= 1:
-                stack.append(
-                    (edge.lower, info.lower_solution, uses * multiplier, node["sub"])
-                )
+            if lower.rows:
+                stack.append((lower, lower_sol, uses * multiplier, node["sub"]))
     frozen: dict[int, LowerUsePlan] = {}
     for node in reversed(created):
         frozen[id(node)] = LowerUsePlan(
@@ -592,13 +581,11 @@ def total_lower_cost(net: HierarchicalNetwork, sol: FlowSolution) -> int:
     level 0, whose edges are physical."""
     if net.level == 0:
         return 0
-    resolved = net._resolved
+    rows = net._resolved.rows
     total = 0
     for key in sorted(sol.active_edges):
-        edge = net.edge_by_key(key)
-        info = resolved.edges[id(edge)]
-        uses = edge.yield_fn.invert(sol.undirected_flow[key])
-        total += uses * info.lower_solution.total_cost
+        edge, lower_sol, _, _ = rows[key]
+        total += edge.yield_fn.invert(sol.undirected_flow[key]) * lower_sol.total_cost
     return total
 
 

@@ -473,9 +473,13 @@ def validate_flow(sol: FlowSolution) -> None:
             raise MalformedFlow(f"conservation violated at node {n!r}")
     if -balance[g.source] != sol.net_flow or balance[g.sink] != sol.net_flow:
         raise MalformedFlow("net flow does not match endpoint imbalance")
-    for key in sorted(g.edge_map):
-        if sol.arc_flow.get(key, 0) > 0 and sol.arc_flow.get((key[1], key[0]), 0) > 0:
-            raise MalformedFlow(f"opposing flow on edge {key}")
+    opposing = [
+        (a, b)
+        for (a, b), f in sol.arc_flow.items()
+        if a < b and f > 0 and sol.arc_flow.get((b, a), 0) > 0
+    ]
+    if opposing:
+        raise MalformedFlow(f"opposing flow on edge {min(opposing)}")
 
 
 def solution_report(sol: FlowSolution) -> dict:

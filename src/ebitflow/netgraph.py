@@ -50,7 +50,6 @@ import json
 import math
 import sys
 from collections.abc import Iterable, Mapping, Sequence
-from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter, eq, itemgetter
@@ -222,9 +221,10 @@ def _too_large(what: str) -> ParseError:
 def cost_to_milli(value: object, what: str = "cost") -> int:
     """Convert a cost in cost units to integer milli-units, exactly or not at all.
 
-    A float means the decimal it prints as, as in ``as_fraction``; its exact
-    ratio comes from that decimal without building a Fraction. Other values
-    share the number limit of ``as_fraction``.
+    A float in [0, ``_FAST_COST_LIMIT``) that is a whole number of
+    milli-units is read without building a Fraction. Every other value goes
+    through ``as_fraction``: a float means the decimal it prints as, and
+    other values share its number limit.
     """
     # Below 2**30 a whole milli amount m has at most 13 significant digits,
     # and two decimals of at most 15 never round to the same double: if
@@ -238,12 +238,8 @@ def cost_to_milli(value: object, what: str = "cost") -> int:
             raise _too_large(what)
         milli = value * MILLI
     else:
-        if isinstance(value, float) and math.isfinite(value):
-            num, den = Decimal(repr(value)).as_integer_ratio()
-        else:
-            frac = as_fraction(value, what)
-            num, den = frac.numerator, frac.denominator
-        milli, rest = divmod(num * MILLI, den)
+        frac = as_fraction(value, what)
+        milli, rest = divmod(frac.numerator * MILLI, frac.denominator)
         if rest:
             raise ValidationError(
                 f"{what}: {value!r} is not representable in whole milli-cost units"

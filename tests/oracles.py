@@ -63,7 +63,7 @@ from ebitflow import (
     parse_yield,
     validate_flow,
 )
-from ebitflow.concat import HierEdge, _EdgeInfo, _Resolved
+from ebitflow.concat import HierEdge, _Resolved
 from ebitflow.mincostflow import Arc
 from ebitflow.netgraph import (
     MILLI,
@@ -1086,9 +1086,11 @@ def _fewest_hops_lexicographic(
 
 
 def reference_resolve(net: HierarchicalNetwork) -> _Resolved:
-    """Flatten a hierarchy bottom-up with one lower solve per edge: a
-    ``min_cut`` when the edge sets no per-use target, then a
-    ``min_cost_flow``, shared with no other edge."""
+    """Resolve a hierarchy bottom-up into the tree of ``_Resolved`` nodes
+    with one lower solve per edge: a ``min_cut`` when the edge sets no
+    per-use target, then a ``min_cost_flow``, shared with no other edge.
+    Networks are resolved level by level in ``_resolve``'s order, so the
+    first infeasible solve is the same one."""
     networks: list[HierarchicalNetwork] = []
     queue = [net]
     while queue:
@@ -1096,20 +1098,20 @@ def reference_resolve(net: HierarchicalNetwork) -> _Resolved:
         networks.append(n)
         queue.extend(e.lower for e in n.edges)
 
-    flat: dict[int, NetworkGraph] = {}
-    infos: dict[int, _EdgeInfo] = {}
+    done: dict[int, _Resolved] = {}
     for n in sorted(networks, key=lambda n: n.level):
         if n.level == 0:
-            flat[id(n)] = n.base
+            done[id(n)] = _Resolved(n.base, {})
             continue
+        rows = {}
         flat_edges = []
         for e in n.edges:
-            lower_flat = flat[id(e.lower)]
+            lower = done[id(e.lower)]
             theta = e.yield_fn.cap()
             target = e.lower_target
             if target is None:
-                target = min_cut(lower_flat)
-            lower_sol = min_cost_flow(lower_flat, target)
+                target = min_cut(lower.graph)
+            lower_sol = min_cost_flow(lower.graph, target)
             per_use = lower_sol.total_cost
             if e.unit_cost is not None:
                 pounds = e.unit_cost
@@ -1117,12 +1119,8 @@ def reference_resolve(net: HierarchicalNetwork) -> _Resolved:
                 pounds = 0
             else:
                 pounds = -((-e.yield_fn.max_uses * per_use) // theta)
-            infos[id(e)] = _EdgeInfo(
-                lower_solution=lower_sol,
-                lower_generation=generation_error_budget(
-                    lower_flat, lower_sol.active_edges
-                ),
-            )
+            generation = generation_error_budget(lower.graph, lower_sol.active_edges)
+            rows[e.key] = (e, lower_sol, generation, lower)
             flat_edges.append(
                 Edge(
                     e.a,
@@ -1133,13 +1131,14 @@ def reference_resolve(net: HierarchicalNetwork) -> _Resolved:
                     max_uses=e.yield_fn.max_uses,
                 )
             )
-        flat[id(n)] = NetworkGraph(
+        graph = NetworkGraph(
             nodes=n.nodes,
             edges=tuple(flat_edges),
             source=n.clients[0],
             sink=n.clients[1],
         )
-    return _Resolved(flat=flat, edges=infos)
+        done[id(n)] = _Resolved(graph, rows)
+    return done[id(net)]
 
 
 def reference_edge_fields(

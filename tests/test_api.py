@@ -401,7 +401,7 @@ def value_samples() -> list:
         net,
         net.edges[0].lower,
         net._resolved,
-        *net._resolved.edges.values(),
+        *(lower for _, _, _, lower in net._resolved.rows.values()),
         *aggs,
         *plan_lower_uses(net, aggs[1].solution),
     ]

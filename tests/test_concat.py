@@ -1,5 +1,7 @@
 """Hierarchical composition: flattening, aggregation, and lower-use plans."""
 
+import contextlib
+import io
 import json
 import random
 from collections import Counter
@@ -34,7 +36,7 @@ from ebitflow import (
     total_lower_cost,
     NoiseModel,
 )
-from ebitflow import concat, netgraph, stabsim
+from ebitflow import cli, concat, netgraph, stabsim
 from oracles import (
     convolved_pass_probability,
     random_network,
@@ -682,6 +684,44 @@ class TestLowerUsePlans:
         (plan,) = plan_lower_uses(loose, aggregate_level(loose, 1).solution)
         assert plan.lower_error == Fraction(1, 10)
 
+    def test_noisy_depth_two_request_reads_rows_by_key(self, count_calls, tmp_path):
+        scans = count_calls(HierarchicalNetwork, "edge_by_key")
+        doc = benchmark_like_hierarchy(random.Random("rows"), 2, "diamond", 3)
+        path = tmp_path / "hier.json"
+        path.write_text(json.dumps(doc))
+        target = effective_min_cut(load_hierarchical(path))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(
+                ["concat", "--input", str(path), "--target", str(target), "--noise-p", "1/50"]
+            )
+        assert code == 0
+        result = json.loads(out.getvalue())["result"]
+        assert result["level"] == 2
+        assert result["lower_plan"] and all(node["sub"] for node in result["lower_plan"])
+        assert scans == [0]
+
+    def test_wide_level_reads_rows_by_key(self, count_calls):
+        # 100 parallel two-hop routes: 200 wrapped edges, all active at the cut.
+        edges = [
+            HierEdge(
+                a=a,
+                b=b,
+                lower=phys(a, b, 2, 1000 + i),
+                yield_fn=YieldFunction.linear_floor(Fraction(1, 2), 4),
+            )
+            for i in range(100)
+            for a, b in (("S", f"m{i:03}"), (f"m{i:03}", "T"))
+        ]
+        net = HierarchicalNetwork.build(edges, "S", "T")
+        sol = aggregate_level(net, effective_min_cut(net)).solution
+        scans = count_calls(HierarchicalNetwork, "edge_by_key")
+        plans = plan_lower_uses(net, sol)
+        cost = total_lower_cost(net, sol)
+        assert len(plans) == len(sol.active_edges) == 200
+        assert cost == sum(p.uses * p.per_use_cost for p in plans)
+        assert scans == [0]
+
 
 HIER_DOC = {
     "nodes": ["X", "Y"],
@@ -1014,17 +1054,24 @@ class TestSharedLowerSolves:
                 concat._resolve(net)
             assert str(got.value) == str(exc)
             return
-        resolved = concat._resolve(net)
-        for n in networks_of(net):
-            assert resolved.flat[id(n)] == expected.flat[id(n)]
+        stack = [(net, concat._resolve(net), expected)]
+        seen = 0
+        while stack:
+            n, got, want = stack.pop()
+            seen += 1
+            assert got.graph == want.graph
+            assert list(got.rows) == list(want.rows) == [e.key for e in n.edges]
             for e in n.edges:
-                got, want = resolved.edges[id(e)], expected.edges[id(e)]
-                assert got.lower_generation == want.lower_generation
-                sol, ref = got.lower_solution, want.lower_solution
+                edge, sol, generation, lower = got.rows[e.key]
+                want_edge, ref, want_generation, want_lower = want.rows[e.key]
+                assert edge is want_edge is e
+                assert generation == want_generation
                 assert sol.graph == ref.graph
                 assert list(sol.arc_flow.items()) == list(ref.arc_flow.items())
                 assert sol.net_flow == ref.net_flow
                 assert sol.total_cost == ref.total_cost
+                stack.append((e.lower, lower, want_lower))
+        assert seen == len(networks_of(net))
 
     @staticmethod
     def count_solves(monkeypatch):
@@ -1069,14 +1116,12 @@ class TestSharedLowerSolves:
             (after_b, ("a", "b"), Fraction(1, 50)),
             (before_b, ("a", "ab"), Fraction(1, 10)),
         ):
-            info = resolved.edges[id(edge)]
+            _, lower_sol, lower_generation, _ = resolved.rows[edge.key]
             lower_flat = edge.lower.base
             direct = direct_lower_solve(lower_flat)
-            assert via in info.lower_solution.arc_flow
-            assert list(info.lower_solution.arc_flow.items()) == list(
-                direct.arc_flow.items()
-            )
-            assert info.lower_generation == generation_error_budget(
+            assert via in lower_sol.arc_flow
+            assert list(lower_sol.arc_flow.items()) == list(direct.arc_flow.items())
+            assert lower_generation == generation_error_budget(
                 lower_flat, direct.active_edges
             ) == generation
 
@@ -1121,11 +1166,11 @@ class TestSharedLowerSolves:
         distinct = min(n, 2)
         assert calls == {"min_cost_max_flow": distinct, "min_cost_flow": 0}
         for e in net.edges:
-            info = resolved.edges[id(e)]
+            _, lower_sol, _, _ = resolved.rows[e.key]
             direct = direct_lower_solve(e.lower.base)
-            assert info.lower_solution.net_flow == 3
-            assert info.lower_solution.graph is e.lower.base
-            assert list(info.lower_solution.arc_flow.items()) == list(
+            assert lower_sol.net_flow == 3
+            assert lower_sol.graph is e.lower.base
+            assert list(lower_sol.arc_flow.items()) == list(
                 direct.arc_flow.items()
             )
 
@@ -1140,13 +1185,13 @@ class TestSharedLowerSolves:
         resolved = net._resolved
         assert calls == {"min_cost_max_flow": 3, "min_cost_flow": 0}
         for e in net.edges:
-            info = resolved.edges[id(e)]
+            _, lower_sol, lower_generation, _ = resolved.rows[e.key]
             direct = direct_lower_solve(e.lower.base)
-            assert info.lower_solution.total_cost == direct.total_cost
-            assert info.lower_generation == generation_error_budget(
+            assert lower_sol.total_cost == direct.total_cost
+            assert lower_generation == generation_error_budget(
                 e.lower.base, direct.active_edges
             )
-            assert list(info.lower_solution.arc_flow.items()) == list(
+            assert list(lower_sol.arc_flow.items()) == list(
                 direct.arc_flow.items()
             )
 
@@ -1186,13 +1231,13 @@ class TestSharedLowerSolves:
         resolved = net._resolved
         assert calls == {"min_cost_max_flow": solves, "min_cost_flow": 0}
         for e, delta in zip(net.edges, deltas):
-            info = resolved.edges[id(e)]
+            _, lower_sol, lower_generation, _ = resolved.rows[e.key]
             direct = direct_lower_solve(e.lower.base)
             assert {x.gen_error for x in e.lower.base.edges} == {Fraction(str(delta))}
-            assert info.lower_generation == generation_error_budget(
+            assert lower_generation == generation_error_budget(
                 e.lower.base, direct.active_edges
             )
-            assert list(info.lower_solution.arc_flow.items()) == list(
+            assert list(lower_sol.arc_flow.items()) == list(
                 direct.arc_flow.items()
             )
 
@@ -1203,9 +1248,9 @@ class TestSharedLowerSolves:
         resolved = net._resolved
         assert calls == {"min_cost_max_flow": 2, "min_cost_flow": 1}
         for e in net.edges:
-            info = resolved.edges[id(e)]
+            _, lower_sol, _, _ = resolved.rows[e.key]
             direct = direct_lower_solve(e.lower.base)
-            assert list(info.lower_solution.arc_flow.items()) == list(
+            assert list(lower_sol.arc_flow.items()) == list(
                 direct.arc_flow.items()
             )
 
@@ -1618,9 +1663,10 @@ class TestColumnParse:
         resolved = concat._resolve(net)
         # One key per distinct graph under a wrapped edge: the shared leaves
         # and the flattened middle networks.
-        middles = [id(resolved.flat[id(n)]) for n in networks_of(net) if n.level == 1]
+        assert net.level == 2
+        middles = [id(lower.graph) for _, _, _, lower in resolved.rows.values()]
         assert sorted(keys) == sorted([*graphs, *middles])
-        assert resolved.flat == reference_resolve(net).flat
+        assert resolved == reference_resolve(net)
 
     def test_repeated_rows_and_yields_are_built_once(self, monkeypatch):
         rng = random.Random("shared rows")
@@ -1663,4 +1709,4 @@ class TestColumnParse:
         # 16 leaves, 4 middles and the top; 16 + 4 wrapped edges.
         positions = [*networks_of(net), *(e for n in networks_of(net) for e in n.edges)]
         assert len({id(x) for x in positions}) == len(positions) == 21 + 20
-        assert concat._resolve(net).flat == reference_resolve(net).flat
+        assert concat._resolve(net) == reference_resolve(net)

@@ -227,7 +227,17 @@ class TestValidation:
     def test_opposing_flow_caught(self):
         g = NetworkGraph.from_edge_list([("s", "t", 3, 0)], "s", "t")
         sol = self._sol(g, {("s", "t"): 2, ("t", "s"): 1}, 1, 0)
-        with pytest.raises(MalformedFlow):
+        with pytest.raises(MalformedFlow, match=r"^opposing flow on edge \('s', 't'\)$"):
+            validate_flow(sol)
+
+    def test_opposing_flow_names_the_smallest_edge(self):
+        g = NetworkGraph.from_edge_list(
+            [("s", "t", 3, 0), ("r", "t", 3, 0), ("r", "s", 3, 0)], "s", "t"
+        )
+        # Both s-t and r-t carry flow each way; the arcs list s-t first.
+        arcs = {("s", "t"): 2, ("t", "s"): 1, ("t", "r"): 1, ("r", "t"): 1}
+        sol = self._sol(g, arcs, 1, 0)
+        with pytest.raises(MalformedFlow, match=r"^opposing flow on edge \('r', 't'\)$"):
             validate_flow(sol)
 
     def test_net_flow_mismatch_caught(self):
