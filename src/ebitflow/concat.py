@@ -307,9 +307,8 @@ def _lower_key(lower_flat: NetworkGraph, lower_target: int | None) -> tuple:
 
 
 def _resolve(net: HierarchicalNetwork) -> _Resolved:
-    """Resolve ``net`` bottom-up into a tree of ``_Resolved`` nodes, one per
-    network, each holding its flattened graph and, under each wrapped
-    edge's key, that edge's lower solve and the lower network's node.
+    """Resolve ``net`` bottom-up into its tree of ``_Resolved`` nodes, one
+    per network, resolving default costs.
 
     The constant-efficiency default prices a distilled pair at the edge's
     use bound: ceil(max_uses * per_use_cost / capacity) milli-units, where
