@@ -85,6 +85,7 @@ from .netgraph import (
     _checked_layout,
     _converted,
     _endpoints,
+    _is_int,
     _is_probability,
     _load_json,
     _parse_flat,
@@ -154,12 +155,12 @@ class HierEdge:
         distill_error = as_fraction(distill_error, "distill_error")
         if not _is_probability(distill_error):
             raise ValidationError(f"edge {(a, b)}: distill_error outside [0, 1]")
+        if error_threshold is not None:
+            error_threshold = as_fraction(error_threshold, "error_threshold")
         # A bool is an int, but True would also hash like 1 in the lower
         # solve key; reject it as netgraph.Edge does.
         for name, value in (("unit_cost", unit_cost), ("lower_target", lower_target)):
-            if value is not None and (
-                not isinstance(value, int) or isinstance(value, bool) or value < 0
-            ):
+            if value is not None and (not _is_int(value) or value < 0):
                 raise ValidationError(
                     f"edge {(a, b)}: {name} must be a non-negative integer"
                 )
@@ -266,7 +267,8 @@ class _Resolved:
     """A network resolved once, as a tree that mirrors the hierarchy:
     ``graph`` is its flattened graph, and ``rows[key]`` holds the wrapped
     edge under ``key``, its lower solve, that solve's generation error
-    budget and the lower network resolved in turn."""
+    budget and the lower network resolved in turn. A lower network object
+    that several edges wrap has one node, which their rows share."""
 
     graph: NetworkGraph
     rows: Mapping[EdgeKey, tuple[HierEdge, FlowSolution, Fraction, "_Resolved"]]
@@ -326,10 +328,16 @@ def _resolve(net: HierarchicalNetwork) -> _Resolved:
     only the client labels would not do: which of two equal-cost paths
     wins can depend on where the sink sorts among the interior labels.
     """
+    # Each distinct network once, by id: a lower network object shared by
+    # several edges is resolved once and its node shared.
     networks: list[HierarchicalNetwork] = []
+    seen: set[int] = set()
     queue = [net]
     while queue:
         n = queue.pop()
+        if id(n) in seen:
+            continue
+        seen.add(id(n))
         networks.append(n)
         for e in n.edges:
             queue.append(e.lower)
@@ -622,9 +630,7 @@ def _parse_lower(raw: Mapping, index: int, memo: dict) -> dict:
     if missing:
         raise ParseError(f"{where}: missing lower fields {sorted(missing)}")
     max_uses = raw.get("max_uses")
-    if max_uses is not None and (
-        not isinstance(max_uses, int) or isinstance(max_uses, bool) or max_uses < 0
-    ):
+    if max_uses is not None and (not _is_int(max_uses) or max_uses < 0):
         raise ParseError(f"{where}: max_uses must be a non-negative integer")
     if max_uses is not None and max_uses > _NUMBER_LIMIT:
         raise _too_large(f"{where}.max_uses")
@@ -642,7 +648,7 @@ def _parse_lower(raw: Mapping, index: int, memo: dict) -> dict:
         out["unit_cost"] = _converted(memo, cost_to_milli, raw["cost"], index, "cost")
     if "target" in raw:
         tgt = raw["target"]
-        if not isinstance(tgt, int) or isinstance(tgt, bool) or tgt < 0:
+        if not _is_int(tgt) or tgt < 0:
             raise ParseError(f"{where}: target must be a non-negative integer")
         if tgt > _NUMBER_LIMIT:
             raise _too_large(f"{where}.target")

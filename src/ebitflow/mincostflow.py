@@ -44,6 +44,7 @@ from .netgraph import (
     NetworkGraph,
     NodeId,
     _frac,
+    _is_int,
     _milli_text,
     _set,
     _value_type,
@@ -380,7 +381,7 @@ def min_cost_flow(g: NetworkGraph, target: int) -> FlowSolution:
         NegativeTarget: If ``target`` is negative.
         InfeasibleTarget: If ``target`` exceeds the source-sink min-cut.
     """
-    if not isinstance(target, int) or isinstance(target, bool):
+    if not _is_int(target):
         raise NegativeTarget(f"target must be an integer, got {target!r}")
     if target < 0:
         raise NegativeTarget(f"target must be non-negative, got {target}")

@@ -128,10 +128,18 @@ def _milli_text(milli: int) -> str:
     return f"{milli // MILLI}.{milli % MILLI:03d}"
 
 
+def _max_str_digits() -> int:
+    """The most digits Python writes of an int as text, or 0 for no limit,
+    as on the interpreters before 3.10.7, which have neither the limit nor
+    ``sys.get_int_max_str_digits``."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return 0 if get is None else get()
+
+
 def _too_long() -> TooLarge:
     return TooLarge(
         "an exact figure has more digits than Python writes as text "
-        f"({sys.get_int_max_str_digits()})"
+        f"({_max_str_digits()})"
     )
 
 
@@ -158,6 +166,16 @@ _DOC_FIELDS = frozenset({"nodes", "edges", "source", "sink"})
 _MEMO_KINDS = frozenset({int, float, str})
 
 
+def _is_int(value: object) -> bool:
+    """An int or an int subclass, but not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_probability(value: Fraction) -> bool:
+    # 0 <= p/q <= 1 with q > 0, compared as ints rather than Fractions.
+    return 0 <= value.numerator <= value.denominator
+
+
 def edge_key(a: NodeId, b: NodeId) -> EdgeKey:
     """Canonical (sorted) key for the undirected edge between ``a`` and ``b``."""
     return (a, b) if a <= b else (b, a)
@@ -171,8 +189,6 @@ def as_fraction(value: object, what: str = "value") -> Fraction:
     NaN are rejected, and so is an int or text whose numerator or
     denominator exceeds ``_NUMBER_LIMIT``, with a ParseError.
     """
-    if type(value) is Fraction:
-        return value
     if isinstance(value, bool):
         raise ParseError(f"{what}: expected a number, got a boolean")
     if isinstance(value, int):
@@ -233,7 +249,7 @@ def cost_to_milli(value: object, what: str = "cost") -> int:
         milli = round(value * MILLI)
         if milli / MILLI == value:
             return milli
-    if isinstance(value, int) and not isinstance(value, bool):
+    if _is_int(value):
         if not -_NUMBER_LIMIT <= value <= _NUMBER_LIMIT:
             raise _too_large(what)
         milli = value * MILLI
@@ -279,30 +295,20 @@ class Edge:
         max_uses: int | None = None,
     ) -> None:
         a, b = _endpoints(a, b)
-        # Each integer check tries the exact type first; the isinstance
-        # fallback accepts subclasses and rejects bools.
-        if type(capacity) is not int and (
-            not isinstance(capacity, int) or isinstance(capacity, bool)
-        ):
+        if not _is_int(capacity):
             raise ValidationError(f"edge {(a, b)}: capacity must be an integer")
         if capacity < 0:
             raise ValidationError(f"edge {(a, b)}: negative capacity")
-        if type(unit_cost) is not int and (
-            not isinstance(unit_cost, int) or isinstance(unit_cost, bool)
-        ):
+        if not _is_int(unit_cost):
             raise ValidationError(f"edge {(a, b)}: unit_cost must be an integer")
         if unit_cost < 0:
             raise ValidationError(f"edge {(a, b)}: negative unit_cost")
-        if gen_error is not _ZERO:
-            if type(gen_error) is not Fraction and not isinstance(gen_error, Fraction):
-                gen_error = as_fraction(gen_error)
-            # 0 <= p/q <= 1 with q > 0, compared as ints rather than Fractions.
-            if not 0 <= gen_error.numerator <= gen_error.denominator:
-                raise ValidationError(f"edge {(a, b)}: gen_error outside [0, 1]")
+        if not isinstance(gen_error, Fraction):
+            gen_error = as_fraction(gen_error)
+        if not _is_probability(gen_error):
+            raise ValidationError(f"edge {(a, b)}: gen_error outside [0, 1]")
         if max_uses is not None:
-            if type(max_uses) is not int and (
-                not isinstance(max_uses, int) or isinstance(max_uses, bool)
-            ):
+            if not _is_int(max_uses):
                 raise ValidationError(f"edge {(a, b)}: max_uses must be an integer")
             if max_uses < 1:
                 raise ValidationError(f"edge {(a, b)}: max_uses must be positive")
@@ -502,21 +508,18 @@ def _parse_edge_entry(entry: Mapping, index: int, memo: dict) -> tuple[EdgeKey, 
 
     ``memo`` holds the cost and delta conversions of the document so far.
     """
-    names = entry.keys()
-    if not (names <= _EDGE_FIELDS and _EDGE_FIELDS_REQUIRED <= names):
-        names = set(entry)
-        unknown = names - _EDGE_FIELDS
-        if unknown:
-            raise ParseError(f"edges[{index}]: unknown fields {sorted(unknown)}")
-        missing = _EDGE_FIELDS_REQUIRED - names
+    names = set(entry)
+    unknown = names - _EDGE_FIELDS
+    if unknown:
+        raise ParseError(f"edges[{index}]: unknown fields {sorted(unknown)}")
+    missing = _EDGE_FIELDS_REQUIRED - names
+    if missing:
         raise ParseError(f"edges[{index}]: missing fields {sorted(missing)}")
     a, b = entry["a"], entry["b"]
     if not isinstance(a, str) or not isinstance(b, str):
         raise ParseError(f"edges[{index}]: endpoints must be strings")
     capacity = entry["capacity"]
-    if type(capacity) is not int and (
-        not isinstance(capacity, int) or isinstance(capacity, bool)
-    ):
+    if not _is_int(capacity):
         raise ParseError(f"edges[{index}]: capacity must be an integer")
     if capacity > _NUMBER_LIMIT:
         raise _too_large(f"edges[{index}].capacity")
@@ -528,27 +531,23 @@ def _parse_edge_entry(entry: Mapping, index: int, memo: dict) -> tuple[EdgeKey, 
         "channel": None,
         "yield_spec": None,
     }
-    # Four keys are exactly the required ones.
-    if len(names) > 4:
-        if "delta" in names:
-            fields["gen_error"] = _converted(
-                memo, as_fraction, entry["delta"], index, "delta"
-            )
-        if "max_uses" in names:
-            mu = entry["max_uses"]
-            if not isinstance(mu, int) or isinstance(mu, bool):
-                raise ParseError(f"edges[{index}].max_uses: must be an integer")
-            if mu > _NUMBER_LIMIT:
-                raise _too_large(f"edges[{index}].max_uses")
-            fields["max_uses"] = mu
-        if "channel" in names:
-            if not isinstance(entry["channel"], Mapping):
-                raise ParseError(f"edges[{index}].channel: expected an object")
-            fields["channel"] = dict(entry["channel"])
-        if "yield" in names:
-            if not isinstance(entry["yield"], Mapping):
-                raise ParseError(f"edges[{index}].yield: expected an object")
-            fields["yield_spec"] = dict(entry["yield"])
+    if "delta" in names:
+        fields["gen_error"] = _converted(memo, as_fraction, entry["delta"], index, "delta")
+    if "max_uses" in names:
+        mu = entry["max_uses"]
+        if not _is_int(mu):
+            raise ParseError(f"edges[{index}].max_uses: must be an integer")
+        if mu > _NUMBER_LIMIT:
+            raise _too_large(f"edges[{index}].max_uses")
+        fields["max_uses"] = mu
+    if "channel" in names:
+        if not isinstance(entry["channel"], Mapping):
+            raise ParseError(f"edges[{index}].channel: expected an object")
+        fields["channel"] = dict(entry["channel"])
+    if "yield" in names:
+        if not isinstance(entry["yield"], Mapping):
+            raise ParseError(f"edges[{index}].yield: expected an object")
+        fields["yield_spec"] = dict(entry["yield"])
     if a == b:
         raise ValidationError(f"edges[{index}]: self-loop at node {a!r}")
     return edge_key(a, b), fields
@@ -620,11 +619,6 @@ def _converted_column(memo: dict, convert, column: tuple, valid=None) -> tuple |
     if valid is not None and not all(map(valid, map(table.__getitem__, distinct))):
         return None
     return tuple(map(table.__getitem__, column))
-
-
-def _is_probability(value: Fraction) -> bool:
-    # 0 <= p/q <= 1 with q > 0, compared as ints rather than Fractions.
-    return 0 <= value.numerator <= value.denominator
 
 
 def _edge_columns(
@@ -833,26 +827,21 @@ def _parse_entries(
     Takes any edge array and raises each entry error; parallel entries
     are merged here.
     """
-    # One field dict per node pair, in order of first appearance; a pair
-    # listed again also collects all its entries for merging.
-    by_key: dict[EdgeKey, dict] = {}
-    repeated: dict[EdgeKey, list[dict]] = {}
+    # The field dicts of each node pair, in order of first appearance.
+    by_key: dict[EdgeKey, list[dict]] = {}
     for i, entry in enumerate(raw_edges):
-        if type(entry) is not dict and not isinstance(entry, Mapping):
+        if not isinstance(entry, Mapping):
             raise ParseError(f"edges[{i}]: expected an object")
         key, fields = _parse_edge_entry(entry, i, memo)
         if key[0] not in node_set or key[1] not in node_set:
             raise ValidationError(f"edges[{i}]: unknown endpoint in {key}")
-        first = by_key.setdefault(key, fields)
-        if first is not fields:
-            repeated.setdefault(key, [first]).append(fields)
+        by_key.setdefault(key, []).append(fields)
 
     edges = []
     channels: dict[EdgeKey, Mapping[str, object]] = {}
     yields: dict[EdgeKey, Mapping[str, object]] = {}
-    for key, fields in by_key.items():
-        if key in repeated:
-            fields = _merge_parallel(key, repeated[key])
+    for key, entries in by_key.items():
+        fields = _merge_parallel(key, entries) if len(entries) > 1 else entries[0]
         gen_error = fields["gen_error"]
         if gen_error is None:
             gen_error = default_gen_error

@@ -40,8 +40,7 @@ exact probability (a ratio of ints) until no lane is tied, then, if any
 lane is hit, two per qubit, the X and Z part of a uniformly random Pauli,
 ANDed with the hits; per random measurement outcome one plane. The plan itself draws nothing,
 so results depend only on (schedule, noise, seed, trials), and each block
-could run apart. ``fidelity_estimate`` stops drawing after its last step
-that can flip a check.
+could run apart.
 
 Besides Monte-Carlo estimation this module computes exact delivered-state
 error at every schedule size, read off the same frame plan: a hit noise
@@ -62,7 +61,6 @@ import math
 import numbers
 import operator
 import random
-import sys
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
@@ -71,6 +69,7 @@ from .netgraph import (
     EdgeKey,
     NetworkGraph,
     _is_probability,
+    _max_str_digits,
     _set,
     _too_long,
     _value_type,
@@ -533,6 +532,8 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[f
     """Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValidationError("trials must be positive")
+    if not 0 <= successes <= trials:
+        raise ValidationError(f"successes must lie in [0, {trials}], got {successes}")
     p = successes / trials
     zz = z * z
     denom = 1 + zz / trials
@@ -622,23 +623,11 @@ def fidelity_estimate(
         raise ValidationError("trials must be positive")
     seed_words = _entropy_words(seed)
     plan = _plan(sched, noise or NoiseModel.zero())
-    # Draws after the last one that can flip a check change no verdict and
-    # are left out; those before it keep their planes.
-    relevant = 0
-    for check in plan.checks:
-        if check is not None:
-            relevant |= check[0] | check[1]
-    steps, drawn = [], 0
-    for step in plan.steps:
-        if drawn >= relevant.bit_length():
-            break
-        steps.append(step)
-        drawn += step[2]
     passes = [0] * len(plan.checks)
     all_pass = 0
     for block, first in enumerate(range(0, trials, _SEED_BLOCK)):
         lanes = min(_SEED_BLOCK, trials - first)
-        values = _draw(steps, _block_key(seed_words, block), lanes)
+        values = _draw(plan.steps, _block_key(seed_words, block), lanes)
         failed = 0
         for i, fail in enumerate(_failing(plan.checks, values, lanes)):
             passes[i] += lanes - fail.bit_count()
@@ -744,13 +733,13 @@ def _pass_probability(groups: Iterable[tuple]) -> Fraction:
     Raises:
         TooLarge: Once a power, a copy's P or the running product has a
             denominator with more bits than a number of
-            ``sys.get_int_max_str_digits()`` digits can have, so the figure
+            ``netgraph._max_str_digits()`` digits can have, so the figure
             could not be written as text. A power is refused before it is
             computed: ``x ** k`` has the k-th power of x's denominator.
     """
     # Bits of the longest denominator a figure may have (no bound when
     # Python writes ints of any length).
-    max_bits = (sys.get_int_max_str_digits() or math.inf) * math.log2(10) + 1
+    max_bits = (_max_str_digits() or math.inf) * math.log2(10) + 1
     num = den = 1
     for keep, copies in groups:
         p_num = p_den = 1

@@ -16,7 +16,7 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
 from .errors import ParseError, ValidationError, YieldShortfall
-from .netgraph import _NUMBER_LIMIT, _set, _too_large, _value_type, as_fraction
+from .netgraph import _NUMBER_LIMIT, _is_int, _set, _too_large, _value_type, as_fraction
 
 _KINDS = ("identity", "linear-floor", "table")
 
@@ -149,10 +149,6 @@ class YieldFunction:
         return out
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _table_points(points: Sequence[Sequence[int]]) -> tuple[tuple[int, int], ...]:
     """``points`` as a tuple of (uses, pairs) int pairs.
 
@@ -192,11 +188,7 @@ def parse_yield(raw: Mapping, max_uses: int | None = None) -> YieldFunction:
     if not isinstance(pts, Sequence):
         raise ParseError("yield: table requires a points array")
     for p in pts:
-        if (
-            not isinstance(p, Sequence)
-            or len(p) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in p)
-        ):
+        if not isinstance(p, Sequence) or len(p) != 2 or not all(map(_is_int, p)):
             raise ParseError("yield: table points must be [uses, pairs] integer pairs")
         if max(map(abs, p)) > _NUMBER_LIMIT:
             raise _too_large("yield.points")

@@ -180,6 +180,27 @@ class TestHierEdge:
             )
 
 
+    def test_error_threshold_converted(self):
+        edge = HierEdge(
+            a="A",
+            b="B",
+            lower=phys("A", "B", 1, 1000),
+            yield_fn=YieldFunction.identity(1),
+            error_threshold=0.5,
+        )
+        assert edge.error_threshold == Fraction(1, 2)
+        assert type(edge.error_threshold) is Fraction
+
+    def test_error_threshold_text_rejected(self):
+        with pytest.raises(ParseError, match="error_threshold"):
+            HierEdge(
+                a="A",
+                b="B",
+                lower=phys("A", "B", 1, 1000),
+                yield_fn=YieldFunction.identity(1),
+                error_threshold="abc",
+            )
+
     @pytest.mark.parametrize("a, b", [("A", 1), (1, "A"), (None, "B"), (1, 1)])
     def test_non_string_endpoints_rejected(self, a, b):
         with pytest.raises(ValidationError, match="edge endpoints must be strings"):
@@ -1072,6 +1093,27 @@ class TestSharedLowerSolves:
                 assert sol.total_cost == ref.total_cost
                 stack.append((e.lower, lower, want_lower))
         assert seen == len(networks_of(net))
+
+    def test_shared_lower_objects_resolve_once(self, count_calls):
+        # Per level, U (clients p, q) and V (clients q, r) both wrap the U
+        # and V below, so each lower object has two parents and the root
+        # reaches 2**(depth + 1) - 1 paths but 2 * depth + 1 networks.
+        depth = 16
+        u, v = phys("p", "q", 1, 1000), phys("q", "r", 1, 1000)
+        for _ in range(depth):
+            edges = [
+                HierEdge(a="p", b="q", lower=u, yield_fn=YieldFunction.identity(1)),
+                HierEdge(a="q", b="r", lower=v, yield_fn=YieldFunction.identity(1)),
+            ]
+            u, v = (
+                HierarchicalNetwork.build(edges, "p", "q"),
+                HierarchicalNetwork.build(edges, "q", "r"),
+            )
+        nodes = count_calls(concat, "_Resolved")
+        resolved = concat._resolve(u)
+        assert nodes[0] == 2 * depth + 1
+        rows = resolved.rows
+        assert rows["p", "q"][3].rows["q", "r"][3] is rows["q", "r"][3].rows["q", "r"][3]
 
     @staticmethod
     def count_solves(monkeypatch):

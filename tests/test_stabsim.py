@@ -6,6 +6,7 @@ import json
 import math
 import operator
 import random
+import sys
 import typing
 from collections.abc import Sequence
 from fractions import Fraction
@@ -1109,6 +1110,19 @@ class TestExactFigures:
         assert exact_figures(sched, HAND_NOISE) == (0, 1)
         assert exact_operation_error(sched, HAND_NOISE) == 1
 
+    def test_interpreter_without_a_digit_limit(self, monkeypatch):
+        # Python before 3.10.7 writes ints of any length and has no
+        # sys.get_int_max_str_digits.
+        sched = ladder(2, 3)
+        keys = {ins.edge for ins in sched.instructions if isinstance(ins, CreateBellPair)}
+        noise = NoiseModel(
+            swap_depolarize_p=Fraction(1, 50), pair_error=dict.fromkeys(keys, Fraction(2, 75))
+        )
+        expected = exact_figures(sched, noise)
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        assert exact_figures(sched, noise) == expected
+        assert 0 < expected[0] < 1
+
 
 class TestMonteCarlo:
     def test_rejects_nonpositive_trials(self):
@@ -1353,6 +1367,11 @@ class TestWilsonInterval:
     def test_rejects_empty_sample(self):
         with pytest.raises(ValidationError):
             wilson_interval(0, 0)
+
+    @pytest.mark.parametrize("successes", [-1, 4, 5])
+    def test_rejects_successes_outside_the_trials(self, successes):
+        with pytest.raises(ValidationError, match="successes"):
+            wilson_interval(successes, 3)
 
     @pytest.mark.parametrize("successes,trials", [(0, 10), (3, 7), (37, 40), (10, 10), (500, 1000)])
     def test_matches_quadratic_roots(self, successes, trials):
