@@ -157,6 +157,8 @@ class HierEdge:
             raise ValidationError(f"edge {(a, b)}: distill_error outside [0, 1]")
         if error_threshold is not None:
             error_threshold = as_fraction(error_threshold, "error_threshold")
+            if not _is_probability(error_threshold):
+                raise ValidationError(f"edge {(a, b)}: error_threshold outside [0, 1]")
         # A bool is an int, but True would also hash like 1 in the lower
         # solve key; reject it as netgraph.Edge does.
         for name, value in (("unit_cost", unit_cost), ("lower_target", lower_target)):

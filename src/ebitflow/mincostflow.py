@@ -6,17 +6,22 @@ most ``capacity`` pairs in total across both directions and each delivered
 pair on an edge costs ``unit_cost`` milli-units?
 
 Algorithm: successive shortest augmenting paths with node potentials, so
-Dijkstra always sees non-negative reduced costs. The potentials are
-distances to the sink: a Dijkstra runs backwards from the sink over
-in-arcs, stops once the source is settled, and adds its distances,
-capped at the source's, to the potentials. The cheapest paths are then
-exactly the source-sink paths of zero-reduced-cost arcs, and among them
-the lexicographically smallest node-label sequence is chosen, which
-makes results reproducible across runs and platforms. A tight arc out of
-a node settled closer to the sink than the source lies on a cheapest path
-from that node to the sink, so the walk that picks the path stays near
-the cheapest paths instead of wandering into tight dead ends.
-A round whose source distance is 0 leaves the potentials as they were,
+Dijkstra always sees non-negative reduced costs. Rounds alternate
+direction: the first Dijkstra runs backwards from the sink over in-arcs
+and stops once the source is settled, the next forwards from the source
+over out-arcs and stops once the sink is settled, and so on. Each moves
+the potentials of the nodes it settled by their distances, capped at
+its goal's, so the potentials one round leaves aim the next round's
+search at its goal. The cheapest paths are then exactly the source-sink
+paths of zero-reduced-cost arcs, and among them the lexicographically
+smallest node-label sequence is chosen, which makes results
+reproducible across runs and platforms. After a backward round, a tight
+arc out of a node settled closer to the sink than the source lies on a
+cheapest path from that node to the sink, so the walk that picks the
+path stays near the cheapest paths. After a forward round, tight arcs
+also run along cheapest paths from the source into dead ends, so the
+walk may enter more nodes.
+A round whose goal distance is 0 leaves the potentials as they were,
 so the rounds after it take tight paths without a new Dijkstra until
 none is left (primal-dual augmentation). Path choice depends on the
 residual alone, not on the target, so one run passes every target's
@@ -109,11 +114,12 @@ class _Residual:
     ``to[i]``; ``adj[u]`` lists the arcs out of ``u`` and ``radj[v]`` the
     arcs into ``v``.
 
-    The potentials are reduced distances to the sink, so arc u->v has
-    reduced cost ``cost + potential[v] - potential[u]``. An arc is tight
-    when it has remaining capacity and zero reduced cost; once the
-    potentials include a Dijkstra's distances to the sink, the cheapest
-    source-sink paths are the tight-arc paths.
+    Arc u->v has reduced cost ``cost + potential[v] - potential[u]``,
+    non-negative on every arc with remaining capacity, so
+    ``potential[u] - potential[v]`` never exceeds the cost of a residual
+    path from u to v. An arc is tight when it has remaining capacity and
+    zero reduced cost; once the potentials include a round's distances,
+    the cheapest source-sink paths are the tight-arc paths.
 
     Node ``i`` is the ``i``-th label in sorted order, so comparing indices
     compares labels. ``NetworkGraph`` sorts its edges by key, so every
@@ -149,36 +155,43 @@ class _Residual:
             cost += (c, -c, c, -c)
 
     def dijkstra(
-        self, s: int, t: int, potential: list[int]
+        self, root: int, goal: int, potential: list[int], arcs: list[list[int]], ends: list[int]
     ) -> tuple[list[int], list[int | None]] | None:
-        """Reduced-cost Dijkstra backwards from ``t`` over in-arcs that
-        stops once ``s`` is settled.
+        """Reduced-cost Dijkstra from ``root`` that stops once ``goal`` is
+        settled. It scans the arcs ``arcs[v]`` of each settled node ``v``,
+        each leading to ``ends[aid]``, and sees an arc as costing
+        ``cost[aid] + potential[v] - potential[ends[aid]]``.
 
-        Returns the settled nodes in settling order, ``s`` last, and the
-        distances to ``t``, exact for the settled nodes; None if ``s``
-        cannot reach ``t``. The heap holds ``d * n + v``, which orders like
-        ``(d, v)`` since the reduced costs are non-negative.
+        With ``radj`` and ``tail`` it runs backwards from the sink over
+        in-arcs on the potentials; with ``adj`` and ``to`` it runs forwards
+        from the source over out-arcs on the negated potentials. Either
+        way it sees the arcs' reduced costs.
+
+        Returns the settled nodes in settling order, ``goal`` last, and the
+        distances from ``root``, exact for the settled nodes; None if
+        ``goal`` is out of reach. The heap holds ``d * n + v``, which orders
+        like ``(d, v)`` since the reduced costs are non-negative.
         """
         n = len(self.nodes)
-        radj, res, tail, cost = self.radj, self.res, self.tail, self.cost
+        res, cost = self.res, self.cost
         heappush, heappop = heapq.heappush, heapq.heappop
         dist: list[int | None] = [None] * n
         done = [False] * n
         settled: list[int] = []
-        dist[t] = 0
-        heap = [t]
+        dist[root] = 0
+        heap = [root]
         while heap:
             v = heappop(heap) % n
             if done[v]:
                 continue
             done[v] = True
             settled.append(v)
-            if v == s:
+            if v == goal:
                 return settled, dist
             base = dist[v] + potential[v]
-            for aid in radj[v]:
+            for aid in arcs[v]:
                 if res[aid] > 0:
-                    u = tail[aid]
+                    u = ends[aid]
                     if not done[u]:
                         nd = base + cost[aid] - potential[u]
                         du = dist[u]
@@ -198,11 +211,13 @@ class _Residual:
         non-negative, so the tight paths are the cheapest ones when any
         exists. One depth-first walk from ``s`` follows tight arcs in
         ``adj`` order, so smaller head labels first, and returns the first
-        path that reaches ``t``; it takes each arc at most once. With
-        potentials that are distances to the sink, a tight arc out of a
-        node the last Dijkstra settled closer to the sink than ``s`` lies
-        on a cheapest path from that node to the sink, so the walk seldom
-        backs out.
+        path that reaches ``t``; it takes each arc at most once. After a
+        backward round, a tight arc out of a node that round settled
+        closer to the sink than ``s`` lies on a cheapest path from that
+        node to the sink, so the walk seldom backs out. After a forward
+        round, a tight arc out of a settled node may instead lie on a
+        cheapest path from ``s`` into a dead end, so the walk enters more
+        nodes.
 
         Entering a node marks it: ``untried[u]`` becomes an iterator over
         the arcs of ``u`` still to try, so the walk resumes ``u`` where it
@@ -242,15 +257,20 @@ class _Residual:
         """Yield each cheapest source-sink path and its bottleneck until the
         sink is unreachable; the caller pushes along a path before the next.
 
-        A round's Dijkstra runs backwards from the sink and stops at the
-        source, at distance D. A settled node's potential grows by its
-        distance and every other node's by D (Ahuja, Magnanti & Orlin,
-        *Network Flows*, 1993, ch. 9, with distances to the sink in place
-        of distances from the source): that keeps every residual reduced
-        cost non-negative, and on the nodes within D of the sink, where
-        all cheapest paths from the source lie, the potentials match those
-        of a full Dijkstra. Every tight source-sink path then costs
-        exactly the cheapest path's cost, so the walk picks the same path.
+        Rounds alternate direction. The first round's Dijkstra runs
+        backwards from the sink and stops at the source, the next forwards
+        from the source and stops at the sink, and so on; each stops at
+        its goal's distance D. A backward round adds ``dist[v] - D`` to the
+        potential of each node v it settled, a forward round ``D -
+        dist[v]``; no other potential moves, since only their differences
+        are read (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 9).
+        Either update keeps every residual reduced cost non-negative and
+        makes every cheapest source-sink path tight, so the walk picks the
+        same path whichever way the round ran. Feasible potentials are a
+        consistent A* heuristic (Goldberg & Harrelson, SODA 2005): those
+        a round leaves aim the next search, from the other end, at its
+        goal. A forward round searches on ``negated``, the potentials
+        negated, so one search routine serves both ends.
 
         At D = 0 the potentials do not move, so while tight paths remain
         each following round is the walk alone (§9.8): a Dijkstra would
@@ -259,19 +279,25 @@ class _Residual:
         """
         s, t = self.index[self.graph.source], self.index[self.graph.sink]
         potential = [0] * len(self.nodes)
+        negated = [0] * len(self.nodes)
+        search = (t, s, potential, self.radj, self.tail)
+        other = (s, t, negated, self.adj, self.to)
         tight = False
         while True:
             path = self.lexicographic_shortest_path(s, t, potential) if tight else None
             if path is None:
-                found = self.dijkstra(s, t, potential)
+                found = self.dijkstra(*search)
                 if found is None:
                     return
                 settled, dist = found
-                far = dist[s]
+                far = dist[settled[-1]]
                 tight = far == 0
-                potential = [p + far for p in potential]
+                mine, theirs = search[2], other[2]
                 for v in settled:
-                    potential[v] += dist[v] - far
+                    step = dist[v] - far
+                    mine[v] += step
+                    theirs[v] -= step
+                search, other = other, search
                 path = self.lexicographic_shortest_path(s, t, potential)
                 if path is None:
                     raise InvariantViolation("no tight path to a reachable sink")

@@ -12,9 +12,10 @@ earlier exact pass probability, which the closed form must equal
 exactly, its earlier three-search min-cost flow, which
 the one-search solver must reproduce arc for arc, its earlier
 canonicalization of a flow on node labels, which the one on arc indices
-must reproduce, its earlier flow
-decomposition with one search per bundle, which the phased one must
-reproduce bundle for bundle, and its earlier
+must reproduce, its earlier rounds that all searched from the sink,
+whose paths the rounds that alternate direction must reproduce, its
+earlier flow decomposition with one search per bundle, which the phased
+one must reproduce bundle for bundle, and its earlier
 resolve with one lower solve per edge, which the resolve that shares
 solves between relabelled copies must reproduce, and its earlier
 document parsers, whose Fraction-based cost conversion and per-entry
@@ -1009,6 +1010,32 @@ def reference_residual_solution(residual) -> FlowSolution:
     )
 
 
+def reference_augmenting_paths(residual):
+    """``_Residual.augmenting_paths`` before its rounds alternated
+    direction: every round's Dijkstra runs backwards from the sink, and
+    the potentials, distances to the sink, are rebuilt whole each round.
+    The caller pushes along each path before the next, as there."""
+    s, t = residual.index[residual.graph.source], residual.index[residual.graph.sink]
+    potential = [0] * len(residual.nodes)
+    tight = False
+    while True:
+        path = residual.lexicographic_shortest_path(s, t, potential) if tight else None
+        if path is None:
+            found = residual.dijkstra(t, s, potential, residual.radj, residual.tail)
+            if found is None:
+                return
+            settled, dist = found
+            far = dist[s]
+            tight = far == 0
+            potential = [p + far for p in potential]
+            for v in settled:
+                potential[v] += dist[v] - far
+            path = residual.lexicographic_shortest_path(s, t, potential)
+            if path is None:
+                raise InvariantViolation("no tight path to a reachable sink")
+        yield path, min(residual.res[aid] for aid in path)
+
+
 # --- Reference flow decomposition -------------------------------------------
 # ``ebitflow.pathplan.decompose_flow`` before it peeled paths in BFS phases:
 # per bundle it rebuilt the successor and predecessor lists of the arcs
@@ -1421,7 +1448,11 @@ def reference_parse_hierarchical(doc: Mapping) -> HierarchicalNetwork:
             raise ParseError(f"{where}: endpoints must be strings")
         fields = _reference_parse_lower(entry["lower"], i)
         lower_net = reference_parse_hierarchical(fields.pop("network"))
-        hier_edges.append(HierEdge(a=a, b=b, lower=lower_net, **fields))
+        edge = HierEdge(a=a, b=b, lower=lower_net, **fields)
+        threshold = fields["error_threshold"]
+        if threshold is not None and not 0 <= threshold <= 1:
+            raise ValidationError(f"edge {edge.key}: error_threshold outside [0, 1]")
+        hier_edges.append(edge)
     source, sink = doc.get("source"), doc.get("sink")
     if not isinstance(source, str) or not isinstance(sink, str):
         raise ParseError("source and sink must be strings")

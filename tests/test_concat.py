@@ -158,6 +158,17 @@ class TestHierEdge:
                 distill_error=Fraction(3, 2),
             )
 
+    @pytest.mark.parametrize("threshold", [-1, 2])
+    def test_error_threshold_range(self, threshold):
+        with pytest.raises(ValidationError, match=r"error_threshold outside \[0, 1\]"):
+            HierEdge(
+                a="A",
+                b="B",
+                lower=phys("A", "B", 1, 1000),
+                yield_fn=YieldFunction.identity(1),
+                error_threshold=threshold,
+            )
+
     def test_negative_lower_target_rejected(self):
         with pytest.raises(ValidationError):
             HierEdge(
@@ -793,6 +804,14 @@ class TestParsing:
         assert edge.distill_error == Fraction(1, 100)
         assert edge.yield_fn.kind == "identity"
         assert edge.lower.level == 0
+
+    @pytest.mark.parametrize("threshold", [-1, 2])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        lower = {**HIER_DOC["edges"][0]["lower"], "threshold": threshold}
+        doc = {**HIER_DOC, "edges": [{"a": "X", "b": "Y", "lower": lower}]}
+        want = (ValidationError, "edge ('X', 'Y'): error_threshold outside [0, 1]")
+        assert typed_outcome(parse_hierarchical, doc) == want
+        assert typed_outcome(reference_parse_hierarchical, doc) == want
 
     def test_mixed_edges_rejected(self):
         doc = {

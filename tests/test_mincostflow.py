@@ -25,6 +25,7 @@ from ebitflow.mincostflow import _Residual, _best_target
 from oracles import (
     min_cost_by_search,
     random_network,
+    reference_augmenting_paths,
     reference_min_cost_flow,
     reference_residual_solution,
     tie_graphs,
@@ -494,6 +495,78 @@ class TestGridsAgainstReferenceSolver:
         assert best == prices.index(min(prices)) + 1
 
 
+def pushed_rounds(r, paths):
+    """The ``(path, bottleneck)`` pairs of ``paths``, a round generator of
+    ``r``, with each bottleneck pushed before the next round."""
+    out = []
+    for path, bottleneck in paths:
+        out.append((path, bottleneck))
+        r.push(path, bottleneck)
+    return out
+
+
+def seeded_grid(seed, k):
+    """A k x k grid with route-like random capacities and costs, the source
+    in the left column and the sink in the right one."""
+    rng = random.Random(seed)
+    edges = []
+    for i in range(k):
+        for j in range(k):
+            for ni, nj in ((i, j + 1), (i + 1, j)):
+                if ni < k and nj < k:
+                    cap, cost = rng.randint(1, 4), rng.randint(1, 2000)
+                    edges.append((f"{i},{j}", f"{ni},{nj}", cap, cost))
+    source, sink = f"{rng.randrange(k)},0", f"{rng.randrange(k)},{k - 1}"
+    return NetworkGraph.from_edge_list(edges, source, sink)
+
+
+class TestAlternatingRounds:
+    """Rounds alternate between a search backwards from the sink and one
+    forwards from the source; they must take the paths of the rounds that
+    all searched from the sink."""
+
+    @settings(
+        derandomize=True,
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(st.one_of(tie_graphs(), tie_grids()))
+    def test_same_paths_as_the_sink_only_rounds(self, g):
+        r = _Residual(g)
+        walk = r.lexicographic_shortest_path
+
+        def checked(s, t, potential):
+            for aid, cap in enumerate(r.res):
+                if cap > 0:
+                    assert r.cost[aid] + potential[r.to[aid]] - potential[r.tail[aid]] >= 0
+            return walk(s, t, potential)
+
+        r.lexicographic_shortest_path = checked
+        ref = _Residual(g)
+        assert pushed_rounds(r, r.augmenting_paths()) == pushed_rounds(
+            ref, reference_augmenting_paths(ref)
+        )
+
+    def test_fewer_nodes_settled_than_the_sink_only_rounds(self, monkeypatch):
+        g = seeded_grid("alternating", 16)
+        settled = []
+        search = _Residual.dijkstra
+
+        def counted(self, *args):
+            found = search(self, *args)
+            settled.append(0 if found is None else len(found[0]))
+            return found
+
+        monkeypatch.setattr(_Residual, "dijkstra", counted)
+        sol = min_cost_max_flow(g)
+        alternating = sum(settled)
+        settled.clear()
+        ref = _Residual(g)
+        pushed_rounds(ref, reference_augmenting_paths(ref))
+        assert_same(sol, ref.solution())
+        assert alternating < sum(settled)
+
 class TestEarlyStop:
     def test_search_stops_at_the_source(self):
         # A chain s-m-t with a costly branch through z: the search runs
@@ -504,7 +577,7 @@ class TestEarlyStop:
             "t",
         )
         r = _Residual(g)
-        settled, dist = r.dijkstra(r.index["s"], r.index["t"], [0] * len(r.nodes))
+        settled, dist = r.dijkstra(r.index["t"], r.index["s"], [0] * len(r.nodes), r.radj, r.tail)
         assert [r.nodes[v] for v in settled] == ["t", "m", "s"]
         assert dist[r.index["s"]] == 2
 
@@ -519,7 +592,7 @@ class TestEarlyStop:
             "t",
         )
         r = _Residual(g)
-        settled, _ = r.dijkstra(r.index["a"], r.index["t"], [0] * len(r.nodes))
+        settled, _ = r.dijkstra(r.index["t"], r.index["a"], [0] * len(r.nodes), r.radj, r.tail)
         assert [r.nodes[v] for v in settled] == ["t", "d", "a"]
         sol = min_cost_flow(g, 1)
         assert sol.arc_flow == {("a", "c"): 1, ("c", "t"): 1}
@@ -575,7 +648,7 @@ class TestEarlyStop:
 
 
 class TestTightRounds:
-    """A round at sink distance 0 leaves the potentials as they were, so the
+    """A round at goal distance 0 leaves the potentials as they were, so the
     rounds after it try the tight-path walk before any Dijkstra."""
 
     def test_dijkstra_runs_again_once_no_tight_path_is_left(self, count_calls):
