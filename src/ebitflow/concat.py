@@ -23,9 +23,11 @@ descends that tree by the keys of the active edges.
 
 Resolving a hierarchy solves each distinct lower network once, with one
 augmenting-path run: at the edge's per-use target, or else to its end at
-the min-cut (``min_cost_max_flow``). A lower solve is keyed by its
-flattened network with every label replaced by its rank among the sorted
-labels (plus the per-use target), so copies that differ by an
+the min-cut (``min_cost_max_flow``). A lower solve is keyed by what the
+solve and its generation error budget read: the flattened network's
+capacities, costs and generation errors with every label replaced by its
+rank among the sorted labels, plus the per-use target. Use bounds are
+left out, since neither reads them. So copies that differ by an
 order-preserving relabelling share one solve. The key keeps the order, not
 just the shape, because the solver breaks ties between equal-cost paths by
 comparing labels: the same shape with the sink sorting elsewhere among the
@@ -44,6 +46,9 @@ Hierarchical documents extend the flat network format: every edge carries a
         "threshold": 0.1      # optional bound on the lower network's own error
     }}
 
+Every level has the flat format's four top-level fields, checked by the
+same ``netgraph`` helpers as a flat document, so their errors read alike.
+
 Parsing a hierarchical document builds each distinct thing once: one
 memo (see ``netgraph._converted``) lives for the whole document and is
 shared by every level and every lower copy. It converts each distinct
@@ -57,10 +62,12 @@ is parsed into one ``YieldFunction``.
 
 Resolving, aggregating and lower-use planning walk the hierarchy with
 explicit stacks. Parsing (``parse_hierarchical``) and the CLI's lower-plan
-rendering recurse once per level, which stays far below Python's
-recursion limit: the JSON decoder refuses nesting deeper than that limit
-(about 1000 containers, and each level nests four, so about 246 levels),
-and the loader reports that as a ParseError.
+rendering recurse once per level. A loaded document (``load_hierarchical``)
+stays far below Python's recursion limit: the JSON decoder refuses nesting
+deeper than that limit (about 1000 containers, and each level nests four,
+so about 246 levels), and the loader reports that as a ParseError. An
+already-decoded object can nest deeper; ``parse_hierarchical`` refuses one
+that reaches the limit with a ParseError.
 """
 
 from __future__ import annotations
@@ -79,17 +86,17 @@ from .netgraph import (
     EdgeKey,
     NetworkGraph,
     NodeId,
-    _DOC_FIELDS,
     _MEMO_KINDS,
     _NUMBER_LIMIT,
     _checked_layout,
     _converted,
+    _doc_clients,
+    _doc_nodes,
     _endpoints,
     _is_int,
     _is_probability,
     _load_json,
     _parse_flat,
-    _parse_nodes,
     _set,
     _too_large,
     _value_type,
@@ -252,12 +259,6 @@ class HierarchicalNetwork:
             clients=(source, sink),
         )
 
-    def edge_by_key(self, key: EdgeKey) -> HierEdge:
-        for e in self.edges:
-            if e.key == key:
-                return e
-        raise KeyError(key)
-
     @cached_property
     def _resolved(self) -> "_Resolved":
         # The whole hierarchy is resolved once and shared by every query.
@@ -285,8 +286,11 @@ class _Resolved:
 
 
 def _lower_key(lower_flat: NetworkGraph, lower_target: int | None) -> tuple:
-    """Content key of a lower solve: ``lower_flat`` with every node replaced
-    by its rank among the sorted nodes, plus the per-use target."""
+    """Content key of a lower solve on ``lower_flat``: its node count, each
+    edge's endpoints as ranks among the sorted nodes with its capacity,
+    unit cost and generation error, the ranks of the clients, and the
+    per-use target. Use bounds are left out: neither the solve nor its
+    generation error budget reads them."""
     rank = {v: i for i, v in enumerate(lower_flat.nodes)}
     return (
         len(rank),
@@ -300,7 +304,6 @@ def _lower_key(lower_flat: NetworkGraph, lower_target: int | None) -> tuple:
                 # two ints hash far faster than the Fraction.
                 e.gen_error.numerator,
                 e.gen_error.denominator,
-                e.max_uses,
             )
             for e in lower_flat.edges
         ),
@@ -663,8 +666,17 @@ def _parse_lower(raw: Mapping, index: int, memo: dict) -> dict:
 
 
 def parse_hierarchical(doc: Mapping) -> HierarchicalNetwork:
-    """Parse a hierarchical document; flat documents become level 0."""
-    return _parse_hierarchical(doc, {})
+    """Parse a hierarchical document; flat documents become level 0.
+
+    Raises:
+        ParseError: On structural problems, and on a document nested
+            deeper than Python's recursion limit lets the parse descend.
+        ValidationError: On semantic problems.
+    """
+    try:
+        return _parse_hierarchical(doc, {})
+    except RecursionError:
+        raise ParseError("document nested too deep") from None
 
 
 def _parse_hierarchical(doc: Mapping, memo: dict) -> HierarchicalNetwork:
@@ -691,13 +703,7 @@ def _parse_hierarchical(doc: Mapping, memo: dict) -> HierarchicalNetwork:
             "a network must be uniformly physical or uniformly wrapped; "
             "wrap single physical edges as two-node networks instead of mixing"
         )
-    unknown = set(doc) - _DOC_FIELDS
-    if unknown:
-        raise ParseError(f"unknown fields {sorted(unknown)}")
-    missing = _DOC_FIELDS - set(doc)
-    if missing:
-        raise ParseError(f"missing fields {sorted(missing)}")
-    nodes = _parse_nodes(doc["nodes"])
+    nodes = _doc_nodes(doc)
     hier_edges = []
     for i, entry in enumerate(edges):
         where = f"edges[{i}]"
@@ -712,9 +718,7 @@ def _parse_hierarchical(doc: Mapping, memo: dict) -> HierarchicalNetwork:
         fields = _parse_lower(entry["lower"], i, memo)
         lower_net = _parse_hierarchical(fields.pop("network"), memo)
         hier_edges.append(HierEdge(a=a, b=b, lower=lower_net, **fields))
-    source, sink = doc.get("source"), doc.get("sink")
-    if not isinstance(source, str) or not isinstance(sink, str):
-        raise ParseError("source and sink must be strings")
+    source, sink = _doc_clients(doc)
     levels = {e.lower.level for e in hier_edges}
     if len(levels) > 1:
         raise ValidationError(

@@ -24,7 +24,9 @@ Network documents are JSON objects with the exact shape::
     }
 
 ``delta``, ``max_uses``, ``channel`` and ``yield`` are optional; every other
-field is required and unknown fields are rejected. ``cost`` is given in cost units and
+field is required and unknown fields are rejected. The top-level checks
+(``_doc_nodes``, ``_doc_clients``) are shared with hierarchical documents,
+whose every level has the same four fields. ``cost`` is given in cost units and
 is stored internally in milli-cost units (scaled by 1000); fractional costs
 must be exact at that precision. Listing the same node pair more than once
 merges the entries into one edge by summing capacities and channel-use
@@ -741,6 +743,25 @@ def _parse_nodes(raw: object) -> list[NodeId]:
     return list(raw)
 
 
+def _doc_nodes(doc: Mapping) -> list[NodeId]:
+    """Check a document's top-level fields, then return its ``nodes``."""
+    unknown = set(doc) - _DOC_FIELDS
+    if unknown:
+        raise ParseError(f"unknown fields {sorted(unknown)}")
+    missing = _DOC_FIELDS - set(doc)
+    if missing:
+        raise ParseError(f"missing fields {sorted(missing)}")
+    return _parse_nodes(doc["nodes"])
+
+
+def _doc_clients(doc: Mapping) -> tuple[NodeId, NodeId]:
+    """A checked document's ``source`` and ``sink``."""
+    source, sink = doc["source"], doc["sink"]
+    if not isinstance(source, str) or not isinstance(sink, str):
+        raise ParseError("source and sink must be strings")
+    return source, sink
+
+
 def parse_document(
     doc: Mapping, *, default_gen_error: Fraction | None = None
 ) -> NetworkDocument:
@@ -778,13 +799,7 @@ def _parse_flat(
     A graph built from columns runs only the client checks of
     ``NetworkGraph``; the columns prove the rest.
     """
-    unknown = set(doc) - _DOC_FIELDS
-    if unknown:
-        raise ParseError(f"unknown fields {sorted(unknown)}")
-    missing = _DOC_FIELDS - set(doc)
-    if missing:
-        raise ParseError(f"missing fields {sorted(missing)}")
-    nodes = _parse_nodes(doc["nodes"])
+    nodes = _doc_nodes(doc)
     raw_edges = doc["edges"]
     if not isinstance(raw_edges, Sequence) or isinstance(raw_edges, (str, bytes)):
         raise ParseError("edges: expected an array of edge objects")
@@ -799,9 +814,7 @@ def _parse_flat(
         edges, channels, yields = _parse_entries(
             raw_edges, node_set, default_gen_error, memo
         )
-    source, sink = doc["source"], doc["sink"]
-    if not isinstance(source, str) or not isinstance(sink, str):
-        raise ParseError("source and sink must be strings")
+    source, sink = _doc_clients(doc)
     if found is None:
         graph = NetworkGraph(tuple(nodes), tuple(edges), source, sink)
         return NetworkDocument(graph=graph, channels=channels, yields=yields)

@@ -25,7 +25,9 @@ sampled bit-parallel, as Stim samples Pauli frames across shots (Gidney,
 Quantum 5, 497, 2021, arXiv:2103.02202): one Python int per variable
 carries a block of trials, one bit lane each, and a check's failing lanes
 are the XOR of its variables' ints. ``run_schedule`` is the same plan and
-lane 0 of a one-lane block.
+lane 0 of a one-lane block. Every reader of a mask (the checks of both,
+and the sites of the exact figures below) lists its variables with one
+helper, ``_variables``.
 
 Determinism. The generator is fixed by this specification. Trial i of
 ``fidelity_estimate`` is lane i mod 4096 of block i // 4096 (blocks of
@@ -379,7 +381,8 @@ def _entropy_words(seed: int | Sequence[int]) -> list[int]:
     are bytes and a 0-d array, as numpy's seeding refuses them too.
 
     Raises:
-        ValidationError: On any other seed.
+        ValidationError: On any other seed, or one nested deeper than
+            Python's recursion limit allows.
     """
     n = seed
     if type(n) is not int:
@@ -388,7 +391,10 @@ def _entropy_words(seed: int | Sequence[int]) -> list[int]:
         elif (
             isinstance(n, Sequence) and not isinstance(n, (str, bytes, bytearray))
         ) or getattr(n, "ndim", 0):
-            return [word for item in n for word in _entropy_words(item)]
+            try:
+                return [word for item in n for word in _entropy_words(item)]
+            except RecursionError:
+                raise ValidationError("seed nested too deep") from None
         else:
             raise ValidationError(f"seed must be an integer, got {seed!r}")
     if n < 0:
@@ -449,27 +455,36 @@ def _draw(steps: Sequence[tuple[int, int, int]], key: int, lanes: int) -> list[i
     return values
 
 
+def _variables(mask: int) -> list[int]:
+    """The variables set in ``mask``, in increasing order."""
+    found, var = [], -1
+    while mask:
+        skip = (mask & -mask).bit_length()
+        var += skip
+        mask >>= skip
+        found.append(var)
+    return found
+
+
+def _flips(mask: int, values: Sequence[int]) -> int:
+    """The lanes where the variables of ``mask`` XOR to 1, given the lane
+    ints ``values`` of ``_draw``."""
+    flips = 0
+    for var in _variables(mask):
+        flips ^= values[var]
+    return flips
+
+
 def _failing(checks: Sequence[tuple | None], values: Sequence[int], lanes: int) -> list[int]:
     """Per delivery of ``_Plan.checks``, the lanes whose trial fails its XX
     or its ZZ check, given the lane ints ``values`` of ``_draw``. A sign
     flips where the XOR of its variables is set; a delivery whose qubits
     share no pair (None) fails everywhere."""
     full = (1 << lanes) - 1
-    out = []
-    for check in checks:
-        if check is None:
-            out.append(full)
-            continue
-        fail = 0
-        for mask in check:
-            flips = 0
-            while mask:
-                low = mask & -mask
-                flips ^= values[low.bit_length() - 1]
-                mask ^= low
-            fail |= flips
-        out.append(fail)
-    return out
+    return [
+        full if check is None else _flips(check[0], values) | _flips(check[1], values)
+        for check in checks
+    ]
 
 
 def run_schedule(
@@ -490,21 +505,15 @@ def run_schedule(
             measurement sources.
         ValidationError: On a seed that is not a non-negative int or a
             sequence of seeds (a list, tuple, range or array; not an
-            iterator or a set).
+            iterator or a set), or one nested too deep.
     """
     key = _block_key(_entropy_words(seed), 0)
     plan = _plan(sched, noise or NoiseModel.zero())
-    values = 0
-    for var, bit in enumerate(_draw(plan.steps, key, 1)):
-        values |= bit << var
-
-    def parity(mask: int) -> int:
-        return (mask & values).bit_count() & 1
-
+    values = _draw(plan.steps, key, 1)
     return RunResult(
-        outcomes=tuple((parity(a), parity(b)) for a, b in plan.outcomes),
+        outcomes=tuple((_flips(a, values), _flips(b, values)) for a, b in plan.outcomes),
         corrections=tuple(
-            (ins.qubit, _PAULI_NAMES[parity(fx), parity(fz)])
+            (ins.qubit, _PAULI_NAMES[_flips(fx, values), _flips(fz, values)])
             for ins, (fx, fz) in zip(
                 (ins for ins in sched.instructions if isinstance(ins, PauliCorrect)),
                 plan.fixes,
@@ -515,8 +524,8 @@ def run_schedule(
                 copy=d.copy,
                 source_qubit=d.source_qubit,
                 sink_qubit=d.sink_qubit,
-                xx_sign=0 if check is None else 1 - 2 * parity(check[0]),
-                zz_sign=0 if check is None else 1 - 2 * parity(check[1]),
+                xx_sign=0 if check is None else 1 - 2 * _flips(check[0], values),
+                zz_sign=0 if check is None else 1 - 2 * _flips(check[1], values),
             )
             for d, check in zip(sched.deliveries, plan.checks)
         ),
@@ -714,13 +723,7 @@ def _site_groups(sched: SwapSchedule, noise: NoiseModel | None) -> tuple[dict, d
 
 def _sites(mask: int, step_of: Sequence[int]) -> set[int]:
     """The plan steps that ``mask`` reads, ``step_of[v]`` the step of v."""
-    sites, var = set(), 0
-    while mask:
-        skip = (mask & -mask).bit_length()
-        var += skip
-        mask >>= skip
-        sites.add(step_of[var - 1])
-    return sites
+    return {step_of[var] for var in _variables(mask)}
 
 
 def _pass_probability(groups: Iterable[tuple]) -> Fraction:

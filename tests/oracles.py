@@ -8,6 +8,8 @@ the reference min-cost flow and the reference hierarchical resolve at
 the end: the package's earlier numpy tableau, kept as the slow path
 whose runs its Bell-pair frame plan must reproduce when both are fed
 the same draws, and itself pinned against a dense state vector, its
+earlier reading of a one-lane run off the frame plan by packed-int
+parity, which its one mask reader must reproduce, its
 earlier exact pass probability, which the closed form must equal
 exactly, its earlier three-search min-cost flow, which
 the one-search solver must reproduce arc for arc, its earlier
@@ -612,6 +614,38 @@ def reference_run_schedule(
         outcomes=ordered,
         corrections=tuple(corrections),
         pairs=tuple(pairs),
+    )
+
+
+def reference_plan_run(sched: SwapSchedule, plan, values: Sequence[int]) -> RunResult:
+    """The run that ``plan``, the frame plan of ``sched``, reads off the
+    one-lane draws ``values``, as the package read it before its one mask
+    reader: the draws packed into one int, each figure the ``bit_count``
+    parity of that int ANDed with its mask."""
+    packed = 0
+    for var, bit in enumerate(values):
+        packed |= bit << var
+
+    def parity(mask: int) -> int:
+        return (mask & packed).bit_count() & 1
+
+    corrections = [ins for ins in sched.instructions if isinstance(ins, PauliCorrect)]
+    return RunResult(
+        outcomes=tuple((parity(a), parity(b)) for a, b in plan.outcomes),
+        corrections=tuple(
+            (ins.qubit, _PAULI_NAMES[parity(fx), parity(fz)])
+            for ins, (fx, fz) in zip(corrections, plan.fixes)
+        ),
+        pairs=tuple(
+            PairOutcome(
+                copy=d.copy,
+                source_qubit=d.source_qubit,
+                sink_qubit=d.sink_qubit,
+                xx_sign=0 if check is None else 1 - 2 * parity(check[0]),
+                zz_sign=0 if check is None else 1 - 2 * parity(check[1]),
+            )
+            for d, check in zip(sched.deliveries, plan.checks)
+        ),
     )
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import operator
 import random
+import re
 import sys
 import typing
 from collections.abc import Sequence
@@ -22,6 +23,7 @@ from oracles import (
     convolved_pass_probability,
     mutate_schedule,
     random_network,
+    reference_plan_run,
     reference_run_schedule,
     tie_graphs,
 )
@@ -1066,6 +1068,44 @@ class TestExactOnFaultySchedules:
         assert_exact_is_the_estimate(sched, noise, 20_000, seed=5)
 
 
+class TestMaskReader:
+    """``stabsim._variables`` is the one walk over a mask's set bits, and
+    every reader of a plan mask goes through it."""
+
+    @given(
+        st.one_of(
+            st.integers(0, 2**300),
+            st.sets(st.integers(0, 5000), max_size=40).map(
+                lambda vs: sum(1 << v for v in vs)
+            ),
+        )
+    )
+    def test_variables_are_the_set_bits(self, mask):
+        assert stabsim._variables(mask) == [
+            v for v in range(mask.bit_length()) if mask >> v & 1
+        ]
+
+    @settings(derandomize=True, max_examples=300)
+    @given(
+        st.one_of(noisy_schedules(), hand_built_schedules(), mutated_schedules()),
+        st.integers(0, 2**32),
+    )
+    def test_runs_match_packed_parity(self, case, seed):
+        """Signs, outcomes and fixes of ``run_schedule`` equal the packed-int
+        ``bit_count`` parity of the same plan and one-lane draws; a schedule
+        the plan refuses is refused by the run alike."""
+        sched, noise = case
+        try:
+            plan, values = sampled_block(sched, noise, seed, 1)
+        except ScheduleViolation as exc:
+            with pytest.raises(ScheduleViolation, match=re.escape(str(exc))):
+                run_schedule(sched, noise, seed=seed)
+            return
+        assert run_schedule(sched, noise, seed=seed) == reference_plan_run(
+            sched, plan, values
+        )
+
+
 def figure_or_fault(figure, sched, noise):
     """``figure(sched, noise)``, or the type and message of the error it
     raises."""
@@ -1181,6 +1221,15 @@ class TestMonteCarlo:
         assert run_schedule(THREE_HOP, noise, seed=seed) == reference_lane0(
             THREE_HOP, noise, seed
         )
+
+    def test_seed_nested_past_the_recursion_limit_is_a_validation_error(self):
+        seed = 5
+        for _ in range(3000):
+            seed = [seed]
+        with pytest.raises(ValidationError, match="seed nested too deep"):
+            fidelity_estimate(RELAY, trials=1, seed=seed)
+        with pytest.raises(ValidationError, match="seed nested too deep"):
+            run_schedule(RELAY, seed=seed)
 
     def test_negative_entropy_is_a_validation_error(self):
         with pytest.raises(ValidationError):
