@@ -13,12 +13,17 @@ default output format only; flags always win.
 
 Exit codes: 0 success, 2 usage, 3 parse or validation failure, 4
 unsatisfiable pair target.
+
+A request makes no reference cycles, so ``main`` pauses Python's cyclic
+garbage collector while it runs: the collector's passes would find nothing
+to free.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import hashlib
 import json
 import os
@@ -33,10 +38,13 @@ from .errors import (
     InfeasibleTarget,
     NegativeTarget,
     ParseError,
+    TooLarge,
+    ValidationError,
 )
 from .netgraph import (
     MILLI,
     _frac,
+    _is_probability,
     _milli_text,
     _too_long,
     as_fraction,
@@ -67,6 +75,8 @@ def __getattr__(name: str):
 
 SCHEMA_VERSION = 1
 TOOL_NAME = "ebitflow"
+# The most Monte-Carlo trials one ``simulate`` request may ask for.
+MAX_TRIALS = 10**7
 
 _FORMATS = ("json", "text", "dot")
 _DOT_COMMANDS = frozenset({"flow", "maxflow"})
@@ -606,16 +616,55 @@ def _write(value, depth: int, out: list[str]) -> None:
 
 
 def _emit(text: str, output: str | None) -> None:
-    if not output:
-        sys.stdout.write(text)
+    if output:
+        try:
+            Path(output).write_text(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write output file {output}: {exc}") from exc
         return
+    stdout = sys.stdout
+    if stdout is None:
+        raise ParseError("cannot write to stdout: it is closed")
     try:
-        Path(output).write_text(text)
-    except OSError as exc:
-        raise ParseError(f"cannot write output file {output}: {exc}") from exc
+        stdout.write(text)
+        stdout.flush()
+    except (OSError, ValueError) as exc:
+        _drop_stdout(stdout)
+        raise ParseError(f"cannot write to stdout: {exc}") from exc
+
+
+def _drop_stdout(stdout) -> None:
+    """Point ``stdout``'s descriptor at the null device, so the report bytes
+    still buffered go nowhere when the interpreter flushes at exit, instead
+    of failing there a second time."""
+    try:
+        fd = stdout.fileno()
+    except (OSError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(null, fd)
+    finally:
+        os.close(null)
 
 
 def main(argv=None) -> int:
+    """Run one request and return its exit code.
+
+    The cyclic garbage collector is paused for the call, since a request
+    makes no reference cycles, and is left as the caller had it on every
+    way out, ``SystemExit`` from a usage error included.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _main(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.format == "dot" and args.command not in _DOT_COMMANDS:
@@ -629,6 +678,10 @@ def main(argv=None) -> int:
             value = getattr(args, name, None)
             if value is not None:
                 setattr(args, name, as_fraction(value, "--" + name.replace("_", "-")))
+        if args.delta_default is not None and not _is_probability(args.delta_default):
+            raise ValidationError("--delta-default: outside [0, 1]")
+        if getattr(args, "trials", 0) > MAX_TRIALS:
+            raise TooLarge(f"--trials: more than {MAX_TRIALS}")
         args.input_bytes, digest = _read_input(args.input)
         for module in _COMMAND_MODULES[args.command]:
             _bind(module)

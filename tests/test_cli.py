@@ -1,6 +1,7 @@
 """End-to-end command-line checks, via subprocess and in process."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -108,14 +109,16 @@ def docs(tmp_path_factory):
     return paths
 
 
-def run_cli(*args, env_extra=None, timeout=None):
+def run_cli(*args, env_extra=None, timeout=None, stdout=subprocess.PIPE, launcher=()):
+    """One ``python -m ebitflow`` process, run through ``launcher`` if given."""
     env = dict(os.environ)
     env.pop("EBITFLOW_FORMAT", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "ebitflow", *args],
-        capture_output=True,
+        [*launcher, sys.executable, "-m", "ebitflow", *args],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env=env,
         timeout=timeout,
@@ -435,6 +438,54 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert_json_error(proc.stderr, "ParseError")
         assert "cannot write output file" in json.loads(proc.stderr)["error"]["message"]
+
+    @pytest.mark.parametrize("hops", [2, 800], ids=["buffered", "past-the-buffer"])
+    def test_stdout_reader_gone(self, tmp_path, hops):
+        # The short report fails at the flush, the long one at the write.
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(chain_doc(hops)))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_cli("maxflow", "--input", str(path), stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 3
+        # The whole of stderr is the error: no traceback, and nothing from
+        # the interpreter's flush at exit.
+        assert_json_error(proc.stderr, "ParseError")
+        assert "cannot write to stdout" in json.loads(proc.stderr)["error"]["message"]
+
+    def test_stdout_closed(self, docs):
+        closed = ("sh", "-c", 'exec "$@" >&-', "sh")
+        proc = run_cli("maxflow", "--input", docs["chain"], stdout=None, launcher=closed)
+        assert proc.returncode == 3
+        assert_json_error(proc.stderr, "ParseError")
+        assert "cannot write to stdout" in json.loads(proc.stderr)["error"]["message"]
+
+    @pytest.mark.parametrize("value", ["2", "-1/10"])
+    @pytest.mark.parametrize("uses_default", [True, False], ids=["no-deltas", "own-deltas"])
+    def test_delta_default_outside_the_unit_interval(self, tmp_path, value, uses_default):
+        # Refused whether or not an edge would take the default.
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(CHAIN_DOC if uses_default else ladder_doc(1, 2)))
+        args = ("--input", str(path), "--target", "1", "--trials", "5")
+        code, out, err = call_main("simulate", *args, f"--delta-default={value}")
+        assert (code, out) == (3, "")
+        assert_json_error(err, "ValidationError")
+        assert json.loads(err)["error"]["message"].startswith("--delta-default: ")
+
+    def test_trials_above_the_cap(self, docs, monkeypatch):
+        def no_run(*_args, **_kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli, "fidelity_estimate", no_run, raising=False)
+        trials = str(cli.MAX_TRIALS + 1)
+        args = ("--input", docs["chain"], "--target", "1", "--trials", trials)
+        code, out, err = call_main("simulate", *args)
+        assert (code, out) == (3, "")
+        assert_json_error(err, "TooLarge")
+        assert json.loads(err)["error"]["message"].startswith("--trials: ")
 
     def test_infeasible_target(self, docs):
         proc = run_cli("flow", "--input", docs["chain"], "--target", "99")
@@ -1206,6 +1257,112 @@ class TestReusedParser:
             code, out, err = call_main(command, "--input", str(inputs[command]), *args)
             assert code == 0, err
             json.loads(out)
+
+
+def collector_requests():
+    """Argv templates (``{name}`` is a path from the ``paths`` fixture) and
+    their exit codes: every command, text and DOT renders, an output file,
+    and requests that exit 3 and 4."""
+    cases = [
+        (f"{command}-json", [command, "--input", f"{{{command}}}", *args], 0)
+        for command, (args, _) in FUZZ_CASES.items()
+    ]
+    renders = {"flow": "dot", "plan": "text", "simulate": "text", "concat": "text"}
+    for command, fmt in renders.items():
+        argv = [command, "--input", f"{{{command}}}", *FUZZ_CASES[command][0], "--format", fmt]
+        cases.append((f"{command}-{fmt}", argv, 0))
+    sim = ["simulate", "--input", "{simulate}", "--target", "1"]
+    flow = ["flow", "--input", "{flow}", "--target"]
+    cases += [
+        ("output-file", ["maxflow", "--input", "{maxflow}", "--output", "{out}"], 0),
+        ("bad-json", ["mincut", "--input", "{bad}"], 3),
+        ("missing-input", ["mincut", "--input", "{missing}"], 3),
+        ("unwritable-output", ["mincut", "--input", "{mincut}", "--output", "{root}"], 3),
+        ("bad-noise", [*sim, "--noise-p", "x"], 3),
+        ("delta-default", [*flow, "1", "--delta-default", "2"], 3),
+        ("trials-cap", [*sim, "--trials", str(cli.MAX_TRIALS + 1)], 3),
+        ("negative-seed", [*sim, "--seed", "-1"], 3),
+        ("no-models", ["rate", "--input", "{mincut}"], 3),
+        ("swap-noise", ["concat", "--input", "{concat}", "--target", "1", "--noise-p", "2"], 3),
+        ("infeasible", [*flow, "99"], 4),
+        ("negative-target", [*flow, "-1"], 4),
+    ]
+    return [pytest.param(argv, code, id=name) for name, argv, code in cases]
+
+
+class TestCyclicCollector:
+    """``main`` pauses Python's cyclic garbage collector for each request.
+    That is sound only while requests make no reference cycles: a cycle
+    made with the collector off stays in memory until something collects
+    it."""
+
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("collector")
+        paths = {name: str(root / f"{name}.json") for name in ("missing", "out", "bad")}
+        paths["root"] = str(root)
+        for command, (_, doc) in FUZZ_CASES.items():
+            paths[command] = str(root / f"{command}.json")
+            (root / f"{command}.json").write_text(json.dumps(doc))
+        (root / "bad.json").write_text("{not json")
+        # The first call in a process imports modules and builds the
+        # parser, which leaves some cyclic garbage once.
+        for command, (args, _) in FUZZ_CASES.items():
+            assert call_main(command, "--input", paths[command], *args)[0] == 0
+        return paths
+
+    @pytest.mark.parametrize(("argv", "code"), collector_requests())
+    def test_request_makes_no_reference_cycles(self, paths, argv, code):
+        argv = [arg.format(**paths) for arg in argv]
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            got, _, err = call_main(*argv)
+            unreachable = gc.collect()
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert got == code, err
+        assert unreachable == 0
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["caller-enabled", "caller-disabled"])
+    @pytest.mark.parametrize("outcome", ["success", "exit-3", "exit-2", "crash"])
+    def test_caller_state_is_restored(self, paths, monkeypatch, outcome, enabled):
+        seen = []
+        read_input = cli._read_input
+
+        def probe(path):
+            seen.append(gc.isenabled())
+            if outcome == "crash":
+                raise RuntimeError("crash")
+            return read_input(path)
+
+        monkeypatch.setattr(cli, "_read_input", probe)
+        argv = {
+            "success": ["mincut", "--input", paths["mincut"]],
+            "exit-3": ["mincut", "--input", paths["bad"]],
+            "exit-2": ["flow", "--input", paths["flow"]],
+            "crash": ["mincut", "--input", paths["mincut"]],
+        }[outcome]
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                except RuntimeError:
+                    code = None
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert code == {"success": 0, "exit-3": 3, "exit-2": 2, "crash": None}[outcome]
+        assert after is enabled
+        # The collector is off while the request runs.
+        assert seen == ([] if outcome == "exit-2" else [False])
 
 
 # Strings that look like the boundaries the writer patches, or need escapes.
