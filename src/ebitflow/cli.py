@@ -16,7 +16,8 @@ unsatisfiable pair target.
 
 A request makes no reference cycles, so ``main`` pauses Python's cyclic
 garbage collector while it runs: the collector's passes would find nothing
-to free.
+to free. A one-request process enters through ``ebitflow.__main__.main``,
+which keeps the collector off from import to exit.
 """
 
 from __future__ import annotations
@@ -629,16 +630,16 @@ def _emit(text: str, output: str | None) -> None:
         stdout.write(text)
         stdout.flush()
     except (OSError, ValueError) as exc:
-        _drop_stdout(stdout)
+        _drop(stdout)
         raise ParseError(f"cannot write to stdout: {exc}") from exc
 
 
-def _drop_stdout(stdout) -> None:
-    """Point ``stdout``'s descriptor at the null device, so the report bytes
-    still buffered go nowhere when the interpreter flushes at exit, instead
-    of failing there a second time."""
+def _drop(stream) -> None:
+    """Point ``stream``'s descriptor at the null device, so the bytes still
+    buffered go nowhere when the interpreter flushes at exit, instead of
+    failing there a second time."""
     try:
-        fd = stdout.fileno()
+        fd = stream.fileno()
     except (OSError, ValueError):
         return
     null = os.open(os.devnull, os.O_WRONLY)
@@ -706,8 +707,16 @@ def _main(argv) -> int:
 
 
 def _fail(exc: EbitflowError, code: int) -> int:
+    """Write ``exc`` to stderr as a JSON error object and return ``code``,
+    also when stderr is closed or cannot be written."""
     doc = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-    sys.stderr.write(_json_text(doc) + "\n")
+    stderr = sys.stderr
+    if stderr is not None:
+        try:
+            stderr.write(_json_text(doc) + "\n")
+            stderr.flush()
+        except (OSError, ValueError):
+            _drop(stderr)
     return code
 
 

@@ -48,6 +48,7 @@ from .netgraph import (
     EdgeKey,
     NetworkGraph,
     NodeId,
+    _edge_key_of,
     _frac,
     _is_int,
     _milli_text,
@@ -91,7 +92,7 @@ class FlowSolution:
     @cached_property
     def undirected_flow(self) -> Mapping[EdgeKey, int]:
         """Per-edge consumed capacity, f(a,b) + f(b,a)."""
-        out: dict[EdgeKey, int] = {e.key: 0 for e in self.graph.edges}
+        out: dict[EdgeKey, int] = dict.fromkeys(map(_edge_key_of, self.graph.edges), 0)
         for (a, b), f in self.arc_flow.items():
             out[edge_key(a, b)] += f
         return out
@@ -512,6 +513,7 @@ def validate_flow(sol: FlowSolution) -> None:
 def solution_report(sol: FlowSolution) -> dict:
     """Serializable summary of a flow solution. Costs stay in milli-units."""
     price = unit_price(sol)
+    flow = sol.undirected_flow
     return {
         "arcs": [
             {"from": a, "to": b, "flow": f}
@@ -521,7 +523,7 @@ def solution_report(sol: FlowSolution) -> dict:
             {
                 "a": e.a,
                 "b": e.b,
-                "flow": sol.undirected_flow[e.key],
+                "flow": flow[_edge_key_of(e)],
                 "capacity": e.capacity,
             }
             for e in sol.graph.edges
@@ -536,13 +538,14 @@ def solution_report(sol: FlowSolution) -> dict:
 def solution_dot(sol: FlowSolution) -> str:
     """Graphviz rendering with `used/capacity @ cost` edge labels."""
     g = sol.graph
+    flow = sol.undirected_flow
     lines = ["graph network {"]
     lines.append(f'  label="net_flow={sol.net_flow} cost={_milli_text(sol.total_cost)}";')
     for n in g.nodes:
         shape = ' [shape=doublecircle]' if n in (g.source, g.sink) else ""
         lines.append(f"  {_dot_id(n)}{shape};")
     for e in g.edges:
-        used = sol.undirected_flow[e.key]
+        used = flow[_edge_key_of(e)]
         label = f"{used}/{e.capacity} @ {_milli_text(e.unit_cost)}"
         lines.append(f'  {_dot_id(e.a)} -- {_dot_id(e.b)} [label="{label}"];')
     lines.append("}")

@@ -396,7 +396,7 @@ class NetworkGraph:
 
     @cached_property
     def edge_map(self) -> Mapping[EdgeKey, Edge]:
-        return {e.key: e for e in self.edges}
+        return {_edge_key_of(e): e for e in self.edges}
 
     def edge_between(self, a: NodeId, b: NodeId) -> Edge:
         return self.edge_map[edge_key(a, b)]

@@ -463,6 +463,34 @@ class TestExitCodes:
         assert_json_error(proc.stderr, "ParseError")
         assert "cannot write to stdout" in json.loads(proc.stderr)["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "redirect",
+        [
+            "2>&-",
+            pytest.param(
+                "2>/dev/full",
+                marks=pytest.mark.skipif(
+                    not os.path.exists("/dev/full"), reason="no /dev/full"
+                ),
+            ),
+        ],
+        ids=["closed", "full"],
+    )
+    @pytest.mark.parametrize(
+        ("request_", "code"),
+        [("bad-json", 3), ("infeasible", 4)],
+        ids=["exit-3", "exit-4"],
+    )
+    def test_stderr_unwritable(self, docs, redirect, request_, code):
+        # The error object is lost, but the exit code still tells the failure.
+        argv = {
+            "bad-json": ["mincut", "--input", docs["bad"]],
+            "infeasible": ["flow", "--input", docs["chain"], "--target", "99"],
+        }[request_]
+        launcher = ("sh", "-c", f'exec "$@" {redirect}', "sh")
+        proc = run_cli(*argv, launcher=launcher)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", "")
+
     @pytest.mark.parametrize("value", ["2", "-1/10"])
     @pytest.mark.parametrize("uses_default", [True, False], ids=["no-deltas", "own-deltas"])
     def test_delta_default_outside_the_unit_interval(self, tmp_path, value, uses_default):
@@ -1346,6 +1374,7 @@ class TestCyclicCollector:
             "crash": ["mincut", "--input", paths["mincut"]],
         }[outcome]
         was_enabled = gc.isenabled()
+        frozen = gc.get_freeze_count()
         (gc.enable if enabled else gc.disable)()
         try:
             out, err = io.StringIO(), io.StringIO()
@@ -1361,8 +1390,109 @@ class TestCyclicCollector:
             (gc.enable if was_enabled else gc.disable)()
         assert code == {"success": 0, "exit-3": 3, "exit-2": 2, "crash": None}[outcome]
         assert after is enabled
+        # Only the process entry freezes the heap, never an in-process call.
+        assert gc.get_freeze_count() == frozen
         # The collector is off while the request runs.
         assert seen == ([] if outcome == "exit-2" else [False])
+
+
+# Usage: EXIT_PROBE PROBE_FILE module|script ARGV... Runs ARGV as
+# ``python -m ebitflow`` does (``module``) or as the ``ebitflow`` script does
+# (``script``). An atexit handler, which runs after the request, writes to
+# PROBE_FILE whether the collector is on and how many objects are frozen.
+EXIT_PROBE = """
+import atexit, gc, json, runpy, sys
+probe_file, launch = sys.argv[1:3]
+def record():
+    with open(probe_file, "w") as fh:
+        json.dump({"enabled": gc.isenabled(), "frozen": gc.get_freeze_count()}, fh)
+atexit.register(record)
+sys.argv = ["ebitflow", *sys.argv[3:]]
+if launch == "module":
+    runpy.run_module("ebitflow", run_name="__main__", alter_sys=True)
+else:
+    from ebitflow.__main__ import main
+    sys.exit(main())
+"""
+
+
+def entry_requests():
+    """Argv templates (``{name}`` is a path from the ``paths`` fixture of
+    ``TestProcessEntry``) and their exit codes: every command, plus a usage
+    error and requests that exit 3 and 4."""
+    cases = [
+        (command, [command, "--input", f"{{{command}}}", *args], 0)
+        for command, (args, _) in FUZZ_CASES.items()
+    ]
+    cases += [
+        ("exit-2", ["flow", "--input", "{flow}"], 2),
+        ("exit-3", ["mincut", "--input", "{bad}"], 3),
+        ("exit-4", ["flow", "--input", "{flow}", "--target", "99"], 4),
+    ]
+    return [pytest.param(argv, code, id=name) for name, argv, code in cases]
+
+
+class TestProcessEntry:
+    """``python -m ebitflow`` and the ``ebitflow`` script run a request
+    through ``ebitflow.__main__.main``, which keeps the collector off and
+    freezes the heap before the interpreter exits."""
+
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("entry")
+        paths = {"bad": str(root / "bad.json")}
+        (root / "bad.json").write_text("{not json")
+        for command, (_, doc) in FUZZ_CASES.items():
+            paths[command] = str(root / f"{command}.json")
+            (root / f"{command}.json").write_text(json.dumps(doc))
+        return paths
+
+    @staticmethod
+    def launched(*args):
+        """Exit code, stdout and stderr bytes of one launched process."""
+        env = dict(os.environ)
+        env.pop("EBITFLOW_FORMAT", None)
+        proc = subprocess.run([sys.executable, *args], capture_output=True, env=env)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    @staticmethod
+    def in_process(argv):
+        code, out, err = TestCommandImports.in_process(argv)
+        return code, out.encode(), err.encode()
+
+    @pytest.mark.parametrize(("argv", "code"), entry_requests())
+    def test_process_matches_in_process(self, paths, argv, code):
+        argv = [arg.format(**paths) for arg in argv]
+        expected = self.in_process(argv)
+        assert expected[0] == code
+        assert self.launched("-m", "ebitflow", *argv) == expected
+
+    @pytest.mark.parametrize(("argv", "code"), entry_requests())
+    def test_dev_mode_prints_no_warning(self, paths, argv, code):
+        # Dev mode reports a resource a request leaves open, whose finalizer
+        # a frozen heap would never run.
+        argv = [arg.format(**paths) for arg in argv]
+        got = self.launched("-X", "dev", "-W", "error", "-m", "ebitflow", *argv)
+        assert got == self.in_process(argv)
+
+    @pytest.mark.parametrize("launch", ["module", "script"])
+    @pytest.mark.parametrize(
+        ("argv", "code"),
+        [
+            (["mincut", "--input", "{mincut}"], 0),
+            (["mincut", "--input", "{bad}"], 3),
+            (["flow", "--input", "{flow}"], 2),
+        ],
+        ids=["exit-0", "exit-3", "exit-2"],
+    )
+    def test_heap_is_frozen_at_exit(self, paths, tmp_path, launch, argv, code):
+        probe_file = tmp_path / "probe.json"
+        argv = [arg.format(**paths) for arg in argv]
+        got, _, err = self.launched("-c", EXIT_PROBE, str(probe_file), launch, *argv)
+        assert got == code, err
+        probe = json.loads(probe_file.read_text())
+        assert probe["enabled"] is False
+        assert probe["frozen"] > 0
 
 
 # Strings that look like the boundaries the writer patches, or need escapes.
