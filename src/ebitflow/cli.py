@@ -718,7 +718,3 @@ def _fail(exc: EbitflowError, code: int) -> int:
         except (OSError, ValueError):
             _drop(stderr)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())
